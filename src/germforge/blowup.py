@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import scalars
-from .errors import DicriticalInput, PrecisionExhausted, UnresolvedRoots
+from .errors import DegenerateBlowup, DicriticalInput, PrecisionExhausted, UnresolvedRoots
 from .germ import LinearPartData, VectorFieldGerm, linear_part
 from .scalars import EXACT, GaussianRational, Scalar
 from .series import INF, Jet1, Jet2
@@ -63,9 +63,9 @@ def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
     if chart not in (0, 1):
         raise ValueError("chart must be 0 or 1")
     if x.order() == INF:
-        raise ValueError("blow-up of the zero germ")
+        raise DegenerateBlowup("blow-up of the zero germ")
     if x.order() < 1:
-        raise ValueError("blowup_vf requires X(0,0) = 0")
+        raise DegenerateBlowup("blowup_vf requires X(0,0) = 0")
     d = int(x.order())
     if chart == 0:
         base = _substitute_line(x.a, 0)                       # A(x, tx)

@@ -39,6 +39,10 @@ class AxisNotInvariant(GermforgeError):
     """Restriction requested along an axis the field does not preserve."""
 
 
+class DegenerateBlowup(GermforgeError):
+    """Blow-up requested for the zero germ or a germ with X(0,0) != 0."""
+
+
 class DicriticalInput(GermforgeError):
     """Divisor singularities of a dicritical blow-up were requested."""
 

@@ -90,14 +90,8 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def sqrt(self):
         """Exact square root inside Q(i), or None when there is none."""
@@ -146,8 +140,6 @@ def _fraction_sqrt(q: Fraction):
 
 Scalar = Union[GaussianRational, complex]
 
-_I_EXACT = GaussianRational(0, 1)
-
 
 def zero(mode: str) -> Scalar:
     return GaussianRational(0, 0) if mode == EXACT else 0j
@@ -155,10 +147,6 @@ def zero(mode: str) -> Scalar:
 
 def one(mode: str) -> Scalar:
     return GaussianRational(1, 0) if mode == EXACT else 1 + 0j
-
-
-def imag_unit(mode: str) -> Scalar:
-    return _I_EXACT if mode == EXACT else 1j
 
 
 def coerce(value, mode: str) -> Scalar:

@@ -8,6 +8,16 @@ coefficient it cannot guarantee.  Polynomials known exactly carry
 valid_through = INF.  Zero jets have order INF.
 
 All values are immutable after construction; operations are pure functions.
+
+Exact-mode representation.  ``Jet2.coeffs`` always holds reduced
+GaussianRational values.  The exact kernels (jet_mul, jet_compose1,
+jet_compose2, jet_reciprocal) do their arithmetic on _ZJet instead: the
+jet's Gaussian-integer numerators (two dicts of Python ints, real and
+imaginary parts) over one common integer denominator.  An operand is lifted
+once on entry, every intermediate stays in integer form, and Fractions are
+built only for the result, which is the same jet, coefficient for
+coefficient and in valid_through, as Fraction arithmetic would give.  Float
+mode runs the same algorithms on ``complex`` coefficients.
 """
 
 from __future__ import annotations
@@ -163,7 +173,8 @@ class Jet1:
         if valid == INF and len(self.coeffs) > 1:
             # the inverse of a nonconstant polynomial is an infinite series
             valid = default_degree()
-        bound = _finite_bound(valid)
+        # a constant input has nothing beyond degree 0
+        bound = _finite_bound(valid) if len(self.coeffs) > 1 else 0
         inv0 = scalars.one(self.mode) / c0
         out = {0: inv0}
         for s in range(1, bound + 1):
@@ -197,23 +208,6 @@ class Jet1:
             if k < self.degree_bound():
                 power = power * g
         return acc.truncate(valid)
-
-    def eval_scalar(self, value: Scalar) -> Scalar:
-        """Polynomial evaluation (Horner over the stored exponents)."""
-        result = scalars.zero(self.mode)
-        prev = None
-        for k in sorted(self.coeffs, reverse=True):
-            if prev is None:
-                result = self.coeffs[k]
-            else:
-                for _ in range(prev - k):
-                    result = result * value
-                result = result + self.coeffs[k]
-            prev = k
-        if prev is not None:
-            for _ in range(prev):
-                result = result * value
-        return result
 
     def to_float(self) -> "Jet1":
         if self.mode == FLOAT:
@@ -348,9 +342,6 @@ class Jet2:
     def reciprocal(self) -> "Jet2":
         return jet_reciprocal(self)
 
-    def substitute(self, p: "Jet2", q: "Jet2") -> "Jet2":
-        return jet_compose2(self, p, q)
-
     def eval_complex(self, x: complex, y: complex) -> complex:
         """Float evaluation of the stored truncation."""
         acc = 0j
@@ -412,12 +403,207 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
+# exact-mode integer kernel
+# ---------------------------------------------------------------------------
+
+_F0 = Fraction(0)
+
+
+class _ZJet:
+    """An exact jet as Gaussian-integer numerators over one denominator.
+
+    The coefficient of x^i y^j is (re[i, j] + im[i, j] * i) / den, where re
+    and im map exponent pairs to nonzero Python ints and den is a positive
+    int, not necessarily the least one.  ``valid`` follows the Jet2 rules
+    for the same operations (product rule, min for sums, terms beyond it
+    dropped), so a chain of _ZJet operations ends in the same jet as the
+    chain of Jet2 operations it stands for.  ``order`` looks only at stored,
+    hence nonzero, terms: every operation drops zero sums before returning.
+    The constructors mirror Jet2's so the Horner loops run on either.
+    """
+
+    __slots__ = ("den", "re", "im", "valid")
+
+    def __init__(self, den: int, re: Dict[Tuple[int, int], int],
+                 im: Dict[Tuple[int, int], int], valid):
+        self.den = den
+        self.re = re
+        self.im = im
+        self.valid = valid
+
+    @classmethod
+    def lift(cls, jet: Jet2) -> "_ZJet":
+        den = 1
+        for v in jet.coeffs.values():
+            den = math.lcm(den, v.re.denominator, v.im.denominator)
+        re, im = {}, {}
+        for k, v in jet.coeffs.items():
+            if v.re:
+                re[k] = v.re.numerator * (den // v.re.denominator)
+            if v.im:
+                im[k] = v.im.numerator * (den // v.im.denominator)
+        return cls(den, re, im, jet.valid_through)
+
+    @classmethod
+    def zero(cls, mode=EXACT, valid_through=INF) -> "_ZJet":
+        return cls(1, {}, {}, valid_through)
+
+    @classmethod
+    def const(cls, value, mode=EXACT, valid_through=INF) -> "_ZJet":
+        return cls(1, {(0, 0): 1}, {}, valid_through).scale(value)
+
+    def to_jet(self) -> Jet2:
+        den = self.den
+        out = {k: GaussianRational(Fraction(v, den), _F0) for k, v in self.re.items()}
+        for k, v in self.im.items():
+            c = out.get(k)
+            out[k] = GaussianRational(c.re if c is not None else _F0, Fraction(v, den))
+        # every _ZJet operation keeps its terms nonzero and within valid,
+        # so Jet2's cleaning pass has nothing to do
+        jet = Jet2.__new__(Jet2)
+        jet.mode, jet.coeffs, jet.valid_through = EXACT, out, self.valid
+        return jet
+
+    def order(self):
+        keys = self.re.keys() | self.im.keys() if self.im else self.re
+        return min(map(sum, keys), default=INF)
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def truncate(self, valid_through) -> "_ZJet":
+        valid = min(self.valid, valid_through)
+        return _ZJet(self.den, _zcut(self.re, valid), _zcut(self.im, valid), valid)
+
+    def scale(self, value: GaussianRational) -> "_ZJet":
+        value = GaussianRational.from_value(value)
+        cd = math.lcm(value.re.denominator, value.im.denominator)
+        cr = value.re.numerator * (cd // value.re.denominator)
+        ci = value.im.numerator * (cd // value.im.denominator)
+        re = _zlin(self.re, cr, self.im, -ci, self.valid)
+        im = _zlin(self.re, ci, self.im, cr, self.valid)
+        return _ZJet(self.den * cd, re, im, self.valid)
+
+    def __add__(self, other: "_ZJet") -> "_ZJet":
+        valid = min(self.valid, other.valid)
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        s, t = d2 // g, d1 // g
+        re = _zlin(self.re, s, other.re, t, valid)
+        im = _zlin(self.im, s, other.im, t, valid)
+        return _ZJet(d1 * s, re, im, valid)
+
+    def __mul__(self, other: "_ZJet") -> "_ZJet":
+        valid = min(self.valid + other.order(), other.valid + self.order())
+        re: dict = {}
+        im: dict = {}
+        _gmul_into(re, im, self.re, self.im, other.re, other.im, valid)
+        return _ZJet(self.den * other.den, _nonzero(re), _nonzero(im), valid)
+
+
+def _nonzero(a: dict) -> dict:
+    return {k: v for k, v in a.items() if v}
+
+
+def _zcut(a: Dict[Tuple[int, int], int], valid) -> Dict[Tuple[int, int], int]:
+    return {k: v for k, v in a.items() if k[0] + k[1] <= valid}
+
+
+def _zlin(a, s: int, b, t: int, valid) -> Dict[Tuple[int, int], int]:
+    """s*a + t*b over the terms of degree <= valid, zero sums dropped."""
+    out = {k: v * s for k, v in a.items() if k[0] + k[1] <= valid} if s else {}
+    if t:
+        get = out.get
+        for k, v in b.items():
+            if k[0] + k[1] <= valid:
+                out[k] = get(k, 0) + v * t
+    return _nonzero(out)
+
+
+def _zmul_into(out: dict, a: dict, b: dict, valid) -> None:
+    """out += a * b over the terms of degree <= valid (integer Cauchy product)."""
+    if not a or not b:
+        return
+    get = out.get
+    terms = sorted(b.items(), key=_key_degree)
+    for (i1, j1), u in a.items():
+        room = valid - i1 - j1
+        for (i2, j2), v in terms:
+            if i2 + j2 > room:
+                break
+            k = (i1 + i2, j1 + j2)
+            out[k] = get(k, 0) + u * v
+
+
+def _key_degree(item) -> int:
+    return item[0][0] + item[0][1]
+
+
+def _gmul_into(re: dict, im: dict, ar: dict, ai: dict, br: dict, bi: dict, valid) -> None:
+    """re + i*im += (ar + i*ai)(br + i*bi) over the terms of degree <= valid."""
+    _zmul_into(re, ar, br, valid)
+    if ai and bi:
+        _zmul_into(re, ai, {k: -v for k, v in bi.items()}, valid)
+    _zmul_into(im, ar, bi, valid)
+    _zmul_into(im, ai, br, valid)
+
+
+def _zreciprocal(a: _ZJet, valid, bound: int) -> Jet2:
+    """Exact series inverse through degree *bound* (see jet_reciprocal)."""
+    c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
+    # a / a(0,0) = 1 + H / D with H = A * conj(A(0,0)) / g and D = |A(0,0)|^2 / g,
+    # g the gcd of |A(0,0)|^2 and every component of A * conj(A(0,0))
+    norm = c_re * c_re + c_im * c_im
+    h_re: dict = {}
+    h_im: dict = {}
+    _gmul_into(h_re, h_im, {k: v for k, v in a.re.items() if k != (0, 0)},
+               {k: v for k, v in a.im.items() if k != (0, 0)},
+               {(0, 0): c_re}, {(0, 0): -c_im}, INF)
+    h_re, h_im = _nonzero(h_re), _nonzero(h_im)
+    g = math.gcd(norm, *h_re.values(), *h_im.values())
+    base = norm // g
+    # G_d = -D^(d-1) H_d grouped by degree d, so that B_s = sum_d G_d B_(s-d)
+    by_degree: Dict[int, Tuple[dict, dict]] = {}
+    for part, h in ((0, h_re), (1, h_im)):
+        for (i, j), v in h.items():
+            d = i + j
+            by_degree.setdefault(d, ({}, {}))[part][(i, j)] = -(v // g) * base ** (d - 1)
+    # 1 / a(0,0) = U / norm with U = den(a) * conj(A(0,0))
+    u_re, u_im = a.den * c_re, -a.den * c_im
+    out = {(0, 0): GaussianRational(Fraction(u_re, norm), Fraction(u_im, norm))}
+    levels = {0: ({(0, 0): 1}, {})}
+    for s in range(1, bound + 1):
+        acc_re: dict = {}
+        acc_im: dict = {}
+        for d, (g_re, g_im) in by_degree.items():
+            lower = levels.get(s - d)
+            if lower is not None:
+                _gmul_into(acc_re, acc_im, g_re, g_im, lower[0], lower[1], INF)
+        acc_re, acc_im = _nonzero(acc_re), _nonzero(acc_im)
+        if not acc_re and not acc_im:
+            continue
+        levels[s] = (acc_re, acc_im)
+        scale = norm * base ** s
+        for k in acc_re.keys() | acc_im.keys():
+            br, bi = acc_re.get(k, 0), acc_im.get(k, 0)
+            out[k] = GaussianRational(Fraction(br * u_re - bi * u_im, scale),
+                                      Fraction(br * u_im + bi * u_re, scale))
+    return Jet2(EXACT, out, valid)
+
+
+# ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
 
 def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    """Cauchy product with valid_through = min(av + ord b, bv + ord a)."""
+    """Cauchy product with valid_through = min(av + ord b, bv + ord a).
+
+    Exact jets are multiplied as Gaussian-integer numerators over the
+    product of their denominators (see _ZJet); float jets by a complex loop.
+    """
     scalars.check_same_mode(a.mode, b.mode)
+    if a.mode == EXACT:
+        return (_ZJet.lift(a) * _ZJet.lift(b)).to_jet()
     valid = min(a.valid_through + b.order(), b.valid_through + a.order())
     out: Dict[Tuple[int, int], Scalar] = {}
     z = scalars.zero(a.mode)
@@ -432,7 +618,14 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
 
 
 def jet_reciprocal(a: Jet2) -> Jet2:
-    """Series inverse of a unit (a(0,0) != 0)."""
+    """Series inverse of a unit (a(0,0) != 0).
+
+    Exact mode divides by the constant term first: a / a(0,0) = 1 + H / D
+    with Gaussian-integer H and integer D, so the degree-s part of the
+    inverse is an integer numerator B_s over D^s, with
+    B_s = -sum_{0<d<=s} D^(d-1) H_d B_(s-d).  Float mode runs the same
+    degree-by-degree recurrence on complex coefficients.
+    """
     c0 = a.coeffs.get((0, 0))
     if c0 is None or scalars.is_zero_scalar(c0, a.mode):
         raise NotAUnit("jet_reciprocal: constant term vanishes")
@@ -440,7 +633,10 @@ def jet_reciprocal(a: Jet2) -> Jet2:
     if valid == INF and len(a.coeffs) > 1:
         # the inverse of a nonconstant polynomial is an infinite series
         valid = default_degree()
-    bound = _finite_bound(valid)
+    # a constant input has nothing beyond degree 0
+    bound = _finite_bound(valid) if len(a.coeffs) > 1 else 0
+    if a.mode == EXACT:
+        return _zreciprocal(_ZJet.lift(a), valid, bound)
     inv0 = scalars.one(a.mode) / c0
     out: Dict[Tuple[int, int], Scalar] = {(0, 0): inv0}
     z = scalars.zero(a.mode)
@@ -469,13 +665,15 @@ def jet_reciprocal(a: Jet2) -> Jet2:
                 out[key] = w
                 level.append((key, w))
         out_by_degree[s] = level
-        if not by_degree:
-            break  # constant input: nothing beyond degree 0
     return Jet2(a.mode, out, valid)
 
 
 def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
-    """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g."""
+    """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g.
+
+    Exact mode keeps the powers of g and the running sum as _ZJet integer
+    numerators and builds Fractions only for the result.
+    """
     scalars.check_same_mode(f.mode, g.mode)
     g0 = g.coeffs.get((0, 0))
     if g0 is not None and not scalars.is_zero_scalar(g0, g.mode):
@@ -488,22 +686,35 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
             valid = INF
         else:
             valid = min(valid, (f.valid_through + 1) * r - 1)
-    acc = Jet2.zero(f.mode, valid)
-    power = Jet2.const(1, f.mode, INF)
+    if f.mode == EXACT:
+        return _power_sum(f, _ZJet.lift(g), valid).to_jet()
+    return _power_sum(f, g, valid)
+
+
+def _power_sum(f: Jet1, g, valid):
+    """sum_k f_k g^k truncated to *valid*, for g a Jet2 or a _ZJet."""
+    kind = type(g)
+    acc = kind.zero(f.mode, valid)
+    power = kind.const(1, f.mode, INF)
     top = f.degree_bound()
     for k in range(0, top + 1):
         c = f.coeffs.get(k)
         if c is not None:
             acc = acc + power.scale(c)
         if k < top:
-            power = jet_mul(power, g)
+            power = power * g
             if power.is_zero():
                 break
     return acc.truncate(valid)
 
 
 def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
-    """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f)."""
+    """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f).
+
+    Exact mode lifts p and q to _ZJet once and runs the whole Horner loop
+    (powers of q, powers of p, rows and the running sum) on integer
+    numerators; Fractions are built only for the result.
+    """
     scalars.check_same_mode(f.mode, p.mode, q.mode)
     for g in (p, q):
         g0 = g.coeffs.get((0, 0))
@@ -517,17 +728,24 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
             valid = INF
         else:
             valid = min(valid, (f.valid_through + 1) * r - 1)
-    bound = f.degree_bound()
+    if f.mode == EXACT:
+        return _horner2(f, _ZJet.lift(p), _ZJet.lift(q), valid).to_jet()
+    return _horner2(f, p, q, valid)
+
+
+def _horner2(f: Jet2, p, q, valid):
+    """f(p, q) truncated to *valid*, for p, q both Jet2 or both _ZJet."""
+    kind = type(p)
     # group f by x-degree, Horner in p with inner Horner in q
     max_i = max((i for (i, j) in f.coeffs), default=0)
     max_j = max((j for (i, j) in f.coeffs), default=0)
-    q_pows = [Jet2.const(1, f.mode, INF)]
+    q_pows = [kind.const(1, f.mode, INF)]
     for _ in range(max_j):
-        q_pows.append(jet_mul(q_pows[-1], q))
-    acc = Jet2.zero(f.mode, valid)
-    p_pow = Jet2.const(1, f.mode, INF)
+        q_pows.append(q_pows[-1] * q)
+    acc = kind.zero(f.mode, valid)
+    p_pow = kind.const(1, f.mode, INF)
     for i in range(0, max_i + 1):
-        row = Jet2.zero(f.mode, INF)
+        row = kind.zero(f.mode, INF)
         any_term = False
         for j in range(0, max_j + 1):
             c = f.coeffs.get((i, j))
@@ -535,9 +753,9 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
                 row = row + q_pows[j].scale(c)
                 any_term = True
         if any_term:
-            acc = acc + jet_mul(p_pow, row)
+            acc = acc + p_pow * row
         if i < max_i:
-            p_pow = jet_mul(p_pow, p)
+            p_pow = p_pow * p
     return acc.truncate(valid)
 
 
@@ -684,8 +902,3 @@ def exact_divide(num: Jet2, den: Jet2) -> Tuple[str, Optional[Jet2]]:
             else:
                 rem[rkey] = nv
     return DIVISIBLE, Jet2(num.mode, quot, q_valid)
-
-
-def divides(den: Jet2, num: Jet2) -> bool:
-    status, _ = exact_divide(num, den)
-    return status == DIVISIBLE

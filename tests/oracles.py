@@ -79,6 +79,111 @@ def p_compose1(coeffs1d, g, degree):
     return p_truncate(out, degree)
 
 
+def gr_inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def p_compose2(f, p, q, degree):
+    """f(p, q) truncated, expanding every monomial of f on its own."""
+    out = {}
+    for (i, j), c in f.items():
+        term = {(0, 0): c}
+        for _ in range(i):
+            term = p_truncate(p_mul(term, p), degree)
+        for _ in range(j):
+            term = p_truncate(p_mul(term, q), degree)
+        out = p_add(out, term)
+    return p_truncate(out, degree)
+
+
+def p_reciprocal(a, degree):
+    """1/a through *degree*: solve (a * b)_k = [k == 0] one monomial at a time."""
+    inv0 = gr_inv(a[(0, 0)])
+    b = {}
+    for s in range(degree + 1):
+        for j in range(s + 1):
+            key = (s - j, j)
+            acc = gr(1) if key == (0, 0) else gr()
+            for (i1, j1), u in a.items():
+                if (i1, j1) != (0, 0) and i1 <= key[0] and j1 <= key[1]:
+                    acc = gr_add(acc, gr_neg(gr_mul(u, b.get((key[0] - i1, key[1] - j1), gr()))))
+            b[key] = gr_mul(inv0, acc)
+    return {k: v for k, v in b.items() if v != (0, 0)}
+
+
+# -- precision bookkeeping ---------------------------------------------------
+#
+# A "tracked" value is (poly, valid): the oracle polynomial and the degree
+# through which it is known, combined by the library's documented rules
+# (product: min(av + ord b, bv + ord a); sum: min).  The compositions below
+# follow the library's evaluation order, so they give its valid_through.
+
+INF = float("inf")
+
+
+def p_order(p):
+    return min((i + j for i, j in p), default=INF)
+
+
+def t_mul(a, b):
+    valid = min(a[1] + p_order(b[0]), b[1] + p_order(a[0]))
+    return p_truncate(p_mul(a[0], b[0]), valid), valid
+
+
+def t_add(a, b):
+    valid = min(a[1], b[1])
+    return p_truncate(p_add(a[0], b[0]), valid), valid
+
+
+def t_scale(a, c):
+    return p_scale(a[0], c), a[1]
+
+
+def _proper_valid(f_valid, order, valid):
+    if f_valid == INF:
+        return valid
+    return INF if order == INF else min(valid, (f_valid + 1) * order - 1)
+
+
+def t_compose1(f, f_valid, g):
+    """sum_k f_k g^k (f a 1-variable dict {k: gr}) with valid tracking."""
+    valid = _proper_valid(f_valid, p_order(g[0]), g[1])
+    acc, power = ({}, valid), ({(0, 0): gr(1)}, INF)
+    top = max(f, default=0)
+    for k in range(top + 1):
+        if k in f:
+            acc = t_add(acc, t_scale(power, f[k]))
+        if k < top:
+            power = t_mul(power, g)
+            if not power[0]:
+                break
+    valid = min(acc[1], valid)
+    return p_truncate(acc[0], valid), valid
+
+
+def t_compose2(f, f_valid, p, q):
+    """Horner in p over rows in q, with valid tracking."""
+    valid = _proper_valid(f_valid, min(p_order(p[0]), p_order(q[0])), min(p[1], q[1]))
+    max_i = max((i for i, j in f), default=0)
+    max_j = max((j for i, j in f), default=0)
+    q_pows = [({(0, 0): gr(1)}, INF)]
+    for _ in range(max_j):
+        q_pows.append(t_mul(q_pows[-1], q))
+    acc, p_pow = ({}, valid), ({(0, 0): gr(1)}, INF)
+    for i in range(max_i + 1):
+        row = ({}, INF)
+        terms = [(j, f[(i, j)]) for j in range(max_j + 1) if (i, j) in f]
+        for j, c in terms:
+            row = t_add(row, t_scale(q_pows[j], c))
+        if terms:
+            acc = t_add(acc, t_mul(p_pow, row))
+        if i < max_i:
+            p_pow = t_mul(p_pow, p)
+    valid = min(acc[1], valid)
+    return p_truncate(acc[0], valid), valid
+
+
 def from_jet(jet):
     """Convert a library Jet2 (exact mode) to oracle form."""
     return {k: (v.re, v.im) for k, v in jet.coeffs.items()}

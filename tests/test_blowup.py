@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from germforge import cli
 from germforge.blowup import blowup_vf, divisor_singularities
-from germforge.errors import DicriticalInput
+from germforge.errors import DegenerateBlowup, DicriticalInput
 from germforge.germ import LaurentPoly2, VectorFieldGerm
 from germforge.scalars import EXACT, GaussianRational
 from germforge.series import INF, Jet2, jet_mul
@@ -135,3 +136,18 @@ def test_chart_consistency_on_overlap():
         b1 = LaurentPoly2.from_jet(t1.b)
         cross = ds * b1 - dy * a1
         assert cross.is_zero()
+
+
+@pytest.mark.parametrize("field", [
+    VectorFieldGerm(Jet2.zero(EXACT, INF), Jet2.zero(EXACT, INF)),
+    VectorFieldGerm(Jet2.const(1, EXACT, INF), Jet2.zero(EXACT, INF)),
+])
+def test_degenerate_blowup_input_raises(field):
+    with pytest.raises(DegenerateBlowup):
+        blowup_vf(field, 0)
+
+
+@pytest.mark.parametrize("text", ["[0,0]", "[1,0]"])
+def test_cli_blowup_of_degenerate_germ_exits_2(text, capsys):
+    assert cli.main(["blowup", text]) == 2
+    assert "error:" in capsys.readouterr().out

@@ -22,8 +22,10 @@ from germforge.series import (
     NOT_DIVISIBLE,
     Jet1,
     Jet2,
+    default_degree,
     exact_divide,
     jet_compose1,
+    jet_compose2,
     jet_derive,
     jet_mul,
     jet_reciprocal,
@@ -316,3 +318,186 @@ def test_exact_divide_random_roundtrip():
         status, q2 = exact_divide(n, d)
         assert status == DIVISIBLE
         assert q2.equals(q)
+
+
+# -- exact kernels against the oracle (property) --------------------------------------
+#
+# jet_mul, jet_compose1, jet_compose2 and jet_reciprocal run on Gaussian-integer
+# numerators in exact mode; the oracle works on plain Fraction pairs.  Both the
+# coefficients and valid_through must agree exactly.
+
+def _fractions(bits):
+    return st.builds(Fraction, st.integers(-(2 ** bits), 2 ** bits),
+                     st.integers(1, 2 ** bits))
+
+
+@st.composite
+def gaussian_rationals(draw, bits=None, nonzero=False):
+    bits = bits or draw(st.sampled_from([2, 8, 24]))
+    re = draw(_fractions(bits))
+    im = draw(st.one_of(st.just(Fraction(0)), _fractions(bits)))
+    if nonzero and re == 0 and im == 0:
+        re = Fraction(1)
+    return GaussianRational(re, im)
+
+
+@st.composite
+def exact_jets(draw, min_order=0, max_degree=4, valid=None, bits=None, max_terms=6):
+    """Sparse jets with mixed denominators, truncated or polynomial (INF)."""
+    if valid is None:
+        valid = draw(st.sampled_from([INF, 2, 3, 5, 6]))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
+            lambda k: min_order <= k[0] + k[1] <= max_degree),
+        max_size=max_terms, unique=True))
+    return Jet2(EXACT, {k: draw(gaussian_rationals(bits)) for k in keys}, valid)
+
+
+@st.composite
+def exact_jet1s(draw, bits=None):
+    valid = draw(st.sampled_from([INF, 2, 3, 5]))
+    keys = draw(st.lists(st.integers(0, 4), max_size=4, unique=True))
+    return Jet1(EXACT, {k: draw(gaussian_rationals(bits)) for k in keys}, valid)
+
+
+@st.composite
+def units(draw, bits=None):
+    u = draw(exact_jets(min_order=1, bits=bits))
+    return u + Jet2.const(draw(gaussian_rationals(bits, nonzero=True)), EXACT, INF)
+
+
+def _tracked(jet):
+    return oracles.from_jet(jet), jet.valid_through
+
+
+def _assert_matches(out, expected):
+    poly, valid = expected
+    assert out.valid_through == valid
+    assert oracles.from_jet(out) == poly
+
+
+def _full_degree(valid, degree):
+    """*valid*, or for an exact polynomial result a degree that keeps every term."""
+    return valid if valid != INF else max(1, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_jets(), exact_jets())
+def test_mul_matches_oracle(a, b):
+    _assert_matches(jet_mul(a, b), oracles.t_mul(_tracked(a), _tracked(b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_jets(), exact_jets(), gaussian_rationals(nonzero=True))
+def test_mul_cancelling_sums(a, b, c):
+    """(a + cb)(a - cb): the cross terms cancel to zero and must not be stored."""
+    plus, minus = a + b.scale(c), a - b.scale(c)
+    out = jet_mul(plus, minus)
+    _assert_matches(out, oracles.t_mul(_tracked(plus), _tracked(minus)))
+    assert all(not v.is_zero() for v in out.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s(), st.data())
+def test_compose1_matches_oracle(f, data):
+    g = data.draw(exact_jets(min_order=0 if f.is_polynomial() else 1))
+    out = jet_compose1(f, g)
+    f_poly = {k: (v.re, v.im) for k, v in f.coeffs.items()}
+    _assert_matches(out, oracles.t_compose1(f_poly, f.valid_through, _tracked(g)))
+    degree = _full_degree(out.valid_through, f.degree_bound() * g.degree_bound())
+    assert oracles.equal_to(out, oracles.p_compose1(f_poly, oracles.from_jet(g), degree),
+                            degree)
+
+
+def _check_compose2(f, p, q):
+    out = jet_compose2(f, p, q)
+    f_poly = oracles.from_jet(f)
+    _assert_matches(out, oracles.t_compose2(f_poly, f.valid_through, _tracked(p), _tracked(q)))
+    degree = _full_degree(out.valid_through,
+                          f.degree_bound() * max(p.degree_bound(), q.degree_bound()))
+    expected = oracles.p_compose2(f_poly, oracles.from_jet(p), oracles.from_jet(q), degree)
+    assert oracles.equal_to(out, expected, degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jets(max_degree=3), st.data())
+def test_compose2_matches_oracle(f, data):
+    min_order = 0 if f.is_polynomial() else 1
+    p = data.draw(exact_jets(min_order=min_order, max_degree=3, max_terms=4))
+    q = data.draw(exact_jets(min_order=min_order, max_degree=3, max_terms=4))
+    _check_compose2(f, p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_jets(max_degree=2, valid=INF, max_terms=3),
+       exact_jets(max_degree=3, max_terms=4), exact_jets(min_order=1, max_degree=3),
+       gaussian_rationals(), st.sampled_from(["row", "acc"]))
+def test_compose2_cancelling_sums(h, p, r, c, where):
+    """Sums that cancel to zero: rows of f(p, c + r) with f = h (y - c), or the
+    whole result of f(p, p + r) with f = h (x - y) and r of high order."""
+    if where == "row":
+        f = jet_mul(h, Jet2.variable("y", EXACT, INF) - Jet2.const(c, EXACT, INF))
+        q = Jet2.const(c, EXACT, INF) + r
+    else:
+        f = jet_mul(h, Jet2.variable("x", EXACT, INF) - Jet2.variable("y", EXACT, INF))
+        q = p + jet_mul(jet_mul(r, r), r)
+    _check_compose2(f, p, q)
+
+
+def test_compose2_total_cancellation_is_the_zero_jet():
+    p = x(5) + jet_mul(x(5), y(5))
+    f = Jet2.variable("x", EXACT, INF) - Jet2.variable("y", EXACT, INF)
+    out = jet_compose2(f, p, p)
+    assert out.coeffs == {} and out.order() == INF and out.valid_through == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(units())
+def test_reciprocal_matches_oracle(u):
+    out = jet_reciprocal(u)
+    if u.valid_through != INF:
+        valid = u.valid_through
+    else:
+        valid = INF if len(u.coeffs) == 1 else default_degree()
+    assert out.valid_through == valid
+    degree = 0 if valid == INF else valid
+    assert oracles.from_jet(out) == oracles.p_reciprocal(oracles.from_jet(u), degree)
+
+
+def test_reciprocal_of_a_constant_jet1_terminates():
+    inv = Jet1.const(2).reciprocal()
+    assert inv.coeffs == {0: GaussianRational(Fraction(1, 2))}
+    assert inv.valid_through == INF
+
+
+@pytest.mark.parametrize("op", ["mul", "compose1", "compose2"])
+def test_kernels_reject_mixed_modes(op):
+    exact = x(4) + jet_mul(x(4), y(4))
+    fl = exact.to_float()
+    with pytest.raises(ModeMismatch):
+        if op == "mul":
+            jet_mul(exact, fl)
+        elif op == "compose1":
+            jet_compose1(Jet1.from_coeffs({1: 1, 2: 1}, FLOAT, 4), exact)
+        else:
+            jet_compose2(exact, fl, exact)
+
+
+def _assert_float_close(out_float, out_exact):
+    assert out_float.mode == FLOAT
+    assert out_float.valid_through == out_exact.valid_through
+    expected = out_exact.to_float()
+    scale = max([1.0] + [abs(v) for v in expected.coeffs.values()])
+    assert out_float.equals(expected, tol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_jets(bits=4), exact_jets(bits=4), exact_jets(min_order=1, max_degree=3, bits=4),
+       exact_jets(min_order=1, max_degree=3, bits=4), exact_jet1s(bits=4))
+def test_float_kernels_match_exact(a, b, p, q, f1):
+    _assert_float_close(jet_mul(a.to_float(), b.to_float()), jet_mul(a, b))
+    _assert_float_close(jet_compose1(f1.to_float(), p.to_float()), jet_compose1(f1, p))
+    _assert_float_close(jet_compose2(a.to_float(), p.to_float(), q.to_float()),
+                        jet_compose2(a, p, q))
+    unit = q + Jet2.const(8, EXACT, INF)
+    _assert_float_close(jet_reciprocal(unit.to_float()), jet_reciprocal(unit))
