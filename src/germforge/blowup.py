@@ -100,7 +100,7 @@ def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
     # dicritical test on the maximally cleared foliation
     full = common if common is not None else d - 1
     base_f = divide_exc(base, full)
-    restricted = _restrict_to_divisor(base_f, exc_idx)
+    restricted = base_f.restrict_x0() if exc_idx == 0 else base_f.restrict_y0()
     dicritical = not restricted.is_zero()
     return BlowupResult(chart, transformed, divisor_order, dicritical)
 
@@ -111,17 +111,6 @@ def _common_y_power(*jets: Jet2) -> Optional[int]:
         if not jet.is_zero():
             mins.append(min(j for (i, j) in jet.coeffs))
     return min(mins) if mins else None
-
-
-def _restrict_to_divisor(jet: Jet2, exc_idx: int) -> Jet1:
-    """Coefficients along the exceptional line (exc coordinate = 0)."""
-    out = {}
-    for (i, j), v in jet.coeffs.items():
-        if exc_idx == 0 and i == 0:
-            out[j] = v
-        elif exc_idx == 1 and j == 0:
-            out[i] = v
-    return Jet1(jet.mode, out, jet.valid_through)
 
 
 @dataclass
@@ -140,9 +129,8 @@ def divisor_singularities(result: BlowupResult) -> List[DivisorSingularity]:
     if result.dicritical:
         raise DicriticalInput("divisor singularities of a dicritical blow-up")
     x = result.transformed
-    exc_idx = 0 if result.chart == 0 else 1
-    fiber_jet = x.b if result.chart == 0 else x.a
-    poly = _restrict_to_divisor(fiber_jet, exc_idx)
+    # the fiber component along the exceptional line
+    poly = x.b.restrict_x0() if result.chart == 0 else x.a.restrict_y0()
     roots = _poly_roots(poly)
     out = []
     for r in roots:
@@ -213,8 +201,9 @@ def _roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
     while len(work) - 1 > 2 and progress:
         progress = False
         for cand in candidates:
-            if _eval_poly(work, cand).is_zero():
-                work = _deflate(work, cand)
+            quotient, remainder = _deflate(work, cand)
+            if remainder.is_zero():
+                work = quotient
                 found.append(cand)
                 progress = True
                 break
@@ -224,20 +213,13 @@ def _roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
     return found
 
 
-def _eval_poly(coeffs: List[GaussianRational], z: GaussianRational) -> GaussianRational:
-    acc = GaussianRational(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _deflate(coeffs: List[GaussianRational], root: GaussianRational) -> List[GaussianRational]:
-    """Synthetic division by (z - root)."""
+def _deflate(coeffs: List[GaussianRational], root: GaussianRational
+             ) -> Tuple[List[GaussianRational], GaussianRational]:
+    """Synthetic division by (z - root): the quotient and the remainder p(root)."""
     n = len(coeffs) - 1
     out = [GaussianRational(0)] * n
     acc = coeffs[n]
-    out[n - 1] = acc
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, -1, -1):
+        out[k] = acc
         acc = coeffs[k] + acc * root
-        out[k - 1] = acc
-    return out
+    return out, acc

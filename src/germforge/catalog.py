@@ -18,7 +18,6 @@ from . import scalars, series
 from .blowup import blowup_vf
 from .errors import BadParams, NonzeroEigenvalue, PrecisionExhausted
 from .germ import (
-    DivisorFactor,
     LinearPartData,
     RationalFn,
     VectorFieldGerm,
@@ -35,6 +34,7 @@ from .series import (
     exact_divide,
     jet_compose1,
     jet_mul,
+    jet_pow,
 )
 
 TABLE_ROWS = ("1a", "1b", "1c", "2", "3", "4", "5", "6", "7", "8", "9",
@@ -119,13 +119,6 @@ def _y(mode=EXACT) -> Jet2:
     return Jet2.variable("y", mode, INF)
 
 
-def _pow(jet: Jet2, e: int) -> Jet2:
-    out = Jet2.const(1, jet.mode, INF)
-    for _ in range(e):
-        out = jet_mul(out, jet)
-    return out
-
-
 def _as_unit(f, mode, degree) -> Jet2:
     if f is None:
         return Jet2.const(1, mode, INF)
@@ -160,15 +153,15 @@ def _elliptic_data(mode):
     return {
         "4": (jet_mul(jet_mul(x, y), x_y),
               (jet_mul(x, x - y.scale(2)), jet_mul(y, y - x.scale(2)))),
-        "5": (jet_mul(jet_mul(x, y), _pow(x_y, 2)),
+        "5": (jet_mul(jet_mul(x, y), jet_pow(x_y, 2)),
               (jet_mul(x, x - y.scale(3)), jet_mul(y, y - x.scale(3)))),
-        "6": (jet_mul(jet_mul(x, _pow(y, 2)), _pow(x_y, 3)),
+        "6": (jet_mul(jet_mul(x, jet_pow(y, 2)), jet_pow(x_y, 3)),
               (jet_mul(x, x.scale(2) - y.scale(5)), jet_mul(y, y - x.scale(4)))),
         "7": (jet_mul(jet_mul(x, x), x) + jet_mul(y, y),
               (y.scale(2), jet_mul(x, x).scale(-3))),
         "8": (jet_mul(y, y_x2),
               (y.scale(2) - jet_mul(x, x), jet_mul(x, y).scale(2))),
-        "9": (jet_mul(y, _pow(y_x2, 2)),
+        "9": (jet_mul(y, jet_pow(y_x2, 2)),
               (y.scale(3) - jet_mul(x, x), jet_mul(x, y).scale(4))),
     }
 
@@ -193,7 +186,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             raise BadParams("row 1 requires a >= 0")
         if name in ("1a", "1b") and a == 0:
             raise BadParams(f"row {name} requires a != 0 (nonzero eigenvalue otherwise)")
-        ya = _pow(y, a)
+        ya = jet_pow(y, a)
         if name == "1a":
             f_big = Jet2.const(1, mode, INF)
         elif name == "1b":
@@ -233,7 +226,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             raise BadParams("elliptic rows require a >= 0")
         f = _as_unit(sp.get("f"), mode, degree)
         integral, (v_a, v_b) = _elliptic_data(mode)[name]
-        div = _pow(integral, a)
+        div = jet_pow(integral, a)
         pre = jet_mul(div, f)
         return VectorFieldGerm(jet_mul(pre, v_a), jet_mul(pre, v_b)).truncate(degree)
 
@@ -247,7 +240,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         from .mr import MRFormalForm, mr_formal_vf
 
         inner = mr_formal_vf(MRFormalForm(m, n, pp, lam), mode, degree)
-        div = jet_mul(_pow(x, n), _pow(y, m))
+        div = jet_mul(jet_pow(x, n), jet_pow(y, m))
         return VectorFieldGerm(jet_mul(div, inner.a), jet_mul(div, inner.b)).truncate(degree)
 
     if name == "11":
@@ -270,7 +263,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         if a * m - b * n not in (1, -1):
             raise BadParams(f"row 12 requires am - bn = +-1, got {a * m - b * n}")
         f = _as_unit(sp.get("f"), mode, degree)
-        pre = jet_mul(jet_mul(_pow(x, a), _pow(y, b)), f)
+        pre = jet_mul(jet_mul(jet_pow(x, a), jet_pow(y, b)), f)
         return VectorFieldGerm(
             jet_mul(pre, x.scale(m)), jet_mul(pre, y.scale(-n))
         ).truncate(degree)
@@ -280,7 +273,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         if n < 0:
             raise BadParams("row 13 requires n >= 0")
         f = _as_unit(sp.get("f"), mode, degree)
-        pre = jet_mul(jet_mul(jet_mul(_pow(x, n), _pow(y, n)), x - y), f)
+        pre = jet_mul(jet_mul(jet_mul(jet_pow(x, n), jet_pow(y, n)), x - y), f)
         return VectorFieldGerm(jet_mul(pre, x), jet_mul(pre, -y)).truncate(degree)
 
     raise BadParams(f"unknown table row {name!r}")
@@ -299,14 +292,14 @@ def first_integral(nf: NormalFormID, mode=EXACT):
         return _elliptic_data(mode)[name][0]
     if nf.kind == "table" and name == "2":
         n = int(nf.params.get("n", 0))
-        return RationalFn(jet_mul(_pow(x, n + 1), y), x - y)
+        return RationalFn(jet_mul(jet_pow(x, n + 1), y), x - y)
     if nf.kind == "table" and name == "3":
         return RationalFn(jet_mul(y, y), y - jet_mul(x, x))
     if nf.kind == "table" and name == "11":
         n = int(nf.params.get("n", 1))
         if n >= 1:
-            return RationalFn(x, _pow(y, n))
-        return RationalFn(jet_mul(x, _pow(y, -n)), Jet2.const(1, mode, INF))
+            return RationalFn(x, jet_pow(y, n))
+        return RationalFn(jet_mul(x, jet_pow(y, -n)), Jet2.const(1, mode, INF))
     return None
 
 
@@ -349,7 +342,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         # commutation pins b(y) = alpha*y + y*r(y)/n
         inv_n = scalars.coerce(Fraction(1, n), mode)
         b_fn = (y.scale(alpha) + jet_mul(y, r_y).scale(inv_n)).truncate(degree)
-        x_field = VectorFieldGerm(_pow(y, n).truncate(degree), Jet2.zero(mode, degree))
+        x_field = VectorFieldGerm(jet_pow(y, n).truncate(degree), Jet2.zero(mode, degree))
         y_field = VectorFieldGerm(jet_mul(y, a_fn), jet_mul(y, b_fn))
         return x_field, y_field.truncate(degree)
 
@@ -365,7 +358,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             raise BadParams("family iii requires n >= 1")
         radial = VectorFieldGerm(jet_mul(y, x.scale(n)), jet_mul(y, y))
         if n >= 2:
-            x_field = VectorFieldGerm(_pow(y, n), Jet2.zero(mode, INF))
+            x_field = VectorFieldGerm(jet_pow(y, n), Jet2.zero(mode, INF))
             return x_field.truncate(degree), radial.truncate(degree)
         c1 = scalars.coerce(p.get("c1", 1), mode)
         c2 = scalars.coerce(p.get("c2", 0), mode)
@@ -387,11 +380,11 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             raise BadParams("family iv requires g1'(0) = 0")
         if not scalars.is_zero_scalar(g2.coeff(0), mode):
             raise BadParams("family iv requires g2(0) = 0")
-        w = jet_mul(x, _pow(y, n)).truncate(degree)
+        w = jet_mul(x, jet_pow(y, n)).truncate(degree)
         g1_w = jet_compose1(g1.truncate(degree), w)
         g2_w = jet_compose1(g2.truncate(degree), w)
-        pre = jet_mul(g1_w, jet_mul(_pow(y, n), jet_mul(x, x)))
-        bracket_coeff = jet_mul(_pow(y, n + 1), g2_w)
+        pre = jet_mul(g1_w, jet_mul(jet_pow(y, n), jet_mul(x, x)))
+        bracket_coeff = jet_mul(jet_pow(y, n + 1), g2_w)
         inner_a = Jet2.const(1, mode, degree) + jet_mul(bracket_coeff, x.scale(n))
         inner_b = -jet_mul(bracket_coeff, y)
         x_field = VectorFieldGerm(jet_mul(pre, inner_a), jet_mul(pre, inner_b))
@@ -403,7 +396,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         n = int(p.get("n", 1))
         if n < 0:
             raise BadParams("family v requires n >= 0")
-        x_field = VectorFieldGerm(jet_mul(_pow(y, n), jet_mul(x, x)), Jet2.zero(mode, INF))
+        x_field = VectorFieldGerm(jet_mul(jet_pow(y, n), jet_mul(x, x)), Jet2.zero(mode, INF))
         y_field = VectorFieldGerm(
             jet_mul(x, y.scale(n) - x.scale(n + 1)), -jet_mul(y, y)
         )
@@ -454,7 +447,7 @@ def _make_pair_vii(nf: NormalFormID, mode, degree):
     if u2 is None:
         j_min = _vii_min_u2_order(m, n, amu, bmu)
         u2 = Jet1.from_coeffs({j_min: 1}, mode)
-    w = jet_mul(_pow(x, n), _pow(y, m)).truncate(degree)
+    w = jet_mul(jet_pow(x, n), jet_pow(y, m)).truncate(degree)
     u2_w = jet_compose1(u2.truncate(degree), w)
     try:
         psi = u2_w.divide_monomial(amu, bmu)
@@ -464,7 +457,7 @@ def _make_pair_vii(nf: NormalFormID, mode, degree):
         )
     if not psi.is_zero() and psi.order() < 1:
         raise BadParams("family vii perturbation must have order >= 1")
-    div = jet_mul(_pow(x, a), _pow(y, b))
+    div = jet_mul(jet_pow(x, a), jet_pow(y, b))
     x_field = VectorFieldGerm(
         jet_mul(div, x.scale(m)), jet_mul(div, y.scale(-n))
     )
@@ -707,9 +700,11 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
                             out.append(NormalFormID(
                                 "table", "10",
                                 {"m": m, "n": n, "k": ax // n}))
-            if rat is not None and rat > 0 and ax == 1 and ay == 0 and p_xy == 0:
+            # row 11: n > 0, or n < 0 (opposite-sign eigenvalues) with no curve factor
+            if rat is not None and ax == 1 and ay == 0 and p_xy == 0 \
+                    and (rat > 0 or (p_cusp == 0 and p_sept == 0)):
                 n_int = _int_of_fraction(rat)
-                if n_int is not None and n_int != 0:
+                if n_int is not None:
                     f = _unit_quotient(primitive.a, x)
                     if f is not None and primitive.b.equals(jet_mul(f, y.scale(n_int))):
                         out.append(NormalFormID("table", "11", {"n": n_int}))
@@ -719,14 +714,6 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
                     f = _match_unit_times(primitive, x, -y)
                     if f is not None:
                         out.append(NormalFormID("table", "13", {"n": ax}))
-            # row 11 with negative n also has opposite-sign eigenvalues
-            if rat is not None and rat < 0 and ax == 1 and ay == 0 and p_xy == 0 \
-                    and p_cusp == 0 and p_sept == 0:
-                n_int = _int_of_fraction(rat)
-                if n_int is not None:
-                    f = _unit_quotient(primitive.a, x)
-                    if f is not None and primitive.b.equals(jet_mul(f, y.scale(n_int))):
-                        out.append(NormalFormID("table", "11", {"n": n_int}))
     return out
 
 

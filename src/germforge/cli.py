@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import List, Optional, Tuple
 
 from . import acceptance, mr, numflow, onedim, report
 from .blowup import blowup_vf, divisor_singularities
 from .catalog import (
-    NormalFormID,
     classify_with_reasons,
     first_integral,
     make_normal_form,
     make_pair,
     parse_id,
-    standard_forms,
 )
 from .errors import GermforgeError
 from .germ import (
@@ -34,25 +31,14 @@ from .germ import (
     decompose,
     derive_along,
     lie_bracket,
-    linear_part,
 )
 from .numflow import LeafLoopSpec, TimePath, elliptic_loop, leaf_period, siegel_loop
 from .parser import ExprSyntaxError, parse_to_jet1, parse_to_jet2, parse_vector_field
 from .report import Report
 from .scalars import EXACT, FLOAT
-from .series import DEFAULT_DEGREE, Jet1, Jet2, laurent_residue
+from .series import default_degree, laurent_residue
 
 USAGE_EXIT = 64
-
-
-def _default_degree() -> int:
-    raw = os.environ.get("GERMFORGE_DEGREE")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_DEGREE
 
 
 def resolve_field(text: str, mode: str, degree: int) -> VectorFieldGerm:
@@ -396,7 +382,7 @@ class _UsageError(Exception):
 
 def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree", type=int, default=_default_degree(),
+    common.add_argument("--degree", type=int, default=default_degree(),
                         help="truncation degree (default 16, or GERMFORGE_DEGREE)")
     common.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT,
                         help="scalar mode for symbolic commands")

@@ -15,6 +15,10 @@ class NotAUnit(GermforgeError):
     """Reciprocal of a series whose constant term vanishes."""
 
 
+class ZeroDenominator(GermforgeError):
+    """An expression divides by a quantity that vanishes at the working degree."""
+
+
 class PrecisionExhausted(GermforgeError):
     """A coefficient needed by the computation lies beyond valid_through."""
 

@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .scalars import EXACT, GaussianRational, Scalar
-from .series import INF, Jet1, Jet2, exact_divide, jet_compose2, jet_derive, jet_mul
+from .series import INF, Jet2, exact_divide, jet_compose2, jet_derive, jet_mul
 
 
 class VectorFieldGerm:
@@ -86,15 +86,14 @@ class VectorFieldGerm:
 class RationalFn:
     """Formal quotient num/den of jets, den != 0."""
 
-    __slots__ = ("num", "den", "reduced")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Jet2, den: Jet2, reduced: bool = False):
+    def __init__(self, num: Jet2, den: Jet2):
         scalars.check_same_mode(num.mode, den.mode)
         if den.is_zero():
             raise ZeroDivisionError("RationalFn with zero denominator")
         self.num = num
         self.den = den
-        self.reduced = reduced
 
     @property
     def mode(self):
@@ -102,7 +101,7 @@ class RationalFn:
 
     @classmethod
     def from_jet(cls, jet: Jet2) -> "RationalFn":
-        return cls(jet, Jet2.const(1, jet.mode, INF), reduced=True)
+        return cls(jet, Jet2.const(1, jet.mode, INF))
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(
@@ -114,7 +113,7 @@ class RationalFn:
         return self + (-other)
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den, self.reduced)
+        return RationalFn(-self.num, self.den)
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(jet_mul(self.num, other.num), jet_mul(self.den, other.den))
@@ -130,23 +129,6 @@ class RationalFn:
         lhs = jet_mul(self.num, other.den)
         rhs = jet_mul(other.num, self.den)
         return lhs.equals(rhs, tol)
-
-    def holomorphic_part(self) -> Tuple[str, Optional[Jet2]]:
-        """Exact division num/den: (status, quotient-or-None).
-
-        Status is series.DIVISIBLE / NOT_DIVISIBLE / UNKNOWN; inconclusive
-        divisions are reported UNKNOWN, never as a definite no.
-        """
-        return exact_divide(self.num, self.den)
-
-    def reduce(self) -> "RationalFn":
-        """Cancel the denominator into the numerator when possible."""
-        if self.reduced:
-            return self
-        status, quot = exact_divide(self.num, self.den)
-        if status == series.DIVISIBLE and quot is not None:
-            return RationalFn(quot, Jet2.const(1, self.mode, INF), reduced=True)
-        return self
 
     def __repr__(self):
         return f"RationalFn({self.num!r} / {self.den!r})"
@@ -252,7 +234,7 @@ class LaurentPoly2:
         out: Dict[Tuple[int, int], GaussianRational] = {}
         for (i, j), v in self.coeffs.items():
             key = (i * xi + j * yi, i * xj + j * yj)
-            term = v * _pow_gr(xv, i) * _pow_gr(yv, j)
+            term = v * xv ** i * yv ** j
             out[key] = out.get(key, GaussianRational(0)) + term
         return LaurentPoly2(out)
 
@@ -284,17 +266,6 @@ class LaurentPoly2:
     def __repr__(self):
         terms = " + ".join(f"({v})*x^{i}*y^{j}" for (i, j), v in sorted(self.coeffs.items()))
         return f"LaurentPoly2[{terms or '0'}]"
-
-
-def _pow_gr(v: GaussianRational, e: int) -> GaussianRational:
-    if e == 0:
-        return GaussianRational(1)
-    if e > 0:
-        out = GaussianRational(1)
-        for _ in range(e):
-            out = out * v
-        return out
-    return GaussianRational(1) / _pow_gr(v, -e)
 
 
 @dataclass

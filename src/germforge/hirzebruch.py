@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from .errors import BadParams, OnExceptionalLocus
 from .germ import CoordinateChange, VectorFieldGerm, pullback
 from .scalars import EXACT, GaussianRational
-from .series import INF, Jet2
+from .series import INF, Jet2, jet_pow
 
 GR = GaussianRational
 
@@ -70,15 +70,8 @@ def fn_transition(p: FnPoint) -> FnPoint:
         raise OnExceptionalLocus("transition undefined where the base coordinate is 0")
     new_base = GR(1) / p.base
     # v = y/x^n and y = v/u^n: either way the fiber denominator picks up base^n
-    base_pow = _power(p.base, p.n)
+    base_pow = p.base ** p.n
     return FnPoint(p.n, 1 - p.chart, new_base, p.fiber_num, p.fiber_den * base_pow)
-
-
-def _power(v: GR, e: int) -> GR:
-    out = GR(1)
-    for _ in range(e):
-        out = out * v
-    return out
 
 
 def points_equal(p: FnPoint, q: FnPoint) -> bool:
@@ -103,7 +96,7 @@ def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
         raise BadParams("point does not live on F_n")
     if p.chart == 0:
         x = p.base
-        shift = _power(x + t, n + 1) - _power(x, n + 1)
+        shift = (x + t) ** (n + 1) - x ** (n + 1)
         return FnPoint(n, 0, x + t, p.fiber_num + shift * p.fiber_den, p.fiber_den)
     u = p.base
     denom = GR(1) + t * u
@@ -113,9 +106,9 @@ def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
     new_base = u / denom
     poly = GR(0)
     for k in range(1, n + 2):
-        poly = poly + _gr(comb(n + 1, k)) * _power(t, k) * _power(u, k - 1)
+        poly = poly + _gr(comb(n + 1, k)) * t ** k * u ** (k - 1)
     num = p.fiber_num + poly * p.fiber_den
-    den = p.fiber_den * _power(denom, n)
+    den = p.fiber_den * denom ** n
     return FnPoint(n, 1, new_base, num, den)
 
 
@@ -126,7 +119,7 @@ def psi_flow(n: int, s, p: FnPoint) -> FnPoint:
         raise BadParams("point does not live on F_n")
     if p.chart == 0:
         return FnPoint(n, 0, p.base, p.fiber_num + s * p.fiber_den, p.fiber_den)
-    shift = s * _power(p.base, n)
+    shift = s * p.base ** n
     return FnPoint(n, 1, p.base, p.fiber_num + shift * p.fiber_den, p.fiber_den)
 
 
@@ -165,20 +158,13 @@ def _flow_generator_chart0(n: int, flow: str) -> VectorFieldGerm:
     if flow == "phi":
         # d/dt (x + t) = 1; d/dt [y + (x+t)^(n+1) - x^(n+1)] = (n+1) x^n
         a = Jet2.const(1, EXACT, INF)
-        b = _jet_power(x, n).scale(n + 1)
+        b = jet_pow(x, n).scale(n + 1)
     elif flow == "psi":
         a = Jet2.zero(EXACT, INF)
         b = Jet2.const(1, EXACT, INF)
     else:
         raise ValueError(flow)
     return VectorFieldGerm(a, b)
-
-
-def _jet_power(jet: Jet2, e: int) -> Jet2:
-    out = Jet2.const(1, jet.mode, INF)
-    for _ in range(e):
-        out = out * jet
-    return out
 
 
 def z_display(n: int, degree=INF) -> VectorFieldGerm:
@@ -192,7 +178,7 @@ def y_display(n: int, degree=INF) -> VectorFieldGerm:
     """-ubar^n vbar^2 d/dvbar."""
     v = Jet2.variable("y", EXACT, degree)
     u = Jet2.variable("x", EXACT, degree)
-    return VectorFieldGerm(Jet2.zero(EXACT, degree), -(_jet_power(u, n) * v * v))
+    return VectorFieldGerm(Jet2.zero(EXACT, degree), -(jet_pow(u, n) * v * v))
 
 
 def local_generators_at_p(n: int) -> LocalGenerators:
@@ -228,6 +214,6 @@ def prop35_member(n: int, c1, c2, degree=INF) -> VectorFieldGerm:
     """c1 * ubar^n vbar^2 d/dvbar + c2 * Z_n (the full commutant family)."""
     u = Jet2.variable("x", EXACT, degree)
     v = Jet2.variable("y", EXACT, degree)
-    y_part = VectorFieldGerm(Jet2.zero(EXACT, degree), (_jet_power(u, n) * v * v))
+    y_part = VectorFieldGerm(Jet2.zero(EXACT, degree), (jet_pow(u, n) * v * v))
     z = z_display(n, degree)
     return y_part.scale(c1) + z.scale(c2)

@@ -18,10 +18,11 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from . import scalars, series
-from .errors import BadParams, PrecisionExhausted, StepFailure
+from .errors import BadParams, StepFailure
 from .germ import CoordinateChange, VectorFieldGerm, linear_part, pullback
+from .numflow import eval_poly, periodic_trapezoid
 from .scalars import EXACT, FLOAT, GaussianRational
-from .series import INF, Jet1, Jet2, jet_compose1, jet_mul
+from .series import INF, Jet1, Jet2, jet_mul, jet_pow
 
 
 @dataclass
@@ -36,13 +37,6 @@ class MRFormalForm:
             raise BadParams("Martinet-Ramis data requires m, n, p >= 1")
 
 
-def _pow(jet: Jet2, e: int) -> Jet2:
-    out = Jet2.const(1, jet.mode, INF)
-    for _ in range(e):
-        out = jet_mul(out, jet)
-    return out
-
-
 def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
                  ) -> VectorFieldGerm:
     """Dual vector field mx[1+lam w^p] dx - ny[1+(lam-1) w^p] dy, w = x^n y^m."""
@@ -50,7 +44,7 @@ def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
     lam = scalars.coerce(form.lam, mode)
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
-    wp = _pow(jet_mul(_pow(x, form.n), _pow(y, form.m)), form.p)
+    wp = jet_pow(jet_mul(jet_pow(x, form.n), jet_pow(y, form.m)), form.p)
     one = Jet2.const(1, mode, INF)
     a = jet_mul(x.scale(form.m), one + wp.scale(lam))
     b = -jet_mul(y.scale(form.n), one + wp.scale(lam - scalars.one(mode)))
@@ -66,7 +60,7 @@ def mr_one_form(form: MRFormalForm, mode=EXACT) -> Tuple[Jet2, Jet2]:
     lam = scalars.coerce(form.lam, mode)
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
-    wp = _pow(jet_mul(_pow(x, form.n), _pow(y, form.m)), form.p)
+    wp = jet_pow(jet_mul(jet_pow(x, form.n), jet_pow(y, form.m)), form.p)
     one = Jet2.const(1, mode, INF)
     coeff_dx = jet_mul(y.scale(form.n), one + wp.scale(lam - scalars.one(mode)))
     coeff_dy = jet_mul(x.scale(form.m), one + wp.scale(lam))
@@ -106,12 +100,6 @@ class ResonanceData:
     degree: int
     dx_monomials: List[Tuple[int, int]]
     dy_monomials: List[Tuple[int, int]]
-
-
-def is_resonant(m: int, n: int, k1: int, k2: int, component: str) -> bool:
-    """Eigenvalue relation for diag(m, -n): k1 m - k2 n = m (dx) or -n (dy)."""
-    target = m if component == "x" else -n
-    return k1 * m - k2 * n == target
 
 
 def resonant_monomials(m: int, n: int, degree: int) -> ResonanceData:
@@ -220,8 +208,7 @@ def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,
     over the vertical segment T0 -> T0 + 2*pi*i.  The integrand is periodic
     in the segment parameter, so the trapezoid rule converges spectrally.
     """
-    if f_unit.mode != FLOAT:
-        f_unit = f_unit.to_float()
+    terms = list(f_unit.to_float().coeffs.items())
     x0, y0 = complex(seed[0]), complex(seed[1])
     c = (x0 ** n) * (y0 ** m)
     if c == 0:
@@ -232,22 +219,10 @@ def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,
         t = t0 + 2j * math.pi * s
         xx = x0 * cmath.exp(m * t)
         yy = y0 * cmath.exp(-n * t)
-        f_val = f_unit.eval_complex(xx, yy)
+        f_val = eval_poly(terms, xx, yy)
         if f_val == 0:
             raise StepFailure("unit factor vanished along the leaf segment")
         return 1.0 / (base * f_val)
 
-    total = _periodic_trapezoid(integrand, tol, max_doublings)
+    total = periodic_trapezoid(integrand, 16, tol, max_doublings)
     return 2j * math.pi * total
-
-
-def _periodic_trapezoid(f, tol: float, max_doublings: int) -> complex:
-    n = 16
-    prev = sum(f(i / n) for i in range(n)) / n
-    for _ in range(max_doublings):
-        n *= 2
-        cur = sum(f(i / n) for i in range(n)) / n
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise StepFailure("periodic quadrature did not converge")

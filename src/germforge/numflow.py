@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import LeafEscape, StepFailure
 from .germ import VectorFieldGerm
-from .scalars import FLOAT
-from .series import Jet1, Jet2
+from .series import Jet1
 
 DEFAULT_TOL = 1e-10
 
@@ -161,7 +160,8 @@ def _lower_field(x: VectorFieldGerm) -> Tuple[list, list]:
     return list(xf.a.coeffs.items()), list(xf.b.coeffs.items())
 
 
-def _eval_poly(terms: list, xv: complex, yv: complex) -> complex:
+def eval_poly(terms: list, xv: complex, yv: complex) -> complex:
+    """Value at (xv, yv) of the lowered terms [((i, j), c), ...] of a float jet."""
     acc = 0j
     for (i, j), c in terms:
         acc += c * xv ** i * yv ** j
@@ -178,8 +178,8 @@ def integrate_flow(x: VectorFieldGerm, z0: Tuple[complex, complex],
 
         def rhs(_s, y):
             return (
-                dt * _eval_poly(a_terms, y[0], y[1]),
-                dt * _eval_poly(b_terms, y[0], y[1]),
+                dt * eval_poly(a_terms, y[0], y[1]),
+                dt * eval_poly(b_terms, y[0], y[1]),
             )
 
         z = _rk45(rhs, z, 1.0, path.tol, path.max_step / max(abs(dt), 1e-12))
@@ -247,10 +247,10 @@ def _track(x: VectorFieldGerm, spec: LeafLoopSpec) -> LeafTrackResult:
         lift, _period = state
         b = base_at(theta)
         xv, yv = point(b, lift)
-        denom = _eval_poly(base_terms, xv, yv)
+        denom = eval_poly(base_terms, xv, yv)
         if denom == 0 or abs(denom) < 1e-300:
             raise ZeroDivisionError("base component vanished on the lift")
-        num = _eval_poly(lift_terms, xv, yv)
+        num = eval_poly(lift_terms, xv, yv)
         db = dbase(theta)
         return (db * num / denom, db / denom)
 
@@ -402,15 +402,24 @@ def residue_probe_1d(h: Jet1, radius: float, tol: float = 1e-12,
             raise StepFailure("field vanishes on the probe circle")
         return 2j * math.pi * z / val
 
-    n = 32
-    prev = sum(integrand(i / n) for i in range(n)) / n
+    return periodic_trapezoid(integrand, 32, tol, max_doublings)
+
+
+def periodic_trapezoid(f: Callable[[float], complex], n: int, tol: float,
+                       max_doublings: int) -> complex:
+    """Integral of f over [0, 1] for periodic f: trapezoid rule, doubling n.
+
+    Stops when two successive sums agree to tol relative to max(1, |sum|);
+    for analytic periodic integrands the error falls spectrally.
+    """
+    prev = sum(f(i / n) for i in range(n)) / n
     for _ in range(max_doublings):
         n *= 2
-        cur = sum(integrand(i / n) for i in range(n)) / n
+        cur = sum(f(i / n) for i in range(n)) / n
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise StepFailure("contour quadrature did not converge")
+    raise StepFailure("periodic quadrature did not converge")
 
 
 def holonomy_taylor_coefficient(tracker: Callable[[complex], complex],

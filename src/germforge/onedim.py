@@ -17,15 +17,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import scalars
-from .errors import AxisNotInvariant, PrecisionExhausted
+from .errors import AxisNotInvariant, BadParams, PrecisionExhausted
 from .germ import VectorFieldGerm
-from .scalars import Scalar
 from .series import (
     INF,
     Jet1,
     Jet2,
     jet_compose1,
     jet_mul,
+    jet_pow,
     jet_reciprocal,
     laurent_residue,
     series_ode_solve,
@@ -101,20 +101,13 @@ def straightening_theta(g2: Jet1, n: int, degree: int) -> Jet2:
     mode = g2.mode
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
-    w = jet_mul(x, _power(y, n)).truncate(degree)
+    w = jet_mul(x, jet_pow(y, n)).truncate(degree)
     g2_w = jet_compose1(g2.truncate(degree), w).truncate(degree)
-    y_n1 = _power(y, n + 1).truncate(degree)
+    y_n1 = jet_pow(y, n + 1).truncate(degree)
     num = (-jet_mul(y_n1, g2_w)).truncate(degree)
     den = (Jet2.const(1, mode, degree)
-           + jet_mul(jet_mul(x, _power(y, n)), g2_w).scale(n)).truncate(degree)
+           + jet_mul(jet_mul(x, jet_pow(y, n)), g2_w).scale(n)).truncate(degree)
     return jet_mul(num, jet_reciprocal(den)).truncate(degree)
-
-
-def _power(jet: Jet2, e: int) -> Jet2:
-    out = Jet2.const(1, jet.mode, INF)
-    for _ in range(e):
-        out = jet_mul(out, jet)
-    return out
 
 
 def straighten_regular(g1: Jet1, g2: Jet1, n: int, degree: int
@@ -127,15 +120,15 @@ def straighten_regular(g1: Jet1, g2: Jet1, n: int, degree: int
     if not scalars.is_zero_scalar(
         g1.coeff(0) - scalars.one(g1.mode), g1.mode
     ):
-        raise ValueError("straighten_regular requires g1(0) = 1")
+        raise BadParams("straighten_regular requires g1(0) = 1")
     theta = straightening_theta(g2, n, degree)
     u = series_ode_solve(theta, degree)
     x = Jet2.variable("x", g1.mode, INF)
     u_over_y = u.divide_monomial(0, 1)  # u(x, 0) = 0, so u = y * (unit)
-    u_n = _power(u, n).truncate(degree)
+    u_n = jet_pow(u, n).truncate(degree)
     g1_arg = jet_mul(x, u_n).truncate(degree)
     g1_comp = jet_compose1(g1.truncate(degree), g1_arg)
-    one_plus_beta = jet_mul(g1_comp, _power(u_over_y, n)).truncate(degree)
+    one_plus_beta = jet_mul(g1_comp, jet_pow(u_over_y, n)).truncate(degree)
     beta = one_plus_beta - Jet2.const(1, g1.mode, degree)
     return u, beta
 

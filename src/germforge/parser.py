@@ -20,10 +20,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import scalars
-from .errors import GermforgeError
+from .errors import GermforgeError, ZeroDenominator
 from .germ import RationalFn, VectorFieldGerm
-from .scalars import EXACT, FLOAT, GaussianRational
-from .series import DIVISIBLE, INF, Jet1, Jet2, exact_divide, jet_mul, jet_reciprocal
+from .scalars import EXACT, GaussianRational
+from .series import DIVISIBLE, INF, Jet1, Jet2, exact_divide, jet_mul, jet_pow
 
 
 class ExprSyntaxError(GermforgeError):
@@ -309,15 +309,15 @@ def _eval(node: Node, mode: str, degree: int, variables) -> _RatValue:
     if isinstance(node, Quot):
         num = _eval(node.num, mode, degree, variables)
         den = _eval(node.den, mode, degree, variables)
+        if not den.num.coeffs:
+            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
         return _RatValue(jet_mul(num.num, den.den), jet_mul(num.den, den.num))
     if isinstance(node, Pow):
         base = _eval(node.base, mode, degree, variables)
-        num = Jet2.const(1, mode, INF)
-        den = Jet2.const(1, mode, INF)
-        for _ in range(node.exponent):
-            num = jet_mul(num, base.num)
-            den = jet_mul(den, base.den)
-        return _RatValue(num.truncate(degree), den.truncate(degree))
+        den = jet_pow(base.den, node.exponent).truncate(degree)
+        if not den.coeffs:
+            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        return _RatValue(jet_pow(base.num, node.exponent).truncate(degree), den)
     raise TypeError(f"unknown AST node {node!r}")
 
 

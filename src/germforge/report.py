@@ -8,14 +8,13 @@ exponent/coefficient listings with their valid_through.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from . import scalars
 from .germ import RationalFn, VectorFieldGerm
-from .scalars import EXACT, GaussianRational
-from .series import INF, Jet1, Jet2
+from .scalars import GaussianRational
+from .series import INF, Jet2
 
 SCHEMA = "germforge/1"
 
@@ -52,15 +51,6 @@ def jet2_from_json(data: Dict[str, Any]) -> Jet2:
     valid = INF if data["valid_through"] == "inf" else int(data["valid_through"])
     coeffs = {(int(i), int(j)): scalar_from_json(v) for i, j, v in data["terms"]}
     return Jet2(data["mode"], coeffs, valid)
-
-
-def jet1_to_json(jet: Jet1) -> Dict[str, Any]:
-    return {
-        "vars": ["z"],
-        "mode": jet.mode,
-        "valid_through": _valid_to_json(jet.valid_through),
-        "terms": [[k, scalar_to_json(v)] for k, v in sorted(jet.coeffs.items())],
-    }
 
 
 def germ_to_json(x: VectorFieldGerm) -> Dict[str, Any]:

@@ -77,6 +77,15 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.from_value(other) / self
 
+    def __pow__(self, e: int):
+        """Integer power by repeated multiplication; e < 0 inverts self^(-e)."""
+        if e < 0:
+            return GaussianRational(1) / self ** -e
+        out = GaussianRational(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other, 0)

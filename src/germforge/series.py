@@ -9,6 +9,13 @@ valid_through = INF.  Zero jets have order INF.
 
 All values are immutable after construction; operations are pure functions.
 
+One kernel.  Every coefficient computation lives in the Jet2 operations of
+this module (jet_mul, jet_derive, jet_reciprocal, jet_compose1,
+jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is a view, not
+a second kernel: it stores int-keyed coefficients and answers queries, and
+each of its operations embeds z -> x, runs the Jet2 operation and reads
+the result back with restrict_y0().
+
 Exact-mode representation.  ``Jet2.coeffs`` always holds reduced
 GaussianRational values.  The exact kernels (jet_mul, jet_compose1,
 jet_compose2, jet_reciprocal) do their arithmetic on _ZJet instead: the
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import scalars
 from .errors import (
@@ -62,7 +69,13 @@ def _as_scalar(value, mode):
 
 
 class Jet1:
-    """Truncated series in one variable z."""
+    """Truncated series in one variable z: a view of the Jet2 kernel.
+
+    The coefficient of z^k is stored under the int key k.  Constructors and
+    queries are Jet1's own; every operation lifts z -> x with _lift(), runs
+    the Jet2 operation (so exact work runs on the _ZJet integer kernel) and
+    reads the result back with restrict_y0().
+    """
 
     __slots__ = ("mode", "coeffs", "valid_through")
 
@@ -117,105 +130,40 @@ class Jet1:
     def degree_bound(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    # -- arithmetic --------------------------------------------------------
-    def _check(self, other: "Jet1"):
-        scalars.check_same_mode(self.mode, other.mode)
+    # -- arithmetic: z -> x, the Jet2 kernel, then back ------------------------
+    def _lift(self) -> "Jet2":
+        return Jet2(self.mode, {(k, 0): v for k, v in self.coeffs.items()}, self.valid_through)
 
     def __add__(self, other: "Jet1") -> "Jet1":
-        self._check(other)
-        valid = min(self.valid_through, other.valid_through)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, scalars.zero(self.mode)) + v
-        return Jet1(self.mode, out, valid)
+        return (self._lift() + other._lift()).restrict_y0()
 
     def __neg__(self) -> "Jet1":
-        return Jet1(self.mode, {k: -v for k, v in self.coeffs.items()}, self.valid_through)
+        return (-self._lift()).restrict_y0()
 
     def __sub__(self, other: "Jet1") -> "Jet1":
-        return self + (-other)
+        return (self._lift() - other._lift()).restrict_y0()
 
     def __mul__(self, other: "Jet1") -> "Jet1":
-        self._check(other)
-        valid = min(
-            self.valid_through + other.order(),
-            other.valid_through + self.order(),
-        )
-        out: Dict[int, Scalar] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j > valid:
-                    continue
-                k = i + j
-                p = a * b
-                out[k] = out.get(k, scalars.zero(self.mode)) + p
-        return Jet1(self.mode, out, valid)
+        return jet_mul(self._lift(), other._lift()).restrict_y0()
 
     def scale(self, value) -> "Jet1":
-        s = _as_scalar(value, self.mode)
-        return Jet1(self.mode, {k: v * s for k, v in self.coeffs.items()}, self.valid_through)
+        return self._lift().scale(value).restrict_y0()
 
     def derivative(self) -> "Jet1":
-        if self.valid_through != INF and self.valid_through < 1:
-            raise PrecisionExhausted("derivative of a degree-0 jet")
-        valid = self.valid_through if self.valid_through == INF else self.valid_through - 1
-        out = {}
-        for k, v in self.coeffs.items():
-            if k >= 1:
-                out[k - 1] = v * _as_scalar(k, self.mode)
-        return Jet1(self.mode, out, valid)
+        return jet_derive(self._lift(), "x").restrict_y0()
 
     def reciprocal(self) -> "Jet1":
-        c0 = self.coeffs.get(0)
-        if c0 is None or scalars.is_zero_scalar(c0, self.mode):
-            raise NotAUnit("Jet1 reciprocal of a non-unit")
-        valid = self.valid_through
-        if valid == INF and len(self.coeffs) > 1:
-            # the inverse of a nonconstant polynomial is an infinite series
-            valid = default_degree()
-        # a constant input has nothing beyond degree 0
-        bound = _finite_bound(valid) if len(self.coeffs) > 1 else 0
-        inv0 = scalars.one(self.mode) / c0
-        out = {0: inv0}
-        for s in range(1, bound + 1):
-            acc = scalars.zero(self.mode)
-            for k, v in self.coeffs.items():
-                if 1 <= k <= s:
-                    acc = acc + v * out.get(s - k, scalars.zero(self.mode))
-            if not scalars.is_zero_scalar(acc, self.mode):
-                out[s] = -inv0 * acc
-        return Jet1(self.mode, out, valid)
+        return jet_reciprocal(self._lift()).restrict_y0()
 
     def compose(self, g: "Jet1") -> "Jet1":
         """self(g(z)) for g(0) = 0, or polynomial self."""
-        self._check(g)
-        if not scalars.is_zero_scalar(g.coeffs.get(0, scalars.zero(g.mode)), g.mode):
-            if not self.is_polynomial():
-                raise CompositionAtNonzeroPoint("Jet1 composition at g(0) != 0")
-        r = g.order()
-        valid = g.valid_through
-        if not self.is_polynomial():
-            if r == INF:
-                valid = INF
-            else:
-                valid = min(valid, (self.valid_through + 1) * r - 1)
-        acc = Jet1.zero(self.mode, valid)
-        power = Jet1.const(1, self.mode, INF)
-        for k in range(0, _finite_bound(self.degree_bound()) + 1):
-            c = self.coeffs.get(k)
-            if c is not None:
-                acc = acc + power.scale(c)
-            if k < self.degree_bound():
-                power = power * g
-        return acc.truncate(valid)
+        return jet_compose1(self, g._lift()).restrict_y0()
 
     def to_float(self) -> "Jet1":
-        if self.mode == FLOAT:
-            return self
-        return Jet1(FLOAT, {k: v.to_complex() for k, v in self.coeffs.items()}, self.valid_through)
+        return self._lift().to_float().restrict_y0()
 
     def equals(self, other: "Jet1", tol: float = 0.0) -> bool:
-        self._check(other)
+        scalars.check_same_mode(self.mode, other.mode)
         valid = min(self.valid_through, other.valid_through)
         keys = set(self.coeffs) | set(other.coeffs)
         z = scalars.zero(self.mode)
@@ -341,13 +289,6 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         return jet_reciprocal(self)
-
-    def eval_complex(self, x: complex, y: complex) -> complex:
-        """Float evaluation of the stored truncation."""
-        acc = 0j
-        for (i, j), v in self.coeffs.items():
-            acc += scalars.to_complex(v) * (x ** i) * (y ** j)
-        return acc
 
     def to_float(self) -> "Jet2":
         if self.mode == FLOAT:
@@ -615,6 +556,14 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, z) + u * v
     return Jet2(a.mode, out, valid)
+
+
+def jet_pow(a: Jet2, e: int) -> Jet2:
+    """a^e for e >= 0, by repeated jet_mul starting from the constant 1."""
+    out = Jet2.const(1, a.mode, INF)
+    for _ in range(e):
+        out = jet_mul(out, a)
+    return out
 
 
 def jet_reciprocal(a: Jet2) -> Jet2:

@@ -54,6 +54,15 @@ def test_parabolic_has_three_divisor_singularities():
     assert len(s0) + len(corner) == 3
 
 
+def test_quartic_divisor_roots_found_by_deflation():
+    # B = (y-x)(y+x)(y-3x)(y+x/2), A = 0: the divisor polynomial has degree 4
+    # with small rational roots, so three are peeled off by synthetic division
+    b = jet_mul(jet_mul(y() - x(), y() + x()),
+                jet_mul(y() - x().scale(3), y() + x().scale(GR(1) / 2)))
+    sings = divisor_singularities(blowup_vf(VectorFieldGerm(Jet2.zero(EXACT, INF), b), 0))
+    assert sorted(str(s.point) for s in sings) == ["-1", "-1/2", "1", "3"]
+
+
 def test_parabolic_siegel_eigenvalues():
     # the chart-1 corner has eigenvalue ratio 1 : -1; the chart-0 corner 1 : -(n+1)
     p = VectorFieldGerm(jet_mul(x(), x()), -jet_mul(y(), x() - y().scale(2)))

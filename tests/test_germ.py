@@ -311,3 +311,10 @@ def test_linear_part_cases():
 
     diag = linear_part(vf(x().scale(4), y().scale(-3)))
     assert diag.eigenvalues == (GR(4), GR(-3))
+
+
+def test_gaussian_rational_integer_powers():
+    z = GR(Fraction(2, 3), -1)
+    assert z ** 0 == GR(1)
+    assert z ** 3 == z * z * z
+    assert z ** -2 == GR(1) / (z * z)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from germforge.errors import AxisNotInvariant
+from germforge.errors import AxisNotInvariant, BadParams
 from germforge.germ import VectorFieldGerm
 from germforge.numflow import residue_probe_1d
 from germforge.onedim import (
@@ -126,3 +126,8 @@ def test_residue_agrees_with_numerical_probe():
         theta = residue_probe_1d(h, 0.04)
         numeric = theta / (2j * math.pi)
         assert abs(numeric - expected.to_complex()) < 1e-9
+
+
+def test_straighten_rejects_g1_not_one_at_zero():
+    with pytest.raises(BadParams):
+        straighten_regular(Jet1.const(2, EXACT), Jet1.variable(EXACT), 1, 6)

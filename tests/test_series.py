@@ -354,9 +354,9 @@ def exact_jets(draw, min_order=0, max_degree=4, valid=None, bits=None, max_terms
 
 
 @st.composite
-def exact_jet1s(draw, bits=None):
+def exact_jet1s(draw, bits=None, min_order=0):
     valid = draw(st.sampled_from([INF, 2, 3, 5]))
-    keys = draw(st.lists(st.integers(0, 4), max_size=4, unique=True))
+    keys = draw(st.lists(st.integers(min_order, 4), max_size=4, unique=True))
     return Jet1(EXACT, {k: draw(gaussian_rationals(bits)) for k in keys}, valid)
 
 
@@ -501,3 +501,69 @@ def test_float_kernels_match_exact(a, b, p, q, f1):
                         jet_compose2(a, p, q))
     unit = q + Jet2.const(8, EXACT, INF)
     _assert_float_close(jet_reciprocal(unit.to_float()), jet_reciprocal(unit))
+
+
+# -- Jet1 is a one-variable view of the Jet2 kernel ------------------------------
+#
+# Each Jet1 is embedded k -> (k, 0) in the oracle, so its results must be the
+# oracle's, coefficient for coefficient and in valid_through.
+
+def _embedded(f: Jet1):
+    return {(k, 0): (v.re, v.im) for k, v in f.coeffs.items()}, f.valid_through
+
+
+def _assert_jet1_matches(out: Jet1, expected):
+    assert isinstance(out, Jet1)
+    assert _embedded(out) == expected
+
+
+def _unit1(a: Jet1, c) -> Jet1:
+    return Jet1(EXACT, {**a.coeffs, 0: c}, a.valid_through)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s(), exact_jet1s())
+def test_jet1_ring_operations_match_oracle(a, b):
+    _assert_jet1_matches(a * b, oracles.t_mul(_embedded(a), _embedded(b)))
+    _assert_jet1_matches(a + b, oracles.t_add(_embedded(a), _embedded(b)))
+    _assert_jet1_matches(a - b, oracles.t_add(_embedded(a), _embedded(-b)))
+    assert _embedded(-b)[0] == oracles.p_neg(_embedded(b)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s())
+def test_jet1_derivative_matches_oracle(a):
+    poly, valid = _embedded(a)
+    _assert_jet1_matches(a.derivative(), (oracles.p_derive(poly, 0), valid - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s(), gaussian_rationals(nonzero=True))
+def test_jet1_reciprocal_matches_oracle(a, c):
+    u = _unit1(a, c)
+    if u.valid_through != INF:
+        valid = u.valid_through
+    else:
+        valid = INF if len(u.coeffs) == 1 else default_degree()
+    degree = 0 if valid == INF else valid
+    poly = oracles.p_reciprocal(_embedded(u)[0], degree)
+    _assert_jet1_matches(u.reciprocal(), (poly, valid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s(), st.data())
+def test_jet1_compose_matches_oracle(f, data):
+    g = data.draw(exact_jet1s(min_order=0 if f.is_polynomial() else 1))
+    f_poly = {k: (v.re, v.im) for k, v in f.coeffs.items()}
+    expected = oracles.t_compose1(f_poly, f.valid_through, _embedded(g))
+    _assert_jet1_matches(f.compose(g), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_jet1s(bits=4), exact_jet1s(bits=4), exact_jet1s(bits=4, min_order=1))
+def test_jet1_float_matches_exact(a, b, g):
+    u = _unit1(a, GaussianRational(8))
+    _assert_float_close(a.to_float() * b.to_float(), a * b)
+    _assert_float_close(a.to_float().derivative(), a.derivative())
+    _assert_float_close(u.to_float().reciprocal(), u.reciprocal())
+    _assert_float_close(a.to_float().compose(g.to_float()), a.compose(g))
