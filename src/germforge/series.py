@@ -617,6 +617,19 @@ def jet_reciprocal(a: Jet2) -> Jet2:
     return Jet2(a.mode, out, valid)
 
 
+def _proper_valid(f, order, valid):
+    """valid_through of f(g) for a truncated f and inner jets of *order*
+    known through *valid*: f's tail contributes from degree
+    (f.valid_through + 1) * order on.  A zero inner jet that is truncated
+    is only known to vanish through *valid*, so its order counts as
+    valid + 1; only exact zero inner jets give INF.
+    """
+    order = min(order, valid + 1)
+    if order == INF:
+        return INF
+    return min(valid, (f.valid_through + 1) * order - 1)
+
+
 def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g.
 
@@ -628,13 +641,9 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     if g0 is not None and not scalars.is_zero_scalar(g0, g.mode):
         if not f.is_polynomial():
             raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
-    r = g.order()
     valid = g.valid_through
     if not f.is_polynomial():
-        if r == INF:
-            valid = INF
-        else:
-            valid = min(valid, (f.valid_through + 1) * r - 1)
+        valid = _proper_valid(f, g.order(), valid)
     if f.mode == EXACT:
         return _power_sum(f, _ZJet.lift(g), valid).to_jet()
     return _power_sum(f, g, valid)
@@ -670,13 +679,9 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
         if g0 is not None and not scalars.is_zero_scalar(g0, g.mode):
             if not f.is_polynomial():
                 raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
-    r = min(p.order(), q.order())
     valid = min(p.valid_through, q.valid_through)
     if not f.is_polynomial():
-        if r == INF:
-            valid = INF
-        else:
-            valid = min(valid, (f.valid_through + 1) * r - 1)
+        valid = _proper_valid(f, min(p.order(), q.order()), valid)
     if f.mode == EXACT:
         return _horner2(f, _ZJet.lift(p), _ZJet.lift(q), valid).to_jet()
     return _horner2(f, p, q, valid)

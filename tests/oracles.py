@@ -143,6 +143,8 @@ def t_scale(a, c):
 def _proper_valid(f_valid, order, valid):
     if f_valid == INF:
         return valid
+    # a truncated zero inner jet is only known to vanish through *valid*
+    order = min(order, valid + 1)
     return INF if order == INF else min(valid, (f_valid + 1) * order - 1)
 
 

@@ -567,3 +567,75 @@ def test_jet1_float_matches_exact(a, b, g):
     _assert_float_close(a.to_float().derivative(), a.derivative())
     _assert_float_close(u.to_float().reciprocal(), u.reciprocal())
     _assert_float_close(a.to_float().compose(g.to_float()), a.compose(g))
+
+
+# -- truncated zero inner jets ------------------------------------------------------
+#
+# A zero jet with finite valid_through is only known to vanish through that
+# degree, so f(g) must not claim more than g's own valid_through.
+
+def test_compose_with_truncated_zero_keeps_its_precision():
+    f = Jet1.from_coeffs({0: 1, 1: 1}, EXACT, 3)
+    out = f.compose(Jet1.zero(EXACT, 2))
+    assert out.coeffs == {0: GaussianRational(1)} and out.valid_through == 2
+    assert jet_compose1(f, Jet2.zero(EXACT, 2)).valid_through == 2
+    fxy = Jet2.from_coeffs({(0, 0): 1, (1, 0): 1, (0, 1): 1}, EXACT, 3)
+    assert jet_compose2(fxy, Jet2.zero(EXACT, 4), Jet2.zero(EXACT, 2)).valid_through == 2
+    # exact zero inner jets leave f's constant term, exactly
+    assert f.compose(Jet1.zero(EXACT)).valid_through == INF
+    assert jet_compose2(fxy, Jet2.zero(EXACT), Jet2.zero(EXACT)).valid_through == INF
+
+
+@st.composite
+def _tail(draw, valid, keys_of_degree):
+    """A nonzero polynomial of degrees valid + 1 and valid + 2 (none for INF)."""
+    if valid == INF:
+        return {}
+    out = {}
+    for d in (valid + 1, valid + 2):
+        for key in draw(st.sets(st.sampled_from(keys_of_degree(d)), min_size=1, max_size=2)):
+            c = draw(gaussian_rationals(bits=4, nonzero=True))
+            out[key] = (c.re, c.im)
+    return out
+
+
+def _keys1(d):
+    return [(d, 0)]
+
+
+def _keys2(d):
+    return [(i, d - i) for i in range(d + 1)]
+
+
+def _assert_sound(poly, valid, actual):
+    """Every coefficient through *valid* agrees with the composition of the
+    completed inputs *actual* (compared through a capped degree)."""
+    degree = min(valid, 8)
+    assert oracles.p_truncate(poly, degree) == oracles.p_truncate(actual(degree), degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet1s(), st.data())
+def test_jet1_compose_is_sound_for_any_completion(f, data):
+    """Whatever f and g are beyond their valid_through, f(g) is right through
+    the valid_through it reports."""
+    g = data.draw(exact_jet1s(min_order=0 if f.is_polynomial() else 1))
+    f_full = {k: v for (k, _), v in
+              oracles.p_add(_embedded(f)[0], data.draw(_tail(f.valid_through, _keys1))).items()}
+    g_full = oracles.p_add(_embedded(g)[0], data.draw(_tail(g.valid_through, _keys1)))
+    _assert_sound(*_embedded(f.compose(g)),
+                  lambda degree: oracles.p_compose1(f_full, g_full, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_jets(max_degree=3), st.data())
+def test_compose2_is_sound_for_any_completion(f, data):
+    min_order = 0 if f.is_polynomial() else 1
+    p = data.draw(exact_jets(min_order=min_order, max_degree=3, max_terms=3))
+    q = data.draw(exact_jets(min_order=min_order, max_degree=3, max_terms=3))
+    f_full, p_full, q_full = (
+        oracles.p_add(oracles.from_jet(a), data.draw(_tail(a.valid_through, _keys2)))
+        for a in (f, p, q))
+    out = jet_compose2(f, p, q)
+    _assert_sound(oracles.from_jet(out), out.valid_through,
+                  lambda degree: oracles.p_compose2(f_full, p_full, q_full, degree))
