@@ -2,22 +2,26 @@
 
 Each item returns an ItemResult with one-line detail strings; the CLI and
 the pytest gate both run these functions, so there is a single source of
-truth for what "done" means.  Symbolic items run in exact arithmetic by
-default and compare with equality; a float re-run downgrades those checks
-to tolerance comparisons.
+truth for what "done" means.  The mode of SuiteConfig (``--mode``) reaches
+three items: mt-commutation, first-integrals and onedim-battery run in that
+mode, comparing with equality in exact mode and within a tolerance in
+float mode.  The three numeric items (elliptic-periods, period-dichotomy,
+holonomy) integrate in floating point by nature, and the other five
+(hirzebruch, siegel-criterion, linearization, classifier, algebra) always
+run in exact mode.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from . import mr, numflow, onedim
+from . import mr, numflow
+from . import hirzebruch as hz
 from .catalog import (
     NormalFormID,
     classify,
@@ -27,12 +31,10 @@ from .catalog import (
     make_pair,
 )
 from .germ import (
-    RationalFn,
     VectorFieldGerm,
     decompose,
     derive_along,
     lie_bracket,
-    linear_part,
     pullback,
 )
 from .numflow import (
@@ -77,7 +79,6 @@ class ItemResult:
 class SuiteConfig:
     mode: str = EXACT
     degree: int = 14
-    tol: float = 1e-10
 
     def zero_ok(self, jet_or_germ) -> bool:
         tol = 0.0 if self.mode == EXACT else 1e-9
@@ -323,46 +324,22 @@ def item_period_dichotomy(cfg: SuiteConfig) -> ItemResult:
 # ---------------------------------------------------------------------------
 
 def item_hirzebruch(cfg: SuiteConfig) -> ItemResult:
-    from . import hirzebruch as hz
-
     details = []
     ok = True
     rng = random.Random(20260810)
-
-    def rand_gr():
-        return GR(
-            Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
-        )
-
     checks = 0
     for n in (0, 1, 2, 3):
-        for _ in range(25):
-            pt = hz.FnPoint.make(n, rng.choice([0, 1]), rand_gr(), rand_gr())
-            t, s = rand_gr(), rand_gr()
-            a = hz.phi_flow(n, t, hz.phi_flow(n, s, pt))
-            b = hz.phi_flow(n, t + s, pt)
-            ok &= hz.points_equal(a, b)
-            ok &= hz.points_equal(
-                hz.psi_flow(n, s, hz.phi_flow(n, t, pt)),
-                hz.phi_flow(n, t, hz.psi_flow(n, s, pt)),
-            )
-            flowed = hz.phi_flow(n, t, pt)
-            if not pt.base.is_zero() and not flowed.base.is_zero():
-                ok &= hz.points_equal(
-                    hz.fn_transition(flowed),
-                    hz.phi_flow(n, t, hz.fn_transition(pt)),
-                )
-            checks += 1
+        ok &= not hz.random_flow_failures(n, rng, 25)
+        checks += 25
         fp = hz.fixed_point(n)
-        ok &= hz.points_equal(hz.phi_flow(n, rand_gr(), fp), fp)
-        ok &= hz.points_equal(hz.psi_flow(n, rand_gr(), fp), fp)
+        ok &= hz.points_equal(hz.phi_flow(n, hz.random_gr(rng), fp), fp)
+        ok &= hz.points_equal(hz.psi_flow(n, hz.random_gr(rng), fp), fp)
         gens = hz.local_generators_at_p(n)
         ok &= gens.z.sign in (1, -1) and gens.y.sign in (1, -1)
         details.append(f"n={n}: germ signs (Z: {gens.z.sign:+d}, Y: {gens.y.sign:+d})")
         ok &= lie_bracket(gens.z.derived.truncate(10),
                           gens.y.derived.truncate(10)).is_zero()
-        member = hz.prop35_member(n, rand_gr(), rand_gr(), degree=10)
+        member = hz.prop35_member(n, hz.random_gr(rng), hz.random_gr(rng), degree=10)
         ok &= lie_bracket(member, hz.z_display(n, 10)).is_zero()
     details.append(f"{checks} random exact point/time checks: group law, "
                    "commutation, chart coherence, fixed point")

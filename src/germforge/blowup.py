@@ -50,11 +50,9 @@ def _substitute_line(jet: Jet2, chart: int) -> Jet2:
     return Jet2(jet.mode, out, jet.valid_through)
 
 
-def _common_x_power(*jets: Jet2) -> Optional[int]:
-    mins = []
-    for jet in jets:
-        if not jet.is_zero():
-            mins.append(min(i for (i, j) in jet.coeffs))
+def _common_power(idx: int, *jets: Jet2) -> Optional[int]:
+    """Least exponent of variable idx (0: x, 1: y) over the nonzero jets."""
+    mins = [min(k[idx] for k in jet.coeffs) for jet in jets if not jet.is_zero()]
     return min(mins) if mins else None
 
 
@@ -86,7 +84,7 @@ def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
 
     # mixed is divisible by the exceptional coordinate since X(0,0) = 0
     fiber = divide_exc(mixed, 1)
-    common = _common_x_power(base, fiber) if exc_idx == 0 else _common_y_power(base, fiber)
+    common = _common_power(exc_idx, base, fiber)
     if common is None:
         common = d - 1
     divisor_order = min(d - 1, common)
@@ -98,19 +96,10 @@ def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
         transformed = VectorFieldGerm(fiber_c, base_c)
 
     # dicritical test on the maximally cleared foliation
-    full = common if common is not None else d - 1
-    base_f = divide_exc(base, full)
+    base_f = divide_exc(base, common)
     restricted = base_f.restrict_x0() if exc_idx == 0 else base_f.restrict_y0()
     dicritical = not restricted.is_zero()
     return BlowupResult(chart, transformed, divisor_order, dicritical)
-
-
-def _common_y_power(*jets: Jet2) -> Optional[int]:
-    mins = []
-    for jet in jets:
-        if not jet.is_zero():
-            mins.append(min(j for (i, j) in jet.coeffs))
-    return min(mins) if mins else None
 
 
 @dataclass

@@ -171,7 +171,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
     """Exact germ of a table row at the requested truncation."""
     if nf.kind != "table":
         raise BadParams(f"make_normal_form expects a table id, got {nf.label()}")
-    degree = degree if degree is not None else series.default_degree()
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
     p = nf.params
     sp = nf.series_params
     x, y = _x(mode), _y(mode)
@@ -317,7 +317,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
     """
     if nf.kind != "mt":
         raise BadParams(f"make_pair expects an mt id, got {nf.label()}")
-    degree = degree if degree is not None else series.default_degree()
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
     p = nf.params
     sp = nf.series_params
     x, y = _x(mode), _y(mode)

@@ -52,7 +52,7 @@ class DicriticalInput(GermforgeError):
 
 
 class BadParams(GermforgeError):
-    """Normal-form constructor called with parameters violating a row constraint."""
+    """Parameters violate a constraint of the called constructor or routine."""
 
 
 class NonzeroEigenvalue(GermforgeError):

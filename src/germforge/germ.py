@@ -64,9 +64,6 @@ class VectorFieldGerm:
     def scale(self, value) -> "VectorFieldGerm":
         return VectorFieldGerm(self.a.scale(value), self.b.scale(value))
 
-    def mul_jet(self, f: Jet2) -> "VectorFieldGerm":
-        return VectorFieldGerm(jet_mul(f, self.a), jet_mul(f, self.b))
-
     def truncate(self, valid) -> "VectorFieldGerm":
         return VectorFieldGerm(self.a.truncate(valid), self.b.truncate(valid))
 
@@ -117,9 +114,6 @@ class RationalFn:
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(jet_mul(self.num, other.num), jet_mul(self.den, other.den))
-
-    def mul_jet(self, f: Jet2) -> "RationalFn":
-        return RationalFn(jet_mul(self.num, f), self.den)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.num.is_zero(tol)
@@ -188,86 +182,6 @@ def decompose(z: VectorFieldGerm, x: VectorFieldGerm, y: VectorFieldGerm
 # coordinate changes
 # ---------------------------------------------------------------------------
 
-class LaurentPoly2:
-    """Exact Laurent polynomial in two variables (chart arithmetic helper)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Dict[Tuple[int, int], GaussianRational]):
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    @classmethod
-    def monomial(cls, i: int, j: int, value=1) -> "LaurentPoly2":
-        return cls({(i, j): GaussianRational.from_value(value)})
-
-    @classmethod
-    def from_jet(cls, jet: Jet2) -> "LaurentPoly2":
-        if jet.mode != EXACT:
-            raise ValueError("LaurentPoly2 requires exact scalars")
-        return cls(dict(jet.coeffs))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, GaussianRational(0)) + v
-        return LaurentPoly2(out)
-
-    def __sub__(self, other):
-        return self + other.scale(GaussianRational(-1))
-
-    def __mul__(self, other):
-        out: Dict[Tuple[int, int], GaussianRational] = {}
-        for (i1, j1), u in self.coeffs.items():
-            for (i2, j2), v in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, GaussianRational(0)) + u * v
-        return LaurentPoly2(out)
-
-    def scale(self, s) -> "LaurentPoly2":
-        s = GaussianRational.from_value(s)
-        return LaurentPoly2({k: v * s for k, v in self.coeffs.items()})
-
-    def substitute_monomials(self, mx: "LaurentPoly2", my: "LaurentPoly2") -> "LaurentPoly2":
-        """Evaluate at x = mx, y = my where both are single Laurent monomials."""
-        (xi, xj), xv = next(iter(mx.coeffs.items()))
-        (yi, yj), yv = next(iter(my.coeffs.items()))
-        out: Dict[Tuple[int, int], GaussianRational] = {}
-        for (i, j), v in self.coeffs.items():
-            key = (i * xi + j * yi, i * xj + j * yj)
-            term = v * xv ** i * yv ** j
-            out[key] = out.get(key, GaussianRational(0)) + term
-        return LaurentPoly2(out)
-
-    def derivative(self, var: int) -> "LaurentPoly2":
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            e = (i, j)[var]
-            if e != 0:
-                key = (i - 1, j) if var == 0 else (i, j - 1)
-                out[key] = v * GaussianRational(e)
-        return LaurentPoly2(out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def min_exponents(self) -> Tuple[int, int]:
-        if not self.coeffs:
-            return (0, 0)
-        return (min(i for i, _ in self.coeffs), min(j for _, j in self.coeffs))
-
-    def shift(self, di: int, dj: int) -> "LaurentPoly2":
-        return LaurentPoly2({(i + di, j + dj): v for (i, j), v in self.coeffs.items()})
-
-    def to_jet(self, valid=INF) -> Jet2:
-        if any(i < 0 or j < 0 for i, j in self.coeffs):
-            raise PoleAtOrigin("Laurent polynomial has negative exponents")
-        return Jet2(EXACT, dict(self.coeffs), valid)
-
-    def __repr__(self):
-        terms = " + ".join(f"({v})*x^{i}*y^{j}" for (i, j), v in sorted(self.coeffs.items()))
-        return f"LaurentPoly2[{terms or '0'}]"
-
-
 @dataclass
 class CoordinateChange:
     """(u, v) -> (x, y) map, either a series change or a Laurent-monomial chart.
@@ -275,8 +189,11 @@ class CoordinateChange:
     series kind: comp1/comp2 are Jet2 with zero constant term; invertible
     means the Jacobian at the origin is nonsingular.
 
-    rational-chart kind: comp1/comp2 are LaurentPoly2 single monomials and
-    inverse1/inverse2 the explicit inverse relations (also monomials).
+    rational-chart kind: comp1/comp2 are (i, j, c) triples for the Laurent
+    monomials x = c u^i v^j and y = c' u^i' v^j', and inverse1/inverse2 the
+    triples of the inverse relations u = g x^p y^q and v = g' x^p' y^q'.
+    Exponents may be negative; constants are anything
+    GaussianRational.from_value accepts.
     """
 
     kind: str
@@ -302,12 +219,15 @@ class CoordinateChange:
     @classmethod
     def monomial_chart(cls, forward: Sequence[Tuple[int, int, object]],
                        inverse: Sequence[Tuple[int, int, object]]) -> "CoordinateChange":
-        """Chart maps like (x,y) = (1/u, v/u): exponent/constant triples."""
-        f1 = LaurentPoly2.monomial(forward[0][0], forward[0][1], forward[0][2])
-        f2 = LaurentPoly2.monomial(forward[1][0], forward[1][1], forward[1][2])
-        g1 = LaurentPoly2.monomial(inverse[0][0], inverse[0][1], inverse[0][2])
-        g2 = LaurentPoly2.monomial(inverse[1][0], inverse[1][1], inverse[1][2])
-        return cls("rational-chart", f1, f2, g1, g2)
+        """Chart maps like (x,y) = (1/u, v/u), given as exponent/constant triples.
+
+        forward holds (i, j, c) for x = c u^i v^j and for y; inverse holds
+        the triples of u and v as monomials in (x, y).  They are stored as
+        given; a zero constant makes the map singular.
+        """
+        if any(GaussianRational.from_value(c).is_zero() for _, _, c in (*forward, *inverse)):
+            raise NonInvertibleChange("monomial chart constants must be nonzero")
+        return cls("rational-chart", forward[0], forward[1], inverse[0], inverse[1])
 
     # -- series-kind utilities ------------------------------------------
     def jacobian_at_origin(self):
@@ -377,9 +297,10 @@ def pullback(x: VectorFieldGerm, change: CoordinateChange,
     series kind: solves Dc(result) = X o c, requiring an invertible Jacobian.
 
     rational-chart kind: differentiates the inverse chart relations along X
-    (exact Laurent arithmetic).  The result must be holomorphic after
-    multiplying by the declared pole-clearing monomial u^clear[0] v^clear[1];
-    otherwise PoleAtOrigin is raised carrying the pole exponents.
+    term by term on the exact coefficients of A and B.  The result must be
+    holomorphic after multiplying by the declared pole-clearing monomial
+    u^clear[0] v^clear[1]; otherwise PoleAtOrigin is raised carrying the
+    pole exponents.
     """
     if change.kind == "series":
         if not change.invertible():
@@ -397,25 +318,32 @@ def pullback(x: VectorFieldGerm, change: CoordinateChange,
         r2 = jet_mul(det_inv, jet_mul(j11, b_c) - jet_mul(j21, a_c))
         return VectorFieldGerm(r1, r2)
 
-    # rational chart: u_dot = dsigma1/dx * A + dsigma1/dy * B at (x,y) = c(u,v)
+    # rational chart: u_dot = A dsigma/dx + B dsigma/dy for each inverse
+    # relation sigma = g x^p y^q, i.e. g p x^(p-1) y^q A + g q x^p y^(q-1) B,
+    # with each x^i y^j rewritten in (u, v) through the forward monomials
     if x.mode != EXACT:
         raise ValueError("rational-chart pullback requires exact mode")
-    sigma1, sigma2 = change.inverse1, change.inverse2
-    a = LaurentPoly2.from_jet(x.a).substitute_monomials(change.comp1, change.comp2)
-    b = LaurentPoly2.from_jet(x.b).substitute_monomials(change.comp1, change.comp2)
+    (xi, xj, cx), (yi, yj, cy) = change.comp1, change.comp2
+    cx, cy = GaussianRational.from_value(cx), GaussianRational.from_value(cy)
+    du, dv = clear if clear is not None else (0, 0)
     comps = []
-    for sig in (sigma1, sigma2):
-        dx = sig.derivative(0).substitute_monomials(change.comp1, change.comp2)
-        dy = sig.derivative(1).substitute_monomials(change.comp1, change.comp2)
-        comps.append(dx * a + dy * b)
-    if clear is not None:
-        comps = [c.shift(clear[0], clear[1]) for c in comps]
-    mins = [c.min_exponents() for c in comps if not c.is_zero()]
-    if mins and (min(m[0] for m in mins) < 0 or min(m[1] for m in mins) < 0):
-        pole = (min(m[0] for m in mins), min(m[1] for m in mins))
+    for p, q, g in (change.inverse1, change.inverse2):
+        out: Dict[Tuple[int, int], GaussianRational] = {}
+        for jet, e, di, dj in ((x.a, p, p - 1, q), (x.b, q, p, q - 1)):
+            if e == 0:
+                continue
+            ge = GaussianRational.from_value(g) * e
+            for (i, j), v in jet.coeffs.items():
+                i, j = i + di, j + dj
+                key = (i * xi + j * yi + du, i * xj + j * yj + dv)
+                out[key] = out.get(key, GaussianRational(0)) + ge * v * cx ** i * cy ** j
+        comps.append({k: v for k, v in out.items() if not v.is_zero()})
+    keys = [k for comp in comps for k in comp]
+    pole = (min((i for i, _ in keys), default=0), min((j for _, j in keys), default=0))
+    if min(pole) < 0:
         raise PoleAtOrigin(f"transformed germ has pole exponents {pole}; declare a clearing factor")
     valid = x.valid_through
-    return VectorFieldGerm(comps[0].to_jet(valid), comps[1].to_jet(valid))
+    return VectorFieldGerm(Jet2(EXACT, comps[0], valid), Jet2(EXACT, comps[1], valid))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ with the chart-1 expressions applied verbatim and a chart switch whenever
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import List, Optional
 
 from .errors import BadParams, OnExceptionalLocus
 from .germ import CoordinateChange, VectorFieldGerm, pullback
@@ -126,6 +128,34 @@ def psi_flow(n: int, s, p: FnPoint) -> FnPoint:
 def fixed_point(n: int) -> FnPoint:
     """p = {u = 0, v = infinity}, fixed by both flows."""
     return FnPoint(n, 1, GR(0), GR(1), GR(0))
+
+
+def random_gr(rng: random.Random) -> GR:
+    """A small random Gaussian rational, the sample law of the flow checks."""
+    return GR(Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+
+
+def random_flow_failures(n: int, rng: random.Random, samples: int) -> List[str]:
+    """Check the flows at *samples* random points and times; name each failure.
+
+    Each sample draws a chart, a point and times t, s and checks the group
+    law of Phi, the commutation of Phi and Psi and, where both base
+    coordinates are nonzero, that Phi commutes with the chart transition.
+    """
+    failures = []
+    for _ in range(samples):
+        pt = FnPoint.make(n, rng.choice([0, 1]), random_gr(rng), random_gr(rng))
+        t, s = random_gr(rng), random_gr(rng)
+        flowed = phi_flow(n, t, pt)
+        if not points_equal(phi_flow(n, t, phi_flow(n, s, pt)), phi_flow(n, t + s, pt)):
+            failures.append("group-law")
+        if not points_equal(psi_flow(n, s, flowed), phi_flow(n, t, psi_flow(n, s, pt))):
+            failures.append("commutation")
+        if not pt.base.is_zero() and not flowed.base.is_zero() and not points_equal(
+                fn_transition(flowed), phi_flow(n, t, fn_transition(pt))):
+            failures.append("chart-coherence")
+    return failures
 
 
 # ---------------------------------------------------------------------------

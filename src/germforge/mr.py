@@ -40,7 +40,7 @@ class MRFormalForm:
 def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
                  ) -> VectorFieldGerm:
     """Dual vector field mx[1+lam w^p] dx - ny[1+(lam-1) w^p] dy, w = x^n y^m."""
-    degree = degree if degree is not None else series.default_degree()
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
     lam = scalars.coerce(form.lam, mode)
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
@@ -75,7 +75,7 @@ def contract_mr_form(form: MRFormalForm, vf: VectorFieldGerm, mode=EXACT) -> Jet
 
 def holonomy_model(m: int, p: int, lam: complex, degree: Optional[int] = None) -> Jet1:
     """1-D field 2*pi*i z^(mp+1) / (1 + lam z^(mp)) as a float Jet1."""
-    degree = degree if degree is not None else series.default_degree()
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
     if m < 1 or p < 1:
         raise BadParams("holonomy model requires m, p >= 1")
     two_pi_i = 2j * math.pi
@@ -138,7 +138,7 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     With no obstruction, pullback(X, change) equals the linear model to
     degree - 1.
     """
-    degree = degree if degree is not None else series.default_degree()
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
     lin = linear_part(x)
     mode = x.mode
     m_s = lin.matrix[0][0]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import LeafEscape, StepFailure
+from .errors import BadParams, LeafEscape, StepFailure
 from .germ import VectorFieldGerm
 from .series import Jet1
 
@@ -32,12 +32,12 @@ class TimePath:
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
-            raise ValueError("a time path needs at least two waypoints")
+            raise BadParams("a time path needs at least two waypoints")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
-                raise ValueError("consecutive waypoints must be distinct")
+                raise BadParams("consecutive waypoints must be distinct")
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise BadParams("tolerance must be positive")
 
     @classmethod
     def segment(cls, t0: complex, t1: complex, **kw) -> "TimePath":
@@ -65,11 +65,11 @@ class LeafLoopSpec:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError("loop radius must be positive")
+            raise BadParams("loop radius must be positive")
         if self.base_var not in ("x", "y"):
-            raise ValueError("base_var must be 'x' or 'y'")
+            raise BadParams("base_var must be 'x' or 'y'")
         if abs(self.seed) > self.polydisc:
-            raise ValueError("lift seed outside the configured polydisc")
+            raise BadParams("lift seed outside the configured polydisc")
 
     def scaled(self, lam: complex) -> "LeafLoopSpec":
         """Image of the loop under (x, y) -> (lam x, lam y)."""
@@ -270,9 +270,6 @@ def _track(x: VectorFieldGerm, spec: LeafLoopSpec) -> LeafTrackResult:
 
 def track_leaf(x: VectorFieldGerm, spec: LeafLoopSpec) -> complex:
     """Holonomy image of the seed after lifting the base loop in the leaf."""
-    guard_radius = abs(spec.center) + spec.radius
-    if spec.base_var == "x" and abs(spec.center) < spec.radius * 1e-9 and guard_radius == 0:
-        raise ValueError("degenerate loop")
     return _track(x, spec).endpoint
 
 
@@ -305,7 +302,7 @@ def homothety_period_ratio(x: VectorFieldGerm, spec: LeafLoopSpec,
     1/lam times the base period; the defect reported is |ratio*lam - 1|.
     """
     if not _is_homogeneous(x, 2):
-        raise ValueError("homothety law needs a homogeneous quadratic field")
+        raise BadParams("homothety law needs a homogeneous quadratic field")
     lam = complex(lam)
     p0, _ = leaf_period(x, spec)
     p1, _ = leaf_period(x, spec.scaled(lam))
@@ -353,7 +350,7 @@ def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
     closed loop realizing a torus cycle, which carries a nonzero period.
     """
     if c == 0:
-        raise ValueError("c = 0 is the singular fiber")
+        raise BadParams("c = 0 is the singular fiber")
     r1 = (4 * complex(c)) ** (1.0 / 3.0)
     center = r1 / 2.0
     radius = 0.65 * abs(r1)
@@ -376,9 +373,10 @@ def _elliptic_lift(x0: complex, c: complex, branch: int) -> complex:
     return roots[branch]
 
 
-def siegel_loop(x0: complex, c: complex, tol: float = DEFAULT_TOL,
-                radius: Optional[float] = None) -> LeafLoopSpec:
+def siegel_loop(x0: complex, c: complex, tol: float = DEFAULT_TOL) -> LeafLoopSpec:
     """Loop |x| = |x0| with seed on the leaf xy = c (monomial Siegel fields)."""
+    if x0 == 0:
+        raise BadParams("the base circle radius |x0| must be positive")
     return LeafLoopSpec(
         base_var="x", center=0j, radius=abs(x0), winding=1,
         phase=cmath.phase(x0), seed=c / x0, tol=tol,

@@ -117,6 +117,8 @@ def straighten_regular(g1: Jet1, g2: Jet1, n: int, degree: int
     u solves du/dx = Theta(x, u), u(0, y) = y; beta is defined through
     1 + beta = g1[x u^n] (u/y)^n.
     """
+    if n < 0:
+        raise BadParams("straightening needs n >= 0")
     if not scalars.is_zero_scalar(
         g1.coeff(0) - scalars.one(g1.mode), g1.mode
     ):
@@ -143,6 +145,8 @@ def siegel_regular_test(g1: Jet1, g2: Jet1, n: int, degree: int,
     the witness monomial (the u-witness x y^(n+1) when g2(0) != 0, else the
     beta-witness x y^n).
     """
+    if n < 0:
+        raise BadParams("straightening needs n >= 0")
     if degree < n + 2:
         return SemicompleteVerdict(UNKNOWN, "precision")
     u, beta = straighten_regular(g1, g2, n, degree)

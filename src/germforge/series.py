@@ -47,19 +47,6 @@ INF = math.inf
 DEFAULT_DEGREE = 16
 
 
-def default_degree() -> int:
-    """CLI-overridable truncation degree (GERMFORGE_DEGREE)."""
-    import os
-
-    raw = os.environ.get("GERMFORGE_DEGREE")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_DEGREE
-
-
 def _as_scalar(value, mode):
     if mode == EXACT:
         return GaussianRational.from_value(value)
@@ -581,7 +568,7 @@ def jet_reciprocal(a: Jet2) -> Jet2:
     valid = a.valid_through
     if valid == INF and len(a.coeffs) > 1:
         # the inverse of a nonconstant polynomial is an infinite series
-        valid = default_degree()
+        valid = DEFAULT_DEGREE
     # a constant input has nothing beyond degree 0
     bound = _finite_bound(valid) if len(a.coeffs) > 1 else 0
     if a.mode == EXACT:

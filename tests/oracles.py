@@ -186,6 +186,56 @@ def t_compose2(f, f_valid, p, q):
     return p_truncate(acc[0], valid), valid
 
 
+# -- Laurent polynomials and monomial charts ------------------------------------
+#
+# The same dicts with exponents of either sign: p_add, p_neg, p_mul and
+# p_scale need no change.  A Laurent monomial c x^i y^j is the triple
+# (i, j, c).
+
+def gr_pow(a, e):
+    out = gr(1)
+    for _ in range(abs(e)):
+        out = gr_mul(out, a)
+    return out if e >= 0 else gr_inv(out)
+
+
+def l_derive(p, var):
+    """d/dx (var 0) or d/dy (var 1); unlike p_derive, negative exponents count."""
+    out = {}
+    for (i, j), v in p.items():
+        e = (i, j)[var]
+        if e:
+            out[(i - 1, j) if var == 0 else (i, j - 1)] = gr_mul(v, gr(e))
+    return out
+
+
+def l_substitute(p, mx, my):
+    """p at x = mx, y = my, both Laurent monomial triples."""
+    (xi, xj, cx), (yi, yj, cy) = mx, my
+    out = {}
+    for (i, j), v in p.items():
+        c = gr_mul(v, gr_mul(gr_pow(cx, i), gr_pow(cy, j)))
+        out = p_add(out, {(i * xi + j * yi, i * xj + j * yj): c})
+    return out
+
+
+def l_chart_pullback(a, b, forward, inverse):
+    """Components of A dx + B dy in a monomial chart (u, v).
+
+    forward gives x and y as triples in (u, v), inverse gives u and v as
+    triples in (x, y).  Each component is d(sigma)/dx A + d(sigma)/dy B with
+    every factor rewritten in (u, v) before multiplying.
+    """
+    a_uv, b_uv = l_substitute(a, *forward), l_substitute(b, *forward)
+    comps = []
+    for i, j, c in inverse:
+        sigma = {(i, j): c}
+        dx = l_substitute(l_derive(sigma, 0), *forward)
+        dy = l_substitute(l_derive(sigma, 1), *forward)
+        comps.append(p_add(p_mul(dx, a_uv), p_mul(dy, b_uv)))
+    return comps
+
+
 def from_jet(jet):
     """Convert a library Jet2 (exact mode) to oracle form."""
     return {k: (v.re, v.im) for k, v in jet.coeffs.items()}

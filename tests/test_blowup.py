@@ -7,9 +7,11 @@ import pytest
 from germforge import cli
 from germforge.blowup import blowup_vf, divisor_singularities
 from germforge.errors import DegenerateBlowup, DicriticalInput
-from germforge.germ import LaurentPoly2, VectorFieldGerm
+from germforge.germ import VectorFieldGerm
 from germforge.scalars import EXACT, GaussianRational
 from germforge.series import INF, Jet2, jet_mul
+
+import oracles
 
 GR = GaussianRational
 
@@ -129,22 +131,20 @@ def test_chart_consistency_on_overlap():
         t1 = blowup_vf(f, 1).transformed
         # push the chart-0 field through (s, y) = (1/t, tx):
         # ds = -t^-2 dt, dy = t dx + x dt, with (x, t) = (sy, 1/s)
-        a0 = LaurentPoly2.from_jet(t0.a)   # dx component in (x, t)
-        b0 = LaurentPoly2.from_jet(t0.b)   # dt component
-        sub = lambda p: p.substitute_monomials(
-            LaurentPoly2.monomial(1, 1, 1),   # x = s y
-            LaurentPoly2.monomial(-1, 0, 1),  # t = 1/s
-        )
+        a0 = oracles.from_jet(t0.a)   # dx component in (x, t)
+        b0 = oracles.from_jet(t0.b)   # dt component
+        one = oracles.gr(1)
+        sub = lambda p: oracles.l_substitute(p, (1, 1, one),   # x = s y
+                                             (-1, 0, one))     # t = 1/s
         a0s, b0s = sub(a0), sub(b0)
-        t_sq_inv = LaurentPoly2.monomial(2, 0, -1)   # -t^-2 = -s^2
-        ds = t_sq_inv * b0s
-        dy = LaurentPoly2.monomial(-1, 0, 1) * a0s + \
-            LaurentPoly2.monomial(1, 1, 1) * b0s    # t*A + x*B
+        ds = oracles.p_mul({(2, 0): oracles.gr(-1)}, b0s)     # -t^-2 = -s^2
+        dy = oracles.p_add(oracles.p_mul({(-1, 0): one}, a0s),
+                           oracles.p_mul({(1, 1): one}, b0s))  # t*A + x*B
         # proportionality with (t1.a, t1.b): cross product vanishes
-        a1 = LaurentPoly2.from_jet(t1.a)
-        b1 = LaurentPoly2.from_jet(t1.b)
-        cross = ds * b1 - dy * a1
-        assert cross.is_zero()
+        a1 = oracles.from_jet(t1.a)
+        b1 = oracles.from_jet(t1.b)
+        cross = oracles.p_add(oracles.p_mul(ds, b1), oracles.p_neg(oracles.p_mul(dy, a1)))
+        assert not cross
 
 
 @pytest.mark.parametrize("field", [

@@ -6,8 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germforge.errors import DegenerateFrame, NonzeroEigenvalue, PoleAtOrigin
+from germforge.errors import (
+    DegenerateFrame,
+    NonInvertibleChange,
+    NonzeroEigenvalue,
+    PoleAtOrigin,
+)
 from germforge.germ import (
     CoordinateChange,
     RationalFn,
@@ -21,6 +28,8 @@ from germforge.germ import (
 )
 from germforge.scalars import EXACT, GaussianRational
 from germforge.series import INF, Jet2, jet_mul
+
+import oracles
 
 GR = GaussianRational
 
@@ -273,6 +282,75 @@ def test_pullback_elliptic_chart_matches_hand_derivation():
     assert out.a.equals(-printed.a)
     assert out.b.equals(printed.b)
     assert not out.equals(-printed)
+
+
+@pytest.mark.parametrize("forward, inverse", [
+    (((1, 0, 0), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1))),
+    (((1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, GR(0)))),
+])
+def test_monomial_chart_rejects_zero_constant(forward, inverse):
+    with pytest.raises(NonInvertibleChange):
+        CoordinateChange.monomial_chart(forward, inverse)
+
+
+_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def _chart_constants(draw):
+    """A nonzero constant, as an int or a Gaussian rational."""
+    if draw(st.booleans()):
+        value = draw(st.sampled_from([1, -1, 2, -3]))
+        return value, oracles.gr(value)
+    value = GR(draw(_small), draw(_small))
+    if value.is_zero():
+        value = GR(0, 1)
+    return value, (value.re, value.im)
+
+
+@st.composite
+def _chart_triples(draw):
+    c, oracle_c = draw(_chart_constants())
+    i, j = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return (i, j, c), (i, j, oracle_c)
+
+
+@st.composite
+def _chart_jets(draw, valid):
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=1, max_size=5, unique=True))
+    return Jet2(EXACT, {k: draw(st.builds(GR, _small, _small)) for k in keys}, valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_chart_triples(), min_size=4, max_size=4),
+       st.sampled_from([INF, INF, 3, 6]), st.data())
+def test_chart_pullback_matches_laurent_oracle(triples, valid, data):
+    forward, inverse = triples[:2], triples[2:]
+    field = vf(data.draw(_chart_jets(valid)), data.draw(_chart_jets(valid)))
+    change = CoordinateChange.monomial_chart([t for t, _ in forward],
+                                             [t for t, _ in inverse])
+    raw = oracles.l_chart_pullback(
+        oracles.from_jet(field.a), oracles.from_jet(field.b),
+        [o for _, o in forward], [o for _, o in inverse])
+    keys = [k for comp in raw for k in comp]
+    # the least clearing monomial, one degree short of it, or any
+    least = (max(0, -min((i for i, _ in keys), default=0)),
+             max(0, -min((j for _, j in keys), default=0)))
+    clear = data.draw(st.one_of(
+        st.none(), st.just(least),
+        st.sampled_from([(least[0] - 1, least[1]), (least[0], least[1] - 1)]),
+        st.tuples(st.integers(0, 8), st.integers(0, 8))))
+    du, dv = clear or (0, 0)
+    expected = [{(i + du, j + dv): c for (i, j), c in comp.items()} for comp in raw]
+    if any(i < 0 or j < 0 for comp in expected for i, j in comp):
+        with pytest.raises(PoleAtOrigin):
+            pullback(field, change, clear)
+        return
+    out = pullback(field, change, clear)
+    assert out.valid_through == field.valid_through
+    assert oracles.from_jet(out.a) == oracles.p_truncate(expected[0], valid)
+    assert oracles.from_jet(out.b) == oracles.p_truncate(expected[1], valid)
 
 
 # -- primitive split / linear part ---------------------------------------------------

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from germforge.errors import LeafEscape, StepFailure
+from germforge.errors import BadParams, LeafEscape, StepFailure
 from germforge.germ import VectorFieldGerm
 from germforge.numflow import (
     LeafLoopSpec,
@@ -147,7 +147,7 @@ def test_homothety_law():
 
 def test_homothety_requires_quadratic():
     f = VectorFieldGerm(x(), -y()).to_float()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         homothety_period_ratio(f, siegel_loop(0.5, 0.02), 0.5)
 
 

@@ -17,12 +17,12 @@ from germforge.errors import (
 )
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (
+    DEFAULT_DEGREE,
     DIVISIBLE,
     INF,
     NOT_DIVISIBLE,
     Jet1,
     Jet2,
-    default_degree,
     exact_divide,
     jet_compose1,
     jet_compose2,
@@ -458,7 +458,7 @@ def test_reciprocal_matches_oracle(u):
     if u.valid_through != INF:
         valid = u.valid_through
     else:
-        valid = INF if len(u.coeffs) == 1 else default_degree()
+        valid = INF if len(u.coeffs) == 1 else DEFAULT_DEGREE
     assert out.valid_through == valid
     degree = 0 if valid == INF else valid
     assert oracles.from_jet(out) == oracles.p_reciprocal(oracles.from_jet(u), degree)
@@ -544,7 +544,7 @@ def test_jet1_reciprocal_matches_oracle(a, c):
     if u.valid_through != INF:
         valid = u.valid_through
     else:
-        valid = INF if len(u.coeffs) == 1 else default_degree()
+        valid = INF if len(u.coeffs) == 1 else DEFAULT_DEGREE
     degree = 0 if valid == INF else valid
     poly = oracles.p_reciprocal(_embedded(u)[0], degree)
     _assert_jet1_matches(u.reciprocal(), (poly, valid))
