@@ -22,7 +22,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import scalars
-from .errors import DegenerateBlowup, DicriticalInput, PrecisionExhausted, UnresolvedRoots
+from .errors import (
+    BadParams,
+    DegenerateBlowup,
+    DicriticalInput,
+    PrecisionExhausted,
+    UnresolvedRoots,
+)
 from .germ import LinearPartData, VectorFieldGerm, linear_part
 from .scalars import EXACT, GaussianRational, Scalar
 from .series import INF, Jet1, Jet2
@@ -59,7 +65,7 @@ def _common_power(idx: int, *jets: Jet2) -> Optional[int]:
 def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
     """Blow up a germ vanishing at the origin in the requested chart."""
     if chart not in (0, 1):
-        raise ValueError("chart must be 0 or 1")
+        raise BadParams("chart must be 0 or 1")
     if x.order() == INF:
         raise DegenerateBlowup("blow-up of the zero germ")
     if x.order() < 1:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scalars, series
 from .blowup import blowup_vf
-from .errors import BadParams, NonzeroEigenvalue, PrecisionExhausted
+from .errors import BadParams, ModeMismatch, NonzeroEigenvalue, PrecisionExhausted
 from .germ import (
     LinearPartData,
     RationalFn,
@@ -542,7 +542,7 @@ def classify_with_reasons(x: VectorFieldGerm,
                           declared: Sequence[Tuple[str, Jet2]] = ()
                           ) -> Tuple[List[NormalFormID], List[str]]:
     if x.mode != EXACT:
-        raise ValueError("classify operates in exact mode")
+        raise ModeMismatch("classify operates in exact mode")
     reasons: List[str] = []
     lin = linear_part(x)
     if not lin.eigenvalues_zero(x.mode):

@@ -15,7 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scalars, series
 from .errors import (
+    BadParams,
     DegenerateFrame,
+    ModeMismatch,
     NonInvertibleChange,
     PoleAtOrigin,
     PrecisionExhausted,
@@ -247,13 +249,23 @@ class CoordinateChange:
     def compose(self, other: "CoordinateChange") -> "CoordinateChange":
         """self o other: apply *other* first (both series kind)."""
         if self.kind != "series" or other.kind != "series":
-            raise ValueError("compose is defined for series changes")
+            raise BadParams("compose is defined for series changes")
         c1 = jet_compose2(self.comp1, other.comp1, other.comp2)
         c2 = jet_compose2(self.comp2, other.comp1, other.comp2)
         return CoordinateChange.from_series(c1, c2)
 
     def inverse(self, degree: Optional[int] = None) -> "CoordinateChange":
-        """Compositional inverse of a series change, degree by degree."""
+        """Compositional inverse of a series change, by graded Picard passes.
+
+        With phi = L + N, L the linear part, the inverse psi solves
+        psi = L^-1 id - M(psi) for M = L^-1 N, formed once per call.  M has
+        no terms below degree 2, so an iterate right through degree d - 1
+        gives M(psi) right through d: pass d = 2 .. min(degree, valid) cuts
+        M and psi to degree d and composes only through d.  The result is
+        valid through min(degree, valid), valid being that of phi.
+        *degree* defaults to valid, or twice the degree of a polynomial
+        change; it is capped at 64, and an INF degree means 16.
+        """
         if self.kind != "series":
             return CoordinateChange("rational-chart", self.inverse1, self.inverse2,
                                     self.comp1, self.comp2)
@@ -265,29 +277,24 @@ class CoordinateChange:
             degree = valid if valid != INF else max(
                 self.comp1.degree_bound(), self.comp2.degree_bound(), 1) * 2
         degree = int(min(degree, 64)) if degree != INF else 16
+        top = min(degree, valid)
         j11, j12, j21, j22 = self.jacobian_at_origin()
         det = j11 * j22 - j12 * j21
-        inv = (
-            (j22 / det, -j12 / det),
-            (-j21 / det, j11 / det),
-        )
-        x = Jet2.variable("x", mode, degree)
-        y = Jet2.variable("y", mode, degree)
-        lin1 = x.scale(inv[0][0]) + y.scale(inv[0][1])
-        lin2 = x.scale(inv[1][0]) + y.scale(inv[1][1])
-        # nonlinear tail N with phi = L + N; iterate psi <- Linv(id - N(psi))
-        n1 = (self.comp1 - x.scale(j11) - y.scale(j12)).truncate(degree)
-        n2 = (self.comp2 - x.scale(j21) - y.scale(j22)).truncate(degree)
-        p1, p2 = lin1, lin2
-        for _ in range(degree):
-            t1 = jet_compose2(n1, p1, p2)
-            t2 = jet_compose2(n2, p1, p2)
-            r1 = (x - t1).truncate(degree)
-            r2 = (y - t2).truncate(degree)
-            p1 = r1.scale(inv[0][0]) + r2.scale(inv[0][1])
-            p2 = r1.scale(inv[1][0]) + r2.scale(inv[1][1])
-        result = CoordinateChange.from_series(p1.truncate(valid), p2.truncate(valid))
-        return result
+        i11, i12, i21, i22 = j22 / det, -j12 / det, -j21 / det, j11 / det
+        x = Jet2.variable("x", mode, INF)
+        y = Jet2.variable("y", mode, INF)
+        lin1 = x.scale(i11) + y.scale(i12)
+        lin2 = x.scale(i21) + y.scale(i22)
+        n1 = (self.comp1 - x.scale(j11) - y.scale(j12)).truncate(top)
+        n2 = (self.comp2 - x.scale(j21) - y.scale(j22)).truncate(top)
+        m1 = n1.scale(i11) + n2.scale(i12)
+        m2 = n1.scale(i21) + n2.scale(i22)
+        p1, p2 = lin1.truncate(top), lin2.truncate(top)
+        for d in range(2, top + 1):
+            s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
+            p1 = lin1 - jet_compose2(series._known_through(m1, d), s1, s2)
+            p2 = lin2 - jet_compose2(series._known_through(m2, d), s1, s2)
+        return CoordinateChange.from_series(p1, p2)
 
 
 def pullback(x: VectorFieldGerm, change: CoordinateChange,
@@ -322,7 +329,7 @@ def pullback(x: VectorFieldGerm, change: CoordinateChange,
     # relation sigma = g x^p y^q, i.e. g p x^(p-1) y^q A + g q x^p y^(q-1) B,
     # with each x^i y^j rewritten in (u, v) through the forward monomials
     if x.mode != EXACT:
-        raise ValueError("rational-chart pullback requires exact mode")
+        raise ModeMismatch("rational-chart pullback requires exact mode")
     (xi, xj, cx), (yi, yj, cy) = change.comp1, change.comp2
     cx, cy = GaussianRational.from_value(cx), GaussianRational.from_value(cy)
     du, dv = clear if clear is not None else (0, 0)

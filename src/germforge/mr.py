@@ -18,7 +18,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from . import scalars, series
-from .errors import BadParams, StepFailure
+from .errors import BadParams, ModeMismatch, StepFailure
 from .germ import CoordinateChange, VectorFieldGerm, linear_part, pullback
 from .numflow import eval_poly, periodic_trapezoid
 from .scalars import EXACT, FLOAT, GaussianRational
@@ -139,16 +139,16 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     degree - 1.
     """
     degree = degree if degree is not None else series.DEFAULT_DEGREE
-    lin = linear_part(x)
     mode = x.mode
+    if mode != EXACT:
+        raise ModeMismatch("linearize operates in exact mode")
+    lin = linear_part(x)
     m_s = lin.matrix[0][0]
     n_s = lin.matrix[1][1]
     off_diag_zero = scalars.is_zero_scalar(lin.matrix[0][1], mode) and \
         scalars.is_zero_scalar(lin.matrix[1][0], mode)
     m = _positive_int(m_s)
-    n = _positive_int(-n_s) if mode == EXACT else None
-    if mode != EXACT:
-        raise ValueError("linearize operates in exact mode")
+    n = _positive_int(-n_s)
     if not off_diag_zero or m is None or n is None:
         raise BadParams("linearize requires linear part exactly diag(m, -n), m, n >= 1")
     current = x.truncate(degree)

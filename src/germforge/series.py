@@ -700,6 +700,20 @@ def _horner2(f: Jet2, p, q, valid):
     return acc.truncate(valid)
 
 
+def _known_through(jet: Jet2, d: int) -> Jet2:
+    """The terms of *jet* of degree <= d, with valid_through set to d.
+
+    The only place that raises a claimed valid_through (Jet2.truncate can
+    only lower it).  The caller vouches that the result is right through d
+    wherever it is read: the graded Picard passes of
+    germ.CoordinateChange.inverse know this from the degree of the pass.
+    """
+    cut = Jet2.__new__(Jet2)
+    cut.mode, cut.valid_through = jet.mode, d
+    cut.coeffs = {k: v for k, v in jet.coeffs.items() if k[0] + k[1] <= d}
+    return cut
+
+
 def jet_derive(a: Jet2, var: str) -> Jet2:
     """Formal partial derivative; valid_through decreases by one."""
     if a.valid_through != INF and a.valid_through < 1:
@@ -746,8 +760,11 @@ def laurent_residue(h: Jet1) -> Scalar:
 def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     """Unique series solution of du/dx = theta(x, u), u(0, y) = y.
 
-    Picard iteration; each pass pins one more power of x, so *degree*
-    passes give the solution with residual zero through degree - 1.
+    Graded Picard iteration on u = y + integral_0^x theta(t, u) dt.  The
+    integral raises the degree by one, so an iterate right through degree
+    d - 1 gives one right through d, and pass d = 1 .. *degree* composes
+    theta, x and u cut to degree d - 1 only.  The result is valid through
+    *degree*, with residual du/dx - theta(x, u) zero through degree - 1.
     """
     if theta.valid_through < degree:
         raise PrecisionExhausted(
@@ -756,11 +773,11 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     mode = theta.mode
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
-    u = y.truncate(degree)
-    theta_t = theta.truncate(degree)
-    for _ in range(degree):
-        rhs = jet_compose2(theta_t, x.truncate(degree), u)
-        u = (y + rhs.antiderivative_x()).truncate(degree)
+    # y is right through degree 0; after pass d, u is valid through d
+    u = y.truncate(min(degree, 0))
+    for d in range(1, degree + 1):
+        rhs = jet_compose2(theta.truncate(d - 1), x.truncate(d - 1), u)
+        u = y + rhs.antiderivative_x()
     return u
 
 

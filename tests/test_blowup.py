@@ -6,7 +6,7 @@ import pytest
 
 from germforge import cli
 from germforge.blowup import blowup_vf, divisor_singularities
-from germforge.errors import DegenerateBlowup, DicriticalInput
+from germforge.errors import BadParams, DegenerateBlowup, DicriticalInput
 from germforge.germ import VectorFieldGerm
 from germforge.scalars import EXACT, GaussianRational
 from germforge.series import INF, Jet2, jet_mul
@@ -154,6 +154,11 @@ def test_chart_consistency_on_overlap():
 def test_degenerate_blowup_input_raises(field):
     with pytest.raises(DegenerateBlowup):
         blowup_vf(field, 0)
+
+
+def test_blowup_rejects_unknown_chart():
+    with pytest.raises(BadParams):
+        blowup_vf(VectorFieldGerm(x(), y()), 2)
 
 
 @pytest.mark.parametrize("text", ["[0,0]", "[1,0]"])

@@ -16,9 +16,9 @@ from germforge.catalog import (
     make_pair,
     parse_id,
 )
-from germforge.errors import BadParams, NonzeroEigenvalue
+from germforge.errors import BadParams, ModeMismatch, NonzeroEigenvalue
 from germforge.germ import RationalFn, VectorFieldGerm, derive_along, lie_bracket
-from germforge.scalars import EXACT, GaussianRational
+from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import INF, Jet1, Jet2, jet_mul
 
 GR = GaussianRational
@@ -175,6 +175,12 @@ def test_classifier_requires_zero_eigenvalues():
     x = Jet2.variable("x", EXACT, INF)
     with pytest.raises(NonzeroEigenvalue):
         classify(VectorFieldGerm(x, Jet2.zero(EXACT, INF)))
+
+
+def test_classifier_rejects_float_input():
+    y = Jet2.variable("y", FLOAT, INF)
+    with pytest.raises(ModeMismatch):
+        classify_with_reasons(VectorFieldGerm(y, Jet2.zero(FLOAT, INF)))
 
 
 def test_classifier_swapped_orientation():

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge.errors import (
+    BadParams,
     DegenerateFrame,
+    ModeMismatch,
     NonInvertibleChange,
     NonzeroEigenvalue,
     PoleAtOrigin,
@@ -26,7 +28,7 @@ from germforge.germ import (
     primitive_split,
     pullback,
 )
-from germforge.scalars import EXACT, GaussianRational
+from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import INF, Jet2, jet_mul
 
 import oracles
@@ -291,6 +293,23 @@ def test_pullback_elliptic_chart_matches_hand_derivation():
 def test_monomial_chart_rejects_zero_constant(forward, inverse):
     with pytest.raises(NonInvertibleChange):
         CoordinateChange.monomial_chart(forward, inverse)
+
+
+_CHART = (((1, 0, 1), (1, 1, 1)), ((1, 0, 1), (-1, 1, 1)))   # (x, y) = (u, uv)
+
+
+def test_chart_pullback_rejects_float_germs():
+    field = VectorFieldGerm(Jet2.variable("x", FLOAT, INF), Jet2.variable("y", FLOAT, INF))
+    with pytest.raises(ModeMismatch):
+        pullback(field, CoordinateChange.monomial_chart(*_CHART))
+
+
+def test_compose_rejects_charts():
+    series_change = CoordinateChange.linear(1, 0, 0, 1)
+    chart = CoordinateChange.monomial_chart(*_CHART)
+    for a, b in ((series_change, chart), (chart, series_change)):
+        with pytest.raises(BadParams):
+            a.compose(b)
 
 
 _small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))

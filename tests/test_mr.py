@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from germforge import numflow
-from germforge.errors import BadParams
+from germforge.errors import BadParams, ModeMismatch
 from germforge.germ import VectorFieldGerm, pullback
 from germforge.mr import (
     MRFormalForm,
@@ -116,6 +116,12 @@ def test_linearize_requires_siegel_diagonal():
     y = Jet2.variable("y", EXACT, INF)
     with pytest.raises(BadParams):
         linearize(VectorFieldGerm(x + y, -y).truncate(8), 8)
+
+
+def test_linearize_rejects_float_input():
+    field = VectorFieldGerm(Jet2.variable("x", FLOAT, 8), Jet2.variable("y", FLOAT, 8).scale(-1))
+    with pytest.raises(ModeMismatch):
+        linearize(field, 8)
 
 
 def test_linearize_conjugation_soundness():

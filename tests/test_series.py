@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from germforge.errors import (
     CompositionAtNonzeroPoint,
     ModeMismatch,
+    NonInvertibleChange,
     NotAUnit,
     PrecisionExhausted,
 )
+from germforge.germ import CoordinateChange
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (
     DEFAULT_DEGREE,
@@ -639,3 +641,104 @@ def test_compose2_is_sound_for_any_completion(f, data):
     out = jet_compose2(f, p, q)
     _assert_sound(oracles.from_jet(out), out.valid_through,
                   lambda degree: oracles.p_compose2(f_full, p_full, q_full, degree))
+
+
+# -- graded Picard solvers -----------------------------------------------------------
+#
+# CoordinateChange.inverse and series_ode_solve compute pass d only through
+# degree d.  oracles.t_inverse and oracles.t_ode_solve are the loops they
+# replaced, every pass at full truncation: coefficients, valid_through and
+# error classes must agree.  The completion tests check every coefficient
+# the solvers claim against the defining identity, with no precision rule.
+
+@st.composite
+def _series_change(draw, valid, jacobian):
+    """(comp1, comp2) truncated to *valid*: a linear part of the given kind
+    plus up to three terms of degree 2-3 in each component."""
+    a, b, c, d = (draw(gaussian_rationals(bits=4, nonzero=True)) for _ in range(4))
+    if jacobian == "diagonal":
+        b = c = GaussianRational(0)
+    elif jacobian == "antidiagonal":
+        a = d = GaussianRational(0)
+    elif jacobian == "singular":
+        c, d = a * b, b * b            # second row = b * first row
+    elif a * d == b * c:
+        d = d + GaussianRational(1)
+    comps = []
+    for u, v in ((a, b), (c, d)):
+        tail = draw(exact_jets(min_order=2, max_degree=3, valid=valid, bits=4, max_terms=3))
+        comps.append(Jet2.from_coeffs({(1, 0): u, (0, 1): v}, EXACT, valid) + tail)
+    return comps
+
+
+_JACOBIANS = st.sampled_from(["general", "diagonal", "antidiagonal"])
+
+
+@pytest.mark.parametrize("valid, degree", [
+    (3, 5),          # finite valid_through below an explicit degree
+    (INF, None), (5, None),
+    (INF, 1), (2, 1),
+    (INF, 2), (2, 2),
+    (INF, 4),
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_full_precision_picard(valid, degree, data):
+    c1, c2 = data.draw(_series_change(valid, data.draw(_JACOBIANS)))
+    out = CoordinateChange.from_series(c1, c2).inverse(degree)
+    expected = oracles.t_inverse(_tracked(c1), _tracked(c2), degree)
+    _assert_matches(out.comp1, expected[0])
+    _assert_matches(out.comp2, expected[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([INF, 3]), st.sampled_from([None, 1, 4]), st.data())
+def test_inverse_of_singular_jacobian_raises(valid, degree, data):
+    c1, c2 = data.draw(_series_change(valid, "singular"))
+    assert oracles.t_inverse(_tracked(c1), _tracked(c2), degree) is None
+    with pytest.raises(NonInvertibleChange):
+        CoordinateChange.from_series(c1, c2).inverse(degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]), st.sampled_from([None, 2, 3, 6]), st.data())
+def test_inverse_is_sound_for_any_completion(valid, degree, data):
+    """phi(psi) = id through the valid_through psi claims, whatever phi is
+    beyond its own valid_through."""
+    c1, c2 = data.draw(_series_change(valid, data.draw(_JACOBIANS)))
+    out = CoordinateChange.from_series(c1, c2).inverse(degree)
+    claimed = out.comp1.valid_through
+    assert out.comp2.valid_through == claimed
+    psi = oracles.from_jet(out.comp1), oracles.from_jet(out.comp2)
+    for comp, var in ((c1, (1, 0)), (c2, (0, 1))):
+        full = oracles.p_add(oracles.from_jet(comp), data.draw(_tail(valid, _keys2)))
+        assert oracles.p_compose2(full, *psi, claimed) == {var: oracles.gr(1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_ode_solve_matches_full_precision_picard(degree, data):
+    # theta known exactly, through degree, beyond it, or short of it
+    valid = data.draw(st.sampled_from([INF, degree, degree + 2, degree - 1]))
+    theta = data.draw(exact_jets(max_degree=3, valid=valid, bits=4))
+    expected = oracles.t_ode_solve(_tracked(theta), degree)
+    if expected is None:
+        with pytest.raises(PrecisionExhausted):
+            series_ode_solve(theta, degree)
+        return
+    _assert_matches(series_ode_solve(theta, degree), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_ode_solve_is_sound_for_any_completion(degree, data):
+    """u(0, y) = y and du/dx = theta(x, u) through the valid_through u
+    claims, whatever theta is beyond its own valid_through."""
+    valid = data.draw(st.sampled_from([degree, degree + 1]))
+    theta = data.draw(exact_jets(max_degree=3, valid=valid, bits=4))
+    full = oracles.p_add(oracles.from_jet(theta), data.draw(_tail(valid, _keys2)))
+    u = series_ode_solve(theta, degree)
+    claimed = u.valid_through
+    assert u.restrict_x0().equals(Jet1.variable(EXACT, claimed))
+    theta_full = Jet2(EXACT, {k: GaussianRational(*v) for k, v in full.items()}, INF)
+    assert ode_residual(theta_full, u, claimed).is_zero()
