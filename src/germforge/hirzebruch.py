@@ -193,7 +193,7 @@ def _flow_generator_chart0(n: int, flow: str) -> VectorFieldGerm:
         a = Jet2.zero(EXACT, INF)
         b = Jet2.const(1, EXACT, INF)
     else:
-        raise ValueError(flow)
+        raise BadParams(f"unknown flow {flow!r}: expected 'phi' or 'psi'")
     return VectorFieldGerm(a, b)
 
 

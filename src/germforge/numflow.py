@@ -1,11 +1,15 @@
 """Complex-time integration, leaf tracking, holonomy, and period integrals.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair over
-complexified time along piecewise-linear paths.  Leaf loops are base-variable
-circles with a lift seed; tracking integrates the slope ODE around the loop
-and the time-form integral dT = d(base)/(base component) rides along as an
-extra quadrature state.  Each integration owns its own scratch state, so
-independent runs can proceed concurrently.
+complexified time along piecewise-linear paths, written out for a state of
+two complex components (u, v): every caller has at most two, and a 1-D
+state is padded with a zero v.  Its stage nodes are sum() of the tableau
+rows, not the textbook fractions, so that results match the generic loop
+(tests/oracles.py) bit for bit.  Leaf loops are base-variable circles with a
+lift seed; tracking integrates the slope ODE around the loop and the
+time-form integral dT = d(base)/(base component) rides along as the second
+component.  Each integration owns its own scratch state, so independent
+runs can proceed concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import BadParams, LeafEscape, StepFailure
 from .germ import VectorFieldGerm
@@ -100,59 +104,82 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
+_DP_C = tuple(sum(row) for row in _DP_A[1:])  # stage nodes; see _rk45
 
 
-def _rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
+def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
           y0: Tuple[complex, ...], s_end: float, tol: float,
           max_step: float, guard: Optional[Callable] = None
           ) -> Tuple[complex, ...]:
-    """Integrate dy/ds = f(s, y) on [0, s_end] with PI step control."""
+    """Integrate d(u, v)/ds = f(s, u, v) on [0, s_end] with PI step control.
+
+    The state is exactly two complex components; guard(s, u, v) runs after
+    each accepted step.  A one-component y0 is padded with v = 0, for which f
+    returns 0j: v, its error and its share of the scale stay zero, so the
+    steps are those of the 1-D problem, and the result and
+    StepFailure.partial keep the length of y0.  The seven stages are written
+    out, each sum left to right from 0 with its zero weights, in the order
+    of the generic n-component loop (tests/oracles.py t_rk45), so results
+    match that loop bit for bit.  The nodes are sum(row) of _DP_A, as that
+    loop forms them, and not 4/5, 8/9 or 1: the float sums differ from those
+    in the last bit (and between Python versions), and the leaf tracker's
+    right-hand side reads s.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _DP_A[1:]
+    b57 = _DP_B5[6]  # the other weights of y5 are row 7 of _DP_A
+    e1, e2, e3, e4, e5, e6, e7 = _DP_B4
+    c2, c3, c4, c5, c6, c7 = _DP_C
+    n = len(y0)
+    u, v = (y0[0], 0j) if n == 1 else y0
     s = 0.0
-    y = tuple(y0)
     h = min(max_step, s_end)
     min_step = s_end * 1e-14
     nfail = 0
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
         if h < min_step:
-            raise StepFailure(f"step underflow at s={s}", partial=y)
-        ks: List[Tuple[complex, ...]] = []
+            raise StepFailure(f"step underflow at s={s}", partial=(u, v)[:n])
         try:
-            for stage in range(7):
-                arg = y
-                if stage > 0:
-                    coefs = _DP_A[stage]
-                    arg = tuple(
-                        y[i] + h * sum(c * ks[j][i] for j, c in enumerate(coefs))
-                        for i in range(len(y))
-                    )
-                ks.append(f(s + h * sum(_DP_A[stage]) if stage else s, arg))
+            k1u, k1v = f(s, u, v)
+            k2u, k2v = f(s + h * c2, u + h * (0j + a21 * k1u), v + h * (0j + a21 * k1v))
+            k3u, k3v = f(s + h * c3, u + h * (0j + a31 * k1u + a32 * k2u),
+                         v + h * (0j + a31 * k1v + a32 * k2v))
+            k4u, k4v = f(s + h * c4, u + h * (0j + a41 * k1u + a42 * k2u + a43 * k3u),
+                         v + h * (0j + a41 * k1v + a42 * k2v + a43 * k3v))
+            k5u, k5v = f(s + h * c5, u + h * (0j + a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+                         v + h * (0j + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v))
+            k6u, k6v = f(s + h * c6,
+                         u + h * (0j + a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+                         v + h * (0j + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v))
+            z2u, z2v = a72 * k2u, a72 * k2v
+            p7u = 0j + a71 * k1u + z2u + a73 * k3u + a74 * k4u + a75 * k5u + a76 * k6u
+            p7v = 0j + a71 * k1v + z2v + a73 * k3v + a74 * k4v + a75 * k5v + a76 * k6v
+            k7u, k7v = f(s + h * c7, u + h * p7u, v + h * p7v)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise StepFailure(f"vector field blew up at s={s}: {exc}", partial=y)
-        y5 = tuple(
-            y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B5))
-            for i in range(len(y))
-        )
-        y4 = tuple(
-            y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B4))
-            for i in range(len(y))
-        )
-        err = max(abs(a - b) for a, b in zip(y5, y4))
-        scale = tol * max(1.0, max(abs(v) for v in y5))
+            raise StepFailure(f"vector field blew up at s={s}: {exc}", partial=(u, v)[:n])
+        y5u = u + h * (p7u + b57 * k7u)
+        y5v = v + h * (p7v + b57 * k7v)
+        y4u = u + h * (0j + e1 * k1u + e2 * k2u + e3 * k3u + e4 * k4u + e5 * k5u
+                       + e6 * k6u + e7 * k7u)
+        y4v = v + h * (0j + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v
+                       + e6 * k6v + e7 * k7v)
+        err = max(abs(y5u - y4u), abs(y5v - y4v))
+        scale = tol * max(1.0, max(abs(y5u), abs(y5v)))
         if err <= scale:
             s += h
-            y = y5
+            u, v = y5u, y5v
             if guard is not None:
-                guard(s, y)
+                guard(s, u, v)
             nfail = 0
             factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
             h = min(max_step, h * factor)
         else:
             nfail += 1
             if nfail > 60:
-                raise StepFailure("repeated step rejection", partial=y)
+                raise StepFailure("repeated step rejection", partial=(u, v)[:n])
             h *= max(0.1, 0.9 * (scale / err) ** 0.25)
-    return y
+    return (u, v)[:n]
 
 
 def _lower_field(x: VectorFieldGerm) -> Tuple[list, list]:
@@ -176,11 +203,8 @@ def integrate_flow(x: VectorFieldGerm, z0: Tuple[complex, complex],
     for t0, t1 in zip(path.waypoints, path.waypoints[1:]):
         dt = t1 - t0
 
-        def rhs(_s, y):
-            return (
-                dt * eval_poly(a_terms, y[0], y[1]),
-                dt * eval_poly(b_terms, y[0], y[1]),
-            )
+        def rhs(_s, u, v):
+            return dt * eval_poly(a_terms, u, v), dt * eval_poly(b_terms, u, v)
 
         z = _rk45(rhs, z, 1.0, path.tol, path.max_step / max(abs(dt), 1e-12))
     return z
@@ -190,16 +214,12 @@ def integrate_flow_1d(h: Jet1, z0: complex, path: TimePath) -> complex:
     """Endpoint of dz/dT = h(z) along the path (1-D complex field)."""
     hf = h.to_float()
     terms = list(hf.coeffs.items())
-
-    def eval1(z: complex) -> complex:
-        return sum(c * z ** k for k, c in terms)
-
     z = complex(z0)
     for t0, t1 in zip(path.waypoints, path.waypoints[1:]):
         dt = t1 - t0
 
-        def rhs(_s, y):
-            return (dt * eval1(y[0]),)
+        def rhs(_s, u, _v):
+            return dt * sum(c * u ** k for k, c in terms), 0j
 
         (z,) = _rk45(rhs, (z,), 1.0, path.tol, path.max_step / max(abs(dt), 1e-12))
     return z
@@ -219,51 +239,31 @@ class LeafTrackResult:
 
 def _track(x: VectorFieldGerm, spec: LeafLoopSpec) -> LeafTrackResult:
     a_terms, b_terms = _lower_field(x)
-    if spec.base_var == "x":
-        base_terms, lift_terms = a_terms, b_terms
-
-        def point(b, l):
-            return (b, l)
-    else:
-        base_terms, lift_terms = b_terms, a_terms
-
-        def point(b, l):
-            return (l, b)
-
+    base_is_x = spec.base_var == "x"
+    base_terms, lift_terms = (a_terms, b_terms) if base_is_x else (b_terms, a_terms)
     w = spec.winding
     total_angle = 2 * math.pi * abs(w)
     direction = 1.0 if w >= 0 else -1.0
-    r = spec.radius
-    c = spec.center
-    ph = spec.phase
+    r, c, ph = spec.radius, spec.center, spec.phase
 
-    def base_at(theta: float) -> complex:
-        return c + r * cmath.exp(1j * (ph + direction * theta))
-
-    def dbase(theta: float) -> complex:
-        return 1j * direction * r * cmath.exp(1j * (ph + direction * theta))
-
-    def rhs(theta, state):
-        lift, _period = state
-        b = base_at(theta)
-        xv, yv = point(b, lift)
+    def rhs(theta, lift, _period):
+        # base(theta) = c + r e and d(base)/d(theta) = i direction r e
+        e = cmath.exp(1j * (ph + direction * theta))
+        b = c + r * e
+        xv, yv = (b, lift) if base_is_x else (lift, b)
         denom = eval_poly(base_terms, xv, yv)
         if denom == 0 or abs(denom) < 1e-300:
             raise ZeroDivisionError("base component vanished on the lift")
         num = eval_poly(lift_terms, xv, yv)
-        db = dbase(theta)
-        return (db * num / denom, db / denom)
+        db = 1j * direction * r * e
+        return db * num / denom, db / denom
 
-    def guard(_theta, state):
-        if abs(state[0]) > spec.polydisc:
-            raise LeafEscape(
-                f"lift left the polydisc (|lift| = {abs(state[0]):.3g})"
-            )
+    def guard(_theta, lift, _period):
+        if abs(lift) > spec.polydisc:
+            raise LeafEscape(f"lift left the polydisc (|lift| = {abs(lift):.3g})")
 
-    end_lift, period = _rk45(
-        rhs, (complex(spec.seed), 0j), total_angle, spec.tol, spec.max_step,
-        guard=guard,
-    )
+    end_lift, period = _rk45(rhs, (complex(spec.seed), 0j), total_angle, spec.tol,
+                             spec.max_step, guard=guard)
     defect = abs(end_lift - spec.seed) / max(abs(spec.seed), 1e-30)
     return LeafTrackResult(end_lift, period, defect, defect <= spec.closure_rel)
 

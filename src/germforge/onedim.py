@@ -84,7 +84,7 @@ def restrict_to_axis(x: VectorFieldGerm, axis: str) -> Jet1:
         if any(i == 0 for (i, _) in x.a.coeffs):
             raise AxisNotInvariant("dx component not divisible by x")
         return x.b.restrict_x0()
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    raise BadParams(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 def invariant_axes(x: VectorFieldGerm) -> Tuple[str, ...]:

@@ -3,12 +3,17 @@
 Deliberately separate from the library: plain dicts mapping exponent pairs
 to (Fraction, Fraction) Gaussian rationals, with schoolbook algorithms, so
 expected values are computed along a different code path than the one under
-test.
+test.  The float integrator's generic loop, `t_rk45`, is kept here as the
+oracle for the unrolled two-component kernel in germforge.numflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, List, Optional, Tuple
+
+from germforge.errors import StepFailure
+from germforge.numflow import _DP_A, _DP_B4, _DP_B5
 
 Z2 = tuple  # exponent pair
 
@@ -310,3 +315,60 @@ def equal_to(jet, oracle_poly, degree):
     mine = p_truncate(from_jet(jet), degree)
     theirs = p_truncate(dict(oracle_poly), degree)
     return mine == theirs
+
+
+def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
+           y0: Tuple[complex, ...], s_end: float, tol: float,
+           max_step: float, guard: Optional[Callable] = None
+           ) -> Tuple[complex, ...]:
+    """Integrate dy/ds = f(s, y) on [0, s_end] with PI step control.
+
+    The generic n-component Dormand-Prince 5(4) loop that numflow._rk45
+    unrolls for two components; the stage sums are built with sum().
+    """
+    s = 0.0
+    y = tuple(y0)
+    h = min(max_step, s_end)
+    min_step = s_end * 1e-14
+    nfail = 0
+    while s < s_end - 1e-15:
+        h = min(h, s_end - s)
+        if h < min_step:
+            raise StepFailure(f"step underflow at s={s}", partial=y)
+        ks: List[Tuple[complex, ...]] = []
+        try:
+            for stage in range(7):
+                arg = y
+                if stage > 0:
+                    coefs = _DP_A[stage]
+                    arg = tuple(
+                        y[i] + h * sum(c * ks[j][i] for j, c in enumerate(coefs))
+                        for i in range(len(y))
+                    )
+                ks.append(f(s + h * sum(_DP_A[stage]) if stage else s, arg))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise StepFailure(f"vector field blew up at s={s}: {exc}", partial=y)
+        y5 = tuple(
+            y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B5))
+            for i in range(len(y))
+        )
+        y4 = tuple(
+            y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B4))
+            for i in range(len(y))
+        )
+        err = max(abs(a - b) for a, b in zip(y5, y4))
+        scale = tol * max(1.0, max(abs(v) for v in y5))
+        if err <= scale:
+            s += h
+            y = y5
+            if guard is not None:
+                guard(s, y)
+            nfail = 0
+            factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
+            h = min(max_step, h * factor)
+        else:
+            nfail += 1
+            if nfail > 60:
+                raise StepFailure("repeated step rejection", partial=y)
+            h *= max(0.1, 0.9 * (scale / err) ** 0.25)
+    return y

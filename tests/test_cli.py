@@ -39,6 +39,11 @@ ROWS = [
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),
     (["straighten", "--g1", "1", "--g2", "z", "--n", "-1"], ERROR),
+    # integrator failures: StepFailure (the base component vanishes on the
+    # lift) and LeafEscape in the middle of the loop (|lift| = 4.05)
+    (["period", "--field", "[x-1/2, y]", "--base", "0.5"], ERROR),
+    (["period", "--field", "[x^2, y^2]", "--base", "1", "--leaf-re", "0.5",
+      "--leaf-im", "0.5"], ERROR),
     # usage
     (["no-such-command"], USAGE),
 ]

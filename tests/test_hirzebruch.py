@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from germforge.errors import OnExceptionalLocus
+from germforge.errors import BadParams, OnExceptionalLocus
 from germforge.germ import lie_bracket
 from germforge.hirzebruch import (
     FnPoint,
+    _flow_generator_chart0,
     fixed_point,
     fn_transition,
     local_generators_at_p,
@@ -187,3 +188,8 @@ def _rank(rows):
         if r == len(rows):
             break
     return rank
+
+
+def test_flow_generator_rejects_unknown_flow():
+    with pytest.raises(BadParams):
+        _flow_generator_chart0(1, "chi")

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge.errors import BadParams, LeafEscape, StepFailure
 from germforge.germ import VectorFieldGerm
 from germforge.numflow import (
     LeafLoopSpec,
     TimePath,
+    _rk45,
     elliptic_loop,
+    eval_poly,
     homothety_period_ratio,
     integrate_flow,
     integrate_flow_1d,
@@ -25,6 +30,7 @@ from germforge.numflow import (
 )
 from germforge.scalars import EXACT, FLOAT
 from germforge.series import INF, Jet1, Jet2, jet_mul
+from oracles import t_rk45
 
 
 def x():
@@ -196,3 +202,132 @@ def test_integrate_flow_1d_riccati():
     end = integrate_flow_1d(h, z0, TimePath.segment(0, 1, tol=1e-12))
     expected = z0 / (1 - 2j * math.pi * z0)
     assert abs(end - expected) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the unrolled two-component kernel against the generic loop it replaced
+# ---------------------------------------------------------------------------
+
+_coef = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+def _outcome(call):
+    """Result or error of one integration, as a comparable value."""
+    try:
+        return ("ok", call())
+    except StepFailure as exc:
+        return ("StepFailure", str(exc), exc.partial)
+    except LeafEscape as exc:
+        return ("LeafEscape", str(exc))
+
+
+def _stopper(stop):
+    """Guard raising LeafEscape at accepted step *stop*, naming s and the state."""
+    steps = []
+
+    def guard(s, state):
+        steps.append(s)
+        if len(steps) == stop:
+            raise LeafEscape(f"stop at s={s!r} state={state!r}")
+    return guard
+
+
+def _both(ncomp, field, y0, s_end, tol, max_step, stop=None):
+    """Outcomes of numflow._rk45 and oracles.t_rk45 on the same problem.
+
+    field() makes f(s, u, v) giving the components as a list, afresh for each
+    run so that a stateful f starts over; a 1-D f is called with v = 0j.
+    """
+    f, g = field(), field()
+    new_guard = old_guard = None
+    if stop is not None:
+        kernel_stop, old_guard = _stopper(stop), _stopper(stop)
+
+        def new_guard(s, u, v):
+            kernel_stop(s, (u, v)[:ncomp])
+
+    def new_f(s, u, v):
+        vals = f(s, u, v)
+        return (vals[0], 0j) if ncomp == 1 else tuple(vals)
+
+    def old_f(s, y):
+        return tuple(g(s, *(y + (0j,))[:2])[:ncomp])
+
+    new = _outcome(lambda: _rk45(new_f, y0, s_end, tol, max_step, guard=new_guard))
+    old = _outcome(lambda: t_rk45(old_f, y0, s_end, tol, max_step, guard=old_guard))
+    return new, old
+
+
+@st.composite
+def _problems(draw):
+    ncomp = draw(st.sampled_from((1, 2)))
+    max_j = 3 if ncomp == 2 else 0
+    forms = [draw(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, max_j)),
+                                     _coef), max_size=4))
+             for _ in range(ncomp)]
+    # the leaf tracker's right-hand side reads s through exp(i(phase + d s))
+    timed = draw(st.booleans())
+    ph, d = draw(st.floats(-math.pi, math.pi)), draw(st.sampled_from((1.0, -1.0)))
+    singular = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
+    blow_at = draw(st.none() | st.integers(1, 400))
+    blow_exc = draw(st.sampled_from((ZeroDivisionError, OverflowError)))
+
+    def field():
+        calls = []
+
+        def f(s, u, v):
+            calls.append(s)
+            if len(calls) == blow_at:
+                raise blow_exc(f"blew up on call {len(calls)}")
+            e = cmath.exp(1j * (ph + d * s)) if timed else 1.0
+            # a K/s term makes the error estimate independent of h at s = 0
+            return [e * eval_poly(terms, u, v) + (singular / s if s else 0j)
+                    for terms in forms]
+        return f
+
+    y0 = tuple(draw(_coef) for _ in range(ncomp))
+    tol = 10.0 ** draw(st.floats(-13, -8))
+    max_step = draw(st.floats(0.01, 1.0))
+    s_end = draw(st.floats(0.1, 2 * math.pi))
+    stop = draw(st.none() | st.integers(1, 60))
+    return ncomp, field, y0, s_end, tol, max_step, stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(_problems())
+def test_kernel_matches_generic_loop(problem):
+    new, old = _both(*problem)
+    # repr round-trips every float and shows the sign of zero: bit for bit
+    assert repr(new) == repr(old)
+    if new[0] == "StepFailure":
+        assert len(new[2]) == problem[0]
+
+
+def test_kernel_matches_generic_loop_on_repeated_rejection():
+    # dy/ds = K / s (0 at s = 0): every stage value scales as 1/h, so the
+    # error estimate does not shrink with h and each retry is rejected
+    for ncomp in (1, 2):
+        def field():
+            return lambda s, u, v: [1.3e-8 / s if s else 0j] * 2
+        new, old = _both(ncomp, field, (0.5j,) * ncomp, 1.0, 1e-10, 0.5)
+        assert new == old
+        assert new[:2] == ("StepFailure", "repeated step rejection")
+        assert new[2] == (0.5j,) * ncomp
+
+
+def test_kernel_matches_generic_loop_on_non_finite_stages():
+    # an inf or nan stage value meets the zero weights (0.0 * inf is nan), so
+    # it shows whether every weight of the generic loop is still applied
+    for stage, comp, bad in itertools.product(range(7), (0, 1), (math.inf, math.nan)):
+        def field():
+            calls = []
+
+            def f(s, u, v):
+                calls.append(s)
+                vals = [0.1 * u, -0.2 * v]
+                if len(calls) < 50 and len(calls) % 7 == (stage + 1) % 7:
+                    vals[comp] = complex(bad, 0.0)
+                return vals
+            return f
+        new, old = _both(2, field, (1 + 0j, 1j), 1.0, 1e-10, 0.3)
+        assert repr(new) == repr(old)

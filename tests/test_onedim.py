@@ -55,6 +55,12 @@ def test_restrict_to_axis():
         restrict_to_axis(VectorFieldGerm(y, Jet2.zero(EXACT, 12)), "y")
 
 
+def test_restrict_to_axis_rejects_unknown_axis():
+    y = Jet2.variable("y", EXACT, 12)
+    with pytest.raises(BadParams):
+        restrict_to_axis(VectorFieldGerm(y, y), "z")
+
+
 def test_straighten_trivial():
     one = Jet1.const(1, EXACT)
     u, beta = straighten_regular(one, Jet1.zero(EXACT), 2, 10)
