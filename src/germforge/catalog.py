@@ -16,7 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scalars, series
 from .blowup import blowup_vf
-from .errors import BadParams, ModeMismatch, NonzeroEigenvalue, PrecisionExhausted
+from .errors import (
+    BadParams,
+    ModeMismatch,
+    NonzeroEigenvalue,
+    NotDivisible,
+    PrecisionExhausted,
+)
 from .germ import (
     LinearPartData,
     RationalFn,
@@ -451,7 +457,7 @@ def _make_pair_vii(nf: NormalFormID, mode, degree):
     u2_w = jet_compose1(u2.truncate(degree), w)
     try:
         psi = u2_w.divide_monomial(amu, bmu)
-    except ValueError:
+    except NotDivisible:
         raise BadParams(
             "family vii requires x^-amu y^-bmu u2(x^n y^m) holomorphic"
         )

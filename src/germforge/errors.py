@@ -19,6 +19,10 @@ class ZeroDenominator(GermforgeError):
     """An expression divides by a quantity that vanishes at the working degree."""
 
 
+class NotDivisible(GermforgeError):
+    """A jet is not divisible by the requested monomial."""
+
+
 class PrecisionExhausted(GermforgeError):
     """A coefficient needed by the computation lies beyond valid_through."""
 

@@ -105,6 +105,9 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 _DP_C = tuple(sum(row) for row in _DP_A[1:])  # stage nodes; see _rk45
+# accepted steps allowed in one _rk45 call: over 100 times the most that the
+# test suite, verify-paper (both modes) and a float-flows sweep take (about 1,360)
+MAX_STEPS = 150_000
 
 
 def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
@@ -123,7 +126,9 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
     match that loop bit for bit.  The nodes are sum(row) of _DP_A, as that
     loop forms them, and not 4/5, 8/9 or 1: the float sums differ from those
     in the last bit (and between Python versions), and the leaf tracker's
-    right-hand side reads s.
+    right-hand side reads s.  More than MAX_STEPS accepted steps raise
+    StepFailure, so a field too fast for the path fails instead of running
+    for minutes.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _DP_A[1:]
@@ -135,7 +140,7 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
     s = 0.0
     h = min(max_step, s_end)
     min_step = s_end * 1e-14
-    nfail = 0
+    nfail = steps = 0
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
         if h < min_step:
@@ -169,6 +174,9 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
         if err <= scale:
             s += h
             u, v = y5u, y5v
+            steps += 1
+            if steps > MAX_STEPS:
+                raise StepFailure(f"more than {MAX_STEPS} steps by s={s}", partial=(u, v)[:n])
             if guard is not None:
                 guard(s, u, v)
             nfail = 0

@@ -229,16 +229,25 @@ def parse_expression(text: str) -> Node:
 # -- evaluation ----------------------------------------------------------------
 
 class _RatValue:
-    """Numerator/denominator jets during evaluation."""
+    """Numerator/denominator jets during evaluation.
+
+    An exact denominator of None is the constant 1, so sums and products of
+    polynomials add and multiply their numerators only: jet_mul by an exact
+    constant 1 of valid_through INF returns its other operand.  Float values
+    keep an explicit constant, because a float product by 1 + 0j can change
+    the sign of a zero part.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Jet2, den: Optional[Jet2] = None):
         self.num = num
-        self.den = den if den is not None else Jet2.const(1, num.mode, INF)
+        if den is None and num.mode != EXACT:
+            den = Jet2.const(1, num.mode, INF)
+        self.den = den
 
-    def is_poly(self) -> bool:
-        return all(k == (0, 0) for k in self.den.coeffs)
+    def den_jet(self) -> Jet2:
+        return self.den if self.den is not None else Jet2.const(1, EXACT, INF)
 
 
 def eval_node(node: Node, mode: str, degree: int, variables=("x", "y")) -> object:
@@ -248,7 +257,9 @@ def eval_node(node: Node, mode: str, degree: int, variables=("x", "y")) -> objec
     z mapped to the first slot, returning Jet1.
     """
     val = _eval(node, mode, degree, variables)
-    if val.is_poly():
+    if val.den is None:
+        return _restrict(val.num, variables)
+    if val.den.degree_bound() == 0:
         c = val.den.coeffs.get((0, 0), scalars.one(mode))
         inv = scalars.one(mode) / c
         jet = val.num.scale(inv)
@@ -293,10 +304,12 @@ def _eval(node: Node, mode: str, degree: int, variables) -> _RatValue:
                 val = _RatValue(-val.num, val.den)
             if total is None:
                 total = val
+            elif total.den is None and val.den is None:
+                total = _RatValue(total.num + val.num)
             else:
                 total = _RatValue(
-                    jet_mul(total.num, val.den) + jet_mul(val.num, total.den),
-                    jet_mul(total.den, val.den),
+                    jet_mul(total.num, val.den_jet()) + jet_mul(val.num, total.den_jet()),
+                    jet_mul(total.den_jet(), val.den_jet()),
                 )
         assert total is not None
         return total
@@ -304,19 +317,25 @@ def _eval(node: Node, mode: str, degree: int, variables) -> _RatValue:
         acc = _eval(node.factors[0], mode, degree, variables)
         for f in node.factors[1:]:
             val = _eval(f, mode, degree, variables)
-            acc = _RatValue(jet_mul(acc.num, val.num), jet_mul(acc.den, val.den))
+            if acc.den is None and val.den is None:
+                acc = _RatValue(jet_mul(acc.num, val.num))
+            else:
+                acc = _RatValue(jet_mul(acc.num, val.num),
+                                jet_mul(acc.den_jet(), val.den_jet()))
         return acc
     if isinstance(node, Quot):
         num = _eval(node.num, mode, degree, variables)
         den = _eval(node.den, mode, degree, variables)
-        if not den.num.coeffs:
+        if den.num.is_zero():
             raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
-        return _RatValue(jet_mul(num.num, den.den), jet_mul(num.den, den.num))
+        return _RatValue(jet_mul(num.num, den.den_jet()), jet_mul(num.den_jet(), den.num))
     if isinstance(node, Pow):
         base = _eval(node.base, mode, degree, variables)
-        den = jet_pow(base.den, node.exponent).truncate(degree)
-        if not den.coeffs:
-            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        den = None
+        if base.den is not None:
+            den = jet_pow(base.den, node.exponent).truncate(degree)
+            if den.is_zero():
+                raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
         return _RatValue(jet_pow(base.num, node.exponent).truncate(degree), den)
     raise TypeError(f"unknown AST node {node!r}")
 

@@ -16,15 +16,17 @@ a second kernel: it stores int-keyed coefficients and answers queries, and
 each of its operations embeds z -> x, runs the Jet2 operation and reads
 the result back with restrict_y0().
 
-Exact-mode representation.  ``Jet2.coeffs`` always holds reduced
-GaussianRational values.  The exact kernels (jet_mul, jet_compose1,
-jet_compose2, jet_reciprocal) do their arithmetic on _ZJet instead: the
-jet's Gaussian-integer numerators (two dicts of Python ints, real and
-imaginary parts) over one common integer denominator.  An operand is lifted
-once on entry, every intermediate stays in integer form, and Fractions are
-built only for the result, which is the same jet, coefficient for
-coefficient and in valid_through, as Fraction arithmetic would give.  Float
-mode runs the same algorithms on ``complex`` coefficients.
+One storage.  A Jet2 keeps its coefficients as numerators over one
+denominator, as FLINT's fmpq_poly does: the coefficient of x^i y^j is
+(re[i, j] + im[i, j] * i) / den, and re and im hold only nonzero terms of
+degree <= valid_through.  Exact jets hold Python ints, and every operation
+reduces den against the numerators, so den is the least common denominator
+of the coefficients.  Float jets hold their complex coefficients in re,
+with den = 1 and im empty.  The integer helpers (_zlin, _zmul_into,
+_gmul_into) therefore serve both modes, and exact work builds no Fraction
+until a caller reads ``coeffs``: a read-only scalar view that an exact jet
+builds on first read (re keys first, then the purely imaginary ones) and
+caches, and that for a float jet is re itself.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from typing import Dict, Optional, Tuple
 
 from . import scalars
 from .errors import (
+    BadParams,
     CompositionAtNonzeroPoint,
     ModeMismatch,
     NotAUnit,
+    NotDivisible,
     PrecisionExhausted,
 )
 from .scalars import EXACT, FLOAT, GaussianRational, Scalar
@@ -60,8 +64,8 @@ class Jet1:
 
     The coefficient of z^k is stored under the int key k.  Constructors and
     queries are Jet1's own; every operation lifts z -> x with _lift(), runs
-    the Jet2 operation (so exact work runs on the _ZJet integer kernel) and
-    reads the result back with restrict_y0().
+    the Jet2 operation on its numerators and reads the result back with
+    restrict_y0().
     """
 
     __slots__ = ("mode", "coeffs", "valid_through")
@@ -71,7 +75,7 @@ class Jet1:
         cleaned = {}
         for k, v in coeffs.items():
             if k < 0:
-                raise ValueError("Jet1 exponents must be >= 0")
+                raise BadParams("Jet1 exponents must be >= 0")
             if k <= valid_through and not scalars.is_zero_scalar(v, mode):
                 cleaned[k] = v
         self.coeffs = cleaned
@@ -167,27 +171,50 @@ class Jet1:
         return f"Jet1[{terms or '0'}; valid<={self.valid_through}]"
 
 
-def _finite_bound(valid) -> int:
-    if valid == INF:
-        return 10 ** 9
-    return int(valid)
-
-
 class Jet2:
-    """Truncated series in two variables x, y (total-degree triangular)."""
+    """Truncated series in two variables x, y (total-degree triangular).
 
-    __slots__ = ("mode", "coeffs", "valid_through")
+    ``den``, ``re`` and ``im`` are the stored numerators over one
+    denominator (see the module docstring); ``coeffs`` is the scalar view.
+    """
+
+    __slots__ = ("mode", "den", "re", "im", "valid_through", "_view")
 
     def __init__(self, mode: str, coeffs: Dict[Tuple[int, int], Scalar], valid_through):
-        self.mode = mode
         cleaned = {}
         for (i, j), v in coeffs.items():
             if i < 0 or j < 0:
-                raise ValueError("Jet2 exponents must be >= 0")
+                raise BadParams("Jet2 exponents must be >= 0")
             if i + j <= valid_through and not scalars.is_zero_scalar(v, mode):
                 cleaned[(i, j)] = v
-        self.coeffs = cleaned
+        self.mode = mode
         self.valid_through = valid_through
+        self._view = cleaned
+        if mode == FLOAT:
+            self.den, self.re, self.im = 1, cleaned, {}
+            return
+        den = 1
+        for v in cleaned.values():
+            den = math.lcm(den, v.re.denominator, v.im.denominator)
+        self.den = den
+        self.re = {k: v.re.numerator * (den // v.re.denominator)
+                   for k, v in cleaned.items() if v.re}
+        self.im = {k: v.im.numerator * (den // v.im.denominator)
+                   for k, v in cleaned.items() if v.im}
+
+    @property
+    def coeffs(self) -> Dict[Tuple[int, int], Scalar]:
+        """The scalar coefficients, read-only (built on first read, then cached)."""
+        view = self._view
+        if view is None:
+            den, im = self.den, self.im
+            view = {k: GaussianRational(Fraction(v, den), Fraction(im[k], den) if k in im else _F0)
+                    for k, v in self.re.items()}
+            for k, v in im.items():
+                if k not in view:
+                    view[k] = GaussianRational(_F0, Fraction(v, den))
+            self._view = view
+        return view
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -211,7 +238,7 @@ class Jet2:
         elif name == "y":
             key = (0, 1)
         else:
-            raise ValueError(f"unknown variable {name!r}")
+            raise BadParams(f"unknown variable {name!r}")
         return cls(mode, {key: scalars.one(mode)}, valid_through)
 
     @classmethod
@@ -219,8 +246,11 @@ class Jet2:
         return cls(mode, {(i, j): _as_scalar(value, mode)}, valid_through)
 
     # -- queries -----------------------------------------------------------
+    def _keys(self):
+        return self.re.keys() | self.im.keys() if self.im else self.re.keys()
+
     def order(self):
-        return min(i + j for i, j in self.coeffs) if self.coeffs else INF
+        return min(map(sum, self._keys()), default=INF)
 
     def coeff(self, i: int, j: int) -> Scalar:
         if i + j > self.valid_through:
@@ -230,20 +260,26 @@ class Jet2:
         return self.coeffs.get((i, j), scalars.zero(self.mode))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(scalars.is_zero_scalar(v, self.mode, tol) for v in self.coeffs.values())
+        if tol and self.mode == FLOAT:
+            return all(abs(v) <= tol for v in self.re.values())
+        return not self.re and not self.im
 
     def is_polynomial(self) -> bool:
         return self.valid_through == INF
 
     def truncate(self, valid_through) -> "Jet2":
-        return Jet2(self.mode, dict(self.coeffs), min(self.valid_through, valid_through))
+        if valid_through >= self.valid_through:
+            return self
+        return _jet(self.mode, self.den, _zcut(self.re, valid_through),
+                    _zcut(self.im, valid_through), valid_through)
 
     def degree_bound(self) -> int:
-        return max(i + j for i, j in self.coeffs) if self.coeffs else 0
+        return max(map(sum, self._keys()), default=0)
 
     def homogeneous_part(self, d: int) -> "Jet2":
-        out = {k: v for k, v in self.coeffs.items() if k[0] + k[1] == d}
-        return Jet2(self.mode, out, self.valid_through)
+        re = {k: v for k, v in self.re.items() if k[0] + k[1] == d}
+        im = {k: v for k, v in self.im.items() if k[0] + k[1] == d}
+        return _jet(self.mode, self.den, re, im, self.valid_through)
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other: "Jet2"):
@@ -252,14 +288,15 @@ class Jet2:
     def __add__(self, other: "Jet2") -> "Jet2":
         self._check(other)
         valid = min(self.valid_through, other.valid_through)
-        out = dict(self.coeffs)
-        z = scalars.zero(self.mode)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, z) + v
-        return Jet2(self.mode, out, valid)
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        s, t = d2 // g, d1 // g
+        return _jet(self.mode, d1 * s, _zlin(self.re, s, other.re, t, valid),
+                    _zlin(self.im, s, other.im, t, valid), valid)
 
     def __neg__(self) -> "Jet2":
-        return Jet2(self.mode, {k: -v for k, v in self.coeffs.items()}, self.valid_through)
+        return _jet(self.mode, self.den, {k: -v for k, v in self.re.items()},
+                    {k: -v for k, v in self.im.items()}, self.valid_through)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
         return self + (-other)
@@ -268,8 +305,16 @@ class Jet2:
         return jet_mul(self, other)
 
     def scale(self, value) -> "Jet2":
-        s = _as_scalar(value, self.mode)
-        return Jet2(self.mode, {k: v * s for k, v in self.coeffs.items()}, self.valid_through)
+        valid = self.valid_through
+        if self.mode == FLOAT:
+            s = _as_scalar(value, FLOAT)
+            return _jet(FLOAT, 1, _nonzero({k: v * s for k, v in self.re.items()}), {}, valid)
+        c = GaussianRational.from_value(value)
+        cd = math.lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (cd // c.re.denominator)
+        ci = c.im.numerator * (cd // c.im.denominator)
+        return _jet(EXACT, self.den * cd, _zlin(self.re, cr, self.im, -ci, valid),
+                    _zlin(self.re, ci, self.im, cr, valid), valid)
 
     def derivative(self, var: str) -> "Jet2":
         return jet_derive(self, var)
@@ -314,11 +359,11 @@ class Jet2:
         return Jet2(self.mode, out, valid)
 
     def divide_monomial(self, i: int, j: int) -> "Jet2":
-        """Exact division by x^i y^j; raises ValueError when not divisible."""
+        """Exact division by x^i y^j; raises NotDivisible when not divisible."""
         out = {}
         for (a, b), v in self.coeffs.items():
             if a < i or b < j:
-                raise ValueError(f"not divisible by x^{i} y^{j}: term x^{a} y^{b}")
+                raise NotDivisible(f"not divisible by x^{i} y^{j}: term x^{a} y^{b}")
             out[(a - i, b - j)] = v
         valid = self.valid_through if self.valid_through == INF else self.valid_through - (i + j)
         return Jet2(self.mode, out, valid)
@@ -331,102 +376,25 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
-# exact-mode integer kernel
+# the numerator kernel
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
 
 
-class _ZJet:
-    """An exact jet as Gaussian-integer numerators over one denominator.
-
-    The coefficient of x^i y^j is (re[i, j] + im[i, j] * i) / den, where re
-    and im map exponent pairs to nonzero Python ints and den is a positive
-    int, not necessarily the least one.  ``valid`` follows the Jet2 rules
-    for the same operations (product rule, min for sums, terms beyond it
-    dropped), so a chain of _ZJet operations ends in the same jet as the
-    chain of Jet2 operations it stands for.  ``order`` looks only at stored,
-    hence nonzero, terms: every operation drops zero sums before returning.
-    The constructors mirror Jet2's so the Horner loops run on either.
-    """
-
-    __slots__ = ("den", "re", "im", "valid")
-
-    def __init__(self, den: int, re: Dict[Tuple[int, int], int],
-                 im: Dict[Tuple[int, int], int], valid):
-        self.den = den
-        self.re = re
-        self.im = im
-        self.valid = valid
-
-    @classmethod
-    def lift(cls, jet: Jet2) -> "_ZJet":
-        den = 1
-        for v in jet.coeffs.values():
-            den = math.lcm(den, v.re.denominator, v.im.denominator)
-        re, im = {}, {}
-        for k, v in jet.coeffs.items():
-            if v.re:
-                re[k] = v.re.numerator * (den // v.re.denominator)
-            if v.im:
-                im[k] = v.im.numerator * (den // v.im.denominator)
-        return cls(den, re, im, jet.valid_through)
-
-    @classmethod
-    def zero(cls, mode=EXACT, valid_through=INF) -> "_ZJet":
-        return cls(1, {}, {}, valid_through)
-
-    @classmethod
-    def const(cls, value, mode=EXACT, valid_through=INF) -> "_ZJet":
-        return cls(1, {(0, 0): 1}, {}, valid_through).scale(value)
-
-    def to_jet(self) -> Jet2:
-        den = self.den
-        out = {k: GaussianRational(Fraction(v, den), _F0) for k, v in self.re.items()}
-        for k, v in self.im.items():
-            c = out.get(k)
-            out[k] = GaussianRational(c.re if c is not None else _F0, Fraction(v, den))
-        # every _ZJet operation keeps its terms nonzero and within valid,
-        # so Jet2's cleaning pass has nothing to do
-        jet = Jet2.__new__(Jet2)
-        jet.mode, jet.coeffs, jet.valid_through = EXACT, out, self.valid
-        return jet
-
-    def order(self):
-        keys = self.re.keys() | self.im.keys() if self.im else self.re
-        return min(map(sum, keys), default=INF)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def truncate(self, valid_through) -> "_ZJet":
-        valid = min(self.valid, valid_through)
-        return _ZJet(self.den, _zcut(self.re, valid), _zcut(self.im, valid), valid)
-
-    def scale(self, value: GaussianRational) -> "_ZJet":
-        value = GaussianRational.from_value(value)
-        cd = math.lcm(value.re.denominator, value.im.denominator)
-        cr = value.re.numerator * (cd // value.re.denominator)
-        ci = value.im.numerator * (cd // value.im.denominator)
-        re = _zlin(self.re, cr, self.im, -ci, self.valid)
-        im = _zlin(self.re, ci, self.im, cr, self.valid)
-        return _ZJet(self.den * cd, re, im, self.valid)
-
-    def __add__(self, other: "_ZJet") -> "_ZJet":
-        valid = min(self.valid, other.valid)
-        d1, d2 = self.den, other.den
-        g = math.gcd(d1, d2)
-        s, t = d2 // g, d1 // g
-        re = _zlin(self.re, s, other.re, t, valid)
-        im = _zlin(self.im, s, other.im, t, valid)
-        return _ZJet(d1 * s, re, im, valid)
-
-    def __mul__(self, other: "_ZJet") -> "_ZJet":
-        valid = min(self.valid + other.order(), other.valid + self.order())
-        re: dict = {}
-        im: dict = {}
-        _gmul_into(re, im, self.re, self.im, other.re, other.im, valid)
-        return _ZJet(self.den * other.den, _nonzero(re), _nonzero(im), valid)
+def _jet(mode: str, den: int, re: dict, im: dict, valid) -> Jet2:
+    """A Jet2 from stored data (nonzero terms of degree <= valid only), with
+    den and the numerators divided by their gcd; a float den is 1."""
+    if den != 1:
+        g = math.gcd(den, *re.values(), *im.values())
+        if g != 1:
+            den //= g
+            re = {k: v // g for k, v in re.items()}
+            im = {k: v // g for k, v in im.items()}
+    jet = Jet2.__new__(Jet2)
+    jet.mode, jet.den, jet.re, jet.im, jet.valid_through = mode, den, re, im, valid
+    jet._view = re if mode == FLOAT else None
+    return jet
 
 
 def _nonzero(a: dict) -> dict:
@@ -437,34 +405,38 @@ def _zcut(a: Dict[Tuple[int, int], int], valid) -> Dict[Tuple[int, int], int]:
     return {k: v for k, v in a.items() if k[0] + k[1] <= valid}
 
 
-def _zlin(a, s: int, b, t: int, valid) -> Dict[Tuple[int, int], int]:
-    """s*a + t*b over the terms of degree <= valid, zero sums dropped."""
-    out = {k: v * s for k, v in a.items() if k[0] + k[1] <= valid} if s else {}
+def _zlin(a, s, b, t, valid) -> dict:
+    """s*a + t*b over the terms of degree <= valid, zero sums dropped.
+
+    A factor 1 multiplies nothing, so a float sum (both dens 1) adds the
+    complex terms as they are, signed zeros included.
+    """
+    out = {k: v if s == 1 else v * s for k, v in a.items() if k[0] + k[1] <= valid} if s else {}
     if t:
         get = out.get
         for k, v in b.items():
             if k[0] + k[1] <= valid:
-                out[k] = get(k, 0) + v * t
+                out[k] = get(k, 0) + (v if t == 1 else v * t)
     return _nonzero(out)
 
 
 def _zmul_into(out: dict, a: dict, b: dict, valid) -> None:
-    """out += a * b over the terms of degree <= valid (integer Cauchy product)."""
+    """out += a * b over the terms of degree <= valid (Cauchy product).
+
+    Pairs run in the order of a's terms, then of b's, so each key sums its
+    products in a's order and new keys enter in pair order: a float product
+    is the scalar loop's, bit for bit and in term order.
+    """
     if not a or not b:
         return
     get = out.get
-    terms = sorted(b.items(), key=_key_degree)
+    terms = [(i2, j2, i2 + j2, v) for (i2, j2), v in b.items()]
     for (i1, j1), u in a.items():
         room = valid - i1 - j1
-        for (i2, j2), v in terms:
-            if i2 + j2 > room:
-                break
-            k = (i1 + i2, j1 + j2)
-            out[k] = get(k, 0) + u * v
-
-
-def _key_degree(item) -> int:
-    return item[0][0] + item[0][1]
+        for i2, j2, d2, v in terms:
+            if d2 <= room:
+                k = (i1 + i2, j1 + j2)
+                out[k] = get(k, 0) + u * v
 
 
 def _gmul_into(re: dict, im: dict, ar: dict, ai: dict, br: dict, bi: dict, valid) -> None:
@@ -476,7 +448,7 @@ def _gmul_into(re: dict, im: dict, ar: dict, ai: dict, br: dict, bi: dict, valid
     _zmul_into(im, ai, br, valid)
 
 
-def _zreciprocal(a: _ZJet, valid, bound: int) -> Jet2:
+def _zreciprocal(a: Jet2, valid, bound: int) -> Jet2:
     """Exact series inverse through degree *bound* (see jet_reciprocal)."""
     c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
     # a / a(0,0) = 1 + H / D with H = A * conj(A(0,0)) / g and D = |A(0,0)|^2 / g,
@@ -496,9 +468,6 @@ def _zreciprocal(a: _ZJet, valid, bound: int) -> Jet2:
         for (i, j), v in h.items():
             d = i + j
             by_degree.setdefault(d, ({}, {}))[part][(i, j)] = -(v // g) * base ** (d - 1)
-    # 1 / a(0,0) = U / norm with U = den(a) * conj(A(0,0))
-    u_re, u_im = a.den * c_re, -a.den * c_im
-    out = {(0, 0): GaussianRational(Fraction(u_re, norm), Fraction(u_im, norm))}
     levels = {0: ({(0, 0): 1}, {})}
     for s in range(1, bound + 1):
         acc_re: dict = {}
@@ -508,15 +477,23 @@ def _zreciprocal(a: _ZJet, valid, bound: int) -> Jet2:
             if lower is not None:
                 _gmul_into(acc_re, acc_im, g_re, g_im, lower[0], lower[1], INF)
         acc_re, acc_im = _nonzero(acc_re), _nonzero(acc_im)
-        if not acc_re and not acc_im:
-            continue
-        levels[s] = (acc_re, acc_im)
-        scale = norm * base ** s
-        for k in acc_re.keys() | acc_im.keys():
-            br, bi = acc_re.get(k, 0), acc_im.get(k, 0)
-            out[k] = GaussianRational(Fraction(br * u_re - bi * u_im, scale),
-                                      Fraction(br * u_im + bi * u_re, scale))
-    return Jet2(EXACT, out, valid)
+        if acc_re or acc_im:
+            levels[s] = (acc_re, acc_im)
+    # 1 / a(0,0) = U / norm with U = den(a) * conj(A(0,0)), so the degree-s
+    # part is B_s U / (norm base^s); bring every level to norm base^top
+    u_re, u_im = a.den * c_re, -a.den * c_im
+    top = max(levels)
+    re, im = {}, {}
+    for s, (b_re, b_im) in levels.items():
+        lift = base ** (top - s)
+        for k in b_re.keys() | b_im.keys():
+            br, bi = b_re.get(k, 0), b_im.get(k, 0)
+            n_re, n_im = br * u_re - bi * u_im, br * u_im + bi * u_re
+            if n_re:
+                re[k] = n_re * lift
+            if n_im:
+                im[k] = n_im * lift
+    return _jet(EXACT, norm * base ** top, re, im, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +503,15 @@ def _zreciprocal(a: _ZJet, valid, bound: int) -> Jet2:
 def jet_mul(a: Jet2, b: Jet2) -> Jet2:
     """Cauchy product with valid_through = min(av + ord b, bv + ord a).
 
-    Exact jets are multiplied as Gaussian-integer numerators over the
-    product of their denominators (see _ZJet); float jets by a complex loop.
+    The numerators are multiplied as Gaussian integers over the product of
+    the denominators (complex numbers over 1 in float mode).
     """
     scalars.check_same_mode(a.mode, b.mode)
-    if a.mode == EXACT:
-        return (_ZJet.lift(a) * _ZJet.lift(b)).to_jet()
     valid = min(a.valid_through + b.order(), b.valid_through + a.order())
-    out: Dict[Tuple[int, int], Scalar] = {}
-    z = scalars.zero(a.mode)
-    for (i1, j1), u in a.coeffs.items():
-        for (i2, j2), v in b.coeffs.items():
-            d = i1 + i2 + j1 + j2
-            if d > valid:
-                continue
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, z) + u * v
-    return Jet2(a.mode, out, valid)
+    re: dict = {}
+    im: dict = {}
+    _gmul_into(re, im, a.re, a.im, b.re, b.im, valid)
+    return _jet(a.mode, a.den * b.den, _nonzero(re), _nonzero(im), valid)
 
 
 def jet_pow(a: Jet2, e: int) -> Jet2:
@@ -562,46 +531,37 @@ def jet_reciprocal(a: Jet2) -> Jet2:
     B_s = -sum_{0<d<=s} D^(d-1) H_d B_(s-d).  Float mode runs the same
     degree-by-degree recurrence on complex coefficients.
     """
-    c0 = a.coeffs.get((0, 0))
-    if c0 is None or scalars.is_zero_scalar(c0, a.mode):
+    if not _has_constant(a):
         raise NotAUnit("jet_reciprocal: constant term vanishes")
     valid = a.valid_through
-    if valid == INF and len(a.coeffs) > 1:
-        # the inverse of a nonconstant polynomial is an infinite series
+    # a constant input has nothing beyond degree 0; the inverse of a
+    # nonconstant polynomial is an infinite series
+    nonconstant = len(a._keys()) > 1
+    if valid == INF and nonconstant:
         valid = DEFAULT_DEGREE
-    # a constant input has nothing beyond degree 0
-    bound = _finite_bound(valid) if len(a.coeffs) > 1 else 0
+    bound = int(valid) if nonconstant else 0
     if a.mode == EXACT:
-        return _zreciprocal(_ZJet.lift(a), valid, bound)
-    inv0 = scalars.one(a.mode) / c0
-    out: Dict[Tuple[int, int], Scalar] = {(0, 0): inv0}
-    z = scalars.zero(a.mode)
+        return _zreciprocal(a, valid, bound)
+    inv0 = scalars.one(a.mode) / a.re[(0, 0)]
     # degree-by-degree: b_s = -inv0 * sum_{0<d<=s} a_d b_{s-d}
-    by_degree: Dict[int, list] = {}
-    for (i, j), v in a.coeffs.items():
+    by_degree: Dict[int, dict] = {}
+    for (i, j), v in a.re.items():
         if i + j > 0:
-            by_degree.setdefault(i + j, []).append(((i, j), v))
-    out_by_degree = {0: [((0, 0), inv0)]}
+            by_degree.setdefault(i + j, {})[(i, j)] = v
+    out = {(0, 0): inv0}
+    levels = {0: out.copy()}
     for s in range(1, bound + 1):
-        acc: Dict[Tuple[int, int], Scalar] = {}
+        acc: dict = {}
         for d, terms in by_degree.items():
-            if d > s:
-                continue
-            lower = out_by_degree.get(s - d)
-            if not lower:
-                continue
-            for (i1, j1), u in terms:
-                for (i2, j2), v in lower:
-                    key = (i1 + i2, j1 + j2)
-                    acc[key] = acc.get(key, z) + u * v
-        level = []
-        for key, v in acc.items():
-            w = -inv0 * v
-            if not scalars.is_zero_scalar(w, a.mode):
-                out[key] = w
-                level.append((key, w))
-        out_by_degree[s] = level
-    return Jet2(a.mode, out, valid)
+            if d <= s:
+                _zmul_into(acc, terms, levels[s - d], INF)
+        levels[s] = _nonzero({k: -inv0 * v for k, v in acc.items()})
+        out.update(levels[s])
+    return _jet(FLOAT, 1, out, {}, valid)
+
+
+def _has_constant(g: Jet2) -> bool:
+    return (0, 0) in g.re or (0, 0) in g.im
 
 
 def _proper_valid(f, order, valid):
@@ -618,29 +578,16 @@ def _proper_valid(f, order, valid):
 
 
 def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
-    """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g.
-
-    Exact mode keeps the powers of g and the running sum as _ZJet integer
-    numerators and builds Fractions only for the result.
-    """
+    """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g:
+    sum_k f_k g^k, truncated to the valid_through of the result."""
     scalars.check_same_mode(f.mode, g.mode)
-    g0 = g.coeffs.get((0, 0))
-    if g0 is not None and not scalars.is_zero_scalar(g0, g.mode):
-        if not f.is_polynomial():
-            raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
+    if _has_constant(g) and not f.is_polynomial():
+        raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
     valid = g.valid_through
     if not f.is_polynomial():
         valid = _proper_valid(f, g.order(), valid)
-    if f.mode == EXACT:
-        return _power_sum(f, _ZJet.lift(g), valid).to_jet()
-    return _power_sum(f, g, valid)
-
-
-def _power_sum(f: Jet1, g, valid):
-    """sum_k f_k g^k truncated to *valid*, for g a Jet2 or a _ZJet."""
-    kind = type(g)
-    acc = kind.zero(f.mode, valid)
-    power = kind.const(1, f.mode, INF)
+    acc = Jet2.zero(f.mode, valid)
+    power = Jet2.const(1, f.mode, INF)
     top = f.degree_bound()
     for k in range(0, top + 1):
         c = f.coeffs.get(k)
@@ -656,40 +603,28 @@ def _power_sum(f: Jet1, g, valid):
 def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
     """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f).
 
-    Exact mode lifts p and q to _ZJet once and runs the whole Horner loop
-    (powers of q, powers of p, rows and the running sum) on integer
-    numerators; Fractions are built only for the result.
+    Horner in p over rows of f grouped by x-degree, each row a sum of the
+    powers of q, truncated to the valid_through of the result.
     """
     scalars.check_same_mode(f.mode, p.mode, q.mode)
-    for g in (p, q):
-        g0 = g.coeffs.get((0, 0))
-        if g0 is not None and not scalars.is_zero_scalar(g0, g.mode):
-            if not f.is_polynomial():
-                raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
+    if (_has_constant(p) or _has_constant(q)) and not f.is_polynomial():
+        raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
     valid = min(p.valid_through, q.valid_through)
     if not f.is_polynomial():
         valid = _proper_valid(f, min(p.order(), q.order()), valid)
-    if f.mode == EXACT:
-        return _horner2(f, _ZJet.lift(p), _ZJet.lift(q), valid).to_jet()
-    return _horner2(f, p, q, valid)
-
-
-def _horner2(f: Jet2, p, q, valid):
-    """f(p, q) truncated to *valid*, for p, q both Jet2 or both _ZJet."""
-    kind = type(p)
-    # group f by x-degree, Horner in p with inner Horner in q
-    max_i = max((i for (i, j) in f.coeffs), default=0)
-    max_j = max((j for (i, j) in f.coeffs), default=0)
-    q_pows = [kind.const(1, f.mode, INF)]
+    coeffs = f.coeffs
+    max_i = max((i for (i, j) in coeffs), default=0)
+    max_j = max((j for (i, j) in coeffs), default=0)
+    q_pows = [Jet2.const(1, f.mode, INF)]
     for _ in range(max_j):
         q_pows.append(q_pows[-1] * q)
-    acc = kind.zero(f.mode, valid)
-    p_pow = kind.const(1, f.mode, INF)
+    acc = Jet2.zero(f.mode, valid)
+    p_pow = Jet2.const(1, f.mode, INF)
     for i in range(0, max_i + 1):
-        row = kind.zero(f.mode, INF)
+        row = Jet2.zero(f.mode, INF)
         any_term = False
         for j in range(0, max_j + 1):
-            c = f.coeffs.get((i, j))
+            c = coeffs.get((i, j))
             if c is not None:
                 row = row + q_pows[j].scale(c)
                 any_term = True
@@ -708,10 +643,7 @@ def _known_through(jet: Jet2, d: int) -> Jet2:
     wherever it is read: the graded Picard passes of
     germ.CoordinateChange.inverse know this from the degree of the pass.
     """
-    cut = Jet2.__new__(Jet2)
-    cut.mode, cut.valid_through = jet.mode, d
-    cut.coeffs = {k: v for k, v in jet.coeffs.items() if k[0] + k[1] <= d}
-    return cut
+    return _jet(jet.mode, jet.den, _zcut(jet.re, d), _zcut(jet.im, d), d)
 
 
 def jet_derive(a: Jet2, var: str) -> Jet2:
@@ -719,18 +651,16 @@ def jet_derive(a: Jet2, var: str) -> Jet2:
     if a.valid_through != INF and a.valid_through < 1:
         raise PrecisionExhausted("jet_derive: valid_through would drop below 0")
     valid = a.valid_through if a.valid_through == INF else a.valid_through - 1
-    out = {}
+    # a nonzero term times its exponent stays nonzero, in both modes
     if var == "x":
-        for (i, j), v in a.coeffs.items():
-            if i >= 1:
-                out[(i - 1, j)] = v * _as_scalar(i, a.mode)
+        def part(terms):
+            return {(i - 1, j): v * i for (i, j), v in terms.items() if i}
     elif var == "y":
-        for (i, j), v in a.coeffs.items():
-            if j >= 1:
-                out[(i, j - 1)] = v * _as_scalar(j, a.mode)
+        def part(terms):
+            return {(i, j - 1): v * j for (i, j), v in terms.items() if j}
     else:
-        raise ValueError(f"unknown variable {var!r}")
-    return Jet2(a.mode, out, valid)
+        raise BadParams(f"unknown variable {var!r}")
+    return _jet(a.mode, a.den, part(a.re), part(a.im), valid)
 
 
 def laurent_residue(h: Jet1) -> Scalar:

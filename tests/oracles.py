@@ -4,7 +4,10 @@ Deliberately separate from the library: plain dicts mapping exponent pairs
 to (Fraction, Fraction) Gaussian rationals, with schoolbook algorithms, so
 expected values are computed along a different code path than the one under
 test.  The float integrator's generic loop, `t_rk45`, is kept here as the
-oracle for the unrolled two-component kernel in germforge.numflow.
+oracle for the unrolled two-component kernel in germforge.numflow, and the
+scalar-dict float loops the jet kernel had before it kept numerators
+(`f_mul`, `f_add`, `f_scale`, `f_derive` and the compositions built from
+them) as the oracle for float jets.
 """
 
 from __future__ import annotations
@@ -202,6 +205,93 @@ def t_truncate(a, degree):
 
 def t_antiderivative_x(a):
     return {(i + 1, j): gr_mul(v, gr(Fraction(1, i + 1))) for (i, j), v in a[0].items()}, a[1] + 1
+
+
+# -- float jets as scalar dicts -----------------------------------------------
+#
+# A float value is (terms, valid): a dict of complex coefficients in the
+# jet's own term order, and valid_through.  These are the loops the float
+# kernel ran on complex scalars, in the same order of operations, so the
+# library's float results must equal theirs bit for bit.
+
+def f_clean(terms, valid):
+    return {k: v for k, v in terms.items() if k[0] + k[1] <= valid and not abs(v) <= 0.0}
+
+
+def f_mul(a, b):
+    valid = min(a[1] + p_order(b[0]), b[1] + p_order(a[0]))
+    out = {}
+    for (i1, j1), u in a[0].items():
+        for (i2, j2), v in b[0].items():
+            if i1 + i2 + j1 + j2 > valid:
+                continue
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0j) + u * v
+    return f_clean(out, valid), valid
+
+
+def f_add(a, b):
+    valid = min(a[1], b[1])
+    out = dict(a[0])
+    for k, v in b[0].items():
+        out[k] = out.get(k, 0j) + v
+    return f_clean(out, valid), valid
+
+
+def f_scale(a, c):
+    s = complex(c)
+    return f_clean({k: v * s for k, v in a[0].items()}, a[1]), a[1]
+
+
+def f_derive(a, var):
+    valid = a[1] - 1
+    out = {}
+    for (i, j), v in a[0].items():
+        e = (i, j)[var]
+        if e:
+            out[(i - 1, j) if var == 0 else (i, j - 1)] = v * complex(e)
+    return f_clean(out, valid), valid
+
+
+_F_ONE = ({(0, 0): 1 + 0j}, INF)
+
+
+def f_compose1(f, f_valid, g):
+    """sum_k f_k g^k (f a dict {k: complex}), powers of g by f_mul."""
+    valid = _proper_valid(f_valid, p_order(g[0]), g[1])
+    acc, power = ({}, valid), _F_ONE
+    top = max(f, default=0)
+    for k in range(top + 1):
+        if k in f:
+            acc = f_add(acc, f_scale(power, f[k]))
+        if k < top:
+            power = f_mul(power, g)
+            if not power[0]:
+                break
+    valid = min(acc[1], valid)
+    return f_clean(acc[0], valid), valid
+
+
+def f_compose2(f, f_valid, p, q):
+    """Horner in p over rows in q (f a dict {(i, j): complex})."""
+    valid = _proper_valid(f_valid, min(p_order(p[0]), p_order(q[0])), min(p[1], q[1]))
+    max_i = max((i for i, j in f), default=0)
+    max_j = max((j for i, j in f), default=0)
+    q_pows = [_F_ONE]
+    for _ in range(max_j):
+        q_pows.append(f_mul(q_pows[-1], q))
+    acc, p_pow = ({}, valid), _F_ONE
+    for i in range(max_i + 1):
+        row = ({}, INF)
+        terms = [(j, f[(i, j)]) for j in range(max_j + 1) if (i, j) in f]
+        for j, c in terms:
+            row = f_add(row, f_scale(q_pows[j], c))
+        if terms:
+            acc = f_add(acc, f_mul(p_pow, row))
+        if i < max_i:
+            p_pow = f_mul(p_pow, p)
+    valid = min(acc[1], valid)
+    return f_clean(acc[0], valid), valid
 
 
 # -- full-precision Picard loops -------------------------------------------------

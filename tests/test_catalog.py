@@ -112,6 +112,15 @@ def test_mt_vii_records_decomposition():
     assert (nf.params["a_mu"], nf.params["b_mu"]) == (1, 0)
 
 
+def test_pair_constructor_rejects_vii_pole():
+    # x^-1 u2(x y^2) with u2 = 1 has a pole: divide_monomial raises
+    # NotDivisible, which the constructor reports as BadParams
+    nf = NormalFormID("mt", "vii", {"m": 2, "n": 1, "a": 1, "b": 1},
+                      {"u2": Jet1.from_coeffs({0: 1}, EXACT)})
+    with pytest.raises(BadParams, match="holomorphic"):
+        make_pair(nf, EXACT, 8)
+
+
 def test_mt_vii_perturbation_is_holomorphic_order_one():
     nf = NormalFormID("mt", "vii", {"m": 2, "n": 1, "a": 1, "b": 1},
                       {"u2": Jet1.from_coeffs({1: 1, 2: 1}, EXACT)})

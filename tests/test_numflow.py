@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from germforge.errors import BadParams, LeafEscape, StepFailure
 from germforge.germ import VectorFieldGerm
 from germforge.numflow import (
+    MAX_STEPS,
     LeafLoopSpec,
     TimePath,
     _rk45,
@@ -87,6 +89,18 @@ def test_step_failure_reports_partial():
     with pytest.raises(StepFailure):
         # blow-up of dz/dt = z^2 from z = 1 at t = 1
         integrate_flow(f, (1.0, 0.0), TimePath.segment(0, 1.5, tol=1e-10))
+
+
+def test_step_budget_stops_a_field_too_fast_for_the_path():
+    # dz/dT = i w z turns w / (2 pi) times round over T in [0, 1]; at
+    # w = 1e6 the tolerance needs millions of steps, minutes of work
+    h = Jet1.from_coeffs({1: 1e6j}, FLOAT, 4)
+    start = time.perf_counter()
+    with pytest.raises(StepFailure, match=f"more than {MAX_STEPS} steps") as info:
+        integrate_flow_1d(h, 0.5, TimePath.segment(0, 1, tol=1e-10))
+    assert time.perf_counter() - start < 60
+    (z,) = info.value.partial
+    assert abs(abs(z) - 0.5) < 1e-3    # the orbit stays on its circle
 
 
 def test_identity_holonomy():
