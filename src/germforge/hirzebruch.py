@@ -106,9 +106,13 @@ def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
         # lands on the x = 0 axis of chart 0; u != 0 here since t*u = -1
         return phi_flow(n, t, fn_transition(p))
     new_base = u / denom
-    poly = GR(0)
-    for k in range(1, n + 2):
-        poly = poly + _gr(comb(n + 1, k)) * t ** k * u ** (k - 1)
+    # sum_{k=1}^{n+1} C(n+1, k) t^k u^(k-1) = t sum_k C(n+1, k) w^(k-1), w = t u,
+    # by Horner in w
+    w = t * u
+    poly = GR(1)
+    for k in range(n, 0, -1):
+        poly = poly * w + _gr(comb(n + 1, k))
+    poly = t * poly
     num = p.fiber_num + poly * p.fiber_den
     den = p.fiber_den * denom ** n
     return FnPoint(n, 1, new_base, num, den)

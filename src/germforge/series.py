@@ -22,11 +22,11 @@ denominator, as FLINT's fmpq_poly does: the coefficient of x^i y^j is
 degree <= valid_through.  Exact jets hold Python ints, and every operation
 reduces den against the numerators, so den is the least common denominator
 of the coefficients.  Float jets hold their complex coefficients in re,
-with den = 1 and im empty.  The integer helpers (_zlin, _zmul_into,
-_gmul_into) therefore serve both modes, and exact work builds no Fraction
-until a caller reads ``coeffs``: a read-only scalar view that an exact jet
-builds on first read (re keys first, then the purely imaginary ones) and
-caches, and that for a float jet is re itself.
+with den = 1 and im empty.  The integer helpers (_zlin, _zsum, _zscaled,
+_zmul_into, _gmul_into, _zproduct) therefore serve both modes, and exact
+work builds no Fraction until a caller reads ``coeffs``: a read-only scalar
+view that an exact jet builds on first read (re keys first, then the purely
+imaginary ones) and caches, and that for a float jet is re itself.
 """
 
 from __future__ import annotations
@@ -288,11 +288,8 @@ class Jet2:
     def __add__(self, other: "Jet2") -> "Jet2":
         self._check(other)
         valid = min(self.valid_through, other.valid_through)
-        d1, d2 = self.den, other.den
-        g = math.gcd(d1, d2)
-        s, t = d2 // g, d1 // g
-        return _jet(self.mode, d1 * s, _zlin(self.re, s, other.re, t, valid),
-                    _zlin(self.im, s, other.im, t, valid), valid)
+        return _jet(self.mode, *_zsum(self.den, self.re, self.im, other.den, other.re, other.im,
+                                      valid), valid)
 
     def __neg__(self) -> "Jet2":
         return _jet(self.mode, self.den, {k: -v for k, v in self.re.items()},
@@ -305,16 +302,15 @@ class Jet2:
         return jet_mul(self, other)
 
     def scale(self, value) -> "Jet2":
-        valid = self.valid_through
         if self.mode == FLOAT:
-            s = _as_scalar(value, FLOAT)
-            return _jet(FLOAT, 1, _nonzero({k: v * s for k, v in self.re.items()}), {}, valid)
-        c = GaussianRational.from_value(value)
-        cd = math.lcm(c.re.denominator, c.im.denominator)
-        cr = c.re.numerator * (cd // c.re.denominator)
-        ci = c.im.numerator * (cd // c.im.denominator)
-        return _jet(EXACT, self.den * cd, _zlin(self.re, cr, self.im, -ci, valid),
-                    _zlin(self.re, ci, self.im, cr, valid), valid)
+            cd, cr, ci = 1, _as_scalar(value, FLOAT), 0
+        else:
+            c = GaussianRational.from_value(value)
+            cd = math.lcm(c.re.denominator, c.im.denominator)
+            cr = c.re.numerator * (cd // c.re.denominator)
+            ci = c.im.numerator * (cd // c.im.denominator)
+        return _jet(self.mode, self.den * cd, *_zscaled(self.re, self.im, cr, ci),
+                    self.valid_through)
 
     def derivative(self, var: str) -> "Jet2":
         return jet_derive(self, var)
@@ -382,15 +378,22 @@ class Jet2:
 _F0 = Fraction(0)
 
 
-def _jet(mode: str, den: int, re: dict, im: dict, valid) -> Jet2:
-    """A Jet2 from stored data (nonzero terms of degree <= valid only), with
-    den and the numerators divided by their gcd; a float den is 1."""
+def _reduced(den: int, re: dict, im: dict):
+    """(den, re, im) with den and the numerators divided by their gcd; a
+    float den is 1 and is left alone."""
     if den != 1:
         g = math.gcd(den, *re.values(), *im.values())
         if g != 1:
             den //= g
             re = {k: v // g for k, v in re.items()}
             im = {k: v // g for k, v in im.items()}
+    return den, re, im
+
+
+def _jet(mode: str, den: int, re: dict, im: dict, valid) -> Jet2:
+    """A Jet2 from stored data (nonzero terms of degree <= valid only),
+    reduced by _reduced()."""
+    den, re, im = _reduced(den, re, im)
     jet = Jet2.__new__(Jet2)
     jet.mode, jet.den, jet.re, jet.im, jet.valid_through = mode, den, re, im, valid
     jet._view = re if mode == FLOAT else None
@@ -420,6 +423,33 @@ def _zlin(a, s, b, t, valid) -> dict:
     return _nonzero(out)
 
 
+def _zsum(d1: int, re1: dict, im1: dict, d2: int, re2: dict, im2: dict, valid):
+    """(re1 + i*im1) / d1 + (re2 + i*im2) / d2 over the terms of degree <= valid,
+    as (den, re, im) on the least common denominator (not reduced)."""
+    g = math.gcd(d1, d2)
+    s, t = d2 // g, d1 // g
+    return d1 * s, _zlin(re1, s, re2, t, valid), _zlin(im1, s, im2, t, valid)
+
+
+def _zscaled(re: dict, im: dict, c_re, c_im):
+    """The numerators (re + i*im) * (c_re + i*c_im), zero terms dropped.
+
+    Every term is multiplied, by a factor 1 too: a float jet (im empty,
+    c_im = 0) becomes {k: v * c}, the scalar loop's values with their signed
+    zeros.
+    """
+    out_re = {k: v * c_re for k, v in re.items()}
+    out_im = {k: v * c_re for k, v in im.items()}
+    if c_im:
+        get = out_re.get
+        for k, v in im.items():
+            out_re[k] = get(k, 0) - v * c_im
+        get = out_im.get
+        for k, v in re.items():
+            out_im[k] = get(k, 0) + v * c_im
+    return _nonzero(out_re), _nonzero(out_im)
+
+
 def _zmul_into(out: dict, a: dict, b: dict, valid) -> None:
     """out += a * b over the terms of degree <= valid (Cauchy product).
 
@@ -446,6 +476,15 @@ def _gmul_into(re: dict, im: dict, ar: dict, ai: dict, br: dict, bi: dict, valid
         _zmul_into(re, ai, {k: -v for k, v in bi.items()}, valid)
     _zmul_into(im, ar, bi, valid)
     _zmul_into(im, ai, br, valid)
+
+
+def _zproduct(a: tuple, b: tuple, valid) -> tuple:
+    """a * b for stored (den, re, im) triples over the terms of degree <= valid,
+    as (den, re, im) over the product of the denominators (not reduced)."""
+    re: dict = {}
+    im: dict = {}
+    _gmul_into(re, im, a[1], a[2], b[1], b[2], valid)
+    return a[0] * b[0], _nonzero(re), _nonzero(im)
 
 
 def _zreciprocal(a: Jet2, valid, bound: int) -> Jet2:
@@ -508,10 +547,7 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
     """
     scalars.check_same_mode(a.mode, b.mode)
     valid = min(a.valid_through + b.order(), b.valid_through + a.order())
-    re: dict = {}
-    im: dict = {}
-    _gmul_into(re, im, a.re, a.im, b.re, b.im, valid)
-    return _jet(a.mode, a.den * b.den, _nonzero(re), _nonzero(im), valid)
+    return _jet(a.mode, *_zproduct((a.den, a.re, a.im), (b.den, b.re, b.im), valid), valid)
 
 
 def jet_pow(a: Jet2, e: int) -> Jet2:
@@ -577,34 +613,61 @@ def _proper_valid(f, order, valid):
     return min(valid, (f.valid_through + 1) * order - 1)
 
 
+def _unit(mode: str) -> tuple:
+    """The constant 1 as a stored (den, re, im) triple, as Jet2.const(1) stores it."""
+    return 1, {(0, 0): 1 if mode == EXACT else 1 + 0j}, {}
+
+
 def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g:
-    sum_k f_k g^k, truncated to the valid_through of the result."""
+    sum_k f_k g^k, through the valid_through of the result.
+
+    Runs on stored (den, re, im) numerators, not on Jet2 objects: each
+    power g^k is cut at the result's valid_through as it is made (so its
+    terms beyond it are never formed) and reduced, each partial sum is
+    reduced, and one Jet2 is built at the end.  Float jets are den 1 with
+    im empty, and every step does the scalar loop's operations in its
+    order, so float results are its results bit for bit.
+    """
     scalars.check_same_mode(f.mode, g.mode)
     if _has_constant(g) and not f.is_polynomial():
         raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
     valid = g.valid_through
     if not f.is_polynomial():
         valid = _proper_valid(f, g.order(), valid)
-    acc = Jet2.zero(f.mode, valid)
-    power = Jet2.const(1, f.mode, INF)
+    fz = f._lift()
+    g_num = (g.den, g.re, g.im)
+    acc = (1, {}, {})
+    power = _unit(f.mode)
     top = f.degree_bound()
     for k in range(0, top + 1):
-        c = f.coeffs.get(k)
-        if c is not None:
-            acc = acc + power.scale(c)
+        if k in f.coeffs:
+            key = (k, 0)
+            acc = _reduced(*_zsum(*acc, power[0] * fz.den,
+                                  *_zscaled(power[1], power[2], fz.re.get(key, 0),
+                                            fz.im.get(key, 0)), valid))
         if k < top:
-            power = power * g
-            if power.is_zero():
+            power = _reduced(*_zproduct(power, g_num, valid))
+            if not power[1] and not power[2]:
                 break
-    return acc.truncate(valid)
+    return _jet(f.mode, *acc, valid)
 
 
 def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
     """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f).
 
-    Horner in p over rows of f grouped by x-degree, each row a sum of the
-    powers of q, truncated to the valid_through of the result.
+    sum_i p^i row_i over the rows of f grouped by x-degree, each row
+    sum_j f_ij q^j, through the valid_through of the result.  Runs on
+    stored (den, re, im) numerators, not on Jet2 objects:
+    - every power p^i and q^j, and every product p^i row_i, is cut at the
+      result's valid_through as it is made, and reduced;
+    - row i is cut at valid_through - i ord(p), since p^i has order
+      >= i ord(p), and each row and each partial sum is reduced;
+    - the sum stops at the first power of p that is zero through
+      valid_through, and one Jet2 is built at the end.
+    Float jets are den 1 with im empty, and every step does the scalar
+    loop's operations in its order, so float results are its results bit
+    for bit.
     """
     scalars.check_same_mode(f.mode, p.mode, q.mode)
     if (_has_constant(p) or _has_constant(q)) and not f.is_polynomial():
@@ -612,27 +675,29 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
     valid = min(p.valid_through, q.valid_through)
     if not f.is_polynomial():
         valid = _proper_valid(f, min(p.order(), q.order()), valid)
-    coeffs = f.coeffs
-    max_i = max((i for (i, j) in coeffs), default=0)
-    max_j = max((j for (i, j) in coeffs), default=0)
-    q_pows = [Jet2.const(1, f.mode, INF)]
-    for _ in range(max_j):
-        q_pows.append(q_pows[-1] * q)
-    acc = Jet2.zero(f.mode, valid)
-    p_pow = Jet2.const(1, f.mode, INF)
-    for i in range(0, max_i + 1):
-        row = Jet2.zero(f.mode, INF)
-        any_term = False
-        for j in range(0, max_j + 1):
-            c = coeffs.get((i, j))
-            if c is not None:
-                row = row + q_pows[j].scale(c)
-                any_term = True
-        if any_term:
-            acc = acc + p_pow * row
-        if i < max_i:
-            p_pow = p_pow * p
-    return acc.truncate(valid)
+    rows: Dict[int, list] = {}
+    for i, j in sorted(f._keys()):
+        rows.setdefault(i, []).append(j)
+    p_num, q_num, p_ord = (p.den, p.re, p.im), (q.den, q.re, q.im), p.order()
+    q_pows = [_unit(f.mode)]
+    p_pow, p_deg = q_pows[0], 0
+    acc = (1, {}, {})
+    for i, js in rows.items():
+        while p_deg < i:
+            p_pow, p_deg = _reduced(*_zproduct(p_pow, p_num, valid)), p_deg + 1
+        if not p_pow[1] and not p_pow[2]:
+            break
+        cap = valid - i * p_ord if i else valid
+        row = (1, {}, {})
+        for j in js:
+            for _ in range(len(q_pows), j + 1):
+                q_pows.append(_reduced(*_zproduct(q_pows[-1], q_num, valid)))
+            dq, q_re, q_im = q_pows[j]
+            row = _reduced(*_zsum(*row, dq * f.den,
+                                  *_zscaled(q_re, q_im, f.re.get((i, j), 0), f.im.get((i, j), 0)),
+                                  cap))
+        acc = _reduced(*_zsum(*acc, *_reduced(*_zproduct(p_pow, row, valid)), valid))
+    return _jet(f.mode, *acc, valid)
 
 
 def _known_through(jet: Jet2, d: int) -> Jet2:
@@ -778,9 +843,13 @@ def exact_divide(num: Jet2, den: Jet2) -> Tuple[str, Optional[Jet2]]:
         if i < pivot[0] or j < pivot[1]:
             return NOT_DIVISIBLE, None
         qkey = (i - pivot[0], j - pivot[1])
-        c = rem[key] / pval
+        # the pivot term cancels by construction; a float remainder would
+        # leave a rounding residue there and pick the same key for ever
+        c = rem.pop(key) / pval
         quot[qkey] = c
         for (di, dj), dv in den.coeffs.items():
+            if (di, dj) == pivot:
+                continue
             rkey = (qkey[0] + di, qkey[1] + dj)
             if not polynomial_inputs and rkey[0] + rkey[1] > limit:
                 continue

@@ -7,12 +7,15 @@ test.  The float integrator's generic loop, `t_rk45`, is kept here as the
 oracle for the unrolled two-component kernel in germforge.numflow, and the
 scalar-dict float loops the jet kernel had before it kept numerators
 (`f_mul`, `f_add`, `f_scale`, `f_derive` and the compositions built from
-them) as the oracle for float jets.
+them) as the oracle for float jets.  `h_phi_flow_chart1` keeps the
+binomial sum of the Hirzebruch flow's chart-1 fiber shift, which
+germforge.hirzebruch now sums by Horner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, List, Optional, Tuple
 
 from germforge.errors import StepFailure
@@ -357,6 +360,16 @@ def gr_pow(a, e):
     for _ in range(abs(e)):
         out = gr_mul(out, a)
     return out if e >= 0 else gr_inv(out)
+
+
+def h_phi_flow_chart1(n, t, u, num, den):
+    """Phi^t on chart 1 of F_n, with the fiber shift written as the binomial
+    sum sum_{k=1}^{n+1} C(n+1, k) t^k u^(k-1): (base, fiber num, fiber den)."""
+    denom = gr_add(gr(1), gr_mul(t, u))
+    poly = gr(0)
+    for k in range(1, n + 2):
+        poly = gr_add(poly, gr_mul(gr(comb(n + 1, k)), gr_mul(gr_pow(t, k), gr_pow(u, k - 1))))
+    return gr_mul(u, gr_inv(denom)), gr_add(num, gr_mul(poly, den)), gr_mul(den, gr_pow(denom, n))
 
 
 def l_derive(p, var):

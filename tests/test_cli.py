@@ -25,6 +25,8 @@ ROWS = [
     (["hirzebruch", "--samples", "3"], OK),
     (["make", "table:2[n=1]"], OK),
     (["verify-paper", "--only", "mt"], OK),
+    # a float division whose pivot term leaves a rounding residue
+    (["bracket", "[2/(0.5/i-7-y), y]", "[x, y]", "--mode", "float"], OK),
     # mathematical fail verdicts
     (["commute", "[x, -y]", "[x*y, x*y]"], FAIL),
     (["first-integral", "[x, -y]", "x"], FAIL),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from germforge.errors import BadParams, OnExceptionalLocus
 from germforge.germ import lie_bracket
 from germforge.hirzebruch import (
@@ -46,6 +47,25 @@ def test_transition_product_structure_n0():
     q = fn_transition(p)
     assert q.base == GR(Fraction(2, 3))
     assert q.fiber_value() == GR(5, 1)   # F_0 is a product: fiber unchanged
+
+
+def test_phi_flow_chart1_matches_the_binomial_sum():
+    """Chart 1 of Phi^t sums its fiber shift by Horner in w = t u; the
+    binomial sum in powers of t and u gives the same exact point."""
+    rng = random.Random(17)
+
+    def pair(g):
+        return (g.re, g.im)
+
+    for n in range(6):
+        for _ in range(40):
+            t, u, num, den = (rand_gr(rng) for _ in range(4))
+            if (GR(1) + t * u).is_zero() or (num.is_zero() and den.is_zero()):
+                continue
+            q = phi_flow(n, t, FnPoint(n, 1, u, num, den))
+            assert q.chart == 1
+            assert (pair(q.base), pair(q.fiber_num), pair(q.fiber_den)) == \
+                oracles.h_phi_flow_chart1(n, pair(t), pair(u), pair(num), pair(den))
 
 
 def test_transition_roundtrip_random():

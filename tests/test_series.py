@@ -20,6 +20,7 @@ from germforge.errors import (
     PrecisionExhausted,
 )
 from germforge.germ import CoordinateChange
+from germforge.parser import parse_to_jet2
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (
     _known_through,
@@ -324,6 +325,19 @@ def test_exact_divide_random_roundtrip():
         status, q2 = exact_divide(n, d)
         assert status == DIVISIBLE
         assert q2.equals(q)
+
+
+def test_float_divide_drops_the_pivot_term_it_cancels():
+    """2 - (2 / c) * c is not 0j in floats for c = -7 - 0.5i, so the
+    remainder must drop the pivot term instead of testing the difference."""
+    c = -7 - 0.5j
+    den = Jet2.from_coeffs({(0, 0): c, (0, 1): -1}, FLOAT, 3)
+    status, q = exact_divide(Jet2.const(2, FLOAT, 3), den)
+    assert status == DIVISIBLE and q.valid_through == 3
+    # 2 / (c - y) = sum_k 2 y^k / c^(k+1)
+    assert q.equals(Jet2.from_coeffs({(0, k): 2 / c ** (k + 1) for k in range(4)}, FLOAT, 3),
+                    tol=1e-15)
+    assert parse_to_jet2("2/(0.5/i-7-y)", FLOAT, 3).equals(q, tol=1e-15)
 
 
 # -- exact kernels against the oracle (property) --------------------------------------
@@ -865,6 +879,68 @@ def test_storage_invariant_after_every_kernel_op(mode, data):
         outs.append(a.divide_monomial(1, 0))
     for out in outs:
         _assert_stored(out)
+
+
+# -- compositions on stored numerators, cut at the result's precision -------------
+#
+# jet_compose1 and jet_compose2 form every power and product only through
+# the result's valid_through, and row i of f(p, q) only through valid - i
+# ord(p).  These draws reach each cut: inner jets with terms above the
+# result's valid_through, inner jets of order >= 2, polynomial f with INF
+# valid_through and truncated zero inner jets.  Exact results must equal
+# the Jet2 loops of the oracle, float results the scalar loops bit for bit,
+# and every result must keep the storage invariant.
+
+@st.composite
+def _mode_jets(draw, mode, valid, min_order=0, max_degree=5, max_terms=5):
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
+            lambda k: min_order <= k[0] + k[1] <= max_degree),
+        min_size=1, max_size=max_terms, unique=True))
+    values = gaussian_rationals(bits=draw(st.sampled_from([2, 8]))) if mode == EXACT \
+        else _float_scalars()
+    return Jet2(mode, {k: draw(values) for k in keys}, valid)
+
+
+@st.composite
+def _inner_jets(draw, mode, order):
+    """A zero jet, or a sparse or dense jet of the given order with terms up
+    to degree 4 (so often above the result's valid_through), known through a
+    small or INF valid_through."""
+    valid = draw(st.sampled_from([INF, 1, 2, 3, 4, 4]))
+    shape = draw(st.sampled_from(["zero", "sparse", "dense", "dense"]))
+    if shape == "zero":
+        return Jet2.zero(mode, valid)
+    lowest = draw(_mode_jets(mode, INF, min_order=order, max_degree=order, max_terms=2))
+    if shape == "sparse":
+        return lowest + draw(_mode_jets(mode, valid, min_order=order + 1, max_degree=4))
+    values = gaussian_rationals(bits=2, nonzero=True) if mode == EXACT else _float_scalars()
+    return lowest + Jet2(mode, {(i, d - i): draw(values) for d in range(order + 1, 5)
+                                for i in range(d + 1)}, valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([EXACT, FLOAT]), st.data())
+def test_compositions_cut_at_the_result_precision(mode, data):
+    f = data.draw(_mode_jets(mode, data.draw(st.sampled_from([INF, INF, 1, 3, 4])),
+                             max_degree=4))
+    orders = [0, 1, 2] if f.is_polynomial() else [1, 2]
+    p, q, g = (data.draw(_inner_jets(mode, data.draw(st.sampled_from(orders))))
+               for _ in range(3))
+    f1 = Jet1(mode, {i: v for (i, j), v in f.coeffs.items() if j == 0}, f.valid_through)
+    out2, out1 = jet_compose2(f, p, q), jet_compose1(f1, g)
+    if mode == EXACT:
+        _assert_stored(out2)
+        _assert_stored(out1)
+        _assert_matches(out2, oracles.t_compose2(oracles.from_jet(f), f.valid_through,
+                                                 _tracked(p), _tracked(q)))
+        f1_poly = {k: (v.re, v.im) for k, v in f1.coeffs.items()}
+        _assert_matches(out1, oracles.t_compose1(f1_poly, f1.valid_through, _tracked(g)))
+    else:
+        _assert_same_float(out2, oracles.f_compose2(dict(f.coeffs), f.valid_through,
+                                                    _scalar_dict(p), _scalar_dict(q)))
+        _assert_same_float(out1, oracles.f_compose1(dict(f1.coeffs), f1.valid_through,
+                                                    _scalar_dict(g)))
 
 
 @settings(max_examples=60, deadline=None)
