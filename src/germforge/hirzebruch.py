@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Optional
 
 from .errors import BadParams, OnExceptionalLocus
@@ -98,7 +98,7 @@ def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
         raise BadParams("point does not live on F_n")
     if p.chart == 0:
         x = p.base
-        shift = (x + t) ** (n + 1) - x ** (n + 1)
+        shift = _chart0_shift(n, x, t)
         return FnPoint(n, 0, x + t, p.fiber_num + shift * p.fiber_den, p.fiber_den)
     u = p.base
     denom = GR(1) + t * u
@@ -116,6 +116,33 @@ def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
     num = p.fiber_num + poly * p.fiber_den
     den = p.fiber_den * denom ** n
     return FnPoint(n, 1, new_base, num, den)
+
+
+def _chart0_shift(n: int, x: GR, t: GR) -> GR:
+    """(x + t)^(n+1) - x^(n+1) = t sum_{k=1}^{n+1} C(n+1, k) t^(k-1) x^(n+1-k).
+
+    With x = X / dx and t = T / dt for Gaussian integers X and T, the sum is
+    H / (dx dt)^n for H = sum_k C(n+1, k) A^(k-1) B^(n+1-k), A = T dx and
+    B = X dt.  H is summed by Horner in A on Gaussian-integer pairs, and one
+    GaussianRational is built at the end.
+    """
+    dx, xr, xi = _numerators(x)
+    dt, tr, ti = _numerators(t)
+    ar, ai, br, bi = tr * dx, ti * dx, xr * dt, xi * dt
+    hr, hi = 1, 0           # H, from its k = n+1 coefficient C(n+1, n+1) = 1
+    pr, pi = 1, 0           # B^(n+1-k)
+    for k in range(n, 0, -1):
+        pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        c = comb(n + 1, k)
+        hr, hi = hr * ar - hi * ai + c * pr, hr * ai + hi * ar + c * pi
+    den = dt * (dt * dx) ** n
+    return GR(Fraction(tr * hr - ti * hi, den), Fraction(tr * hi + ti * hr, den))
+
+
+def _numerators(g: GR):
+    """g as (d, re, im) with g = (re + im i) / d over the lcm d of its denominators."""
+    d = lcm(g.re.denominator, g.im.denominator)
+    return d, g.re.numerator * (d // g.re.denominator), g.im.numerator * (d // g.im.denominator)
 
 
 def psi_flow(n: int, s, p: FnPoint) -> FnPoint:

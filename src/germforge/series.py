@@ -250,7 +250,7 @@ class Jet2:
         return self.re.keys() | self.im.keys() if self.im else self.re.keys()
 
     def order(self):
-        return min(map(sum, self._keys()), default=INF)
+        return _zorder(self.re, self.im)
 
     def coeff(self, i: int, j: int) -> Scalar:
         if i + j > self.valid_through:
@@ -404,6 +404,20 @@ def _nonzero(a: dict) -> dict:
     return {k: v for k, v in a.items() if v}
 
 
+def _zorder(re: dict, im: dict):
+    """The least total degree of the stored terms; INF when there are none."""
+    if im:
+        return min(map(sum, re.keys() | im.keys()))
+    return min(map(sum, re), default=INF)
+
+
+def _mul_valid(a_valid, a_order, b_valid, b_order):
+    """valid_through of a product: min(av + ord b, bv + ord a), with ord INF
+    for a zero jet.  The one home of the product rule: jet_mul, jet_pow and
+    the expression evaluator of germforge.parser all call it."""
+    return min(a_valid + b_order, b_valid + a_order)
+
+
 def _zcut(a: Dict[Tuple[int, int], int], valid) -> Dict[Tuple[int, int], int]:
     return {k: v for k, v in a.items() if k[0] + k[1] <= valid}
 
@@ -546,16 +560,47 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
     the denominators (complex numbers over 1 in float mode).
     """
     scalars.check_same_mode(a.mode, b.mode)
-    valid = min(a.valid_through + b.order(), b.valid_through + a.order())
+    valid = _mul_valid(a.valid_through, a.order(), b.valid_through, b.order())
     return _jet(a.mode, *_zproduct((a.den, a.re, a.im), (b.den, b.re, b.im), valid), valid)
 
 
-def jet_pow(a: Jet2, e: int) -> Jet2:
-    """a^e for e >= 0, by repeated jet_mul starting from the constant 1."""
-    out = Jet2.const(1, a.mode, INF)
+def _zpow(mode: str, a: tuple, a_valid, e: int) -> tuple:
+    """a^e for e >= 0 of a stored (den, re, im) triple known through a_valid,
+    as (den, re, im, valid), not reduced.
+
+    e products starting from the constant 1, each cut at the valid_through
+    _mul_valid gives it.  A single term c x^i y^j goes straight to
+    c^e x^(ie) y^(je): its numerator takes the products _zproduct would
+    take, in the same order, so float powers are the product loop's bit for
+    bit (the term is never cut, since i + j <= a_valid).
+    """
+    out, valid, order = _unit(mode), INF, 0
+    a_order = _zorder(a[1], a[2])
+    keys = a[1].keys() | a[2].keys() if a[2] else a[1].keys()
+    if len(keys) != 1 or not e:
+        for _ in range(e):
+            valid = _mul_valid(valid, order, a_valid, a_order)
+            out = _zproduct(out, a, valid)
+            order = _zorder(out[1], out[2])
+        return (*out, valid)
+    (key,) = keys
+    r, s = a[1].get(key, 0), a[2].get(key, 0)
+    pr, ps = out[1][(0, 0)], 0
     for _ in range(e):
-        out = jet_mul(out, a)
-    return out
+        valid = _mul_valid(valid, order, a_valid, a_order)
+        if s or ps:
+            pr, ps = pr * r - ps * s, pr * s + ps * r
+        else:
+            pr = 0 + pr * r
+        order = order + a_order if pr or ps else INF    # a float power may underflow
+    key = (key[0] * e, key[1] * e)
+    return a[0] ** e, {key: pr} if pr else {}, {key: ps} if ps else {}, valid
+
+
+def jet_pow(a: Jet2, e: int) -> Jet2:
+    """a^e for e >= 0: e products on the stored numerators starting from the
+    constant 1 (see _zpow), and one Jet2 at the end."""
+    return _jet(a.mode, *_zpow(a.mode, (a.den, a.re, a.im), a.valid_through, e))
 
 
 def jet_reciprocal(a: Jet2) -> Jet2:

@@ -8,8 +8,12 @@ oracle for the unrolled two-component kernel in germforge.numflow, and the
 scalar-dict float loops the jet kernel had before it kept numerators
 (`f_mul`, `f_add`, `f_scale`, `f_derive` and the compositions built from
 them) as the oracle for float jets.  `h_phi_flow_chart1` keeps the
-binomial sum of the Hirzebruch flow's chart-1 fiber shift, which
-germforge.hirzebruch now sums by Horner.
+binomial sum of the Hirzebruch flow's chart-1 fiber shift, and
+`h_phi_flow_chart0` the difference of powers of the chart-0 shift, both of
+which germforge.hirzebruch now sums by Horner.  `p_eval` is the expression
+evaluator that built one Jet2 per AST node (with `t_jet_pow`, the power
+loop that started from the Jet2 constant 1), kept as the oracle for the
+parser's evaluation on stored numerators.
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, List, Optional, Tuple
 
-from germforge.errors import StepFailure
+from germforge import scalars
+from germforge.errors import GermforgeError, StepFailure, ZeroDenominator
+from germforge.germ import RationalFn
 from germforge.numflow import _DP_A, _DP_B4, _DP_B5
+from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
+from germforge.scalars import EXACT, GaussianRational
+from germforge.series import DIVISIBLE, Jet2, exact_divide, jet_mul
 
 Z2 = tuple  # exponent pair
 
@@ -372,6 +381,13 @@ def h_phi_flow_chart1(n, t, u, num, den):
     return gr_mul(u, gr_inv(denom)), gr_add(num, gr_mul(poly, den)), gr_mul(den, gr_pow(denom, n))
 
 
+def h_phi_flow_chart0(n, t, x, num, den):
+    """Phi^t on chart 0 of F_n, with the fiber shift written as the
+    difference (x + t)^(n+1) - x^(n+1): (base, fiber num, fiber den)."""
+    shift = gr_add(gr_pow(gr_add(x, t), n + 1), gr_neg(gr_pow(x, n + 1)))
+    return gr_add(x, t), gr_add(num, gr_mul(shift, den)), den
+
+
 def l_derive(p, var):
     """d/dx (var 0) or d/dy (var 1); unlike p_derive, negative exponents count."""
     out = {}
@@ -475,3 +491,109 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
                 raise StepFailure("repeated step rejection", partial=y)
             h *= max(0.1, 0.9 * (scale / err) ** 0.25)
     return y
+
+
+# -- the expression evaluator with one Jet2 per AST node -------------------------
+
+def t_jet_pow(a, e):
+    """a^e by repeated jet_mul, starting from the constant 1."""
+    out = Jet2.const(1, a.mode, INF)
+    for _ in range(e):
+        out = jet_mul(out, a)
+    return out
+
+
+class _RatValue:
+    """Numerator/denominator jets; an exact denominator of None is the
+    constant 1, a float one is always a jet."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        self.num = num
+        if den is None and num.mode != EXACT:
+            den = Jet2.const(1, num.mode, INF)
+        self.den = den
+
+    def den_jet(self):
+        return self.den if self.den is not None else Jet2.const(1, EXACT, INF)
+
+
+def p_eval(node, mode, degree, variables=("x", "y")):
+    """The AST *node* as a Jet2 (Jet1 for variables ("z",)) or RationalFn,
+    as germforge.parser.eval_node evaluated it with a Jet2 per node."""
+    val = _p_eval(node, mode, degree, variables)
+    if val.den is None:
+        return _p_restrict(val.num, variables)
+    if val.den.degree_bound() == 0:
+        c = val.den.coeffs.get((0, 0), scalars.one(mode))
+        return _p_restrict(val.num.scale(scalars.one(mode) / c), variables)
+    status, quot = exact_divide(val.num, val.den)
+    if status == DIVISIBLE and quot is not None and variables == ("x", "y"):
+        return quot
+    if variables != ("x", "y"):
+        raise GermforgeError("1-variable expressions must be polynomial in z")
+    return RationalFn(val.num, val.den)
+
+
+def _p_restrict(jet, variables):
+    return jet if variables == ("x", "y") else jet.restrict_y0()
+
+
+def _p_eval(node, mode, degree, variables):
+    if isinstance(node, Const):
+        if mode == EXACT:
+            value = GaussianRational(0, node.value) if node.imag else \
+                GaussianRational(node.value, 0)
+        else:
+            value = 1j * float(node.value) if node.imag else complex(float(node.value))
+        return _RatValue(Jet2.const(value, mode, INF).truncate(degree))
+    if isinstance(node, Var):
+        if node.name not in variables:
+            raise UnknownVariable(f"variable {node.name!r} not allowed here")
+        slot = "x" if node.name in ("x", "z") else "y"
+        return _RatValue(Jet2.variable(slot, mode, INF).truncate(degree))
+    if isinstance(node, Neg):
+        inner = _p_eval(node.inner, mode, degree, variables)
+        return _RatValue(-inner.num, inner.den)
+    if isinstance(node, Add):
+        total = None
+        for sign, term in node.terms:
+            val = _p_eval(term, mode, degree, variables)
+            if sign < 0:
+                val = _RatValue(-val.num, val.den)
+            if total is None:
+                total = val
+            elif total.den is None and val.den is None:
+                total = _RatValue(total.num + val.num)
+            else:
+                total = _RatValue(
+                    jet_mul(total.num, val.den_jet()) + jet_mul(val.num, total.den_jet()),
+                    jet_mul(total.den_jet(), val.den_jet()),
+                )
+        return total
+    if isinstance(node, Mul):
+        acc = _p_eval(node.factors[0], mode, degree, variables)
+        for f in node.factors[1:]:
+            val = _p_eval(f, mode, degree, variables)
+            if acc.den is None and val.den is None:
+                acc = _RatValue(jet_mul(acc.num, val.num))
+            else:
+                acc = _RatValue(jet_mul(acc.num, val.num),
+                                jet_mul(acc.den_jet(), val.den_jet()))
+        return acc
+    if isinstance(node, Quot):
+        num = _p_eval(node.num, mode, degree, variables)
+        den = _p_eval(node.den, mode, degree, variables)
+        if den.num.is_zero():
+            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        return _RatValue(jet_mul(num.num, den.den_jet()), jet_mul(num.den_jet(), den.num))
+    if isinstance(node, Pow):
+        base = _p_eval(node.base, mode, degree, variables)
+        den = None
+        if base.den is not None:
+            den = t_jet_pow(base.den, node.exponent).truncate(degree)
+            if den.is_zero():
+                raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        return _RatValue(t_jet_pow(base.num, node.exponent).truncate(degree), den)
+    raise TypeError(f"unknown AST node {node!r}")

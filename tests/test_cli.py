@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from germforge import cli
@@ -64,3 +66,37 @@ def test_exit_code(argv, code, capsys):
         assert out.out.startswith("error:")
     if code == USAGE:
         assert "usage error" in out.err
+
+
+# JSON reports pinned byte for byte: the sha256 of the report file, with the
+# --json path written as "OUT".  Rational and Gaussian coefficients and powers
+# in both modes, p/q literals, and first integrals whose F has a nonconstant
+# denominator (the parser returns a RationalFn).
+BRACKET_1 = ["bracket", "[3/4*x^2+(2-i)*y, y^3/5-x*y]", "[x*y/7, (1+2*i)/3*x^2-i*y]"]
+BRACKET_2 = ["bracket", "[(1/2+i/3)*x^3-y^2/9, 0.25*x*y]", "[x^2/6, (5/2)*y^4]",
+             "--degree", "6"]
+JSON_ROWS = [
+    (BRACKET_1, OK, "708e32570d2db993948624bd5c1caddb01d5e812ae054fb1bbaa5527b84f2671"),
+    (BRACKET_1 + ["--mode", "float"], OK,
+     "0ce171cc3df2a4956290b05911d98cef8ed10dba3cc3e783c4be145efb4d7452"),
+    (BRACKET_2, OK, "9cd73f0e480f5a81fcb27a066d98bf029742aa6ae63dc4f3e4ddc3bbd59310da"),
+    (BRACKET_2 + ["--mode", "float"], OK,
+     "d2376e202d413cb698369a6596148cbb2f46d1beecb98834161ca72c0ce79b68"),
+    (["decompose", "[x/2+3/4*x^2, -y/2]", "[x, -y]", "[x^2, 0]"], OK,
+     "038ce7133ada6041f0b5c5da3031fab1cffb1e1e0fadf0cdfb177f9af557697a"),
+    (["decompose", "[2/3*x^2*y+x/5, -y/5]", "[x, -y]", "[x^2*y, 0]", "--mode", "float"], OK,
+     "1e6c59fd5469382d2ff147400faf80933a34c10538a79944fff14beffec0b3e7"),
+    (["first-integral", "[x, y]", "(3/4)*x/y"], OK,
+     "5617ed9d7463fe6d06fe84b52687c6467c9454fe703ecc855a43ece449fc6046"),
+    (["first-integral", "[x, -y]", "(3/4)*x/y+y^2/5"], FAIL,
+     "6506a268b40b40fadf84706d0dc75f3496444dc36a06019a54df30529154f8f0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", JSON_ROWS,
+                         ids=[" ".join(argv) for argv, _, _ in JSON_ROWS])
+def test_json_report_is_pinned(argv, code, digest, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.main(argv + ["--json", str(path)]) == code
+    text = path.read_text(encoding="utf-8").replace(f'"{path}"', '"OUT"')
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

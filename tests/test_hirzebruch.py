@@ -68,6 +68,25 @@ def test_phi_flow_chart1_matches_the_binomial_sum():
                 oracles.h_phi_flow_chart1(n, pair(t), pair(u), pair(num), pair(den))
 
 
+def test_phi_flow_chart0_matches_the_difference_of_powers():
+    """Chart 0 of Phi^t sums its fiber shift by Horner in t; the difference
+    (x + t)^(n+1) - x^(n+1) gives the same exact point."""
+    rng = random.Random(29)
+
+    def pair(g):
+        return (g.re, g.im)
+
+    for n in range(6):
+        for _ in range(40):
+            t, x, num, den = (rand_gr(rng) for _ in range(4))
+            if num.is_zero() and den.is_zero():
+                continue
+            q = phi_flow(n, t, FnPoint(n, 0, x, num, den))
+            assert q.chart == 0
+            assert (pair(q.base), pair(q.fiber_num), pair(q.fiber_den)) == \
+                oracles.h_phi_flow_chart0(n, pair(t), pair(x), pair(num), pair(den))
+
+
 def test_transition_roundtrip_random():
     rng = random.Random(3)
     for _ in range(50):

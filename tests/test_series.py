@@ -35,6 +35,7 @@ from germforge.series import (
     jet_compose2,
     jet_derive,
     jet_mul,
+    jet_pow,
     jet_reciprocal,
     laurent_residue,
     ode_residual,
@@ -851,6 +852,20 @@ def test_float_kernel_matches_scalar_loops(a, b, c, data):
     _assert_same_float(jet_compose2(f2, p, q),
                        oracles.f_compose2(dict(f2.coeffs), f2.valid_through,
                                           _scalar_dict(p), _scalar_dict(q)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_jets(), exact_jets(max_terms=1), st.integers(0, 5))
+def test_pow_matches_the_product_loop(a, term, e):
+    """jet_pow runs on stored numerators (one term goes straight to its
+    power); the loop of jet_mul from the constant 1 gives the same jet,
+    exactly, and bit for bit in float mode."""
+    for base in (a, term):
+        out, expected = jet_pow(base, e), oracles.t_jet_pow(base, e)
+        assert (out.den, out.re, out.im, out.valid_through) == \
+            (expected.den, expected.re, expected.im, expected.valid_through)
+        out, expected = jet_pow(base.to_float(), e), oracles.t_jet_pow(base.to_float(), e)
+        _assert_same_float(out, (expected.coeffs, expected.valid_through))
 
 
 @settings(max_examples=60, deadline=None)
