@@ -206,10 +206,8 @@ class CoordinateChange:
 
     @classmethod
     def from_series(cls, comp1: Jet2, comp2: Jet2) -> "CoordinateChange":
-        for c in (comp1, comp2):
-            c00 = c.coeffs.get((0, 0))
-            if c00 is not None and not scalars.is_zero_scalar(c00, c.mode):
-                raise NonInvertibleChange("series change must fix the origin")
+        if series._has_constant(comp1) or series._has_constant(comp2):
+            raise NonInvertibleChange("series change must fix the origin")
         return cls("series", comp1, comp2)
 
     @classmethod

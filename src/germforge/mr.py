@@ -1,12 +1,16 @@
-"""Martinet-Ramis formal normal forms, resonance analysis, linearization.
+"""Martinet-Ramis formal normal forms, linearization, leaf periods.
 
 The formal family is the dual field of the 1-form
 ny[1+(lambda-1)w^p] dx + mx[1+lambda w^p] dy with w = x^n y^m; the
 contraction of the form against the constructed field vanishes identically
-and is verified at construction.  Linearization is the standard
-degree-by-degree elimination: a monomial x^k1 y^k2 on dx (resp. dy) is
-resonant exactly when k1 m - k2 n = m (resp. -n), so the homological
-denominators vanish only there.
+and is verified at construction.  Linearization of X = L + N with
+L = diag(m, -n) solves the conjugacy equation Dphi . Y = X o phi in one
+graded pass over the degrees (the direct format of normal-form
+computation; Murdock, Normal Forms and Unfoldings for Local Dynamical
+Systems, ch. 3).  A monomial x^k1 y^k2 on dx (resp. dy) is resonant exactly
+when its gap k1 m - k2 n - m (resp. k1 m - k2 n + n) vanishes.  The
+normalization is that phi - id has no resonant monomial and Y - L only
+resonant ones, which makes phi and Y unique.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import gcd
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import scalars, series
 from .errors import BadParams, ModeMismatch, StepFailure
-from .germ import CoordinateChange, VectorFieldGerm, linear_part, pullback
+from .germ import CoordinateChange, VectorFieldGerm, linear_part
 from .numflow import eval_poly, periodic_trapezoid
 from .scalars import EXACT, FLOAT, GaussianRational
-from .series import INF, Jet1, Jet2, jet_mul, jet_pow
+from .series import INF, Jet1, Jet2, jet_derive, jet_mul, jet_pow
 
 
 @dataclass
@@ -94,99 +97,75 @@ def holonomy_model(m: int, p: int, lam: complex, degree: Optional[int] = None) -
 
 
 @dataclass
-class ResonanceData:
-    m: int
-    n: int
-    degree: int
-    dx_monomials: List[Tuple[int, int]]
-    dy_monomials: List[Tuple[int, int]]
-
-
-def resonant_monomials(m: int, n: int, degree: int) -> ResonanceData:
-    """All resonant monomials of total degree <= degree (k >= 1 steps).
-
-    Solutions of the eigenvalue relation are x*(x^n y^m)^(k/g) on dx and
-    y*(x^n y^m)^(k/g) on dy with g = gcd(m, n).
-    """
-    if m < 1 or n < 1:
-        raise BadParams("resonance data requires m, n >= 1")
-    g = gcd(m, n)
-    sn, sm = n // g, m // g
-    dx = []
-    dy = []
-    k = 1
-    while 1 + k * (sn + sm) <= degree:
-        dx.append((1 + k * sn, k * sm))
-        dy.append((k * sn, 1 + k * sm))
-        k += 1
-    return ResonanceData(m, n, degree, dx, dy)
-
-
-@dataclass
 class LinearizationResult:
-    change: CoordinateChange      # (new) -> (old), pullback(X, change) = normal form
-    linearized: VectorFieldGerm   # linear part plus surviving resonant terms
-    obstruction: Optional[Tuple[int, int, str]]
+    change: CoordinateChange      # phi: (new) -> (old); phi - id has no resonant monomial
+    linearized: VectorFieldGerm   # pullback(X, phi) = L + R, R only resonant monomials
+    obstruction: Optional[Tuple[int, int, str]]   # first term (i, j, "x" or "y") of R
 
 
 def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> LinearizationResult:
-    """Degree-by-degree normalization of a field with linear part diag(m, -n).
+    """Normal form of X = L + N, L = diag(m, -n), by one graded solve.
 
-    Non-resonant monomials are removed by the homological equation; the
-    first resonant monomial met with a nonzero coefficient is reported as
-    the obstruction while elimination of non-resonant terms continues.
-    With no obstruction, pullback(X, change) equals the linear model to
-    degree - 1.
+    Solves Dphi . Y = X o phi for phi = id + h and Y = L + R, with no
+    resonant monomial in h and only resonant ones in R.  Its degree-d part
+    is gap h_d + R_d = (N o phi - Dh . R)_d, and the right side needs h and
+    R below degree d only: pass d = 2 .. top composes N and phi through
+    degree d, as CoordinateChange.inverse does its Picard passes, and puts
+    each degree-d term v into h_d as v / gap, or into R_d as v when
+    gap = 0.  The first resonant term met, by degree with dx first, is the
+    obstruction.  change and linearized are valid through
+    top = min(degree, X.valid_through), and pullback(X, change) =
+    linearized there; with no obstruction, linearized = L through top.
+    Raises ModeMismatch for a float field, and BadParams unless X(0) = 0
+    and the linear part is diag(m, -n) with integers m, n >= 1.
     """
     degree = degree if degree is not None else series.DEFAULT_DEGREE
     mode = x.mode
     if mode != EXACT:
         raise ModeMismatch("linearize operates in exact mode")
     lin = linear_part(x)
-    m_s = lin.matrix[0][0]
-    n_s = lin.matrix[1][1]
-    off_diag_zero = scalars.is_zero_scalar(lin.matrix[0][1], mode) and \
-        scalars.is_zero_scalar(lin.matrix[1][0], mode)
-    m = _positive_int(m_s)
-    n = _positive_int(-n_s)
-    if not off_diag_zero or m is None or n is None:
-        raise BadParams("linearize requires linear part exactly diag(m, -n), m, n >= 1")
-    current = x.truncate(degree)
-    change: Optional[CoordinateChange] = None
+    m = _positive_int(lin.matrix[0][0])
+    n = _positive_int(-lin.matrix[1][1])
+    if m is None or n is None or x.order() < 1 or not (
+            scalars.is_zero_scalar(lin.matrix[0][1], mode)
+            and scalars.is_zero_scalar(lin.matrix[1][0], mode)):
+        raise BadParams("linearize requires X(0) = 0 and linear part exactly diag(m, -n), "
+                        "m, n >= 1")
+    top = min(degree, x.valid_through)
+    xv = Jet2.variable("x", mode, INF)
+    yv = Jet2.variable("y", mode, INF)
+    lin_a, lin_b = xv.scale(m), yv.scale(-n)
+    n1, n2 = (x.a - lin_a).truncate(top), (x.b - lin_b).truncate(top)
+    # the components of phi and of R, each right through degree d - 1 before pass d
+    phi = [xv.truncate(min(top, 1)), yv.truncate(min(top, 1))]
+    res = [Jet2.zero(mode, min(top, 1))] * 2
     obstruction: Optional[Tuple[int, int, str]] = None
-    xv = Jet2.variable("x", mode, degree)
-    yv = Jet2.variable("y", mode, degree)
-    for d in range(2, degree + 1):
-        pa = current.a.homogeneous_part(d)
-        pb = current.b.homogeneous_part(d)
-        if pa.is_zero() and pb.is_zero():
-            continue
-        h1 = {}
-        h2 = {}
-        for (i, j), v in pa.coeffs.items():
-            gap = i * m - j * n - m
-            if gap == 0:
-                if obstruction is None:
-                    obstruction = (i, j, "x")
-                continue
-            h1[(i, j)] = v / scalars.coerce(gap, mode)
-        for (i, j), v in pb.coeffs.items():
-            gap = i * m - j * n + n
-            if gap == 0:
-                if obstruction is None:
-                    obstruction = (i, j, "y")
-                continue
-            h2[(i, j)] = v / scalars.coerce(gap, mode)
-        if not h1 and not h2:
-            continue
-        step = CoordinateChange.from_series(
-            xv + Jet2(mode, h1, degree), yv + Jet2(mode, h2, degree)
-        )
-        current = pullback(current, step).truncate(degree)
-        change = step if change is None else change.compose(step)
-    if change is None:
-        change = CoordinateChange.from_series(xv, yv)
-    return LinearizationResult(change, current, obstruction)
+    for d in range(2, top + 1):
+        phi = [series._known_through(c, d) for c in phi]
+        rhs = CoordinateChange.from_series(n1.truncate(d), n2.truncate(d)).compose(
+            CoordinateChange.from_series(*phi))
+        rhs = [rhs.comp1, rhs.comp2]
+        if not (res[0].is_zero() and res[1].is_zero()):
+            for k, h in enumerate((phi[0] - xv, phi[1] - yv)):
+                rhs[k] = rhs[k] - jet_mul(jet_derive(h, "x"), res[0]) \
+                    - jet_mul(jet_derive(h, "y"), res[1])
+        res = [series._known_through(c, d) for c in res]
+        for k, shift, name in ((0, -m, "x"), (1, n, "y")):
+            h_d, r_d = {}, {}
+            for (i, j), c in rhs[k].homogeneous_part(d).coeffs.items():
+                gap = i * m - j * n + shift
+                if gap:
+                    h_d[(i, j)] = GaussianRational(c.re / gap, c.im / gap)
+                else:
+                    r_d[(i, j)] = c
+                    if obstruction is None:
+                        obstruction = (i, j, name)
+            if h_d:
+                phi[k] = phi[k] + Jet2(mode, h_d, d)
+            if r_d:
+                res[k] = res[k] + Jet2(mode, r_d, d)
+    linearized = VectorFieldGerm(lin_a + res[0], lin_b + res[1])
+    return LinearizationResult(CoordinateChange.from_series(*phi), linearized, obstruction)
 
 
 def _positive_int(value) -> Optional[int]:

@@ -750,8 +750,8 @@ def _known_through(jet: Jet2, d: int) -> Jet2:
 
     The only place that raises a claimed valid_through (Jet2.truncate can
     only lower it).  The caller vouches that the result is right through d
-    wherever it is read: the graded Picard passes of
-    germ.CoordinateChange.inverse know this from the degree of the pass.
+    wherever it is read: the graded passes of germ.CoordinateChange.inverse
+    and mr.linearize know this from the degree of the pass.
     """
     return _jet(jet.mode, jet.den, _zcut(jet.re, d), _zcut(jet.im, d), d)
 

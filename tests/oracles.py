@@ -13,18 +13,24 @@ binomial sum of the Hirzebruch flow's chart-1 fiber shift, and
 which germforge.hirzebruch now sums by Horner.  `p_eval` is the expression
 evaluator that built one Jet2 per AST node (with `t_jet_pow`, the power
 loop that started from the Jet2 constant 1), kept as the oracle for the
-parser's evaluation on stored numerators.
+parser's evaluation on stored numerators.  `t_linearize` is the
+Martinet-Ramis linearization as it was before it became one graded solve
+(an elimination step id + h_d per degree, pulled back and composed), and
+`resonant_monomials` lists the resonant monomials of diag(m, -n) from the
+closed form of the eigenvalue relation; both are oracles for
+germforge.mr.linearize.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from dataclasses import dataclass
+from math import comb, gcd
 from typing import Callable, List, Optional, Tuple
 
 from germforge import scalars
 from germforge.errors import GermforgeError, StepFailure, ZeroDenominator
-from germforge.germ import RationalFn
+from germforge.germ import CoordinateChange, RationalFn, pullback
 from germforge.numflow import _DP_A, _DP_B4, _DP_B5
 from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
 from germforge.scalars import EXACT, GaussianRational
@@ -597,3 +603,77 @@ def _p_eval(node, mode, degree, variables):
                 raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
         return _RatValue(t_jet_pow(base.num, node.exponent).truncate(degree), den)
     raise TypeError(f"unknown AST node {node!r}")
+
+
+# -- Martinet-Ramis linearization ---------------------------------------------
+
+@dataclass
+class ResonanceData:
+    m: int
+    n: int
+    degree: int
+    dx_monomials: List[Tuple[int, int]]
+    dy_monomials: List[Tuple[int, int]]
+
+
+def resonant_monomials(m: int, n: int, degree: int) -> ResonanceData:
+    """All resonant monomials of diag(m, -n) of total degree <= degree.
+
+    Solutions of the eigenvalue relation are x*(x^n y^m)^(k/g) on dx and
+    y*(x^n y^m)^(k/g) on dy with g = gcd(m, n), k >= 1.
+    """
+    g = gcd(m, n)
+    sn, sm = n // g, m // g
+    dx = []
+    dy = []
+    k = 1
+    while 1 + k * (sn + sm) <= degree:
+        dx.append((1 + k * sn, k * sm))
+        dy.append((k * sn, 1 + k * sm))
+        k += 1
+    return ResonanceData(m, n, degree, dx, dy)
+
+
+def t_linearize(x, m, n, degree):
+    """(change, linearized, obstruction) of the field x with linear part
+    diag(m, -n) by iterated elimination: for d = 2 .. degree, the
+    non-resonant degree-d terms of the current field are removed by the step
+    id + h_d, h_d = v / gap, which pulls the whole field back and is composed
+    onto the change so far.  The change is the composite of the steps, so
+    it may hold resonant monomials; it claims valid_through *degree*."""
+    current = x.truncate(degree)
+    change = None
+    obstruction = None
+    xv = Jet2.variable("x", EXACT, degree)
+    yv = Jet2.variable("y", EXACT, degree)
+    for d in range(2, degree + 1):
+        pa = current.a.homogeneous_part(d)
+        pb = current.b.homogeneous_part(d)
+        if pa.is_zero() and pb.is_zero():
+            continue
+        h1 = {}
+        h2 = {}
+        for (i, j), v in pa.coeffs.items():
+            gap = i * m - j * n - m
+            if gap == 0:
+                if obstruction is None:
+                    obstruction = (i, j, "x")
+                continue
+            h1[(i, j)] = v / GaussianRational(gap)
+        for (i, j), v in pb.coeffs.items():
+            gap = i * m - j * n + n
+            if gap == 0:
+                if obstruction is None:
+                    obstruction = (i, j, "y")
+                continue
+            h2[(i, j)] = v / GaussianRational(gap)
+        if not h1 and not h2:
+            continue
+        step = CoordinateChange.from_series(
+            xv + Jet2(EXACT, h1, degree), yv + Jet2(EXACT, h2, degree)
+        )
+        current = pullback(current, step).truncate(degree)
+        change = step if change is None else change.compose(step)
+    if change is None:
+        change = CoordinateChange.from_series(xv, yv)
+    return change, current, obstruction

@@ -70,8 +70,8 @@ def test_exit_code(argv, code, capsys):
 
 # JSON reports pinned byte for byte: the sha256 of the report file, with the
 # --json path written as "OUT".  Rational and Gaussian coefficients and powers
-# in both modes, p/q literals, and first integrals whose F has a nonconstant
-# denominator (the parser returns a RationalFn).
+# in both modes, p/q literals, first integrals whose F has a nonconstant
+# denominator (the parser returns a RationalFn), and a resonant normal form.
 BRACKET_1 = ["bracket", "[3/4*x^2+(2-i)*y, y^3/5-x*y]", "[x*y/7, (1+2*i)/3*x^2-i*y]"]
 BRACKET_2 = ["bracket", "[(1/2+i/3)*x^3-y^2/9, 0.25*x*y]", "[x^2/6, (5/2)*y^4]",
              "--degree", "6"]
@@ -90,6 +90,10 @@ JSON_ROWS = [
      "5617ed9d7463fe6d06fe84b52687c6467c9454fe703ecc855a43ece449fc6046"),
     (["first-integral", "[x, -y]", "(3/4)*x/y+y^2/5"], FAIL,
      "6506a268b40b40fadf84706d0dc75f3496444dc36a06019a54df30529154f8f0"),
+    # a resonant field: its normal form past the obstruction x^2 y is fixed by
+    # the normalization (phi - id free of resonant monomials)
+    (["linearize", "[x + x^2*y + x^3 + y^2, -y + x*y^2 + x^2 + 3*x*y]", "--degree", "9"], FAIL,
+     "bd34b02f26cef4c22bd1807bd2970bb5cc8d4d7911202bb75dcf1f6eee0e05a7"),
 ]
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import numflow
 from germforge.errors import BadParams, ModeMismatch
@@ -18,11 +21,12 @@ from germforge.mr import (
     linearize,
     mr_formal_vf,
     mr_leaf_period,
-    resonant_monomials,
 )
 from germforge.numflow import LeafLoopSpec, TimePath, integrate_flow_1d, track_leaf
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import INF, Jet1, Jet2, jet_mul
+
+from oracles import resonant_monomials, t_linearize
 
 GR = GaussianRational
 
@@ -135,6 +139,100 @@ def test_linearize_conjugation_soundness():
     # the recorded change conjugates the linear model back to the input
     back = pullback(model, result.change.inverse(10))
     assert back.truncate(9).equals(f.truncate(9))
+
+
+def test_linearize_requires_a_zero_at_the_origin():
+    x = Jet2.variable("x", EXACT, INF)
+    y = Jet2.variable("y", EXACT, INF)
+    with pytest.raises(BadParams):
+        linearize(VectorFieldGerm(x + Jet2.const(1, EXACT, INF), -y).truncate(8), 8)
+
+
+# -- the graded solve against the elimination loop and by completion ---------------
+#
+# Random dense fields diag(m, -n) + N with Gaussian-rational coefficients.
+# oracles.t_linearize is the elimination loop linearize replaced: its change
+# is a composite of steps and may hold resonant monomials, so the two agree
+# on the obstruction and on the normal form through the obstruction's degree
+# only.  The completion test needs no oracle: whatever X is beyond its
+# valid_through, every coefficient linearize claims must stay the same.
+
+MN = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+
+def _random_gr(rng):
+    im = Fraction(rng.randint(-5, 5), rng.randint(1, 5)) if rng.random() < 0.3 else 0
+    return GR(Fraction(rng.randint(-5, 5), rng.randint(1, 5)), im)
+
+
+def _random_terms(rng, low, high, share=0.7):
+    """Coefficients of degrees low..high, each monomial kept with probability share."""
+    return {(i, d - i): _random_gr(rng) for d in range(low, high + 1)
+            for i in range(d + 1) if rng.random() < share}
+
+
+def _dense_field(rng, m, n, valid):
+    """diag(m, -n) plus random terms of degrees 2..valid, known through valid."""
+    return VectorFieldGerm(
+        Jet2(EXACT, {(1, 0): GR(m), **_random_terms(rng, 2, valid)}, valid),
+        Jet2(EXACT, {(0, 1): GR(-n), **_random_terms(rng, 2, valid)}, valid))
+
+
+@pytest.mark.parametrize("m, n", MN)
+def test_linearize_matches_the_elimination_loop(m, n):
+    rng = random.Random(f"linearize/{m}/{n}")
+    for k in range(17):
+        degree = 4 + k % 6
+        field = _dense_field(rng, m, n, degree)
+        out = linearize(field, degree)
+        _, normal_form, obstruction = t_linearize(field, m, n, degree)
+        assert out.obstruction == obstruction
+        same_through = degree if obstruction is None else obstruction[0] + obstruction[1]
+        assert out.linearized.truncate(same_through).equals(normal_form.truncate(same_through))
+        assert out.change.comp1.valid_through == out.linearized.valid_through == degree
+        assert pullback(field, out.change).equals(out.linearized)
+        # phi - id holds no resonant monomial, and Y - L only resonant ones
+        res = resonant_monomials(m, n, degree)
+        for comp, lin_key, lin_value, resonant, y_comp in (
+                (out.change.comp1, (1, 0), GR(m), res.dx_monomials, out.linearized.a),
+                (out.change.comp2, (0, 1), GR(-n), res.dy_monomials, out.linearized.b)):
+            assert comp.coeffs[lin_key] == GR(1)
+            assert all(sum(key) >= 2 and key not in resonant for key in comp.coeffs if key != lin_key)
+            assert y_comp.coeffs[lin_key] == lin_value
+            assert all(key in resonant for key in y_comp.coeffs if key != lin_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MN), st.integers(2, 7), st.integers(-1, 3),
+       st.randoms(use_true_random=False))
+def test_linearize_is_sound_for_any_completion(mn, valid, extra, rng):
+    """change and linearized are right through the valid_through they claim,
+    and the obstruction found there stays, whatever X is beyond valid."""
+    m, n = mn
+    degree = valid + extra
+    field = _dense_field(rng, m, n, valid)
+    tail = [_random_terms(rng, valid + 1, degree + 1, 0.5) for _ in range(2)]
+    full = VectorFieldGerm(Jet2(EXACT, {**field.a.coeffs, **tail[0]}, INF),
+                           Jet2(EXACT, {**field.b.coeffs, **tail[1]}, INF))
+    out, ref = linearize(field, degree), linearize(full, degree)
+    for got, want in ((out.change.comp1, ref.change.comp1), (out.change.comp2, ref.change.comp2),
+                      (out.linearized.a, ref.linearized.a), (out.linearized.b, ref.linearized.b)):
+        assert got.valid_through <= want.valid_through
+        assert got.equals(want)
+    claimed = out.linearized.valid_through
+    if out.obstruction is not None or ref.obstruction is None:
+        assert out.obstruction == ref.obstruction
+    else:
+        assert ref.obstruction[0] + ref.obstruction[1] > claimed
+
+
+def test_linearize_claims_no_more_than_the_field_knows():
+    x = Jet2.variable("x", EXACT, INF)
+    y = Jet2.variable("y", EXACT, INF)
+    field = VectorFieldGerm(x + jet_mul(x, x), -y + jet_mul(x, y)).truncate(5)
+    out = linearize(field, 9)
+    assert out.change.comp1.valid_through == out.change.comp2.valid_through == 5
+    assert out.linearized.valid_through == 5
 
 
 def test_mr_leaf_period_constant_unit():
