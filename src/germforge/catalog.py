@@ -31,7 +31,7 @@ from .germ import (
     primitive_split,
 )
 from .onedim import FAIL, invariant_axes, onedim_check, restrict_to_axis
-from .scalars import EXACT, GaussianRational
+from .scalars import EXACT
 from .series import (
     DIVISIBLE,
     INF,
@@ -57,20 +57,12 @@ class NormalFormID:
 
     def label(self) -> str:
         if self.params:
-            inner = ",".join(f"{k}={_fmt_param(v)}" for k, v in sorted(self.params.items()))
+            inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
             return f"{self.kind}:{self.name}[{inner}]"
         return f"{self.kind}:{self.name}"
 
     def __repr__(self):
         return self.label()
-
-
-def _fmt_param(v) -> str:
-    if isinstance(v, GaussianRational):
-        return scalars.format_exact(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
 
 
 def parse_id(text: str) -> NormalFormID:
@@ -606,14 +598,6 @@ def _match_unit_times(germ: VectorFieldGerm, v_a: Jet2, v_b: Jet2) -> Optional[J
     return f
 
 
-def _int_of(value) -> Optional[int]:
-    if isinstance(value, GaussianRational):
-        if value.im != 0 or value.re.denominator != 1:
-            return None
-        return int(value.re)
-    return None
-
-
 def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
     mode = germ.mode
     forms = list(standard_forms(mode)) + list(declared)
@@ -687,9 +671,9 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
         if off_zero and not scalars.is_zero_scalar(lam1, mode) and \
                 not scalars.is_zero_scalar(lam2, mode):
             ratio = lam2 / lam1
-            rat = _rational_of(ratio)
+            rat = scalars.as_rational(ratio)
             if rat is not None and rat < 0 and p_xy == 0 and p_cusp == 0 and p_sept == 0:
-                n, m = _coprime_pair(-rat)  # lam1 : lam2 = m : -n
+                n, m = -rat.numerator, rat.denominator  # lam1 : lam2 = m : -n
                 a_pow_sig = ax * m - ay * n
                 if a_pow_sig != 0:
                     if a_pow_sig in (1, -1):
@@ -707,13 +691,12 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
                                 "table", "10",
                                 {"m": m, "n": n, "k": ax // n}))
             # row 11: n > 0, or n < 0 (opposite-sign eigenvalues) with no curve factor
-            if rat is not None and ax == 1 and ay == 0 and p_xy == 0 \
+            if rat is not None and rat.denominator == 1 and ax == 1 and ay == 0 and p_xy == 0 \
                     and (rat > 0 or (p_cusp == 0 and p_sept == 0)):
-                n_int = _int_of_fraction(rat)
-                if n_int is not None:
-                    f = _unit_quotient(primitive.a, x)
-                    if f is not None and primitive.b.equals(jet_mul(f, y.scale(n_int))):
-                        out.append(NormalFormID("table", "11", {"n": n_int}))
+                n_int = int(rat)
+                f = _unit_quotient(primitive.a, x)
+                if f is not None and primitive.b.equals(jet_mul(f, y.scale(n_int))):
+                    out.append(NormalFormID("table", "11", {"n": n_int}))
             if rat is not None and rat < 0 and ax == ay and p_xy == 1 \
                     and p_cusp == 0 and p_sept == 0:
                 if rat == Fraction(-1):
@@ -747,10 +730,10 @@ def _row2_param(v_b: Jet2, mode) -> Optional[int]:
         return None
     c_xy = v_b.coeffs.get((1, 1), scalars.zero(mode))
     c_y2 = v_b.coeffs.get((0, 2), scalars.zero(mode))
-    n_plus_1 = _int_of(c_y2) if mode == EXACT else None
-    if n_plus_1 is None or n_plus_1 < 1:
+    n_plus_1 = scalars.as_rational(c_y2)
+    if n_plus_1 is None or n_plus_1.denominator != 1 or n_plus_1 < 1:
         return None
-    n = n_plus_1 - 1
+    n = int(n_plus_1) - 1
     expected = scalars.coerce(-n, mode)
     if not scalars.is_zero_scalar(c_xy - expected, mode):
         return None
@@ -779,22 +762,6 @@ def _shape_exponent(ax, ay, form_powers, wx, wy, wforms) -> Optional[int]:
     if any(form_powers[e] != 0 for e in extra):
         return None
     return a_val if a_val is not None else 0
-
-
-def _rational_of(value) -> Optional[Fraction]:
-    if isinstance(value, GaussianRational):
-        if value.im != 0:
-            return None
-        return value.re
-    return None
-
-
-def _int_of_fraction(f: Fraction) -> Optional[int]:
-    return int(f) if f.denominator == 1 else None
-
-
-def _coprime_pair(ratio: Fraction) -> Tuple[int, int]:
-    return ratio.numerator, ratio.denominator
 
 
 def _axes_invariant(germ: VectorFieldGerm) -> bool:

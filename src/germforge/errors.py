@@ -59,6 +59,10 @@ class BadParams(GermforgeError):
     """Parameters violate a constraint of the called constructor or routine."""
 
 
+class NumberTooLong(GermforgeError):
+    """An exact coefficient has more digits than Python turns into text."""
+
+
 class NonzeroEigenvalue(GermforgeError):
     """Classifier input has an eigenvalue different from zero at the origin."""
 

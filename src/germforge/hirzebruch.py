@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import List, Optional
 
 from .errors import BadParams, OnExceptionalLocus
@@ -92,57 +92,38 @@ def points_equal(p: FnPoint, q: FnPoint) -> bool:
 
 
 def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
-    """Parabolic flow Phi^t; complete, with automatic chart switching."""
+    """Parabolic flow Phi^t; complete, with automatic chart switching.
+
+    Both charts shift the fiber by t S(a, b), with the binomial sum S of
+    _binomial_sum: in chart 0 the shift (x + t)^(n+1) - x^(n+1) is
+    t S(t, x), and in chart 1 sum_{k=1}^{n+1} C(n+1, k) t^k u^(k-1) is
+    t S(t u, 1), over the denominator (1 + t u)^n.
+    """
     t = _gr(t)
     if p.n != n:
         raise BadParams("point does not live on F_n")
     if p.chart == 0:
         x = p.base
-        shift = _chart0_shift(n, x, t)
+        shift = t * _binomial_sum(n, t, x)
         return FnPoint(n, 0, x + t, p.fiber_num + shift * p.fiber_den, p.fiber_den)
     u = p.base
-    denom = GR(1) + t * u
+    w = t * u
+    denom = w + 1
     if denom.is_zero():
         # lands on the x = 0 axis of chart 0; u != 0 here since t*u = -1
         return phi_flow(n, t, fn_transition(p))
-    new_base = u / denom
-    # sum_{k=1}^{n+1} C(n+1, k) t^k u^(k-1) = t sum_k C(n+1, k) w^(k-1), w = t u,
-    # by Horner in w
-    w = t * u
-    poly = GR(1)
-    for k in range(n, 0, -1):
-        poly = poly * w + _gr(comb(n + 1, k))
-    poly = t * poly
-    num = p.fiber_num + poly * p.fiber_den
+    num = p.fiber_num + t * _binomial_sum(n, w, 1) * p.fiber_den
     den = p.fiber_den * denom ** n
-    return FnPoint(n, 1, new_base, num, den)
+    return FnPoint(n, 1, u / denom, num, den)
 
 
-def _chart0_shift(n: int, x: GR, t: GR) -> GR:
-    """(x + t)^(n+1) - x^(n+1) = t sum_{k=1}^{n+1} C(n+1, k) t^(k-1) x^(n+1-k).
-
-    With x = X / dx and t = T / dt for Gaussian integers X and T, the sum is
-    H / (dx dt)^n for H = sum_k C(n+1, k) A^(k-1) B^(n+1-k), A = T dx and
-    B = X dt.  H is summed by Horner in A on Gaussian-integer pairs, and one
-    GaussianRational is built at the end.
-    """
-    dx, xr, xi = _numerators(x)
-    dt, tr, ti = _numerators(t)
-    ar, ai, br, bi = tr * dx, ti * dx, xr * dt, xi * dt
-    hr, hi = 1, 0           # H, from its k = n+1 coefficient C(n+1, n+1) = 1
-    pr, pi = 1, 0           # B^(n+1-k)
+def _binomial_sum(n: int, a: GR, b) -> GR:
+    """S(a, b) = sum_{k=1}^{n+1} C(n+1, k) a^(k-1) b^(n+1-k), by Horner in a."""
+    total = b_pow = GR(1)       # the k = n+1 term C(n+1, n+1) = 1, and b^0
     for k in range(n, 0, -1):
-        pr, pi = pr * br - pi * bi, pr * bi + pi * br
-        c = comb(n + 1, k)
-        hr, hi = hr * ar - hi * ai + c * pr, hr * ai + hi * ar + c * pi
-    den = dt * (dt * dx) ** n
-    return GR(Fraction(tr * hr - ti * hi, den), Fraction(tr * hi + ti * hr, den))
-
-
-def _numerators(g: GR):
-    """g as (d, re, im) with g = (re + im i) / d over the lcm d of its denominators."""
-    d = lcm(g.re.denominator, g.im.denominator)
-    return d, g.re.numerator * (d // g.re.denominator), g.im.numerator * (d // g.im.denominator)
+        b_pow = b_pow * b
+        total = total * a + comb(n + 1, k) * b_pow
+    return total
 
 
 def psi_flow(n: int, s, p: FnPoint) -> FnPoint:

@@ -24,7 +24,7 @@ from . import scalars, series
 from .errors import BadParams, ModeMismatch, StepFailure
 from .germ import CoordinateChange, VectorFieldGerm, linear_part
 from .numflow import eval_poly, periodic_trapezoid
-from .scalars import EXACT, FLOAT, GaussianRational
+from .scalars import EXACT, FLOAT
 from .series import INF, Jet1, Jet2, jet_derive, jet_mul, jet_pow
 
 
@@ -155,7 +155,7 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
             for (i, j), c in rhs[k].homogeneous_part(d).coeffs.items():
                 gap = i * m - j * n + shift
                 if gap:
-                    h_d[(i, j)] = GaussianRational(c.re / gap, c.im / gap)
+                    h_d[(i, j)] = c / gap
                 else:
                     r_d[(i, j)] = c
                     if obstruction is None:
@@ -169,12 +169,8 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
 
 
 def _positive_int(value) -> Optional[int]:
-    if isinstance(value, GaussianRational):
-        if value.im != 0 or value.re.denominator != 1:
-            return None
-        i = int(value.re)
-        return i if i >= 1 else None
-    return None
+    rat = scalars.as_rational(value)
+    return int(rat) if rat is not None and rat.denominator == 1 and rat >= 1 else None
 
 
 def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,

@@ -137,10 +137,10 @@ def _tokenize(text: str) -> List[_Token]:
             out.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -425,7 +425,15 @@ def _times(a: tuple, b: tuple) -> tuple:
 
 
 def _power(mode: str, a: tuple, e: int, degree) -> tuple:
-    """a^e cut at the working degree, as jet_pow(a, e).truncate(degree)."""
+    """a^e cut at the working degree, as jet_pow(a, e).truncate(degree).
+
+    When every term of a^e lies beyond the degree (e * ord a > degree), that
+    is the zero numerator known through the degree, without the e products:
+    every value here is known through the degree at least, and so is a^e.
+    """
+    order = _zorder(a[1], a[2])
+    if 1 <= order < INF and e * order > degree:
+        return 1, {}, {}, degree
     den, re, im, valid = _zpow(mode, a, a[3], e)
     if degree < valid:
         re, im, valid = _zcut(re, degree), _zcut(im, degree), degree

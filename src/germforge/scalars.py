@@ -1,31 +1,56 @@
 """Scalar coefficient field: exact Gaussian rationals or double complex.
 
-Exact mode carries a pair of arbitrary-precision rationals (re + im*i) so
-that every symbolic check in the suite is an equality check.  Float mode is
-plain ``complex`` and all comparisons go through a tolerance.  The two modes
-never mix silently: containers carry a mode tag and refuse mixed input.
+Exact mode stores an element of Q(i) as three Python ints, the value
+(re_num + im_num*i) / den with den > 0 and gcd(den, re_num, im_num) = 1,
+which is how a Jet2 stores each coefficient (as FLINT's fmpq and fmpzi
+types keep integers over one denominator).  Every value is reduced, so
+equal numbers have equal ints and every symbolic check in the suite is an
+equality check.  Float mode is plain ``complex`` and all comparisons go
+through a tolerance.  The two modes never mix silently: containers carry a
+mode tag and refuse mixed input.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
-from .errors import ModeMismatch
+from .errors import ModeMismatch, NumberTooLong
 
 EXACT = "exact"
 FLOAT = "float"
 
 
 class GaussianRational:
-    """Element of Q(i) with Fraction real and imaginary parts."""
+    """Element of Q(i) stored as reduced ints (den, re_num, im_num).
 
-    __slots__ = ("re", "im")
+    ``GaussianRational(re, im)`` takes ints, Fractions or anything Fraction
+    accepts; every operation works on the ints and returns a reduced value.
+    ``re`` and ``im`` are read-only Fraction views of the two parts.
+    """
+
+    __slots__ = ("den", "re_num", "im_num")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.den, self.re_num, self.im_num = 1, re, im
+            return
+        re, im = Fraction(re), Fraction(im)
+        # a reduced a/b and c/d over lcm(b, d) share no factor with it
+        den = math.lcm(re.denominator, im.denominator)
+        self.den = den
+        self.re_num = re.numerator * (den // re.denominator)
+        self.im_num = im.numerator * (den // im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -40,39 +65,40 @@ class GaussianRational:
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        o = GaussianRational.from_value(other)
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return from_ints(d1, self.re_num + o.re_num, self.im_num + o.im_num)
+        return from_ints(d1 * d2, self.re_num * d2 + o.re_num * d1,
+                               self.im_num * d2 + o.im_num * d1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -GaussianRational.from_value(other)
 
     def __rsub__(self, other):
         return GaussianRational.from_value(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return from_ints(self.den, -self.re_num, -self.im_num)
 
     def __mul__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        o = GaussianRational.from_value(other)
+        r1, i1, r2, i2 = self.re_num, self.im_num, o.re_num, o.im_num
+        return from_ints(self.den * o.den, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.from_value(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        # a / b = a * conj(b) / |b|^2: (r1 + i1 i) d2 (r2 - i2 i) / (d1 (r2^2 + i2^2))
+        o = GaussianRational.from_value(other)
+        r1, i1, r2, i2 = self.re_num, self.im_num, o.re_num, o.im_num
+        norm = r2 * r2 + i2 * i2
+        if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        d2 = o.den
+        return from_ints(self.den * norm, d2 * (r1 * r2 + i1 * i2), d2 * (i1 * r2 - r1 * i2))
 
     def __rtruediv__(self, other):
         return GaussianRational.from_value(other) / self
@@ -91,40 +117,36 @@ class GaussianRational:
             other = GaussianRational(other, 0)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.re_num == other.re_num and self.im_num == other.im_num \
+            and self.den == other.den
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re_num or self.im_num)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re_num or self.im_num)
 
     def sqrt(self):
-        """Exact square root inside Q(i), or None when there is none."""
-        norm2 = self.re * self.re + self.im * self.im
-        r = _fraction_sqrt(norm2)
-        if r is None:
+        """Exact square root inside Q(i), or None when there is none.
+
+        sqrt((r + s i) / d) is sqrt(w) / d for the Gaussian integer
+        w = a + b i = (r + s i) d, and w = (p + q i)^2 for integers with
+        p^2 = (|w| + a) / 2, q^2 = (|w| - a) / 2 and 2pq = b.  The root
+        returned has p > 0, or p = 0 and q >= 0.
+        """
+        a, b = self.re_num * self.den, self.im_num * self.den
+        n = math.isqrt(a * a + b * b)
+        p, q = math.isqrt((n + a) // 2), math.isqrt((n - a) // 2)
+        if n * n != a * a + b * b or 2 * p * p != n + a or 2 * q * q != n - a:
             return None
-        c2 = (self.re + r) / 2
-        c = _fraction_sqrt(c2)
-        if c is None:
-            return None
-        if c == 0:
-            d = _fraction_sqrt(-self.re)
-            if d is None:
-                return None
-            return GaussianRational(0, d)
-        d = self.im / (2 * c)
-        cand = GaussianRational(c, d)
-        if cand * cand == self:
-            return cand
-        return None
+        return from_ints(self.den, p, q if b >= 0 else -q)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded: the float(Fraction) of each part
+        return complex(self.re_num / self.den) + 1j * complex(self.im_num / self.den)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -133,18 +155,15 @@ class GaussianRational:
         return format_exact(self)
 
 
-def _fraction_sqrt(q: Fraction):
-    """Square root of a non-negative rational if it is again rational."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+_new = object.__new__
+
+
+def from_ints(den: int, re_num: int, im_num: int) -> GaussianRational:
+    """(re_num + im_num*i) / den for ints with den > 0, reduced."""
+    g = math.gcd(den, re_num, im_num)
+    out = _new(GaussianRational)
+    out.den, out.re_num, out.im_num = den // g, re_num // g, im_num // g
+    return out
 
 
 Scalar = Union[GaussianRational, complex]
@@ -181,22 +200,25 @@ def is_zero_scalar(value: Scalar, mode: str, tol: float = 0.0) -> bool:
     return abs(value) <= tol
 
 
-def to_complex(value: Scalar) -> complex:
-    if isinstance(value, GaussianRational):
-        return value.to_complex()
-    return complex(value)
+def as_rational(value) -> Optional[Fraction]:
+    """The rational number *value* is, or None for a non-real or float scalar."""
+    if isinstance(value, GaussianRational) and not value.im_num:
+        return Fraction(value.re_num, value.den)
+    return None
 
 
 def format_exact(value: GaussianRational) -> str:
     """Serialize as "p/q", "r/s*i" or "p/q+r/s*i" (lossless)."""
-    re_s = str(value.re)
-    im = value.im
-    if im == 0:
+    try:
+        re_s, im_s = str(value.re), f"{value.im}*i"
+    except ValueError:          # Python refuses int-to-text beyond its digit limit
+        raise NumberTooLong(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                            f"digits, the limit of Python's int-to-text conversion") from None
+    if not value.im_num:
         return re_s
-    im_s = f"{im}*i"
-    if value.re == 0:
+    if not value.re_num:
         return im_s
-    return f"{re_s}+{im_s}" if im > 0 else f"{re_s}-{-im}*i"
+    return f"{re_s}+{im_s}" if value.im_num > 0 else re_s + im_s
 
 
 def parse_exact(text: str) -> GaussianRational:

@@ -23,16 +23,17 @@ degree <= valid_through.  Exact jets hold Python ints, and every operation
 reduces den against the numerators, so den is the least common denominator
 of the coefficients.  Float jets hold their complex coefficients in re,
 with den = 1 and im empty.  The integer helpers (_zlin, _zsum, _zscaled,
-_zmul_into, _gmul_into, _zproduct) therefore serve both modes, and exact
-work builds no Fraction until a caller reads ``coeffs``: a read-only scalar
-view that an exact jet builds on first read (re keys first, then the purely
-imaginary ones) and caches, and that for a float jet is re itself.
+_zmul_into, _gmul_into, _zproduct) therefore serve both modes.  A
+GaussianRational stores one coefficient the same way, as reduced ints
+(den, re_num, im_num), so a jet and its scalars convert by gcds and
+lcms of ints alone.  ``coeffs`` is a read-only scalar view that an exact
+jet builds on first read (re keys first, then the purely imaginary ones)
+and caches, and that for a float jet is re itself.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import scalars
@@ -44,7 +45,7 @@ from .errors import (
     NotDivisible,
     PrecisionExhausted,
 )
-from .scalars import EXACT, FLOAT, GaussianRational, Scalar
+from .scalars import EXACT, FLOAT, GaussianRational, Scalar, from_ints
 
 INF = math.inf
 
@@ -195,24 +196,21 @@ class Jet2:
             return
         den = 1
         for v in cleaned.values():
-            den = math.lcm(den, v.re.denominator, v.im.denominator)
+            den = math.lcm(den, v.den)
         self.den = den
-        self.re = {k: v.re.numerator * (den // v.re.denominator)
-                   for k, v in cleaned.items() if v.re}
-        self.im = {k: v.im.numerator * (den // v.im.denominator)
-                   for k, v in cleaned.items() if v.im}
+        self.re = {k: v.re_num * (den // v.den) for k, v in cleaned.items() if v.re_num}
+        self.im = {k: v.im_num * (den // v.den) for k, v in cleaned.items() if v.im_num}
 
     @property
     def coeffs(self) -> Dict[Tuple[int, int], Scalar]:
         """The scalar coefficients, read-only (built on first read, then cached)."""
         view = self._view
         if view is None:
-            den, im = self.den, self.im
-            view = {k: GaussianRational(Fraction(v, den), Fraction(im[k], den) if k in im else _F0)
-                    for k, v in self.re.items()}
+            den, re, im = self.den, self.re, self.im
+            view = {k: from_ints(den, v, im.get(k, 0)) for k, v in re.items()}
             for k, v in im.items():
                 if k not in view:
-                    view[k] = GaussianRational(_F0, Fraction(v, den))
+                    view[k] = from_ints(den, 0, v)
             self._view = view
         return view
 
@@ -306,9 +304,7 @@ class Jet2:
             cd, cr, ci = 1, _as_scalar(value, FLOAT), 0
         else:
             c = GaussianRational.from_value(value)
-            cd = math.lcm(c.re.denominator, c.im.denominator)
-            cr = c.re.numerator * (cd // c.re.denominator)
-            ci = c.im.numerator * (cd // c.im.denominator)
+            cd, cr, ci = c.den, c.re_num, c.im_num
         return _jet(self.mode, self.den * cd, *_zscaled(self.re, self.im, cr, ci),
                     self.valid_through)
 
@@ -349,10 +345,15 @@ class Jet2:
     def antiderivative_x(self) -> "Jet2":
         """Term-wise integral in x with zero constant of integration."""
         valid = self.valid_through if self.valid_through == INF else self.valid_through + 1
-        out = {}
-        for (i, j), v in self.coeffs.items():
-            out[(i + 1, j)] = v / _as_scalar(i + 1, self.mode)
-        return Jet2(self.mode, out, valid)
+        if self.mode == FLOAT:
+            return Jet2(FLOAT, {(i + 1, j): v / complex(i + 1) for (i, j), v in self.re.items()},
+                        valid)
+        # (re + i*im) / (den (i + 1)) over den * L, L the lcm of every i + 1
+        lcm = math.lcm(*(i + 1 for i, _ in self._keys()))
+
+        def part(a):
+            return {(i + 1, j): v * (lcm // (i + 1)) for (i, j), v in a.items()}
+        return _jet(EXACT, self.den * lcm, part(self.re), part(self.im), valid)
 
     def divide_monomial(self, i: int, j: int) -> "Jet2":
         """Exact division by x^i y^j; raises NotDivisible when not divisible."""
@@ -374,8 +375,6 @@ class Jet2:
 # ---------------------------------------------------------------------------
 # the numerator kernel
 # ---------------------------------------------------------------------------
-
-_F0 = Fraction(0)
 
 
 def _reduced(den: int, re: dict, im: dict):

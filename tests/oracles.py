@@ -18,18 +18,20 @@ Martinet-Ramis linearization as it was before it became one graded solve
 (an elimination step id + h_d per degree, pulled back and composed), and
 `resonant_monomials` lists the resonant monomials of diag(m, -n) from the
 closed form of the eigenvalue relation; both are oracles for
-germforge.mr.linearize.
+germforge.mr.linearize.  `FractionPairGR`, with `fp_format_exact` and
+`fp_parse_exact`, is the exact scalar as it was before it stored reduced
+ints, with two Fraction parts: the oracle of germforge.scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Callable, List, Optional, Tuple
 
-from germforge import scalars
-from germforge.errors import GermforgeError, StepFailure, ZeroDenominator
+from germforge import numflow, scalars
+from germforge.errors import GermforgeError, ModeMismatch, StepFailure, ZeroDenominator
 from germforge.germ import CoordinateChange, RationalFn, pullback
 from germforge.numflow import _DP_A, _DP_B4, _DP_B5
 from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
@@ -444,18 +446,20 @@ def equal_to(jet, oracle_poly, degree):
 
 def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
            y0: Tuple[complex, ...], s_end: float, tol: float,
-           max_step: float, guard: Optional[Callable] = None
-           ) -> Tuple[complex, ...]:
+           max_step: float, guard: Optional[Callable] = None,
+           max_steps: int = numflow.MAX_STEPS) -> Tuple[complex, ...]:
     """Integrate dy/ds = f(s, y) on [0, s_end] with PI step control.
 
     The generic n-component Dormand-Prince 5(4) loop that numflow._rk45
-    unrolls for two components; the stage sums are built with sum().
+    unrolls for two components; the stage sums are built with sum().  Like
+    the kernel, it raises StepFailure after more than *max_steps* accepted
+    steps.
     """
     s = 0.0
     y = tuple(y0)
     h = min(max_step, s_end)
     min_step = s_end * 1e-14
-    nfail = 0
+    nfail = steps = 0
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
         if h < min_step:
@@ -486,6 +490,9 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
         if err <= scale:
             s += h
             y = y5
+            steps += 1
+            if steps > max_steps:
+                raise StepFailure(f"more than {max_steps} steps by s={s}", partial=y)
             if guard is not None:
                 guard(s, y)
             nfail = 0
@@ -677,3 +684,169 @@ def t_linearize(x, m, n, degree):
     if change is None:
         change = CoordinateChange.from_series(xv, yv)
     return change, current, obstruction
+
+
+# -- the scalar with two Fraction parts ---------------------------------------------
+
+class FractionPairGR:
+    """Element of Q(i) with Fraction real and imaginary parts: the scalar
+    germforge.scalars.GaussianRational was before it stored reduced ints."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
+
+    # -- constructors ---------------------------------------------------
+    @classmethod
+    def from_value(cls, value) -> "FractionPairGR":
+        if isinstance(value, FractionPairGR):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls(value, 0)
+        if isinstance(value, complex):
+            raise ModeMismatch("cannot build an exact scalar from a float complex")
+        raise TypeError(f"cannot build GaussianRational from {value!r}")
+
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other):
+        other = FractionPairGR.from_value(other)
+        return FractionPairGR(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = FractionPairGR.from_value(other)
+        return FractionPairGR(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return FractionPairGR.from_value(other) - self
+
+    def __neg__(self):
+        return FractionPairGR(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = FractionPairGR.from_value(other)
+        return FractionPairGR(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = FractionPairGR.from_value(other)
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return FractionPairGR(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        return FractionPairGR.from_value(other) / self
+
+    def __pow__(self, e: int):
+        """Integer power by repeated multiplication; e < 0 inverts self^(-e)."""
+        if e < 0:
+            return FractionPairGR(1) / self ** -e
+        out = FractionPairGR(1)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionPairGR(other, 0)
+        if not isinstance(other, FractionPairGR):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def sqrt(self):
+        """Exact square root inside Q(i), or None when there is none."""
+        norm2 = self.re * self.re + self.im * self.im
+        r = _fp_fraction_sqrt(norm2)
+        if r is None:
+            return None
+        c2 = (self.re + r) / 2
+        c = _fp_fraction_sqrt(c2)
+        if c is None:
+            return None
+        if c == 0:
+            d = _fp_fraction_sqrt(-self.re)
+            if d is None:
+                return None
+            return FractionPairGR(0, d)
+        d = self.im / (2 * c)
+        cand = FractionPairGR(c, d)
+        if cand * cand == self:
+            return cand
+        return None
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return fp_format_exact(self)
+
+
+def _fp_fraction_sqrt(q: Fraction):
+    """Square root of a non-negative rational if it is again rational."""
+    if q < 0:
+        return None
+    if q == 0:
+        return Fraction(0)
+    n, d = q.numerator, q.denominator
+    rn = isqrt(n)
+    rd = isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        return None
+    return Fraction(rn, rd)
+
+
+def fp_format_exact(value: FractionPairGR) -> str:
+    """Serialize as "p/q", "r/s*i" or "p/q+r/s*i" (lossless)."""
+    re_s = str(value.re)
+    im = value.im
+    if im == 0:
+        return re_s
+    im_s = f"{im}*i"
+    if value.re == 0:
+        return im_s
+    return f"{re_s}+{im_s}" if im > 0 else f"{re_s}-{-im}*i"
+
+
+def fp_parse_exact(text: str) -> FractionPairGR:
+    """Inverse of :func:`fp_format_exact`."""
+    s = text.strip().replace(" ", "")
+    if s.endswith("*i"):
+        body = s[:-2]
+        split = _fp_split_signed(body)
+        if split is None:
+            return FractionPairGR(0, Fraction(body))
+        re_part, sign, im_part = split
+        return FractionPairGR(Fraction(re_part), sign * Fraction(im_part))
+    return FractionPairGR(Fraction(s), 0)
+
+
+def _fp_split_signed(body: str):
+    # split "p/q+r/s" style at the last top-level sign (not the leading one)
+    for k in range(len(body) - 1, 0, -1):
+        c = body[k]
+        if c in "+-" and body[k - 1] not in "+-/":
+            return body[:k], (1 if c == "+" else -1), body[k + 1:]
+    return None

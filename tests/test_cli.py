@@ -29,6 +29,8 @@ ROWS = [
     (["verify-paper", "--only", "mt"], OK),
     # a float division whose pivot term leaves a rounding residue
     (["bracket", "[2/(0.5/i-7-y), y]", "[x, y]", "--mode", "float"], OK),
+    # a power whose terms all lie beyond the degree, without its 10^9 products
+    (["bracket", "[x^1000000000, y]", "[x, y]", "--degree", "4"], OK),
     # mathematical fail verdicts
     (["commute", "[x, -y]", "[x*y, x*y]"], FAIL),
     (["first-integral", "[x, -y]", "x"], FAIL),
@@ -43,6 +45,9 @@ ROWS = [
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),
     (["straighten", "--g1", "1", "--g2", "z", "--n", "-1"], ERROR),
+    # a superscript digit, and a coefficient too long for int-to-text conversion
+    (["bracket", "[x^², y]", "[x, y]"], ERROR),
+    (["bracket", "[(2+x)^20000, y]", "[x, y]", "--degree", "4"], ERROR),
     # integrator failures: StepFailure (the base component vanishes on the
     # lift) and LeafEscape in the middle of the loop (|lift| = 4.05)
     (["period", "--field", "[x-1/2, y]", "--base", "0.5"], ERROR),

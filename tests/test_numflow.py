@@ -7,11 +7,13 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germforge import numflow
 from germforge.errors import BadParams, LeafEscape, StepFailure
 from germforge.germ import VectorFieldGerm
 from germforge.numflow import (
@@ -268,8 +270,26 @@ def _both(ncomp, field, y0, s_end, tol, max_step, stop=None):
         return tuple(g(s, *(y + (0j,))[:2])[:ncomp])
 
     new = _outcome(lambda: _rk45(new_f, y0, s_end, tol, max_step, guard=new_guard))
-    old = _outcome(lambda: t_rk45(old_f, y0, s_end, tol, max_step, guard=old_guard))
+    old = _outcome(lambda: t_rk45(old_f, y0, s_end, tol, max_step, guard=old_guard,
+                                  max_steps=numflow.MAX_STEPS))
     return new, old
+
+
+def _field(forms, timed, ph, d, singular, blow_at=None, blow_exc=ZeroDivisionError):
+    """A factory of right-hand sides f(s, u, v), one polynomial per form."""
+    def field():
+        calls = []
+
+        def f(s, u, v):
+            calls.append(s)
+            if len(calls) == blow_at:
+                raise blow_exc(f"blew up on call {len(calls)}")
+            e = cmath.exp(1j * (ph + d * s)) if timed else 1.0
+            # a K/s term makes the error estimate independent of h at s = 0
+            return [e * eval_poly(terms, u, v) + (singular / s if s else 0j)
+                    for terms in forms]
+        return f
+    return field
 
 
 @st.composite
@@ -285,20 +305,7 @@ def _problems(draw):
     singular = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
     blow_at = draw(st.none() | st.integers(1, 400))
     blow_exc = draw(st.sampled_from((ZeroDivisionError, OverflowError)))
-
-    def field():
-        calls = []
-
-        def f(s, u, v):
-            calls.append(s)
-            if len(calls) == blow_at:
-                raise blow_exc(f"blew up on call {len(calls)}")
-            e = cmath.exp(1j * (ph + d * s)) if timed else 1.0
-            # a K/s term makes the error estimate independent of h at s = 0
-            return [e * eval_poly(terms, u, v) + (singular / s if s else 0j)
-                    for terms in forms]
-        return f
-
+    field = _field(forms, timed, ph, d, singular, blow_at, blow_exc)
     y0 = tuple(draw(_coef) for _ in range(ncomp))
     tol = 10.0 ** draw(st.floats(-13, -8))
     max_step = draw(st.floats(0.01, 1.0))
@@ -307,14 +314,44 @@ def _problems(draw):
     return ncomp, field, y0, s_end, tol, max_step, stop
 
 
+# The step budget of both loops in the comparisons below: a problem that
+# needs more accepted steps ends in the same StepFailure on both sides within
+# a second, where the oracle alone would run on for minutes.  (Patched inside
+# the test body; a function-scoped fixture trips hypothesis' health check.)
+TEST_STEPS = 2_000
+
+
 @settings(max_examples=150, deadline=None)
 @given(_problems())
 def test_kernel_matches_generic_loop(problem):
-    new, old = _both(*problem)
+    with mock.patch.object(numflow, "MAX_STEPS", TEST_STEPS):
+        new, old = _both(*problem)
     # repr round-trips every float and shows the sign of zero: bit for bit
     assert repr(new) == repr(old)
     if new[0] == "StepFailure":
         assert len(new[2]) == problem[0]
+
+
+def test_kernel_matches_generic_loop_on_step_budget():
+    # a drawn problem that needs more than MAX_STEPS = 150,000 steps: the
+    # kernel stopped after seconds, the oracle had no budget and ran on
+    forms = [[((0, 1), complex(-0.0, 1e-06)),
+              ((3, 1), 1.0245740577731057 + 1.7261238290499463j),
+              ((1, 2), 1.6320616318968604 - 1.3528857847959376e-28j),
+              ((3, 2), complex(-5e-324, 1.9759375171871536))],
+             [((0, 0), -1.1754943508222875e-38 + 0.4507648569482803j),
+              ((3, 2), -1.6771237905906329 - 6.485741287416079e-137j),
+              ((0, 3), 0.3729832051565585 + 1j),
+              ((1, 2), 1.1840587520804284 + 1.9346163042476148j)]]
+    y0 = (-1.1536098905141106 + 1.8938213294245205j,
+          -1.1754943508222875e-38 + 0.4507648569482803j)
+    field = _field(forms, True, 1.8065151318436117, -1.0, 0.0)
+    with mock.patch.object(numflow, "MAX_STEPS", TEST_STEPS):
+        new, old = _both(2, field, y0, 6.068172019635394, 4.013777566332907e-10,
+                         0.9373624073984015)
+    assert repr(new) == repr(old)
+    assert new[0] == "StepFailure" and new[1].startswith(f"more than {TEST_STEPS} steps by s=")
+    assert len(new[2]) == 2
 
 
 def test_kernel_matches_generic_loop_on_repeated_rejection():

@@ -5,6 +5,7 @@ printed expressions parse back to the same text and value."""
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import oracles
@@ -18,6 +19,7 @@ from germforge.germ import RationalFn, VectorFieldGerm
 from germforge.parser import (
     Add,
     Const,
+    ExprSyntaxError,
     Mul,
     Neg,
     Pow,
@@ -241,3 +243,38 @@ def test_pretty_keeps_powers_of_constants_and_nested_powers():
     assert pretty(Add([(1, Var("x")), (1, Const(Fraction(-3)))])) == "x+(-3)"
     assert parse_to_jet2(pretty(Pow(Const(Fraction(3, 4)), 2)), EXACT, 4).coeffs == \
         {(0, 0): GaussianRational(Fraction(9, 16))}
+
+
+# -- the tokenizer and large exponents ---------------------------------------------
+
+def test_superscript_digits_are_syntax_errors():
+    # "²".isdigit() holds but int() refuses it; isdecimal() is what int() reads
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expression("x^²")
+    assert info.value.position == 2
+    assert parse_to_jet2("٣*x", EXACT, 4).coeffs == {(1, 0): GaussianRational(3)}
+
+
+# bases of order >= 1: single terms, sums and quotients, with constant and
+# nonconstant denominators
+POWER_BASES = ["x", "y", "2*x", "i*y/3", "0.5*x*y", "x+y", "x-2*i*y^2", "x^2*y/7+y^3",
+               "x/(1+y)", "1/x", "(x+y)/(3-x)", "1/(x*y-y^2)"]
+
+
+@pytest.mark.parametrize("base", POWER_BASES)
+def test_powers_beyond_the_degree_match_the_product_loop(base):
+    for e in range(8):
+        for degree in range(7):
+            text = f"({base})^{e}"
+            node = parse_expression(text)
+            _check_both_modes(lambda mode: parse_to_jet2(text, mode, degree),
+                              lambda mode: oracles.p_eval(node, mode, degree))
+
+
+def test_a_power_beyond_the_degree_takes_no_products():
+    # exact mode: a float value carries the denominator 1, a unit base whose
+    # powers still take their e products
+    start = time.perf_counter()
+    out = parse_to_jet2("x^1000000000", EXACT, 4)
+    assert time.perf_counter() - start < 1.0
+    assert out.is_zero() and out.valid_through == 4
