@@ -3,13 +3,18 @@
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair over
 complexified time along piecewise-linear paths, written out for a state of
 two complex components (u, v): every caller has at most two, and a 1-D
-state is padded with a zero v.  Its stage nodes are sum() of the tableau
-rows, not the textbook fractions, so that results match the generic loop
-(tests/oracles.py) bit for bit.  Leaf loops are base-variable circles with a
-lift seed; tracking integrates the slope ODE around the loop and the
-time-form integral dT = d(base)/(base component) rides along as the second
-component.  Each integration owns its own scratch state, so independent
-runs can proceed concurrently.
+state is padded with a zero v.  The pair is first same as last (Dormand &
+Prince 1980): the last stage of an accepted step is the first stage of the
+next, so a step calls the right-hand side six times, not seven.  Its stage
+nodes are sum() of the tableau rows, not the textbook fractions, so that
+results match the generic loop (tests/oracles.py) bit for bit.  A flow that
+ignores time (integrate_flow_1d) gets the steps and results of the loop with
+seven calls a step bit for bit; the leaf tracker reads time, so its results
+differ from that loop's in the last bits (see _rk45).  Leaf loops are
+base-variable circles with a lift seed; tracking integrates the slope ODE
+around the loop and the time-form integral dT = d(base)/(base component)
+rides along as the second component.  Each integration owns its own scratch
+state, so independent runs can proceed concurrently.
 """
 
 from __future__ import annotations
@@ -120,13 +125,28 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
     each accepted step.  A one-component y0 is padded with v = 0, for which f
     returns 0j: v, its error and its share of the scale stay zero, so the
     steps are those of the 1-D problem, and the result and
-    StepFailure.partial keep the length of y0.  The seven stages are written
-    out, each sum left to right from 0 with its zero weights, in the order
-    of the generic n-component loop (tests/oracles.py t_rk45), so results
-    match that loop bit for bit.  The nodes are sum(row) of _DP_A, as that
-    loop forms them, and not 4/5, 8/9 or 1: the float sums differ from those
-    in the last bit (and between Python versions), and the leaf tracker's
-    right-hand side reads s.  More than MAX_STEPS accepted steps raise
+    StepFailure.partial keep the length of y0.
+
+    The pair is first same as last: row 7 of _DP_A is the fifth-order
+    weights and b57 = 0, so stage 7 is f at y5, and an accepted step hands k7
+    on as the next k1 (a rejected step keeps its k1): six calls of f a step,
+    plus one at the start.  The first k1 is computed after the step-underflow
+    check, so f is never called when the loop does not run or fails at once.
+    y5 keeps the term b57*k7 so that an inf or nan k7 turns y5 to nan: the
+    step is rejected or, where max() passes over a nan error of v, the nan
+    shows in the accepted state; it is never carried on in k1 alone.
+
+    The seven stages are written out, each sum left to right from 0 with its
+    zero weights, in the order of the generic n-component loop
+    (tests/oracles.py t_rk45 with fsal=True), so results match that loop bit
+    for bit.  The nodes are sum(row) of _DP_A, as that loop forms them, and
+    not 4/5, 8/9 or 1: the float sums differ from those in the last bit (and
+    between Python versions).  A right-hand side that ignores s, as the
+    flows along time paths do, gets the same steps and results bit for bit
+    as from the loop that computes k1 afresh at each step (t_rk45 with
+    fsal=False); one that reads s, as the leaf tracker does, gets its reused
+    k1 at s + h*c7 rather than s + h (c7 = 0.9999999999999998), which moves
+    its results in the last bits.  More than MAX_STEPS accepted steps raise
     StepFailure, so a field too fast for the path fails instead of running
     for minutes.
     """
@@ -141,12 +161,14 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
     h = min(max_step, s_end)
     min_step = s_end * 1e-14
     nfail = steps = 0
+    k1u = k1v = None
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
         if h < min_step:
             raise StepFailure(f"step underflow at s={s}", partial=(u, v)[:n])
         try:
-            k1u, k1v = f(s, u, v)
+            if k1u is None:
+                k1u, k1v = f(s, u, v)
             k2u, k2v = f(s + h * c2, u + h * (0j + a21 * k1u), v + h * (0j + a21 * k1v))
             k3u, k3v = f(s + h * c3, u + h * (0j + a31 * k1u + a32 * k2u),
                          v + h * (0j + a31 * k1v + a32 * k2v))
@@ -174,6 +196,7 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
         if err <= scale:
             s += h
             u, v = y5u, y5v
+            k1u, k1v = k7u, k7v
             steps += 1
             if steps > MAX_STEPS:
                 raise StepFailure(f"more than {MAX_STEPS} steps by s={s}", partial=(u, v)[:n])
@@ -201,21 +224,6 @@ def eval_poly(terms: list, xv: complex, yv: complex) -> complex:
     for (i, j), c in terms:
         acc += c * xv ** i * yv ** j
     return acc
-
-
-def integrate_flow(x: VectorFieldGerm, z0: Tuple[complex, complex],
-                   path: TimePath) -> Tuple[complex, complex]:
-    """Endpoint of the solution through z0 along the complex time path."""
-    a_terms, b_terms = _lower_field(x)
-    z = (complex(z0[0]), complex(z0[1]))
-    for t0, t1 in zip(path.waypoints, path.waypoints[1:]):
-        dt = t1 - t0
-
-        def rhs(_s, u, v):
-            return dt * eval_poly(a_terms, u, v), dt * eval_poly(b_terms, u, v)
-
-        z = _rk45(rhs, z, 1.0, path.tol, path.max_step / max(abs(dt), 1e-12))
-    return z
 
 
 def integrate_flow_1d(h: Jet1, z0: complex, path: TimePath) -> complex:
@@ -253,17 +261,19 @@ def _track(x: VectorFieldGerm, spec: LeafLoopSpec) -> LeafTrackResult:
     total_angle = 2 * math.pi * abs(w)
     direction = 1.0 if w >= 0 else -1.0
     r, c, ph = spec.radius, spec.center, spec.phase
+    idr = 1j * direction * r
+    exp = cmath.exp
 
     def rhs(theta, lift, _period):
         # base(theta) = c + r e and d(base)/d(theta) = i direction r e
-        e = cmath.exp(1j * (ph + direction * theta))
+        e = exp(1j * (ph + direction * theta))
         b = c + r * e
         xv, yv = (b, lift) if base_is_x else (lift, b)
         denom = eval_poly(base_terms, xv, yv)
-        if denom == 0 or abs(denom) < 1e-300:
+        if abs(denom) < 1e-300:
             raise ZeroDivisionError("base component vanished on the lift")
         num = eval_poly(lift_terms, xv, yv)
-        db = 1j * direction * r * e
+        db = idr * e
         return db * num / denom, db / denom
 
     def guard(_theta, lift, _period):
@@ -346,7 +356,7 @@ def replace_controls(spec: LeafLoopSpec, tol: Optional[float] = None,
 
 
 # ---------------------------------------------------------------------------
-# loop builders and 1-D probes
+# loop builders and quadrature
 # ---------------------------------------------------------------------------
 
 def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
@@ -389,26 +399,6 @@ def siegel_loop(x0: complex, c: complex, tol: float = DEFAULT_TOL) -> LeafLoopSp
         base_var="x", center=0j, radius=abs(x0), winding=1,
         phase=cmath.phase(x0), seed=c / x0, tol=tol,
     )
-
-
-def residue_probe_1d(h: Jet1, radius: float, tol: float = 1e-12,
-                     max_doublings: int = 16) -> complex:
-    """Contour integral of dz/h over |z| = radius by periodic trapezoid.
-
-    For an order-2 germ this equals 2*pi*i times the residue obstructing
-    semicompleteness: an independent numerical oracle for onedim_check.
-    """
-    hf = h.to_float()
-    terms = list(hf.coeffs.items())
-
-    def integrand(s: float) -> complex:
-        z = radius * cmath.exp(2j * math.pi * s)
-        val = sum(cc * z ** k for k, cc in terms)
-        if val == 0:
-            raise StepFailure("field vanishes on the probe circle")
-        return 2j * math.pi * z / val
-
-    return periodic_trapezoid(integrand, 32, tol, max_doublings)
 
 
 def periodic_trapezoid(f: Callable[[float], complex], n: int, tol: float,

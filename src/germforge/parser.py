@@ -395,11 +395,8 @@ def _eval(node: Node, mode: str, degree: int, variables) -> tuple:
             den = _power(mode, den, e, degree)
             if not den[1] and not den[2]:
                 raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
-        elif c is not None:
-            c_pow = None
-            for _ in range(e):
-                c_pow = _cmul(c_pow, c)
-            c = c_pow
+        else:
+            c = _cpow(c, e)
         return _power(mode, num, e, degree), den, c
     raise TypeError(f"unknown AST node {node!r}")
 
@@ -430,11 +427,18 @@ def _power(mode: str, a: tuple, e: int, degree) -> tuple:
     When every term of a^e lies beyond the degree (e * ord a > degree), that
     is the zero numerator known through the degree, without the e products:
     every value here is known through the degree at least, and so is a^e.
+    The constant 1 through INF, which every float value carries as its
+    denominator, is its own power bit for bit (1 - 0j is not: the product
+    loop gives 1 + 0j), so it takes no products either.
     """
     order = _zorder(a[1], a[2])
     if 1 <= order < INF and e * order > degree:
         return 1, {}, {}, degree
-    den, re, im, valid = _zpow(mode, a, a[3], e)
+    if a[3] == INF and a[:3] == _unit(mode) \
+            and math.copysign(1.0, complex(a[1][(0, 0)]).imag) > 0:
+        den, re, im, valid = a
+    else:
+        den, re, im, valid = _zpow(mode, a, a[3], e)
     if degree < valid:
         re, im, valid = _zcut(re, degree), _zcut(im, degree), degree
     return *_reduced(den, re, im), valid
@@ -465,6 +469,19 @@ def _cmul(a, b):
     if b is None:
         return a
     return a[0] * b[0], a[1] * b[1] - a[2] * b[2], a[1] * b[2] + a[2] * b[1]
+
+
+def _cpow(c, e: int):
+    """c^e of a constant (cd, cr, ci), None standing for 1: the ints of e
+    _cmul products, by squaring and multiplying."""
+    out = None
+    while e:
+        if e & 1:
+            out = _cmul(out, c)
+        e >>= 1
+        if e:
+            c = _cmul(c, c)
+    return out
 
 
 def _pair(val: tuple) -> tuple:

@@ -4,7 +4,11 @@ Deliberately separate from the library: plain dicts mapping exponent pairs
 to (Fraction, Fraction) Gaussian rationals, with schoolbook algorithms, so
 expected values are computed along a different code path than the one under
 test.  The float integrator's generic loop, `t_rk45`, is kept here as the
-oracle for the unrolled two-component kernel in germforge.numflow, and the
+oracle for the unrolled two-component kernel in germforge.numflow (its
+`fsal=True` form reuses stage 7 as the kernel does; the plain form is the
+oracle for step control).  `integrate_flow` (a two-component flow along a
+time path) and `residue_probe_1d` (a trapezoid contour integral of dz/h)
+are the numflow entry points that only tests call.  The
 scalar-dict float loops the jet kernel had before it kept numerators
 (`f_mul`, `f_add`, `f_scale`, `f_derive` and the compositions built from
 them) as the oracle for float jets.  `h_phi_flow_chart1` keeps the
@@ -25,6 +29,8 @@ ints, with two Fraction parts: the oracle of germforge.scalars.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
@@ -32,11 +38,12 @@ from typing import Callable, List, Optional, Tuple
 
 from germforge import numflow, scalars
 from germforge.errors import GermforgeError, ModeMismatch, StepFailure, ZeroDenominator
-from germforge.germ import CoordinateChange, RationalFn, pullback
-from germforge.numflow import _DP_A, _DP_B4, _DP_B5
+from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, pullback
+from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
+                               eval_poly, periodic_trapezoid)
 from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
 from germforge.scalars import EXACT, GaussianRational
-from germforge.series import DIVISIBLE, Jet2, exact_divide, jet_mul
+from germforge.series import DIVISIBLE, Jet1, Jet2, exact_divide, jet_mul
 
 Z2 = tuple  # exponent pair
 
@@ -447,19 +454,26 @@ def equal_to(jet, oracle_poly, degree):
 def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
            y0: Tuple[complex, ...], s_end: float, tol: float,
            max_step: float, guard: Optional[Callable] = None,
-           max_steps: int = numflow.MAX_STEPS) -> Tuple[complex, ...]:
+           max_steps: int = numflow.MAX_STEPS, fsal: bool = False,
+           counts: Optional[dict] = None) -> Tuple[complex, ...]:
     """Integrate dy/ds = f(s, y) on [0, s_end] with PI step control.
 
     The generic n-component Dormand-Prince 5(4) loop that numflow._rk45
     unrolls for two components; the stage sums are built with sum().  Like
     the kernel, it raises StepFailure after more than *max_steps* accepted
-    steps.
+    steps.  With fsal=False every step computes its seven stages afresh, the
+    kernel as it was before it reused stage 7; with fsal=True an accepted
+    step's stage 7 is the next step's stage 1, a rejected step keeps its
+    stage 1, and the first stage 1 is computed after the underflow check, as
+    numflow._rk45 does.  *counts*, if given, gains the numbers of accepted
+    and rejected steps under the keys "accepted" and "rejected".
     """
     s = 0.0
     y = tuple(y0)
     h = min(max_step, s_end)
     min_step = s_end * 1e-14
     nfail = steps = 0
+    k1 = None
     while s < s_end - 1e-15:
         h = min(h, s_end - s)
         if h < min_step:
@@ -474,9 +488,13 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
                         y[i] + h * sum(c * ks[j][i] for j, c in enumerate(coefs))
                         for i in range(len(y))
                     )
+                elif fsal and k1 is not None:
+                    ks.append(k1)
+                    continue
                 ks.append(f(s + h * sum(_DP_A[stage]) if stage else s, arg))
         except (OverflowError, ZeroDivisionError) as exc:
             raise StepFailure(f"vector field blew up at s={s}: {exc}", partial=y)
+        k1 = ks[0]
         y5 = tuple(
             y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B5))
             for i in range(len(y))
@@ -490,7 +508,10 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
         if err <= scale:
             s += h
             y = y5
+            k1 = ks[6]
             steps += 1
+            if counts is not None:
+                counts["accepted"] = counts.get("accepted", 0) + 1
             if steps > max_steps:
                 raise StepFailure(f"more than {max_steps} steps by s={s}", partial=y)
             if guard is not None:
@@ -499,11 +520,50 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
             factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
             h = min(max_step, h * factor)
         else:
+            if counts is not None:
+                counts["rejected"] = counts.get("rejected", 0) + 1
             nfail += 1
             if nfail > 60:
                 raise StepFailure("repeated step rejection", partial=y)
             h *= max(0.1, 0.9 * (scale / err) ** 0.25)
     return y
+
+
+# -- numflow probes that only tests reach ---------------------------------------
+
+def integrate_flow(x: VectorFieldGerm, z0: Tuple[complex, complex],
+                   path: TimePath) -> Tuple[complex, complex]:
+    """Endpoint of the solution through z0 along the complex time path."""
+    a_terms, b_terms = _lower_field(x)
+    z = (complex(z0[0]), complex(z0[1]))
+    for t0, t1 in zip(path.waypoints, path.waypoints[1:]):
+        dt = t1 - t0
+
+        def rhs(_s, u, v):
+            return dt * eval_poly(a_terms, u, v), dt * eval_poly(b_terms, u, v)
+
+        z = numflow._rk45(rhs, z, 1.0, path.tol, path.max_step / max(abs(dt), 1e-12))
+    return z
+
+
+def residue_probe_1d(h: Jet1, radius: float, tol: float = 1e-12,
+                     max_doublings: int = 16) -> complex:
+    """Contour integral of dz/h over |z| = radius by periodic trapezoid.
+
+    For an order-2 germ this equals 2*pi*i times the residue obstructing
+    semicompleteness: an independent numerical oracle for onedim_check.
+    """
+    hf = h.to_float()
+    terms = list(hf.coeffs.items())
+
+    def integrand(s: float) -> complex:
+        z = radius * cmath.exp(2j * math.pi * s)
+        val = sum(cc * z ** k for k, cc in terms)
+        if val == 0:
+            raise StepFailure("field vanishes on the probe circle")
+        return 2j * math.pi * z / val
+
+    return periodic_trapezoid(integrand, 32, tol, max_doublings)
 
 
 # -- the expression evaluator with one Jet2 per AST node -------------------------

@@ -31,6 +31,9 @@ ROWS = [
     (["bracket", "[2/(0.5/i-7-y), y]", "[x, y]", "--mode", "float"], OK),
     # a power whose terms all lie beyond the degree, without its 10^9 products
     (["bracket", "[x^1000000000, y]", "[x, y]", "--degree", "4"], OK),
+    # a constant factor and a float denominator 1 raised without e products
+    (["bracket", "[(x/2)^1000000, y]", "[x, y]", "--degree", "4"], OK),
+    (["bracket", "[x^1000000000, y]", "[x, y]", "--degree", "4", "--mode", "float"], OK),
     # mathematical fail verdicts
     (["commute", "[x, -y]", "[x*y, x*y]"], FAIL),
     (["first-integral", "[x, -y]", "x"], FAIL),

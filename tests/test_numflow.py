@@ -24,7 +24,6 @@ from germforge.numflow import (
     elliptic_loop,
     eval_poly,
     homothety_period_ratio,
-    integrate_flow,
     integrate_flow_1d,
     leaf_period,
     replace_controls,
@@ -34,7 +33,7 @@ from germforge.numflow import (
 )
 from germforge.scalars import EXACT, FLOAT
 from germforge.series import INF, Jet1, Jet2, jet_mul
-from oracles import t_rk45
+from oracles import integrate_flow, t_rk45
 
 
 def x():
@@ -221,7 +220,8 @@ def test_integrate_flow_1d_riccati():
 
 
 # ---------------------------------------------------------------------------
-# the unrolled two-component kernel against the generic loop it replaced
+# the unrolled two-component kernel against the generic loop it replaced,
+# in its first-same-as-last form (stage 7 reused as the next stage 1)
 # ---------------------------------------------------------------------------
 
 _coef = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
@@ -249,7 +249,7 @@ def _stopper(stop):
 
 
 def _both(ncomp, field, y0, s_end, tol, max_step, stop=None):
-    """Outcomes of numflow._rk45 and oracles.t_rk45 on the same problem.
+    """Outcomes of numflow._rk45 and oracles.t_rk45(fsal=True) on one problem.
 
     field() makes f(s, u, v) giving the components as a list, afresh for each
     run so that a stateful f starts over; a 1-D f is called with v = 0j.
@@ -271,7 +271,7 @@ def _both(ncomp, field, y0, s_end, tol, max_step, stop=None):
 
     new = _outcome(lambda: _rk45(new_f, y0, s_end, tol, max_step, guard=new_guard))
     old = _outcome(lambda: t_rk45(old_f, y0, s_end, tol, max_step, guard=old_guard,
-                                  max_steps=numflow.MAX_STEPS))
+                                  max_steps=numflow.MAX_STEPS, fsal=True))
     return new, old
 
 
@@ -382,3 +382,113 @@ def test_kernel_matches_generic_loop_on_non_finite_stages():
             return f
         new, old = _both(2, field, (1 + 0j, 1j), 1.0, 1e-10, 0.3)
         assert repr(new) == repr(old)
+
+
+def test_a_non_finite_last_stage_reaches_the_state():
+    # max() passes over a nan error of v, so a step whose stage 7 is not
+    # finite in v is accepted; y5 keeps the term b57 * k7 (b57 = 0), so the
+    # state the guard sees holds the nan, as in the generic loop, and it is
+    # not hidden in the stage 7 that the next step reuses
+    for bad in (math.inf, math.nan):
+        def field():
+            calls = []
+
+            def f(s, u, v):
+                calls.append(s)
+                vals = [0.1 * u, -0.2 * v]
+                if len(calls) == 7:     # stage 7 of the first step
+                    vals[1] = complex(bad, 0.0)
+                return vals
+            return f
+        new, old = _both(2, field, (1 + 0j, 1j), 1.0, 1e-6, 0.3, stop=1)
+        assert repr(new) == repr(old)
+        assert new[0] == "LeafEscape" and "nan" in new[1]
+
+
+# ---------------------------------------------------------------------------
+# first same as last: one right-hand-side call per step saved
+# ---------------------------------------------------------------------------
+
+def _kernel_runs(call):
+    """Run call() with numflow._rk45 wrapped; for each kernel run, return its
+    outcome, its number of right-hand-side calls, and the outcomes and
+    accepted/rejected step counts of oracles.t_rk45 on the same problem,
+    plain and first-same-as-last."""
+    runs = []
+    kernel = numflow._rk45
+
+    def wrapped(f, y0, s_end, tol, max_step, guard=None):
+        n = len(y0)
+        calls = []
+
+        def counted(s, u, v):
+            calls.append(s)
+            return f(s, u, v)
+
+        def old_f(s, y):
+            return tuple(f(s, *(y + (0j,))[:2])[:n])
+
+        def old_guard(s, y):
+            if guard is not None:
+                guard(s, *(y + (0j,))[:2])
+
+        out = kernel(counted, y0, s_end, tol, max_step, guard=guard)
+        run = {"out": out, "calls": len(calls)}
+        for fsal in (False, True):
+            counts = {"accepted": 0, "rejected": 0}
+            run[fsal] = (t_rk45(old_f, y0, s_end, tol, max_step, guard=old_guard,
+                                fsal=fsal, counts=counts), counts)
+        runs.append(run)
+        return out
+
+    with mock.patch.object(numflow, "_rk45", wrapped):
+        call()
+    return runs
+
+
+def _leaf_and_flow_problems():
+    return [
+        lambda: leaf_period(elliptic(), elliptic_loop(0.02, tol=1e-12)),
+        lambda: integrate_flow_1d(Jet1.from_coeffs({2: 2j * math.pi, 3: 0.5}, FLOAT, 8), 0.05,
+                                  TimePath.segment(0, 1 + 0.5j, tol=1e-12, max_step=0.01)),
+    ]
+
+
+@pytest.mark.parametrize("problem", _leaf_and_flow_problems(), ids=["leaf_period", "flow_1d"])
+def test_each_step_calls_the_field_six_times(problem):
+    (run,) = _kernel_runs(problem)
+    fsal_out, counts = run[True]
+    assert repr(run["out"]) == repr(fsal_out)
+    assert run["calls"] == 1 + 6 * (counts["accepted"] + counts["rejected"])
+    # the plain loop, t_rk45(fsal=False), makes seven calls a step
+    assert run["calls"] <= 6.05 * counts["accepted"]
+
+
+def test_flows_that_ignore_time_keep_the_plain_loops_results():
+    # f ignores s, and stage 7 is evaluated at y5 exactly, so reusing it
+    # changes no step: integrate_flow_1d and integrate_flow match the loop
+    # that computes stage 1 afresh at every step, bit for bit
+    h = Jet1.from_coeffs({0: 0.3j, 2: 2j * math.pi, 3: -0.7 + 0.2j}, FLOAT, 8)
+    f = VectorFieldGerm(jet_mul(x(), x()) + y().scale(3), -jet_mul(x(), y())).to_float()
+    path = TimePath([0, 0.4, 0.4 + 0.3j, 0.1j], tol=1e-11, max_step=0.05)
+    runs = (_kernel_runs(lambda: integrate_flow_1d(h, 0.05 - 0.02j, path))
+            + _kernel_runs(lambda: integrate_flow(f, (0.1, -0.05j), path)))
+    assert len(runs) == 6
+    for run in runs:
+        plain_out, plain_counts = run[False]
+        assert repr(run["out"]) == repr(plain_out)
+        assert plain_counts == run[True][1]
+
+
+def test_an_initial_step_below_the_minimum_never_calls_the_field():
+    calls = []
+
+    def f(s, u, v):
+        calls.append(s)
+        return u, v
+
+    # min_step is s_end * 1e-14 and the first step is min(max_step, s_end)
+    with pytest.raises(StepFailure, match=r"step underflow at s=0\.0") as info:
+        _rk45(f, (0.5j,), 1.0, 1e-10, 1e-15)
+    assert info.value.partial == (0.5j,)
+    assert calls == []

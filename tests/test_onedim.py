@@ -9,7 +9,6 @@ import pytest
 
 from germforge.errors import AxisNotInvariant, BadParams
 from germforge.germ import VectorFieldGerm
-from germforge.numflow import residue_probe_1d
 from germforge.onedim import (
     FAIL,
     PASS,
@@ -22,6 +21,7 @@ from germforge.onedim import (
 )
 from germforge.scalars import EXACT, GaussianRational
 from germforge.series import INF, Jet1, Jet2, jet_mul, laurent_residue
+from oracles import residue_probe_1d
 
 GR = GaussianRational
 

@@ -272,9 +272,32 @@ def test_powers_beyond_the_degree_match_the_product_loop(base):
 
 
 def test_a_power_beyond_the_degree_takes_no_products():
-    # exact mode: a float value carries the denominator 1, a unit base whose
-    # powers still take their e products
     start = time.perf_counter()
     out = parse_to_jet2("x^1000000000", EXACT, 4)
+    assert time.perf_counter() - start < 1.0
+    assert out.is_zero() and out.valid_through == 4
+
+
+# constant factors (exact mode) and the float denominator 1 raised to a power
+CONSTANT_POWERS = ["(x/2)^{e}", "(i*x/3)^{e}", "((2-i)/5*y)^{e}", "(x/(1+i))^{e}*y",
+                   "((3/2)*x)^{e}/(1+y)", "x^{e}", "(x^2/7+y)^{e}", "(1/x)^{e}"]
+
+
+@pytest.mark.parametrize("template", CONSTANT_POWERS)
+def test_powers_of_constant_factors_match_the_product_loop(template):
+    for e in (0, 1, 2, 3, 5, 8, 13, 40):
+        for degree in (0, 2, 5):
+            text = template.format(e=e)
+            node = parse_expression(text)
+            _check_both_modes(lambda mode: parse_to_jet2(text, mode, degree),
+                              lambda mode: oracles.p_eval(node, mode, degree))
+
+
+@pytest.mark.parametrize("text, mode", [("(x/2)^1000000", EXACT), ("x^1000000000", FLOAT)])
+def test_large_powers_take_no_e_products(text, mode):
+    # exact mode raised the constant 1/2 by e products of growing ints (56 s);
+    # a float value carries the denominator 1, whose e products took minutes
+    start = time.perf_counter()
+    out = parse_to_jet2(text, mode, 4)
     assert time.perf_counter() - start < 1.0
     assert out.is_zero() and out.valid_through == 4
