@@ -98,10 +98,6 @@ class RationalFn:
     def mode(self):
         return self.num.mode
 
-    @classmethod
-    def from_jet(cls, jet: Jet2) -> "RationalFn":
-        return cls(jet, Jet2.const(1, jet.mode, INF))
-
     def __add__(self, other: "RationalFn") -> "RationalFn":
         return RationalFn(
             jet_mul(self.num, other.den) + jet_mul(other.num, self.den),
@@ -244,12 +240,14 @@ class CoordinateChange:
         det = j11 * j22 - j12 * j21
         return not scalars.is_zero_scalar(det, self.comp1.mode, 0.0)
 
-    def compose(self, other: "CoordinateChange") -> "CoordinateChange":
-        """self o other: apply *other* first (both series kind)."""
+    def compose(self, other: "CoordinateChange",
+                state: Optional[series.RelaxedComposition] = None) -> "CoordinateChange":
+        """self o other: apply *other* first (both series kind).  A graded
+        solve hands over its *state*: the components are its slots 0 and 1."""
         if self.kind != "series" or other.kind != "series":
             raise BadParams("compose is defined for series changes")
-        c1 = jet_compose2(self.comp1, other.comp1, other.comp2)
-        c2 = jet_compose2(self.comp2, other.comp1, other.comp2)
+        c1 = jet_compose2(self.comp1, other.comp1, other.comp2, state, 0)
+        c2 = jet_compose2(self.comp2, other.comp1, other.comp2, state, 1)
         return CoordinateChange.from_series(c1, c2)
 
     def inverse(self, degree: Optional[int] = None) -> "CoordinateChange":
@@ -259,8 +257,12 @@ class CoordinateChange:
         psi = L^-1 id - M(psi) for M = L^-1 N, formed once per call.  M has
         no terms below degree 2, so an iterate right through degree d - 1
         gives M(psi) right through d: pass d = 2 .. min(degree, valid) cuts
-        M and psi to degree d and composes only through d.  The result is
-        valid through min(degree, valid), valid being that of phi.
+        psi to degree d, and so composes only through d.  In exact mode
+        the passes share one series.RelaxedComposition, the two components
+        of M being its slots, so pass d computes only degree d of M(psi):
+        the degree-d part of psi is not known yet then, and no term of
+        degree >= 2 of M reads it.  The result is valid through
+        min(degree, valid), valid being that of phi.
         *degree* defaults to valid, or twice the degree of a polynomial
         change; it is capped at 64, and an INF degree means 16.
         """
@@ -288,10 +290,11 @@ class CoordinateChange:
         m1 = n1.scale(i11) + n2.scale(i12)
         m2 = n1.scale(i21) + n2.scale(i22)
         p1, p2 = lin1.truncate(top), lin2.truncate(top)
+        state = series.RelaxedComposition() if mode == EXACT else None
         for d in range(2, top + 1):
             s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
-            p1 = lin1 - jet_compose2(series._known_through(m1, d), s1, s2)
-            p2 = lin2 - jet_compose2(series._known_through(m2, d), s1, s2)
+            p1 = lin1 - jet_compose2(m1, s1, s2, state, 0)
+            p2 = lin2 - jet_compose2(m2, s1, s2, state, 1)
         return CoordinateChange.from_series(p1, p2)
 
 

@@ -112,7 +112,11 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     R below degree d only: pass d = 2 .. top composes N and phi through
     degree d, as CoordinateChange.inverse does its Picard passes, and puts
     each degree-d term v into h_d as v / gap, or into R_d as v when
-    gap = 0.  The first resonant term met, by degree with dx first, is the
+    gap = 0.  The passes share one series.RelaxedComposition, so pass d
+    computes only degree d of N o phi: N has no term below degree 2, and
+    its degree-d part reads phi below degree d only.  Likewise (Dh . R)_d
+    is the sum over e of Dh_(d-e+1) . R_e, from the parts of h and R kept
+    by degree.  The first resonant term met, by degree with dx first, is the
     obstruction.  change and linearized are valid through
     top = min(degree, X.valid_through), and pullback(X, change) =
     linearized there; with no obstruction, linearized = L through top.
@@ -140,19 +144,27 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     phi = [xv.truncate(min(top, 1)), yv.truncate(min(top, 1))]
     res = [Jet2.zero(mode, min(top, 1))] * 2
     obstruction: Optional[Tuple[int, int, str]] = None
+    state, outer = series.RelaxedComposition(), CoordinateChange.from_series(n1, n2)
+    # the parts h_e of h and the nonzero parts R_e of R, by degree
+    h_parts: Tuple[dict, dict] = ({}, {})
+    r_parts: dict = {}
     for d in range(2, top + 1):
         phi = [series._known_through(c, d) for c in phi]
-        rhs = CoordinateChange.from_series(n1.truncate(d), n2.truncate(d)).compose(
-            CoordinateChange.from_series(*phi))
-        rhs = [rhs.comp1, rhs.comp2]
-        if not (res[0].is_zero() and res[1].is_zero()):
-            for k, h in enumerate((phi[0] - xv, phi[1] - yv)):
-                rhs[k] = rhs[k] - jet_mul(jet_derive(h, "x"), res[0]) \
-                    - jet_mul(jet_derive(h, "y"), res[1])
+        rhs = outer.compose(CoordinateChange.from_series(*phi), state)
+        rhs = [rhs.comp1.homogeneous_part(d), rhs.comp2.homogeneous_part(d)]
+        # (Dh . R)_d = sum over e of Dh_(d-e+1) . R_e
+        for e, r in r_parts.items():
+            for k in (0, 1):
+                h = h_parts[k].get(d - e + 1)
+                if h is not None:
+                    for var, name in ((0, "x"), (1, "y")):
+                        if r[var] is not None:
+                            rhs[k] = rhs[k] - jet_mul(jet_derive(h, name), r[var])
         res = [series._known_through(c, d) for c in res]
+        r_new: list = [None, None]
         for k, shift, name in ((0, -m, "x"), (1, n, "y")):
             h_d, r_d = {}, {}
-            for (i, j), c in rhs[k].homogeneous_part(d).coeffs.items():
+            for (i, j), c in rhs[k].coeffs.items():
                 gap = i * m - j * n + shift
                 if gap:
                     h_d[(i, j)] = c / gap
@@ -161,9 +173,13 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
                     if obstruction is None:
                         obstruction = (i, j, name)
             if h_d:
-                phi[k] = phi[k] + Jet2(mode, h_d, d)
+                h_parts[k][d] = Jet2(mode, h_d, INF)
+                phi[k] = phi[k] + h_parts[k][d]
             if r_d:
-                res[k] = res[k] + Jet2(mode, r_d, d)
+                r_new[k] = Jet2(mode, r_d, INF)
+                res[k] = res[k] + r_new[k]
+        if r_new[0] is not None or r_new[1] is not None:
+            r_parts[d] = r_new
     linearized = VectorFieldGerm(lin_a + res[0], lin_b + res[1])
     return LinearizationResult(CoordinateChange.from_series(*phi), linearized, obstruction)
 

@@ -132,9 +132,10 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
     on as the next k1 (a rejected step keeps its k1): six calls of f a step,
     plus one at the start.  The first k1 is computed after the step-underflow
     check, so f is never called when the loop does not run or fails at once.
-    y5 keeps the term b57*k7 so that an inf or nan k7 turns y5 to nan: the
-    step is rejected or, where max() passes over a nan error of v, the nan
-    shows in the accepted state; it is never carried on in k1 alone.
+    y5 keeps the term b57*k7 so that an inf or nan k7 turns y5 to nan, and
+    a step whose error is nan (in either component) or whose y5 is not
+    finite is rejected: a non-finite stage never reaches the state, and
+    one that repeats ends in the StepFailure of repeated rejection.
 
     The seven stages are written out, each sum left to right from 0 with its
     zero weights, in the order of the generic n-component loop
@@ -191,9 +192,10 @@ def _rk45(f: Callable[[float, complex, complex], Tuple[complex, complex]],
                        + e6 * k6u + e7 * k7u)
         y4v = v + h * (0j + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v
                        + e6 * k6v + e7 * k7v)
-        err = max(abs(y5u - y4u), abs(y5v - y4v))
+        eu, ev = abs(y5u - y4u), abs(y5v - y4v)
+        err = ev if ev > eu or ev != ev else eu     # a nan in either part makes err nan
         scale = tol * max(1.0, max(abs(y5u), abs(y5v)))
-        if err <= scale:
+        if err <= scale < math.inf:                 # so a non-finite step is rejected
             s += h
             u, v = y5u, y5v
             k1u, k1v = k7u, k7v

@@ -40,6 +40,7 @@ from . import scalars
 from .errors import (
     BadParams,
     CompositionAtNonzeroPoint,
+    InputChanged,
     ModeMismatch,
     NotAUnit,
     NotDivisible,
@@ -294,7 +295,10 @@ class Jet2:
                     {k: -v for k, v in self.im.items()}, self.valid_through)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        return self + (-other)
+        self._check(other)
+        valid = min(self.valid_through, other.valid_through)
+        return _jet(self.mode, *_zsum(self.den, self.re, self.im, other.den, other.re, other.im,
+                                      valid, -1), valid)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
         return jet_mul(self, other)
@@ -400,7 +404,9 @@ def _jet(mode: str, den: int, re: dict, im: dict, valid) -> Jet2:
 
 
 def _nonzero(a: dict) -> dict:
-    return {k: v for k, v in a.items() if v}
+    """a without its zero terms: a itself when it has none (every caller
+    hands over a dict of its own)."""
+    return a if all(a.values()) else {k: v for k, v in a.items() if v}
 
 
 def _zorder(re: dict, im: dict):
@@ -424,23 +430,24 @@ def _zcut(a: Dict[Tuple[int, int], int], valid) -> Dict[Tuple[int, int], int]:
 def _zlin(a, s, b, t, valid) -> dict:
     """s*a + t*b over the terms of degree <= valid, zero sums dropped.
 
-    A factor 1 multiplies nothing, so a float sum (both dens 1) adds the
-    complex terms as they are, signed zeros included.
+    A factor 1 multiplies nothing and a factor -1 negates, so a float sum
+    or difference (both dens 1) adds the complex terms as they are, or as
+    -v, signed zeros included.
     """
     out = {k: v if s == 1 else v * s for k, v in a.items() if k[0] + k[1] <= valid} if s else {}
     if t:
         get = out.get
         for k, v in b.items():
             if k[0] + k[1] <= valid:
-                out[k] = get(k, 0) + (v if t == 1 else v * t)
+                out[k] = get(k, 0) + (v if t == 1 else -v if t == -1 else v * t)
     return _nonzero(out)
 
 
-def _zsum(d1: int, re1: dict, im1: dict, d2: int, re2: dict, im2: dict, valid):
-    """(re1 + i*im1) / d1 + (re2 + i*im2) / d2 over the terms of degree <= valid,
-    as (den, re, im) on the least common denominator (not reduced)."""
+def _zsum(d1: int, re1: dict, im1: dict, d2: int, re2: dict, im2: dict, valid, sign=1):
+    """(re1 + i*im1) / d1 + sign * (re2 + i*im2) / d2 over the terms of degree
+    <= valid, as (den, re, im) on the least common denominator (not reduced)."""
     g = math.gcd(d1, d2)
-    s, t = d2 // g, d1 // g
+    s, t = d2 // g, sign * (d1 // g)
     return d1 * s, _zlin(re1, s, re2, t, valid), _zlin(im1, s, im2, t, valid)
 
 
@@ -567,14 +574,29 @@ def _zpow(mode: str, a: tuple, a_valid, e: int) -> tuple:
     """a^e for e >= 0 of a stored (den, re, im) triple known through a_valid,
     as (den, re, im, valid), not reduced.
 
-    e products starting from the constant 1, each cut at the valid_through
-    _mul_valid gives it.  A single term c x^i y^j goes straight to
-    c^e x^(ie) y^(je): its numerator takes the products _zproduct would
-    take, in the same order, so float powers are the product loop's bit for
-    bit (the term is never cut, since i + j <= a_valid).
+    The value and valid_through are those of e products starting from the
+    constant 1, each cut at the valid_through _mul_valid gives it.  Exact
+    mode squares and multiplies, in about 2 log2(e) products: the loop's
+    valid_through is a_valid + (e - 1) ord a (exact powers of a nonzero jet
+    never vanish, and a zero jet is known through a_valid at e = 1 and for
+    ever after), and its cuts drop only terms beyond that degree.  Float
+    mode takes the e products, so its results are the product loop's bit
+    for bit, which the parser's float tests pin; a single term c x^i y^j
+    goes straight to c^e x^(ie) y^(je) by the products _zproduct would
+    take, in the same order (the term is never cut, since i + j <= a_valid).
     """
     out, valid, order = _unit(mode), INF, 0
     a_order = _zorder(a[1], a[2])
+    if mode == EXACT and e:
+        valid = a_valid + (e - 1) * a_order if a_order < INF else (a_valid if e == 1 else INF)
+        base = a
+        while True:
+            if e & 1:
+                out = _reduced(*_zproduct(out, base, valid))
+            e >>= 1
+            if not e:
+                return (*out, valid)
+            base = _reduced(*_zproduct(base, base, valid))
     keys = a[1].keys() | a[2].keys() if a[2] else a[1].keys()
     if len(keys) != 1 or not e:
         for _ in range(e):
@@ -697,7 +719,8 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     return _jet(f.mode, *acc, valid)
 
 
-def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
+def jet_compose2(f: Jet2, p: Jet2, q: Jet2, state: Optional["RelaxedComposition"] = None,
+                 slot: int = 0) -> Jet2:
     """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f).
 
     sum_i p^i row_i over the rows of f grouped by x-degree, each row
@@ -712,13 +735,22 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
     Float jets are den 1 with im empty, and every step does the scalar
     loop's operations in its order, so float results are its results bit
     for bit.
+
+    With a *state* (exact mode, one per graded solve), the state computes
+    the same jet: it keeps what earlier calls of the solve computed, and
+    only the degrees not reached yet are new (see RelaxedComposition).
+    *slot* tells the outer series of one solve apart.
     """
     scalars.check_same_mode(f.mode, p.mode, q.mode)
     if (_has_constant(p) or _has_constant(q)) and not f.is_polynomial():
         raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
     valid = min(p.valid_through, q.valid_through)
     if not f.is_polynomial():
-        valid = _proper_valid(f, min(p.order(), q.order()), valid)
+        # no constant term here, so a linear term in p or q makes the order 1
+        linear = any(k in part for part in (p.re, p.im, q.re, q.im) for k in ((1, 0), (0, 1)))
+        valid = _proper_valid(f, 1 if linear else min(p.order(), q.order()), valid)
+    if state is not None:
+        return state.compose(f, p, q, valid, slot)
     rows: Dict[int, list] = {}
     for i, j in sorted(f._keys()):
         rows.setdefault(i, []).append(j)
@@ -742,6 +774,259 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2) -> Jet2:
                                   cap))
         acc = _reduced(*_zsum(*acc, *_reduced(*_zproduct(p_pow, row, valid)), valid))
     return _jet(f.mode, *acc, valid)
+
+
+_ZERO = (1, {}, {})      # a zero part; shared, and never written to
+_ONE = (1, {0: 1}, {})
+
+
+def _split(jet: Jet2, top: int, low: int = 0) -> list:
+    """The homogeneous parts of degree low .. top of an exact jet, at their
+    degrees in a list of top + 1 (the places below low hold _ZERO), each a
+    reduced (den, re, im) triple keyed by the x-exponent alone (the term
+    x^i y^(d-i) of the degree-d part has the key i); a zero part is _ZERO."""
+    parts = [_ZERO] * (top + 1)
+    by_degree: dict = {}
+    for n, terms in enumerate((jet.re, jet.im)):
+        for (i, j), v in terms.items():
+            if low <= i + j <= top:
+                got = by_degree.get(i + j)
+                if got is None:
+                    got = by_degree[i + j] = ({}, {})
+                got[n][i] = v
+    den = jet.den
+    for d, (re, im) in by_degree.items():
+        parts[d] = _reduced(den, re, im) if den != 1 else (1, re, im)
+    return parts
+
+
+def _piece(pairs: list) -> tuple:
+    """sum a * b over pairs of nonzero parts keyed as _split keys them:
+    every product over the lcm of the denominators, reduced once."""
+    den = pairs[0][0][0] * pairs[0][1][0] if len(pairs) == 1 else \
+        math.lcm(*[a[0] * b[0] for a, b in pairs])
+    re: dict = {}
+    im: dict = {}
+    re_get, im_get = re.get, im.get
+    for (da, a_re, a_im), (db, b_re, b_im) in pairs:
+        s = den // (da * db)
+        for i, u in a_re.items():
+            if s != 1:
+                u *= s
+            for j, v in b_re.items():
+                re[i + j] = re_get(i + j, 0) + u * v
+            for j, v in b_im.items():
+                im[i + j] = im_get(i + j, 0) + u * v
+        for i, u in a_im.items():
+            if s != 1:
+                u *= s
+            for j, v in b_re.items():
+                im[i + j] = im_get(i + j, 0) + u * v
+            for j, v in b_im.items():
+                re[i + j] = re_get(i + j, 0) - u * v
+    re, im = _nonzero(re), _nonzero(im)
+    return _reduced(den, re, im) if re or im else _ZERO
+
+
+def _joined(parts: list, valid) -> Jet2:
+    """The exact Jet2 whose degree-d part is parts[d], through *valid*."""
+    den = math.lcm(*[d for d, _, _ in parts])
+    re: dict = {}
+    im: dict = {}
+    for d, (part_den, p_re, p_im) in enumerate(parts):
+        s = den // part_den
+        for i, v in p_re.items():
+            re[(i, d - i)] = v * s
+        for i, v in p_im.items():
+            im[(i, d - i)] = v * s
+    return _jet(EXACT, den, re, im, valid)
+
+
+def _take(parts: list, used: int, jet: Jet2, top: int, known: int, name: str) -> None:
+    """Bring *parts*, a series by degree, to the parts of *jet* through top.
+    A part at or below *used* must not change (InputChanged); the others
+    are replaced.  The parts through *known* are jet's already."""
+    if top <= known:
+        return
+    new = _split(jet, top, known + 1)
+    low, high = known + 1, min(used, top)
+    if new[low:high + 1] != parts[low:high + 1]:
+        raise InputChanged(f"a used part of {name} changed")
+    start = max(used, known) + 1
+    parts[start:] = new[start:]
+
+
+class _Outer:
+    """One outer series f of a RelaxedComposition and what it has given."""
+
+    __slots__ = ("parts", "seen", "terms", "rows", "result", "den", "re", "im")
+
+    def __init__(self):
+        self.parts: list = []       # f by degree
+        self.seen = (None, -1)      # the last f and the degree through which it is taken
+        self.terms: dict = {}       # i -> [(j, f_ij as a part of degree 0)]
+        self.rows: dict = {}        # i -> row i, sum_j f_ij q^j, by degree
+        self.result: list = []      # f(p, q) by degree
+        self.den, self.re, self.im = 1, {}, {}      # the result parts over one lcm
+
+
+class RelaxedComposition:
+    """What the compositions f(p, q) of one graded solve share (exact mode).
+
+    A graded solve (germ.CoordinateChange.inverse, series_ode_solve,
+    mr.linearize) composes with one inner pair (p, q) once per pass, and
+    each pass knows the pair one degree further.  Handed to jet_compose2,
+    the state keeps by homogeneous degree the parts of p and q, the powers
+    p^i and q^j (shared by every outer series of the solve), the rows
+    sum_j f_ij q^j of each outer series and each result.  A call computes
+    only the degrees of its result that no earlier call reached, and
+    returns the whole jet, the one jet_compose2 gives without a state.
+    Each piece is computed once (relaxed evaluation; van der Hoeven, J.
+    Symb. Comput. 34, 2002), as one sum of products over one lcm, reduced
+    once.  With p(0) = q(0) = 0 the degree-k part of p^i, i >= 2, needs the
+    parts of p below degree k only, so a pass may hand over a pair whose
+    newest degree is not known yet, as long as nothing kept reads it.
+
+    The state never returns a stale value.  An inner part counts as used
+    once a kept piece depends on it, an outer term as soon as a call takes
+    it, and a call whose used parts or terms differ raises InputChanged.
+    *slot* (of jet_compose2) tells the outer series of one solve apart.
+    """
+
+    __slots__ = ("parts", "used", "powers", "outers", "seen")
+
+    def __init__(self):
+        self.parts = ([], [])       # p and q by degree
+        self.used = [-1, -1]        # the highest degree of p, q that a kept piece reads
+        self.powers = ([], [])      # [e] -> p^e, q^e by degree (e >= 2)
+        self.outers: dict = {}      # slot -> _Outer
+        self.seen = [(None, -1), (None, -1)]    # the last p, q and the degree through
+        #                                         which each is taken
+
+    def compose(self, f: Jet2, p: Jet2, q: Jet2, valid, slot) -> Jet2:
+        """f(p, q) through *valid*, the valid_through jet_compose2 gives it."""
+        if f.mode != EXACT:
+            raise ModeMismatch("a relaxed composition runs in exact mode")
+        if valid == INF or (0, 0) in p.re or (0, 0) in p.im or (0, 0) in q.re \
+                or (0, 0) in q.im:
+            raise BadParams("a relaxed composition needs p(0) = q(0) = 0 and a finite "
+                            "valid_through")
+        top = int(valid)
+        for c, jet in enumerate((p, q)):
+            last, known = self.seen[c]
+            known = known if last is jet else -1
+            _take(self.parts[c], self.used[c], jet, top, known, "the inner series " + "pq"[c])
+            self.seen[c] = (jet, max(top, known))
+        out = self.outers.get(slot)
+        if out is None:
+            out = self.outers[slot] = _Outer()
+        old = len(out.parts)
+        last, known = out.seen
+        known = known if last is f else -1
+        _take(out.parts, old - 1, f, top, known, "the outer series")
+        out.seen = (f, max(top, known))
+        for t in range(old, len(out.parts)):
+            den, re, im = out.parts[t]
+            for i in (re.keys() | im.keys() if im else re):
+                r, s = re.get(i, 0), im.get(i, 0)
+                out.terms.setdefault(i, []).append(
+                    (t - i, (den, {0: r} if r else {}, {0: s} if s else {})))
+        result = out.result
+        if top < len(result) - 1:
+            return _joined(result[:top + 1], valid)
+        den, re, im = out.den, out.re, out.im
+        for k in range(len(result), top + 1):
+            part = self._next(out.terms, out.rows, k)
+            result.append(part)
+            d, p_re, p_im = part
+            if not (p_re or p_im):
+                continue
+            lcm = den * d // math.gcd(den, d)
+            if lcm != den:
+                s = lcm // den
+                re = {key: v * s for key, v in re.items()}
+                im = {key: v * s for key, v in im.items()}
+                den = lcm
+            s = den // d
+            for i, v in p_re.items():
+                re[(i, k - i)] = v * s
+            for i, v in p_im.items():
+                im[(i, k - i)] = v * s
+        out.den, out.re, out.im = den, re, im
+        return _jet(EXACT, den, dict(re), dict(im), valid)
+
+    def _next(self, terms: dict, rows: dict, k: int) -> tuple:
+        """The degree-k part of f(p, q), sum over i and a of p^i_a row_i_(k-a),
+        after the degree-(k - i) part of each row i, sum_j f_ij q^j_(k-i).
+        *terms* holds the terms (j, f_ij) of f by row i."""
+        p_parts, q_parts = self.parts
+        p_powers, q_powers = self.powers
+        used = self.used
+        for i, row_terms in terms.items():
+            if i > k:
+                continue
+            b, pairs = k - i, []
+            for j, coef in row_terms:
+                if j > b or (j == 0 and b):                 # q^j has order >= j
+                    continue
+                if j == 0:
+                    part = _ONE
+                elif j == 1:
+                    if b > used[1]:
+                        used[1] = b
+                    part = q_parts[b]
+                elif j < len(q_powers) and b < len(q_powers[j]):
+                    part = q_powers[j][b]
+                else:
+                    part = self._power(1, j, b)
+                if part[1] or part[2]:
+                    pairs.append((coef, part))
+            row = rows.setdefault(i, [])
+            if len(row) < b:                                # a row met first at degree k
+                row.extend([_ZERO] * (b - len(row)))
+            row.append(_piece(pairs) if pairs else _ZERO)
+        pairs = []
+        for i, row_i in rows.items():
+            for a in range(i, k + 1 if i else 1):           # p^i has order >= i
+                row = row_i[k - a]
+                if not (row[1] or row[2]):
+                    continue
+                if i == 0:
+                    part = _ONE
+                elif i == 1:
+                    if a > used[0]:
+                        used[0] = a
+                    part = p_parts[a]
+                elif i < len(p_powers) and a < len(p_powers[i]):
+                    part = p_powers[i][a]
+                else:
+                    part = self._power(0, i, a)
+                if part[1] or part[2]:
+                    pairs.append((part, row))
+        return _piece(pairs) if pairs else _ZERO
+
+    def _power(self, c: int, e: int, m: int) -> tuple:
+        """The degree-m part of p^e (c = 0) or q^e (c = 1), e >= 2.  The
+        powers 2 .. e are extended through degree m: degree n of p^g is
+        the sum over b of part b times the degree-(n - b) part of p^(g-1),
+        and reads parts below degree n only."""
+        powers, parts, used = self.powers[c], self.parts[c], self.used
+        while len(powers) <= e:
+            powers.append([])
+        for g in range(2, e + 1):
+            got = powers[g]
+            below = powers[g - 1] if g > 2 else parts
+            for n in range(len(got), m + 1):
+                pairs = []
+                if n >= g:                                  # p^g has order >= g
+                    if n - 1 > used[c]:
+                        used[c] = n - 1
+                    for b in range(1, n - g + 2):
+                        u, v = parts[b], below[n - b]
+                        if (u[1] or u[2]) and (v[1] or v[2]):
+                            pairs.append((u, v))
+                got.append(_piece(pairs) if pairs else _ZERO)
+        return powers[e][m]
 
 
 def _known_through(jet: Jet2, d: int) -> Jet2:
@@ -802,8 +1087,12 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     Graded Picard iteration on u = y + integral_0^x theta(t, u) dt.  The
     integral raises the degree by one, so an iterate right through degree
     d - 1 gives one right through d, and pass d = 1 .. *degree* composes
-    theta, x and u cut to degree d - 1 only.  The result is valid through
-    *degree*, with residual du/dx - theta(x, u) zero through degree - 1.
+    theta with x and u, u known through d - 1, so only through degree
+    d - 1.  The passes of an exact theta share one RelaxedComposition, so
+    pass d computes only degree d - 1 of theta(x, u); a float theta
+    composes afresh each pass.  The result is
+    valid through *degree*, with residual du/dx - theta(x, u) zero through
+    degree - 1.
     """
     if theta.valid_through < degree:
         raise PrecisionExhausted(
@@ -812,20 +1101,13 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     mode = theta.mode
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
+    state = RelaxedComposition() if mode == EXACT else None
     # y is right through degree 0; after pass d, u is valid through d
     u = y.truncate(min(degree, 0))
     for d in range(1, degree + 1):
-        rhs = jet_compose2(theta.truncate(d - 1), x.truncate(d - 1), u)
+        rhs = jet_compose2(theta, x, u, state)
         u = y + rhs.antiderivative_x()
     return u
-
-
-def ode_residual(theta: Jet2, u: Jet2, degree: int) -> Jet2:
-    """du/dx - theta(x, u), truncated to degree - 1."""
-    x = Jet2.variable("x", theta.mode, INF)
-    lhs = jet_derive(u, "x")
-    rhs = jet_compose2(theta.truncate(degree), x.truncate(degree), u.truncate(degree))
-    return (lhs - rhs).truncate(degree - 1)
 
 
 # ---------------------------------------------------------------------------

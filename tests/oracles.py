@@ -22,9 +22,13 @@ Martinet-Ramis linearization as it was before it became one graded solve
 (an elimination step id + h_d per degree, pulled back and composed), and
 `resonant_monomials` lists the resonant monomials of diag(m, -n) from the
 closed form of the eigenvalue relation; both are oracles for
-germforge.mr.linearize.  `FractionPairGR`, with `fp_format_exact` and
-`fp_parse_exact`, is the exact scalar as it was before it stored reduced
-ints, with two Fraction parts: the oracle of germforge.scalars.
+germforge.mr.linearize.  `t_graded_inverse`, `t_graded_ode_solve` and
+`t_graded_linearize` are the graded solvers as they were before their
+passes shared a RelaxedComposition, each pass composing from degree 0.
+`ode_residual` and `rational_from_jet` are library helpers that only tests
+used.  `FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is
+the exact scalar as it was before it stored reduced ints, with two
+Fraction parts: the oracle of germforge.scalars.
 """
 
 from __future__ import annotations
@@ -36,14 +40,16 @@ from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import Callable, List, Optional, Tuple
 
-from germforge import numflow, scalars
-from germforge.errors import GermforgeError, ModeMismatch, StepFailure, ZeroDenominator
-from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, pullback
+from germforge import mr, numflow, scalars, series
+from germforge.errors import (BadParams, GermforgeError, ModeMismatch, NonInvertibleChange,
+                              PrecisionExhausted, StepFailure, ZeroDenominator)
+from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, linear_part, pullback
 from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
                                eval_poly, periodic_trapezoid)
 from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
 from germforge.scalars import EXACT, GaussianRational
-from germforge.series import DIVISIBLE, Jet1, Jet2, exact_divide, jet_mul
+from germforge.series import (DIVISIBLE, Jet1, Jet2, exact_divide, jet_compose2, jet_derive,
+                              jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -373,6 +379,124 @@ def t_ode_solve(theta, degree):
     return u
 
 
+# -- the graded Picard passes, each composing from degree 0 ----------------------
+#
+# germforge's three graded solvers as they were before their passes shared a
+# RelaxedComposition: the same passes, each calling jet_compose2 without a
+# state, so every pass composes again from degree 0.  The solvers must give
+# the same den, re, im, valid_through and obstruction.
+
+def t_graded_inverse(change, degree=None):
+    """The compositional inverse of a series CoordinateChange by graded
+    Picard passes (germ.CoordinateChange.inverse)."""
+    if not change.invertible():
+        raise NonInvertibleChange("Jacobian at 0 is singular")
+    mode = change.comp1.mode
+    valid = min(change.comp1.valid_through, change.comp2.valid_through)
+    if degree is None:
+        degree = valid if valid != INF else max(
+            change.comp1.degree_bound(), change.comp2.degree_bound(), 1) * 2
+    degree = int(min(degree, 64)) if degree != INF else 16
+    top = min(degree, valid)
+    j11, j12, j21, j22 = change.jacobian_at_origin()
+    det = j11 * j22 - j12 * j21
+    i11, i12, i21, i22 = j22 / det, -j12 / det, -j21 / det, j11 / det
+    x = Jet2.variable("x", mode, INF)
+    y = Jet2.variable("y", mode, INF)
+    lin1 = x.scale(i11) + y.scale(i12)
+    lin2 = x.scale(i21) + y.scale(i22)
+    n1 = (change.comp1 - x.scale(j11) - y.scale(j12)).truncate(top)
+    n2 = (change.comp2 - x.scale(j21) - y.scale(j22)).truncate(top)
+    m1 = n1.scale(i11) + n2.scale(i12)
+    m2 = n1.scale(i21) + n2.scale(i22)
+    p1, p2 = lin1.truncate(top), lin2.truncate(top)
+    for d in range(2, top + 1):
+        s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
+        p1 = lin1 - jet_compose2(series._known_through(m1, d), s1, s2)
+        p2 = lin2 - jet_compose2(series._known_through(m2, d), s1, s2)
+    return CoordinateChange.from_series(p1, p2)
+
+
+def t_graded_ode_solve(theta, degree):
+    """du/dx = theta(x, u), u(0, y) = y by graded Picard passes
+    (series.series_ode_solve)."""
+    if theta.valid_through < degree:
+        raise PrecisionExhausted(
+            f"theta known to degree {theta.valid_through} < requested {degree}")
+    mode = theta.mode
+    x = Jet2.variable("x", mode, INF)
+    y = Jet2.variable("y", mode, INF)
+    u = y.truncate(min(degree, 0))
+    for d in range(1, degree + 1):
+        rhs = jet_compose2(theta.truncate(d - 1), x.truncate(d - 1), u)
+        u = y + rhs.antiderivative_x()
+    return u
+
+
+def t_graded_linearize(x, degree=None):
+    """The Martinet-Ramis normal form of x by one graded solve (mr.linearize),
+    as a LinearizationResult."""
+    degree = degree if degree is not None else series.DEFAULT_DEGREE
+    mode = x.mode
+    if mode != EXACT:
+        raise ModeMismatch("linearize operates in exact mode")
+    lin = linear_part(x)
+    m = mr._positive_int(lin.matrix[0][0])
+    n = mr._positive_int(-lin.matrix[1][1])
+    if m is None or n is None or x.order() < 1 or not (
+            scalars.is_zero_scalar(lin.matrix[0][1], mode)
+            and scalars.is_zero_scalar(lin.matrix[1][0], mode)):
+        raise BadParams("linearize requires X(0) = 0 and linear part exactly diag(m, -n), "
+                        "m, n >= 1")
+    top = min(degree, x.valid_through)
+    xv = Jet2.variable("x", mode, INF)
+    yv = Jet2.variable("y", mode, INF)
+    lin_a, lin_b = xv.scale(m), yv.scale(-n)
+    n1, n2 = (x.a - lin_a).truncate(top), (x.b - lin_b).truncate(top)
+    phi = [xv.truncate(min(top, 1)), yv.truncate(min(top, 1))]
+    res = [Jet2.zero(mode, min(top, 1))] * 2
+    obstruction = None
+    for d in range(2, top + 1):
+        phi = [series._known_through(c, d) for c in phi]
+        rhs = CoordinateChange.from_series(n1.truncate(d), n2.truncate(d)).compose(
+            CoordinateChange.from_series(*phi))
+        rhs = [rhs.comp1, rhs.comp2]
+        if not (res[0].is_zero() and res[1].is_zero()):
+            for k, h in enumerate((phi[0] - xv, phi[1] - yv)):
+                rhs[k] = rhs[k] - jet_mul(jet_derive(h, "x"), res[0]) \
+                    - jet_mul(jet_derive(h, "y"), res[1])
+        res = [series._known_through(c, d) for c in res]
+        for k, shift, name in ((0, -m, "x"), (1, n, "y")):
+            h_d, r_d = {}, {}
+            for (i, j), c in rhs[k].homogeneous_part(d).coeffs.items():
+                gap = i * m - j * n + shift
+                if gap:
+                    h_d[(i, j)] = c / gap
+                else:
+                    r_d[(i, j)] = c
+                    if obstruction is None:
+                        obstruction = (i, j, name)
+            if h_d:
+                phi[k] = phi[k] + Jet2(mode, h_d, d)
+            if r_d:
+                res[k] = res[k] + Jet2(mode, r_d, d)
+    linearized = VectorFieldGerm(lin_a + res[0], lin_b + res[1])
+    return mr.LinearizationResult(CoordinateChange.from_series(*phi), linearized, obstruction)
+
+
+def ode_residual(theta, u, degree):
+    """du/dx - theta(x, u), truncated to degree - 1."""
+    x = Jet2.variable("x", theta.mode, INF)
+    lhs = jet_derive(u, "x")
+    rhs = jet_compose2(theta.truncate(degree), x.truncate(degree), u.truncate(degree))
+    return (lhs - rhs).truncate(degree - 1)
+
+
+def rational_from_jet(jet):
+    """The RationalFn jet / 1."""
+    return RationalFn(jet, Jet2.const(1, jet.mode, INF))
+
+
 # -- Laurent polynomials and monomial charts ------------------------------------
 #
 # The same dicts with exponents of either sign: p_add, p_neg, p_mul and
@@ -461,11 +585,12 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
     The generic n-component Dormand-Prince 5(4) loop that numflow._rk45
     unrolls for two components; the stage sums are built with sum().  Like
     the kernel, it raises StepFailure after more than *max_steps* accepted
-    steps.  With fsal=False every step computes its seven stages afresh, the
-    kernel as it was before it reused stage 7; with fsal=True an accepted
-    step's stage 7 is the next step's stage 1, a rejected step keeps its
-    stage 1, and the first stage 1 is computed after the underflow check, as
-    numflow._rk45 does.  *counts*, if given, gains the numbers of accepted
+    steps, and rejects a step whose error is nan in any component or whose
+    y5 is not finite.  With fsal=False every step computes its seven stages
+    afresh, the kernel as it was before it reused stage 7; with fsal=True an
+    accepted step's stage 7 is the next step's stage 1, a rejected step
+    keeps its stage 1, and the first stage 1 is computed after the underflow
+    check, as numflow._rk45 does.  *counts*, if given, gains the numbers of accepted
     and rejected steps under the keys "accepted" and "rejected".
     """
     s = 0.0
@@ -503,9 +628,10 @@ def t_rk45(f: Callable[[float, Tuple[complex, ...]], Tuple[complex, ...]],
             y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B4))
             for i in range(len(y))
         )
-        err = max(abs(a - b) for a, b in zip(y5, y4))
+        errs = [abs(a - b) for a, b in zip(y5, y4)]
+        err = math.nan if any(e != e for e in errs) else max(errs)
         scale = tol * max(1.0, max(abs(v) for v in y5))
-        if err <= scale:
+        if err <= scale < math.inf:
             s += h
             y = y5
             k1 = ks[6]

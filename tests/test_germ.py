@@ -182,7 +182,7 @@ def test_decompose_diagonal():
     yf = vf(zero(), jet_mul(y(), y()))
     zf = xf + yf
     f, g = decompose(zf, xf, yf)
-    one = RationalFn.from_jet(Jet2.const(1, EXACT, 12))
+    one = oracles.rational_from_jet(Jet2.const(1, EXACT, 12))
     assert f.equals(one) and g.equals(one)
 
 
@@ -201,8 +201,8 @@ def test_decompose_linearity_on_pair():
     xf, yf = make_pair(NormalFormID("mt", "v", {"n": 1}), EXACT, 12)
     zf = xf.scale(2) + yf.scale(3)
     f, g = decompose(zf, xf, yf)
-    assert f.equals(RationalFn.from_jet(Jet2.const(2, EXACT, 12)))
-    assert g.equals(RationalFn.from_jet(Jet2.const(3, EXACT, 12)))
+    assert f.equals(oracles.rational_from_jet(Jet2.const(2, EXACT, 12)))
+    assert g.equals(oracles.rational_from_jet(Jet2.const(3, EXACT, 12)))
 
 
 def test_decompose_degenerate_frame():
@@ -253,6 +253,46 @@ def test_pullback_inverse_roundtrip():
     comp = c.compose(inv)
     assert comp.comp1.truncate(9).equals(u.truncate(9))
     assert comp.comp2.truncate(9).equals(v.truncate(9))
+
+
+def _random_poly(rng, low, high, share=0.6):
+    """Oracle-form terms of degrees low..high with small Gaussian-rational values."""
+    def part():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return {k: v for k, v in (((i, d - i), (part(), part() if rng.random() < 0.3 else Fraction(0)))
+                              for d in range(low, high + 1) for i in range(d + 1)
+                              if rng.random() < share) if v != (0, 0)}
+
+
+def _jet(poly, valid):
+    return Jet2(EXACT, {k: GaussianRational(*v) for k, v in poly.items()}, valid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from([(1, 0, 0, 1), (2, 1, 1, 1), (0, 1, 1, 3)]),
+       st.randoms(use_true_random=False))
+def test_pullback_is_sound_for_any_completion(vx, vc, linear, rng):
+    """Whatever X and the change c are beyond their valid_through, the
+    pulled-back field Y satisfies Dc . Y = X o c through the valid_through
+    it claims (no oracle of pullback itself)."""
+    field = [_random_poly(rng, 0, vx) for _ in range(2)]
+    change = [oracles.p_add({(1, 0): oracles.gr(a), (0, 1): oracles.gr(b)},
+                            _random_poly(rng, 2, vc))
+              for a, b in (linear[:2], linear[2:])]
+    out = pullback(vf(*(_jet(f, vx) for f in field)),
+                   CoordinateChange.from_series(*(_jet(c, vc) for c in change)))
+    claimed = out.valid_through
+    degree = min(claimed, 7)
+    # complete both with terms of the next two degrees
+    field = [oracles.p_add(f, _random_poly(rng, vx + 1, vx + 2, 0.5)) for f in field]
+    change = [oracles.p_add(c, _random_poly(rng, vc + 1, vc + 2, 0.5)) for c in change]
+    y_comps = [oracles.from_jet(out.a), oracles.from_jet(out.b)]
+    for c, f in zip(change, field):
+        lhs = oracles.p_add(oracles.p_mul(oracles.p_derive(c, 0), y_comps[0]),
+                            oracles.p_mul(oracles.p_derive(c, 1), y_comps[1]))
+        rhs = oracles.p_compose2(f, change[0], change[1], degree)
+        assert oracles.p_truncate(lhs, degree) == rhs
 
 
 def test_pullback_elliptic_chart_matches_hand_derivation():

@@ -384,12 +384,12 @@ def test_kernel_matches_generic_loop_on_non_finite_stages():
         assert repr(new) == repr(old)
 
 
-def test_a_non_finite_last_stage_reaches_the_state():
-    # max() passes over a nan error of v, so a step whose stage 7 is not
-    # finite in v is accepted; y5 keeps the term b57 * k7 (b57 = 0), so the
-    # state the guard sees holds the nan, as in the generic loop, and it is
-    # not hidden in the stage 7 that the next step reuses
-    for bad in (math.inf, math.nan):
+def test_a_non_finite_stage_in_v_rejects_the_step():
+    # an inf or nan in v's stage 7 of the first step makes the error of v
+    # nan (y5 keeps b57 * k7, b57 = 0): the step is rejected as it is for
+    # u, where max() used to pass over the nan of v and accept it, and the
+    # smaller step that follows is finite, so no nan reaches the state
+    for bad, comp in itertools.product((math.inf, math.nan), (0, 1)):
         def field():
             calls = []
 
@@ -397,12 +397,27 @@ def test_a_non_finite_last_stage_reaches_the_state():
                 calls.append(s)
                 vals = [0.1 * u, -0.2 * v]
                 if len(calls) == 7:     # stage 7 of the first step
-                    vals[1] = complex(bad, 0.0)
+                    vals[comp] = complex(bad, 0.0)
                 return vals
             return f
         new, old = _both(2, field, (1 + 0j, 1j), 1.0, 1e-6, 0.3, stop=1)
         assert repr(new) == repr(old)
-        assert new[0] == "LeafEscape" and "nan" in new[1]
+        assert new[0] == "LeafEscape" and "nan" not in new[1] and "inf" not in new[1]
+        assert "s=0.03" in new[1]       # the first accepted step is the retry at h / 10
+
+
+def test_a_non_finite_v_fails_instead_of_giving_nan():
+    # v's stages are never finite: every step is rejected, each retry a
+    # tenth of the last, until the step underflows and the kernel raises
+    # StepFailure at the initial state, where it used to accept the first
+    # step and return a nan v (a nan leaf period)
+    for bad in (math.inf, math.nan):
+        def field():
+            return lambda s, u, v: [0.1 * u, complex(bad, 0.0)]
+        new, old = _both(2, field, (1 + 0j, 1j), 1.0, 1e-6, 0.3)
+        assert repr(new) == repr(old)
+        assert new[:2] == ("StepFailure", "step underflow at s=0.0")
+        assert new[2] == (1 + 0j, 1j)
 
 
 # ---------------------------------------------------------------------------

@@ -301,3 +301,18 @@ def test_large_powers_take_no_e_products(text, mode):
     out = parse_to_jet2(text, mode, 4)
     assert time.perf_counter() - start < 1.0
     assert out.is_zero() and out.valid_through == 4
+
+
+@pytest.mark.parametrize("text", ["2^1000000*x", "(1+x)^1000000", "((2-i)/3+x)^100000"])
+def test_exact_powers_square_and_multiply(text):
+    # e products of growing ints took a time growing with e squared
+    # (2^200000*x took about 2 s); squaring takes about 2 log2(e) products
+    start = time.perf_counter()
+    out = parse_to_jet2(text, EXACT, 4)
+    assert time.perf_counter() - start < 1.0
+    assert out.valid_through == 4 and out.den != 0
+    if text == "2^1000000*x":
+        assert (out.den, out.re, out.im) == (1, {(1, 0): 2 ** 1000000}, {})
+    if text == "(1+x)^1000000":
+        assert (out.den, out.re, out.im) == (1, {(k, 0): math.comb(10 ** 6, k)
+                                                 for k in range(5)}, {})

@@ -39,7 +39,6 @@ from germforge.series import (
     jet_pow,
     jet_reciprocal,
     laurent_residue,
-    ode_residual,
     series_ode_solve,
 )
 
@@ -277,7 +276,7 @@ def test_ode_residual_vanishes():
             coeffs[(i, j)] = GaussianRational(rng.randint(-2, 2))
     theta = Jet2(EXACT, coeffs, 10)
     u = series_ode_solve(theta, 8)
-    assert ode_residual(theta, u, 8).is_zero()
+    assert oracles.ode_residual(theta, u, 8).is_zero()
 
 
 def test_ode_straightening_monomial():
@@ -761,7 +760,7 @@ def test_ode_solve_is_sound_for_any_completion(degree, data):
     claimed = u.valid_through
     assert u.restrict_x0().equals(Jet1.variable(EXACT, claimed))
     theta_full = Jet2(EXACT, {k: GaussianRational(*v) for k, v in full.items()}, INF)
-    assert ode_residual(theta_full, u, claimed).is_zero()
+    assert oracles.ode_residual(theta_full, u, claimed).is_zero()
 
 
 # -- one storage: numerators over one denominator ----------------------------------
@@ -867,6 +866,19 @@ def test_pow_matches_the_product_loop(a, term, e):
             (expected.den, expected.re, expected.im, expected.valid_through)
         out, expected = jet_pow(base.to_float(), e), oracles.t_jet_pow(base.to_float(), e)
         _assert_same_float(out, (expected.coeffs, expected.valid_through))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 1, 2, 4]), st.integers(6, 40), st.data())
+def test_exact_pow_squares_to_the_product_loop(valid, e, data):
+    """Exact jet_pow squares and multiplies; the e products of the loop from
+    the constant 1 give the same den, re, im and valid_through (zero,
+    single-term and truncated jets included)."""
+    base = data.draw(st.one_of(exact_jets(valid=valid, max_degree=3),
+                               exact_jets(valid=valid, max_terms=1, bits=8)))
+    out, expected = jet_pow(base, e), oracles.t_jet_pow(base, e)
+    assert (out.den, out.re, out.im, out.valid_through) == \
+        (expected.den, expected.re, expected.im, expected.valid_through)
 
 
 @settings(max_examples=60, deadline=None)
