@@ -1,48 +1,63 @@
-"""Recursive-descent parser for the expression DSL.
+"""One-pass recursive-descent parser for the expression DSL.
 
 Grammar (LL(1), explicit '*' only, no implicit multiplication):
 
+    field  := '[' expr ',' expr ']'
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := base ('^' uint)?
     base   := number | 'i' | 'x' | 'y' | 'z' | '(' expr ')'
-    number := uint ('/' uint)? | decimal
+    number := uint | decimal
 
-Quotients whose denominator is not a unit evaluate to RationalFn; everything
-else lands in a jet at the configured degree and mode.  Vector fields are
-written "[exprA, exprB]" meaning exprA d/dx + exprB d/dy.
+A field "[exprA, exprB]" is the germ exprA d/dx + exprB d/dy.  Quotients
+whose denominator is not a unit evaluate to RationalFn; everything else
+lands in a jet at the configured degree and mode.
 
-Evaluation works on the stored numerators of germforge.series (integer or
-complex numerators over one denominator, as a Jet2 keeps them) and builds
-one Jet2 per returned numerator and denominator, not one per AST node.
-Products use the product rule of series._mul_valid, and a power of a single
-term goes straight to its key.  In exact mode a sum is one n-ary sum over
-the lcm of its terms' denominators, and while the denominator is a constant
-C (from literals such as 3/4 or a division by a constant) the value is kept
+The descent reads the tokens of one regular-expression scan and computes
+each value as it reads it: it builds no token objects and no syntax tree.
+Products, quotients and powers fold left to right, as written, and '^'
+binds tighter than '*' and '/'.  An error is raised where the pass meets
+it, so of several faults the first one reading left to right is reported.
+Error positions, and the span a zero denominator quotes, are offsets into
+the text the caller passed, inside a field literal too.
+
+Values are the stored numerators of germforge.series (integer or complex
+numerators over one denominator, as a Jet2 keeps them), and one Jet2 is
+built per returned numerator and denominator.  Products use the product
+rule of series._mul_valid.  In exact mode a sum is one n-ary sum over the
+lcm of its terms' denominators, and while the denominator is a constant C
+(from literals such as 3/4 or a division by a constant) the value is kept
 folded, with C beside it; once a nonconstant denominator enters, C is
 multiplied back into numerator and denominator, so a RationalFn is
 normalised as multiplying through by every denominator gives it: (51/300)/y
 is 51/(300 y).  A float value always carries its denominator and takes the
 cross-multiplications of the numerator/denominator pair, so float results
 round as they did when every node was a Jet2.
+
+Single-term rule: in exact mode a value with at most one monomial, such as
+3, i, x^2 or (3+3*i)*x^2*y, is held as its key and Gaussian-integer
+coefficient over an integer denominator.  Products, quotients by a nonzero
+constant, powers and one-key sums of such terms go straight to the key and
+the coefficient, with valid_through from series._mul_valid; a power whose
+term lies beyond the degree (e * ord > degree) is zero at once, and c^e is
+taken by squaring and multiplying.  The results are those of the general
+path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
 
 from . import scalars
 from .errors import GermforgeError, ZeroDenominator
 from .germ import RationalFn, VectorFieldGerm
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT
 from .series import (
     DIVISIBLE,
     INF,
     Jet1,
-    Jet2,
     _jet,
     _mul_valid,
     _nonzero,
@@ -68,202 +83,28 @@ class UnknownVariable(GermforgeError):
     pass
 
 
-# -- AST ---------------------------------------------------------------------
-
-@dataclass
-class Const:
-    value: Fraction
-    imag: bool = False          # value * i when set
-    decimal: bool = False
-
-
-@dataclass
-class Var:
-    name: str
+# A token is a number (decimal digits with at most one '.'), a name (a
+# letter, then letters and digits), or any other single non-space
+# character: an operator, a bracket or a character no token may hold.  The
+# name pattern also takes a run that starts with a non-decimal digit such
+# as '²'; _bad() tells those apart.
+_TOKEN = re.compile(r"\d+(?:\.\d*)?|\.\d+|[^\W\d_][^\W_]*|\S")
+_PUNCT = frozenset("+-*/^()[],")
 
 
-@dataclass
-class Neg:
-    inner: "Node"
+def _bad(tok: str) -> bool:
+    """Whether *tok* is a character no token may hold (or starts with one)."""
+    return bool(tok) and tok not in _PUNCT and not (
+        tok[0].isalpha() or _is_number(tok))
 
 
-@dataclass
-class Add:
-    terms: List[Tuple[int, "Node"]]     # (sign, node)
+def _is_number(tok: str) -> bool:
+    return tok[:1].isdecimal() or (tok[:1] == "." and len(tok) > 1)
 
 
-@dataclass
-class Mul:
-    factors: List["Node"]
-
-
-@dataclass
-class Quot:
-    num: "Node"
-    den: "Node"
-
-
-@dataclass
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Const, Var, Neg, Add, Mul, Quot, Pow]
-
-
-# -- tokenizer ----------------------------------------------------------------
-
-_TOKEN_CHARS = set("+-*/^()[],")
-
-
-@dataclass
-class _Token:
-    kind: str       # "num", "name", or a punctuation character
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    out: List[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            out.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
-            )
-        return self.advance()
-
-    # expr := sign? term (('+'|'-') term)*
-    def expr(self) -> Node:
-        terms: List[Tuple[int, Node]] = []
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-        terms.append((sign, self.term()))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.term()))
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        if len(terms) == 1:
-            return Neg(terms[0][1])
-        return Add(terms)
-
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> Node:
-        node = self.factor()
-        product: Optional[Mul] = None   # the product this loop is building
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            if op == "*":
-                if node is product:
-                    product.factors.append(rhs)
-                else:
-                    node = product = Mul([node, rhs])
-            else:
-                node = Quot(node, rhs)
-        return node
-
-    # factor := base ('^' uint)?
-    def factor(self) -> Node:
-        node = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("num")
-            if "." in tok.text:
-                raise ExprSyntaxError("exponent must be a non-negative integer", tok.pos)
-            return Pow(node, int(tok.text))
-        return node
-
-    def base(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            if "." in tok.text:
-                return Const(Fraction(tok.text), decimal=True)
-            return Const(Fraction(int(tok.text)))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "i":
-                return Const(Fraction(1), imag=True)
-            if tok.text in ("x", "y", "z"):
-                return Var(tok.text)
-            raise UnknownVariable(f"unknown variable {tok.text!r} (at position {tok.pos})")
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ExprSyntaxError(
-            f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
-            tok.pos,
-        )
-
-
-def parse_expression(text: str) -> Node:
-    """Parse a single expression into its AST."""
-    p = _Parser(text)
-    node = p.expr()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return node
-
-
-# -- evaluation ----------------------------------------------------------------
+# -- values --------------------------------------------------------------------
 #
-# _eval computes on stored numerators, as a Jet2 keeps them (see
-# germforge.series), and eval_node builds the Jet2s at the end.  A value is
-# a triple (num, den, c):
+# A value is a triple (num, den, c):
 # - num is (d, re, im, valid): numerators over one denominator d, known
 #   through valid;
 # - while an exact denominator is a constant, den is None, num is the
@@ -272,133 +113,74 @@ def parse_expression(text: str) -> Node:
 # - otherwise (a nonconstant denominator has entered, or the mode is
 #   float) num and den are the numerator and the denominator, both
 #   (d, re, im, valid), and c is None.
+# An exact single term with den None is held as the 6-tuple
+# (key, d, r, s, valid, c): (r + s*i) / d * x^key[0] * y^key[1], reduced,
+# with r = s = 0 and key (0, 0) for zero and no term of degree > valid.
 
 _ORIGIN = {(0, 0)}
-_ONE = {EXACT: 1, FLOAT: 1 + 0j}
 
 
-def eval_node(node: Node, mode: str, degree: int, variables=("x", "y")) -> object:
-    """Evaluate to a Jet2 (unit or trivial denominator) or RationalFn.
-
-    z-expressions (variables=("z",)) evaluate through the same machinery with
-    z mapped to the first slot, returning Jet1.
-    """
-    num, den, _ = _eval(node, mode, degree, variables)
-    if den is None:
-        return _restrict(_jet(mode, *num), variables)
-    num, den = _jet(mode, *num), _jet(mode, *den)
-    if den.degree_bound() == 0:
-        c = den.coeffs.get((0, 0), scalars.one(mode))
-        inv = scalars.one(mode) / c
-        return _restrict(num.scale(inv), variables)
-    status, quot = exact_divide(num, den)
-    if status == DIVISIBLE and quot is not None and variables == ("x", "y"):
-        return quot
-    if variables != ("x", "y"):
-        raise GermforgeError("1-variable expressions must be polynomial in z")
-    return RationalFn(num, den)
+def _single(key, d: int, r: int, s: int, valid, c) -> tuple:
+    """The single term (r + s*i) / d * x^key, reduced, cut at valid."""
+    if r or s:
+        if key[0] + key[1] > valid:
+            return (0, 0), 1, 0, 0, valid, c
+        g = math.gcd(d, r, s)
+        if g != 1:
+            d, r, s = d // g, r // g, s // g
+        return key, d, r, s, valid, c
+    return (0, 0), 1, 0, 0, valid, c
 
 
-def _restrict(jet: Jet2, variables):
-    if variables == ("x", "y"):
-        return jet
-    return jet.restrict_y0()
+def _general(val: tuple) -> tuple:
+    """*val* as a (num, den, c) triple."""
+    if len(val) == 3:
+        return val
+    key, d, r, s, valid, c = val
+    return (d, {key: r} if r else {}, {key: s} if s else {}, valid), None, c
 
 
-def _eval(node: Node, mode: str, degree: int, variables) -> tuple:
-    """The value of *node* as (num, den, c), see above.
+def _single_mul(a: tuple, b: tuple) -> tuple:
+    (ka, da, ra, sa, va, ca), (kb, db, rb, sb, vb, cb) = a, b
+    valid = _mul_valid(va, ka[0] + ka[1] if ra or sa else INF,
+                       vb, kb[0] + kb[1] if rb or sb else INF)
+    return _single((ka[0] + kb[0], ka[1] + kb[1]), da * db, ra * rb - sa * sb,
+                   ra * sb + sa * rb, valid, _cmul(ca, cb))
 
-    Every operation gives what the numerator/denominator pair of jets would
-    give, with the product rule of series._mul_valid, in as few steps:
-    - a power runs series._zpow, which takes a single term c x^i y^j
-      straight to c^e x^(ie) y^(je);
-    - in exact mode, a sum of terms with constant denominators puts their
-      folded numerators over the lcm of the denominators and reduces once;
-    - in exact mode, a constant denominator stays one scalar factor c beside
-      the folded numerator.  Its valid_through never matters: every value has
-      valid_through <= degree + its order, so a product by a constant known
-      through the working degree keeps the other factor's valid_through.
-      A RationalFn keeps the numerator and denominator that multiplying
-      through by each denominator gives (51/300/y is 51/(300 y), not
-      17/(100 y)), so c is multiplied back into both (_pair) when a
-      nonconstant denominator enters.
-    """
-    if isinstance(node, Const):
-        if mode == EXACT:
-            d, v = node.value.denominator, node.value.numerator
-        else:
-            d, v = 1, (1j * float(node.value) if node.imag else complex(float(node.value)))
-        terms = {(0, 0): v} if v and degree >= 0 else {}
-        if node.imag and mode == EXACT:
-            return (d, {}, terms, degree), None, None
-        return (d, terms, {}, degree), _leaf_den(mode), None
-    if isinstance(node, Var):
-        if node.name not in variables:
-            raise UnknownVariable(
-                f"variable {node.name!r} not allowed here (expected one of {variables})"
-            )
-        key = (1, 0) if node.name in ("x", "z") else (0, 1)
-        return (1, {key: _ONE[mode]} if degree >= 1 else {}, {}, degree), _leaf_den(mode), None
-    if isinstance(node, Neg):
-        num, den, c = _eval(node.inner, mode, degree, variables)
-        return _negated(num), den, c
-    if isinstance(node, Add):
-        vals = [(sign, _eval(term, mode, degree, variables)) for sign, term in node.terms]
-        if all(val[1] is None for _, val in vals):
-            c = None
-            for _, val in vals:
-                c = _cmul(c, val[2])
-            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, c
-        # num1/den1 + num2/den2 is (num1 den2 + num2 den1) / (den1 den2), term by term
-        total = None
-        for sign, val in vals:
-            num, den = _pair(val)
-            if sign < 0:
-                num = _negated(num)
-            if total is not None:
-                n1, n2 = _times(total[0], den), _times(num, total[1])
-                valid = min(n1[3], n2[3])
-                num, den = (*_reduced(*_zsum(*n1[:3], *n2[:3], valid)), valid), \
-                    _times(total[1], den)
-            total = num, den
-        return (*total, None)
-    if isinstance(node, Mul):
-        acc = _eval(node.factors[0], mode, degree, variables)
-        for f in node.factors[1:]:
-            val = _eval(f, mode, degree, variables)
-            if acc[1] is None and val[1] is None:
-                acc = _times(acc[0], val[0]), None, _cmul(acc[2], val[2])
-            else:
-                (n1, d1), (n2, d2) = _pair(acc), _pair(val)
-                acc = _times(n1, n2), _times(d1, d2), None
-        return acc
-    if isinstance(node, Quot):
-        top = _eval(node.num, mode, degree, variables)
-        bottom = _eval(node.den, mode, degree, variables)
-        b = bottom[0]
-        if not b[1] and not b[2]:
-            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
-        if top[1] is None and bottom[1] is None and b[1].keys() <= _ORIGIN \
-                and b[2].keys() <= _ORIGIN:
-            # divide the folded numerator by the constant (r + s i) / d:
-            # multiply by d (r - s i) / (r^2 + s^2)
-            d, r, s = b[0], b[1].get((0, 0), 0), b[2].get((0, 0), 0)
-            a = top[0]
-            num = *_reduced(a[0] * (r * r + s * s), *_zscaled(a[1], a[2], d * r, -d * s)), a[3]
-            return num, None, _cmul(_cmul(top[2], bottom[2]), (d, r, s))
-        (n1, d1), (n2, d2) = _pair(top), _pair(bottom)
-        return _times(n1, d2), _times(d1, n2), None
-    if isinstance(node, Pow):
-        num, den, c = _eval(node.base, mode, degree, variables)
-        e = node.exponent
-        if den is not None:
-            den = _power(mode, den, e, degree)
-            if not den[1] and not den[2]:
-                raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
-        else:
-            c = _cpow(c, e)
-        return _power(mode, num, e, degree), den, c
-    raise TypeError(f"unknown AST node {node!r}")
+
+def _single_div(a: tuple, b: tuple) -> tuple:
+    """a divided by the nonzero constant single b: a times d (r - s i) / (r^2 + s^2)
+    for b = (r + s i) / d, as the general constant division."""
+    key, da, ra, sa, va, ca = a
+    _, d, r, s, _, cb = b
+    cr, ci = d * r, -d * s
+    return _single(key, da * (r * r + s * s), ra * cr - sa * ci, sa * cr + ra * ci, va,
+                   _cmul(_cmul(ca, cb), (d, r, s)))
+
+
+def _single_pow(a: tuple, e: int, degree) -> tuple:
+    """a^e cut at the degree, as _power gives it.  Every value here is known
+    through the degree at least, so a^e is known through the degree: a term
+    beyond it (e * ord > degree) is zero without any product, and the
+    coefficient and denominator are raised by squaring and multiplying."""
+    key, d, r, s, _, c = a
+    if not e:
+        return _single((0, 0), 1, 1, 0, degree, None)
+    if e * (key[0] + key[1]) > degree:
+        return _single((0, 0), 1, 0, 0, degree, _cpow(c, e))
+    return _single((key[0] * e, key[1] * e), *_cpow((d, r, s), e), degree, _cpow(c, e))
+
+
+def _single_sum(terms: list) -> tuple:
+    """The sum of sign * term over (sign, single) pairs with one key, as
+    _lin_sum gives it."""
+    den = math.lcm(*(t[1] for _, t in terms))
+    r = s = 0
+    c = None
+    for sign, (_, d, tr, ts, _, tc) in terms:
+        f = den // d * sign
+        r, s, c = r + tr * f, s + ts * f, _cmul(c, tc)
+    return _single(terms[0][1][0], den, r, s, min(t[4] for _, t in terms), c)
 
 
 def _leaf_den(mode: str):
@@ -411,8 +193,8 @@ def _leaf_den(mode: str):
 
 
 def _negated(num: tuple) -> tuple:
-    d, re, im, valid = num
-    return d, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()}, valid
+    d, re_, im, valid = num
+    return d, {k: -v for k, v in re_.items()}, {k: -v for k, v in im.items()}, valid
 
 
 def _times(a: tuple, b: tuple) -> tuple:
@@ -436,12 +218,12 @@ def _power(mode: str, a: tuple, e: int, degree) -> tuple:
         return 1, {}, {}, degree
     if a[3] == INF and a[:3] == _unit(mode) \
             and math.copysign(1.0, complex(a[1][(0, 0)]).imag) > 0:
-        den, re, im, valid = a
+        den, re_, im, valid = a
     else:
-        den, re, im, valid = _zpow(mode, a, a[3], e)
+        den, re_, im, valid = _zpow(mode, a, a[3], e)
     if degree < valid:
-        re, im, valid = _zcut(re, degree), _zcut(im, degree), degree
-    return *_reduced(den, re, im), valid
+        re_, im, valid = _zcut(re_, degree), _zcut(im, degree), degree
+    return *_reduced(den, re_, im), valid
 
 
 def _lin_sum(terms: list) -> tuple:
@@ -450,16 +232,16 @@ def _lin_sum(terms: list) -> tuple:
     once."""
     valid = min(num[3] for _, num in terms)
     den = math.lcm(*(num[0] for _, num in terms))
-    re: dict = {}
+    re_: dict = {}
     im: dict = {}
     for sign, (d, t_re, t_im, _) in terms:
         f = den // d * sign
-        for part, out in ((t_re, re), (t_im, im)):
+        for part, out in ((t_re, re_), (t_im, im)):
             get = out.get
             for k, v in part.items():
                 if k[0] + k[1] <= valid:
                     out[k] = get(k, 0) + (v if f == 1 else -v if f == -1 else v * f)
-    return *_reduced(den, _nonzero(re), _nonzero(im)), valid
+    return *_reduced(den, _nonzero(re_), _nonzero(im)), valid
 
 
 def _cmul(a, b):
@@ -497,99 +279,270 @@ def _pair(val: tuple) -> tuple:
             (cd, {(0, 0): cr} if cr else {}, {(0, 0): ci} if ci else {}, INF))
 
 
+# -- the descent ---------------------------------------------------------------
+
+def _exact_leaves(degree, variables) -> dict:
+    """The exact single terms of the allowed variables and of i."""
+    leaves = {name: _single((0, 1) if name == "y" else (1, 0), 1, 1, 0, degree, None)
+              for name in variables}
+    leaves["i"] = _single((0, 0), 1, 0, 1, degree, None)
+    return leaves
+
+
+class _Descent:
+    """One left-to-right pass over the tokens of *text*, evaluating as it
+    reads.  The tokens are kept reversed, so that the next one is toks[-1];
+    "" stands for the end of the input."""
+
+    __slots__ = ("text", "toks", "n", "mode", "degree", "variables", "leaves")
+
+    def __init__(self, text: str, mode: str, degree, variables):
+        toks = _TOKEN.findall(text)
+        toks.reverse()
+        self.toks = [""] + toks
+        self.text, self.n = text, len(self.toks)
+        self.mode, self.degree, self.variables = mode, degree, variables
+        self.leaves = _exact_leaves(degree, variables) if mode == EXACT else {}
+
+    # -- positions and errors, computed only when an error is raised --
+
+    def _spans(self):
+        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        return spans + [(len(self.text), len(self.text))]
+
+    def _position(self) -> int:
+        """The offset of the next token in the text."""
+        return self._spans()[self.n - len(self.toks)][0]
+
+    def _fail(self, message: str):
+        """Raise ExprSyntaxError at the next token (an unexpected character
+        there is reported as such)."""
+        tok = self.toks[-1]
+        if _bad(tok):
+            message = f"unexpected character {tok[0]!r}"
+        raise ExprSyntaxError(message, self._position())
+
+    def _found(self, expected: str):
+        self._fail(f"expected {expected!r}, found {self.toks[-1] or 'end of input'!r}")
+
+    def _zero(self, left: int):
+        """Raise ZeroDenominator for the quotient or power that began when
+        *left* tokens were left and ends at the next token."""
+        spans = self._spans()
+        start = spans[self.n - left][0]
+        end = spans[self.n - len(self.toks) - 1][1]
+        raise ZeroDenominator(
+            f"denominator of {self.text[start:end]!r} vanishes to degree {self.degree}")
+
+    def literal(self, tok: str):
+        """Read *tok* of the field literal."""
+        if self.toks[-1] != tok:
+            self._fail("vector field literal must look like [exprA, exprB]")
+        self.toks.pop()
+
+    def end(self):
+        if self.toks[-1]:
+            self._fail(f"unexpected trailing input {self.toks[-1]!r}")
+
+    # -- grammar --
+
+    def expr(self) -> tuple:
+        toks = self.toks
+        sign = 1
+        if toks[-1] == "+" or toks[-1] == "-":
+            sign = 1 if toks.pop() == "+" else -1
+        val = self.term()
+        if sign > 0 and toks[-1] != "+" and toks[-1] != "-":
+            return val
+        terms = [(sign, val)]
+        while toks[-1] == "+" or toks[-1] == "-":
+            sign = 1 if toks.pop() == "+" else -1
+            terms.append((sign, self.term()))
+        return self._sum(terms)
+
+    def term(self) -> tuple:
+        toks = self.toks
+        left = len(toks)
+        val = self.factor()
+        while True:
+            op = toks[-1]
+            if op == "*":
+                toks.pop()
+                b = self.factor()
+                val = _single_mul(val, b) if len(val) == 6 and len(b) == 6 else self._mul(val, b)
+            elif op == "/":
+                toks.pop()
+                val = self._div(val, self.factor(), left)
+            else:
+                return val
+
+    def factor(self) -> tuple:
+        toks = self.toks
+        left = len(toks)
+        tok = toks[-1]
+        val = self.leaves.get(tok)
+        if val is not None:
+            toks.pop()
+        elif tok == "(":
+            toks.pop()
+            val = self.expr()
+            if toks[-1] != ")":
+                self._found(")")
+            toks.pop()
+        else:
+            val = self.base()
+        if toks[-1] != "^":
+            return val
+        toks.pop()
+        tok = toks[-1]
+        if not _is_number(tok):
+            self._found("num")
+        if "." in tok:
+            self._fail("exponent must be a non-negative integer")
+        toks.pop()
+        if len(val) == 6:
+            return _single_pow(val, int(tok), self.degree)
+        return self._pow(val, int(tok), left)
+
+    def base(self) -> tuple:
+        """A number, a float variable or i, or the error the next token makes
+        (exact variables and i are the leaves factor() reads)."""
+        toks = self.toks
+        tok = toks[-1]
+        mode, degree = self.mode, self.degree
+        if tok == "x" or tok == "y" or tok == "z":
+            if tok not in self.variables:
+                raise UnknownVariable(
+                    f"variable {tok!r} not allowed here (expected one of {self.variables})"
+                    f" (at position {self._position()})")
+            toks.pop()
+            key = (0, 1) if tok == "y" else (1, 0)
+            return (1, {key: 1 + 0j} if degree >= 1 else {}, {}, degree), \
+                _leaf_den(mode), None
+        if tok == "i":
+            toks.pop()
+            return (1, {(0, 0): 1j * float(1)} if degree >= 0 else {}, {}, degree), \
+                _leaf_den(mode), None
+        if _is_number(tok):
+            toks.pop()
+            value = Fraction(tok) if "." in tok else int(tok)
+            if mode == EXACT:
+                return _single((0, 0), value.denominator, value.numerator, 0, degree, None)
+            v = complex(float(Fraction(value)))
+            return (1, {(0, 0): v} if v and degree >= 0 else {}, {}, degree), \
+                _leaf_den(mode), None
+        if tok[:1].isalpha():
+            raise UnknownVariable(f"unknown variable {tok!r} (at position {self._position()})")
+        self._fail(f"expected a number, variable or '(', found {tok or 'end of input'!r}")
+
+    # -- operations, each as the per-node evaluation of its node --
+
+    def _sum(self, terms: list) -> tuple:
+        if all(len(val) == 6 and val[0] == terms[0][1][0] for _, val in terms):
+            return _single_sum(terms)
+        vals = [(sign, _general(val)) for sign, val in terms]
+        if all(val[1] is None for _, val in vals):
+            c = None
+            for _, val in vals:
+                c = _cmul(c, val[2])
+            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, c
+        # num1/den1 + num2/den2 is (num1 den2 + num2 den1) / (den1 den2), term by term
+        total = None
+        for sign, val in vals:
+            num, den = _pair(val)
+            if sign < 0:
+                num = _negated(num)
+            if total is not None:
+                n1, n2 = _times(total[0], den), _times(num, total[1])
+                valid = min(n1[3], n2[3])
+                num, den = (*_reduced(*_zsum(*n1[:3], *n2[:3], valid)), valid), \
+                    _times(total[1], den)
+            total = num, den
+        return (*total, None)
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        a, b = _general(a), _general(b)
+        if a[1] is None and b[1] is None:
+            return _times(a[0], b[0]), None, _cmul(a[2], b[2])
+        (n1, d1), (n2, d2) = _pair(a), _pair(b)
+        return _times(n1, n2), _times(d1, d2), None
+
+    def _div(self, top: tuple, bottom: tuple, left: int) -> tuple:
+        if len(top) == 6 and len(bottom) == 6 and bottom[0] == (0, 0) \
+                and (bottom[2] or bottom[3]):
+            return _single_div(top, bottom)
+        top, bottom = _general(top), _general(bottom)
+        b = bottom[0]
+        if not b[1] and not b[2]:
+            self._zero(left)
+        if top[1] is None and bottom[1] is None and b[1].keys() <= _ORIGIN \
+                and b[2].keys() <= _ORIGIN:
+            # divide the folded numerator by the constant (r + s i) / d:
+            # multiply by d (r - s i) / (r^2 + s^2)
+            d, r, s = b[0], b[1].get((0, 0), 0), b[2].get((0, 0), 0)
+            a = top[0]
+            num = *_reduced(a[0] * (r * r + s * s), *_zscaled(a[1], a[2], d * r, -d * s)), a[3]
+            return num, None, _cmul(_cmul(top[2], bottom[2]), (d, r, s))
+        (n1, d1), (n2, d2) = _pair(top), _pair(bottom)
+        return _times(n1, d2), _times(d1, n2), None
+
+    def _pow(self, val: tuple, e: int, left: int) -> tuple:
+        mode, degree = self.mode, self.degree
+        num, den, c = val
+        if den is not None:
+            den = _power(mode, den, e, degree)
+            if not den[1] and not den[2]:
+                self._zero(left)
+        else:
+            c = _cpow(c, e)
+        return _power(mode, num, e, degree), den, c
+
+    def finish(self, val: tuple):
+        """The value as a Jet2 (Jet1 for variables ("z",)) or RationalFn."""
+        mode, variables = self.mode, self.variables
+        num, den, _ = _general(val)
+        if den is None:
+            out = _jet(mode, *num)
+        else:
+            num, den = _jet(mode, *num), _jet(mode, *den)
+            if den.degree_bound() != 0:
+                status, quot = exact_divide(num, den)
+                if status == DIVISIBLE and quot is not None and variables == ("x", "y"):
+                    return quot
+                if variables != ("x", "y"):
+                    raise GermforgeError("1-variable expressions must be polynomial in z")
+                return RationalFn(num, den)
+            out = num.scale(scalars.one(mode) / den.coeffs.get((0, 0), scalars.one(mode)))
+        return out if variables == ("x", "y") else out.restrict_y0()
+
+
+def _parse(text: str, mode, degree, variables):
+    descent = _Descent(text, mode, degree, variables)
+    val = descent.expr()
+    descent.end()
+    return descent.finish(val)
+
+
 def parse_to_jet2(text: str, mode=EXACT, degree: int = 16):
     """Expression -> Jet2 or RationalFn in (x, y)."""
-    return eval_node(parse_expression(text), mode, degree, ("x", "y"))
+    return _parse(text, mode, degree, ("x", "y"))
 
 
 def parse_to_jet1(text: str, mode=EXACT, degree: int = 16) -> Jet1:
     """Expression in z -> Jet1."""
-    out = eval_node(parse_expression(text), mode, degree, ("z",))
-    return out
+    return _parse(text, mode, degree, ("z",))
 
 
 def parse_vector_field(text: str, mode=EXACT, degree: int = 16) -> VectorFieldGerm:
     """Parse "[exprA, exprB]" into the germ exprA d/dx + exprB d/dy."""
-    s = text.strip()
-    if not s.startswith("[") or not s.endswith("]"):
-        raise ExprSyntaxError("vector field literal must look like [exprA, exprB]", 0)
-    body = s[1:-1]
-    depth = 0
-    split_at = None
-    for k, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split_at = k
-            break
-    if split_at is None:
-        raise ExprSyntaxError("vector field literal needs two components", len(s))
-    comp_a = eval_node(parse_expression(body[:split_at]), mode, degree, ("x", "y"))
-    comp_b = eval_node(parse_expression(body[split_at + 1:]), mode, degree, ("x", "y"))
+    descent = _Descent(text, mode, degree, ("x", "y"))
+    descent.literal("[")
+    comp_a = descent.finish(descent.expr())
+    descent.literal(",")
+    comp_b = descent.finish(descent.expr())
+    descent.literal("]")
+    descent.end()
     for comp in (comp_a, comp_b):
         if isinstance(comp, RationalFn):
             raise GermforgeError("vector field components must be holomorphic")
     return VectorFieldGerm(comp_a.truncate(degree), comp_b.truncate(degree))
-
-
-# -- pretty printer -------------------------------------------------------------
-
-def pretty(node: Node) -> str:
-    """Canonical text form: parse_expression(pretty(node)) has the value of
-    *node* and prints as the same text."""
-    node = _canonical(node)
-    if isinstance(node, Const):
-        return "i" if node.imag else str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-{_wrap(node.inner)}"
-    if isinstance(node, Add):
-        parts = []
-        for k, (sign, term) in enumerate(node.terms):
-            op = "" if (k == 0 and sign > 0) else ("+" if sign > 0 else "-")
-            parts.append(f"{op}{_wrap(term, (Add, Neg))}")
-        return "".join(parts)
-    if isinstance(node, Mul):
-        return "*".join(_wrap(f) for f in node.factors)
-    if isinstance(node, Quot):
-        return f"{_wrap(node.num)}/{_wrap(node.den)}"
-    if isinstance(node, Pow):
-        return f"{_wrap(node.base, (Add, Neg, Mul, Quot, Pow))}^{node.exponent}"
-    raise TypeError(node)
-
-
-def _canonical(node: Node) -> Node:
-    """The node that the parser builds from the text of *node*, at its top:
-    a constant other than a natural number or i becomes -c, p/q or c*i, and
-    a sum of one term or a product of one factor becomes that term."""
-    while True:
-        if isinstance(node, Const):
-            v = node.value
-            if v < 0:
-                return Neg(Const(-v, node.imag))
-            if node.imag and v != 1:
-                return Mul([Const(v), Const(Fraction(1), imag=True)])
-            if v.denominator != 1:
-                return Quot(Const(Fraction(v.numerator)), Const(Fraction(v.denominator)))
-            return node
-        if isinstance(node, Add) and len(node.terms) == 1:
-            sign, term = node.terms[0]
-            if sign < 0:
-                return Neg(term)
-            node = term
-        elif isinstance(node, Mul) and len(node.factors) == 1:
-            node = node.factors[0]
-        else:
-            return node
-
-
-def _wrap(node: Node, wrapped=(Add, Neg, Mul, Quot)) -> str:
-    """*node* as an operand: in parentheses when it is one of *wrapped*
-    (those of a product, quotient or negation by default)."""
-    node = _canonical(node)
-    if isinstance(node, wrapped):
-        return f"({pretty(node)})"
-    return pretty(node)

@@ -17,7 +17,11 @@ binomial sum of the Hirzebruch flow's chart-1 fiber shift, and
 which germforge.hirzebruch now sums by Horner.  `p_eval` is the expression
 evaluator that built one Jet2 per AST node (with `t_jet_pow`, the power
 loop that started from the Jet2 constant 1), kept as the oracle for the
-parser's evaluation on stored numerators.  `t_linearize` is the
+parser's evaluation on stored numerators.  `parse_expression` (a tokenizer,
+one `_Token` per token, and a parser that builds the AST), `eval_node` (the
+evaluator on stored numerators that walks that AST) and `pretty` are the
+expression parser as it was before it became one pass: the oracle of
+germforge.parser.  `t_linearize` is the
 Martinet-Ramis linearization as it was before it became one graded solve
 (an elimination step id + h_d per degree, pulled back and composed), and
 `resonant_monomials` lists the resonant monomials of diag(m, -n) from the
@@ -38,7 +42,7 @@ import math
 from fractions import Fraction
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from germforge import mr, numflow, scalars, series
 from germforge.errors import (BadParams, GermforgeError, ModeMismatch, NonInvertibleChange,
@@ -46,10 +50,11 @@ from germforge.errors import (BadParams, GermforgeError, ModeMismatch, NonInvert
 from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, linear_part, pullback
 from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
                                eval_poly, periodic_trapezoid)
-from germforge.parser import Add, Const, Mul, Neg, Pow, Quot, UnknownVariable, Var, pretty
+from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, _cpow, _leaf_den,
+                              _lin_sum, _negated, _pair, _power, _times)
 from germforge.scalars import EXACT, GaussianRational
-from germforge.series import (DIVISIBLE, Jet1, Jet2, exact_divide, jet_compose2, jet_derive,
-                              jet_mul)
+from germforge.series import (DIVISIBLE, Jet1, Jet2, _jet, _reduced, _zscaled, _zsum, exact_divide,
+                              jet_compose2, jet_derive, jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -692,6 +697,393 @@ def residue_probe_1d(h: Jet1, radius: float, tol: float = 1e-12,
     return periodic_trapezoid(integrand, 32, tol, max_doublings)
 
 
+# -- the expression parser with an AST ---------------------------------------------
+#
+# germforge.parser as it was before it became one pass: a tokenizer that
+# builds one _Token per token, a parser that builds the AST, and eval_node,
+# the evaluator on stored numerators that walks it (with the value helpers
+# that germforge.parser still uses).  pretty prints an AST as text that
+# parses back to it.
+
+# -- AST ---------------------------------------------------------------------
+
+@dataclass
+class Const:
+    value: Fraction
+    imag: bool = False          # value * i when set
+    decimal: bool = False
+
+
+@dataclass
+class Var:
+    name: str
+
+
+@dataclass
+class Neg:
+    inner: "Node"
+
+
+@dataclass
+class Add:
+    terms: List[Tuple[int, "Node"]]     # (sign, node)
+
+
+@dataclass
+class Mul:
+    factors: List["Node"]
+
+
+@dataclass
+class Quot:
+    num: "Node"
+    den: "Node"
+
+
+@dataclass
+class Pow:
+    base: "Node"
+    exponent: int
+
+
+Node = Union[Const, Var, Neg, Add, Mul, Quot, Pow]
+
+
+# -- tokenizer ----------------------------------------------------------------
+
+_TOKEN_CHARS = set("+-*/^()[],")
+
+
+@dataclass
+class _Token:
+    kind: str       # "num", "name", or a punctuation character
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> List[_Token]:
+    out: List[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _TOKEN_CHARS:
+            out.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            out.append(_Token("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            out.append(_Token("name", text[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    out.append(_Token("end", "", n))
+    return out
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.k = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.k]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
+            )
+        return self.advance()
+
+    # expr := sign? term (('+'|'-') term)*
+    def expr(self) -> Node:
+        terms: List[Tuple[int, Node]] = []
+        sign = 1
+        if self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+        terms.append((sign, self.term()))
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            terms.append((sign, self.term()))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        if len(terms) == 1:
+            return Neg(terms[0][1])
+        return Add(terms)
+
+    # term := factor (('*'|'/') factor)*
+    def term(self) -> Node:
+        node = self.factor()
+        product: Optional[Mul] = None   # the product this loop is building
+        while self.peek().kind in ("*", "/"):
+            op = self.advance().kind
+            rhs = self.factor()
+            if op == "*":
+                if node is product:
+                    product.factors.append(rhs)
+                else:
+                    node = product = Mul([node, rhs])
+            else:
+                node = Quot(node, rhs)
+        return node
+
+    # factor := base ('^' uint)?
+    def factor(self) -> Node:
+        node = self.base()
+        if self.peek().kind == "^":
+            self.advance()
+            tok = self.expect("num")
+            if "." in tok.text:
+                raise ExprSyntaxError("exponent must be a non-negative integer", tok.pos)
+            return Pow(node, int(tok.text))
+        return node
+
+    def base(self) -> Node:
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            if "." in tok.text:
+                return Const(Fraction(tok.text), decimal=True)
+            return Const(Fraction(int(tok.text)))
+        if tok.kind == "name":
+            self.advance()
+            if tok.text == "i":
+                return Const(Fraction(1), imag=True)
+            if tok.text in ("x", "y", "z"):
+                return Var(tok.text)
+            raise UnknownVariable(f"unknown variable {tok.text!r} (at position {tok.pos})")
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise ExprSyntaxError(
+            f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
+            tok.pos,
+        )
+
+
+def parse_expression(text: str) -> Node:
+    """Parse a single expression into its AST."""
+    p = _Parser(text)
+    node = p.expr()
+    tok = p.peek()
+    if tok.kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    return node
+
+
+_ONE = {EXACT: 1, scalars.FLOAT: 1 + 0j}
+
+
+def eval_node(node: Node, mode: str, degree: int, variables=("x", "y")) -> object:
+    """Evaluate to a Jet2 (unit or trivial denominator) or RationalFn.
+
+    z-expressions (variables=("z",)) evaluate through the same machinery with
+    z mapped to the first slot, returning Jet1.
+    """
+    num, den, _ = _n_eval(node, mode, degree, variables)
+    if den is None:
+        return _p_restrict(_jet(mode, *num), variables)
+    num, den = _jet(mode, *num), _jet(mode, *den)
+    if den.degree_bound() == 0:
+        c = den.coeffs.get((0, 0), scalars.one(mode))
+        inv = scalars.one(mode) / c
+        return _p_restrict(num.scale(inv), variables)
+    status, quot = exact_divide(num, den)
+    if status == DIVISIBLE and quot is not None and variables == ("x", "y"):
+        return quot
+    if variables != ("x", "y"):
+        raise GermforgeError("1-variable expressions must be polynomial in z")
+    return RationalFn(num, den)
+
+
+def _p_restrict(jet: Jet2, variables):
+    if variables == ("x", "y"):
+        return jet
+    return jet.restrict_y0()
+
+
+def _n_eval(node: Node, mode: str, degree: int, variables) -> tuple:
+    """The value of *node* as (num, den, c), see above.
+
+    Every operation gives what the numerator/denominator pair of jets would
+    give, with the product rule of series._mul_valid, in as few steps:
+    - a power runs series._zpow, which takes a single term c x^i y^j
+      straight to c^e x^(ie) y^(je);
+    - in exact mode, a sum of terms with constant denominators puts their
+      folded numerators over the lcm of the denominators and reduces once;
+    - in exact mode, a constant denominator stays one scalar factor c beside
+      the folded numerator.  Its valid_through never matters: every value has
+      valid_through <= degree + its order, so a product by a constant known
+      through the working degree keeps the other factor's valid_through.
+      A RationalFn keeps the numerator and denominator that multiplying
+      through by each denominator gives (51/300/y is 51/(300 y), not
+      17/(100 y)), so c is multiplied back into both (_pair) when a
+      nonconstant denominator enters.
+    """
+    if isinstance(node, Const):
+        if mode == EXACT:
+            d, v = node.value.denominator, node.value.numerator
+        else:
+            d, v = 1, (1j * float(node.value) if node.imag else complex(float(node.value)))
+        terms = {(0, 0): v} if v and degree >= 0 else {}
+        if node.imag and mode == EXACT:
+            return (d, {}, terms, degree), None, None
+        return (d, terms, {}, degree), _leaf_den(mode), None
+    if isinstance(node, Var):
+        if node.name not in variables:
+            raise UnknownVariable(
+                f"variable {node.name!r} not allowed here (expected one of {variables})"
+            )
+        key = (1, 0) if node.name in ("x", "z") else (0, 1)
+        return (1, {key: _ONE[mode]} if degree >= 1 else {}, {}, degree), _leaf_den(mode), None
+    if isinstance(node, Neg):
+        num, den, c = _n_eval(node.inner, mode, degree, variables)
+        return _negated(num), den, c
+    if isinstance(node, Add):
+        vals = [(sign, _n_eval(term, mode, degree, variables)) for sign, term in node.terms]
+        if all(val[1] is None for _, val in vals):
+            c = None
+            for _, val in vals:
+                c = _cmul(c, val[2])
+            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, c
+        # num1/den1 + num2/den2 is (num1 den2 + num2 den1) / (den1 den2), term by term
+        total = None
+        for sign, val in vals:
+            num, den = _pair(val)
+            if sign < 0:
+                num = _negated(num)
+            if total is not None:
+                n1, n2 = _times(total[0], den), _times(num, total[1])
+                valid = min(n1[3], n2[3])
+                num, den = (*_reduced(*_zsum(*n1[:3], *n2[:3], valid)), valid), \
+                    _times(total[1], den)
+            total = num, den
+        return (*total, None)
+    if isinstance(node, Mul):
+        acc = _n_eval(node.factors[0], mode, degree, variables)
+        for f in node.factors[1:]:
+            val = _n_eval(f, mode, degree, variables)
+            if acc[1] is None and val[1] is None:
+                acc = _times(acc[0], val[0]), None, _cmul(acc[2], val[2])
+            else:
+                (n1, d1), (n2, d2) = _pair(acc), _pair(val)
+                acc = _times(n1, n2), _times(d1, d2), None
+        return acc
+    if isinstance(node, Quot):
+        top = _n_eval(node.num, mode, degree, variables)
+        bottom = _n_eval(node.den, mode, degree, variables)
+        b = bottom[0]
+        if not b[1] and not b[2]:
+            raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        if top[1] is None and bottom[1] is None and b[1].keys() <= _ORIGIN \
+                and b[2].keys() <= _ORIGIN:
+            # divide the folded numerator by the constant (r + s i) / d:
+            # multiply by d (r - s i) / (r^2 + s^2)
+            d, r, s = b[0], b[1].get((0, 0), 0), b[2].get((0, 0), 0)
+            a = top[0]
+            num = *_reduced(a[0] * (r * r + s * s), *_zscaled(a[1], a[2], d * r, -d * s)), a[3]
+            return num, None, _cmul(_cmul(top[2], bottom[2]), (d, r, s))
+        (n1, d1), (n2, d2) = _pair(top), _pair(bottom)
+        return _times(n1, d2), _times(d1, n2), None
+    if isinstance(node, Pow):
+        num, den, c = _n_eval(node.base, mode, degree, variables)
+        e = node.exponent
+        if den is not None:
+            den = _power(mode, den, e, degree)
+            if not den[1] and not den[2]:
+                raise ZeroDenominator(f"denominator of {pretty(node)} vanishes to degree {degree}")
+        else:
+            c = _cpow(c, e)
+        return _power(mode, num, e, degree), den, c
+    raise TypeError(f"unknown AST node {node!r}")
+
+
+# -- pretty printer -------------------------------------------------------------
+
+def pretty(node: Node) -> str:
+    """Canonical text form: parse_expression(pretty(node)) has the value of
+    *node* and prints as the same text."""
+    node = _canonical(node)
+    if isinstance(node, Const):
+        return "i" if node.imag else str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"-{_wrap(node.inner)}"
+    if isinstance(node, Add):
+        parts = []
+        for k, (sign, term) in enumerate(node.terms):
+            op = "" if (k == 0 and sign > 0) else ("+" if sign > 0 else "-")
+            parts.append(f"{op}{_wrap(term, (Add, Neg))}")
+        return "".join(parts)
+    if isinstance(node, Mul):
+        return "*".join(_wrap(f) for f in node.factors)
+    if isinstance(node, Quot):
+        return f"{_wrap(node.num)}/{_wrap(node.den)}"
+    if isinstance(node, Pow):
+        return f"{_wrap(node.base, (Add, Neg, Mul, Quot, Pow))}^{node.exponent}"
+    raise TypeError(node)
+
+
+def _canonical(node: Node) -> Node:
+    """The node that the parser builds from the text of *node*, at its top:
+    a constant other than a natural number or i becomes -c, p/q or c*i, and
+    a sum of one term or a product of one factor becomes that term."""
+    while True:
+        if isinstance(node, Const):
+            v = node.value
+            if v < 0:
+                return Neg(Const(-v, node.imag))
+            if node.imag and v != 1:
+                return Mul([Const(v), Const(Fraction(1), imag=True)])
+            if v.denominator != 1:
+                return Quot(Const(Fraction(v.numerator)), Const(Fraction(v.denominator)))
+            return node
+        if isinstance(node, Add) and len(node.terms) == 1:
+            sign, term = node.terms[0]
+            if sign < 0:
+                return Neg(term)
+            node = term
+        elif isinstance(node, Mul) and len(node.factors) == 1:
+            node = node.factors[0]
+        else:
+            return node
+
+
+def _wrap(node: Node, wrapped=(Add, Neg, Mul, Quot)) -> str:
+    """*node* as an operand: in parentheses when it is one of *wrapped*
+    (those of a product, quotient or negation by default)."""
+    node = _canonical(node)
+    if isinstance(node, wrapped):
+        return f"({pretty(node)})"
+    return pretty(node)
+
+
 # -- the expression evaluator with one Jet2 per AST node -------------------------
 
 def t_jet_pow(a, e):
@@ -720,7 +1112,7 @@ class _RatValue:
 
 def p_eval(node, mode, degree, variables=("x", "y")):
     """The AST *node* as a Jet2 (Jet1 for variables ("z",)) or RationalFn,
-    as germforge.parser.eval_node evaluated it with a Jet2 per node."""
+    as the parser evaluated it with a Jet2 per node."""
     val = _p_eval(node, mode, degree, variables)
     if val.den is None:
         return _p_restrict(val.num, variables)

@@ -51,6 +51,8 @@ ROWS = [
     # a superscript digit, and a coefficient too long for int-to-text conversion
     (["bracket", "[x^², y]", "[x, y]"], ERROR),
     (["bracket", "[(2+x)^20000, y]", "[x, y]", "--degree", "4"], ERROR),
+    # a malformed field: the error gives its offset in the argument
+    (["bracket", "[x, y+$]", "[x, y]"], ERROR),
     # integrator failures: StepFailure (the base component vanishes on the
     # lift) and LeafEscape in the middle of the loop (|lift| = 4.05)
     (["period", "--field", "[x-1/2, y]", "--base", "0.5"], ERROR),
@@ -74,6 +76,12 @@ def test_exit_code(argv, code, capsys):
         assert out.out.startswith("error:")
     if code == USAGE:
         assert "usage error" in out.err
+
+
+def test_error_positions_are_offsets_into_the_argument(capsys):
+    # the position used to count from the start of the component (3)
+    assert cli.main(["bracket", "[x, y+$]", "[x, y]"]) == ERROR
+    assert capsys.readouterr().out == "error: unexpected character '$' (at position 6)\n"
 
 
 # JSON reports pinned byte for byte: the sha256 of the report file, with the
@@ -102,6 +110,9 @@ JSON_ROWS = [
     # the normalization (phi - id free of resonant monomials)
     (["linearize", "[x + x^2*y + x^3 + y^2, -y + x*y^2 + x^2 + 3*x*y]", "--degree", "9"], FAIL,
      "bd34b02f26cef4c22bd1807bd2970bb5cc8d4d7911202bb75dcf1f6eee0e05a7"),
+    # the singular points a blow-up puts on its exceptional divisor
+    (["blowup", "[x + y^2, 2*y + x^3]", "--singularities"], OK,
+     "6b18fe623d4a70fda3fe4b73c20fcedea391153aa27bb5116048d1d61e8ab9a0"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Expression parser: zero denominators are errors, never a silent value;
-the evaluator on stored numerators gives what the per-node evaluator gave;
-printed expressions parse back to the same text and value."""
+the one-pass parser gives what the per-node evaluator gave, and what the
+AST parser of tests/oracles.py gave; printed expressions parse back to the
+same text and value; errors point into the caller's text."""
 
 from __future__ import annotations
 
@@ -13,27 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germforge import cli
+from germforge import cli, parser
 from germforge.errors import GermforgeError, ZeroDenominator
 from germforge.germ import RationalFn, VectorFieldGerm
 from germforge.parser import (
-    Add,
-    Const,
     ExprSyntaxError,
-    Mul,
-    Neg,
-    Pow,
-    Quot,
-    Var,
-    eval_node,
-    parse_expression,
+    UnknownVariable,
     parse_to_jet1,
     parse_to_jet2,
     parse_vector_field,
-    pretty,
 )
-from germforge.scalars import EXACT, FLOAT, GaussianRational
+from germforge.scalars import EXACT, FLOAT, GaussianRational, format_exact
 from germforge.series import Jet1, Jet2
+from oracles import Add, Const, Mul, Neg, Pow, Quot, Var, eval_node, parse_expression, pretty
 
 ZERO_DENOMINATORS = ["1/0", "(1+x)/(2*x-x-x)", "1/x^20", "1/(1/0)", "(1/x^10)^2",
                      "x/(0/1)", "(1+y)/(x-x)^2"]
@@ -197,6 +190,13 @@ def test_rational_functions_keep_the_literal_denominators():
     out = parse_to_jet2("(51/300)/(y)+(y)", EXACT, 1)
     assert out.num.coeffs == {(0, 0): GaussianRational(51)}
     assert out.den.coeffs == {(0, 1): GaussianRational(300)}
+    # a sum of constants keeps the product of their denominators too
+    out = parse_to_jet2("(1/2+1/3)/y", EXACT, 2)
+    assert out.num.coeffs == {(0, 0): GaussianRational(5)}
+    assert out.den.coeffs == {(0, 1): GaussianRational(6)}
+    out = parse_to_jet2("(1/2-i/3)/(x+y)", EXACT, 2)
+    assert out.num.coeffs == {(0, 0): GaussianRational(3, -2)}
+    assert out.den.coeffs == {(1, 0): GaussianRational(6), (0, 1): GaussianRational(6)}
 
 
 # -- pretty <-> parse_expression ----------------------------------------------------
@@ -245,14 +245,113 @@ def test_pretty_keeps_powers_of_constants_and_nested_powers():
         {(0, 0): GaussianRational(Fraction(9, 16))}
 
 
-# -- the tokenizer and large exponents ---------------------------------------------
+# -- tokens and large exponents ------------------------------------------------------
 
 def test_superscript_digits_are_syntax_errors():
     # "²".isdigit() holds but int() refuses it; isdecimal() is what int() reads
-    with pytest.raises(ExprSyntaxError) as info:
-        parse_expression("x^²")
-    assert info.value.position == 2
+    for parse in (parse_to_jet2, parse_expression):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse("x^²")
+        assert info.value.position == 2
+        assert str(info.value) == "unexpected character '²' (at position 2)"
     assert parse_to_jet2("٣*x", EXACT, 4).coeffs == {(1, 0): GaussianRational(3)}
+
+
+_PIECES = list("xyzi0123456789.+-*/^()[], \t_$") + ["²", "٣", "½", "Ⅻ", "五", "é", "\u0301",
+                                                      "\u00a0", "x1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_tokens_are_those_of_the_old_tokenizer(text):
+    # the one scan splits text as the per-character tokenizer did, and its
+    # first bad token starts where that tokenizer stopped
+    try:
+        old = [tok.text for tok in oracles._tokenize(text)[:-1]]
+    except ExprSyntaxError as exc:
+        bad = [m.start() for m in parser._TOKEN.finditer(text) if parser._bad(m.group())]
+        assert bad and bad[0] == exc.position
+    else:
+        new = parser._TOKEN.findall(text)
+        assert new == old and not any(map(parser._bad, new))
+
+
+# -- errors point into the caller's text --------------------------------------------
+
+@pytest.mark.parametrize("text, position, message", [
+    ("[x, y+$]", 6, "unexpected character '$'"),
+    ("[x, y, 1]", 5, "vector field literal must look like [exprA, exprB]"),
+    ("  [x, (y]", 8, "expected ')', found ']'"),
+    ("[x, y^y]", 6, "expected 'num', found 'y'"),
+    ("[x, y", 5, "vector field literal must look like [exprA, exprB]"),
+    (" x, y]", 1, "vector field literal must look like [exprA, exprB]"),
+    ("[x, y] y", 7, "unexpected trailing input 'y'"),
+])
+def test_field_errors_give_offsets_into_the_callers_text(text, position, message):
+    # the positions used to count from the start of the component
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_vector_field(text, EXACT, 4)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+def test_variable_errors_give_offsets_into_the_callers_text():
+    with pytest.raises(UnknownVariable, match=r"^unknown variable 'w' \(at position 8\)$"):
+        parse_vector_field("[x, y + w]", EXACT, 4)
+    with pytest.raises(UnknownVariable, match=r"^variable 'z' not allowed here .* \(at position 4\)$"):
+        parse_vector_field("[x, z]", EXACT, 4)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("text, span", [
+    ("[x, (1 + y) / (x - x)]", "(1 + y) / (x - x)"),
+    ("[x, 2*y/0*x]", "2*y/0"),
+    ("[(1/x^10)^2 + y, y]", "(1/x^10)^2"),
+])
+def test_zero_denominators_quote_the_callers_text(text, span, mode):
+    with pytest.raises(ZeroDenominator) as info:
+        parse_vector_field(text, mode, 16)
+    assert str(info.value) == f"denominator of {span!r} vanishes to degree 16"
+
+
+# -- the single-term path on bench-shaped sums ---------------------------------------
+
+_B24 = 2 ** 24 - 1
+_PARTS = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                   st.builds(Fraction, st.integers(-_B24, _B24), st.integers(1, _B24)))
+# real, imaginary-only and general Gaussian-rational coefficients, zero included
+_COEFFS = st.builds(GaussianRational, _PARTS, _PARTS).map(format_exact)
+
+
+@st.composite
+def _bench_sums(draw):
+    """Sums (c)*x^i*y^j + ... as the bench writes its fields, with x^0 and
+    y^0 written out or left out, and exponents beyond the degree."""
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        text = f"({draw(_COEFFS)})"
+        for name in ("x", "y"):
+            e = draw(st.integers(0, 9))
+            if e or draw(st.booleans()):
+                text += f"*{name}^{e}"
+        terms.append(text)
+    signs = draw(st.lists(st.sampled_from([" + ", " - "]), min_size=len(terms),
+                          max_size=len(terms)))
+    return "".join(s + t for s, t in zip(signs, terms))[3:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_bench_sums(), b=_bench_sums(), degree=st.sampled_from([0, 1, 2, 3, 4, 6, 8, math.inf]))
+def test_bench_shaped_sums_match_the_per_node_evaluators(a, b, degree):
+    # exact values are identical in den, numerators and valid_through, float
+    # values bit for bit, to the Jet2-per-node evaluator and the AST parser
+    node = parse_expression(a)
+    _check_both_modes(lambda mode: parse_to_jet2(a, mode, degree),
+                      lambda mode: oracles.p_eval(node, mode, degree))
+    _check_both_modes(lambda mode: parse_to_jet2(a, mode, degree),
+                      lambda mode: eval_node(node, mode, degree))
+    _check_both_modes(lambda mode: parse_vector_field(f"[{a}, {b}]", mode, degree),
+                      lambda mode: _p_vector_field((a, b), mode, degree))
 
 
 # bases of order >= 1: single terms, sums and quotients, with constant and
@@ -280,7 +379,8 @@ def test_a_power_beyond_the_degree_takes_no_products():
 
 # constant factors (exact mode) and the float denominator 1 raised to a power
 CONSTANT_POWERS = ["(x/2)^{e}", "(i*x/3)^{e}", "((2-i)/5*y)^{e}", "(x/(1+i))^{e}*y",
-                   "((3/2)*x)^{e}/(1+y)", "x^{e}", "(x^2/7+y)^{e}", "(1/x)^{e}"]
+                   "((3/2)*x)^{e}/(1+y)", "x^{e}", "(x^2/7+y)^{e}", "(1/x)^{e}",
+                   "((1+i)/3*y)^{e}/(x-y)"]
 
 
 @pytest.mark.parametrize("template", CONSTANT_POWERS)
