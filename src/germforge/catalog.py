@@ -10,6 +10,7 @@ the germ fails a necessary condition for semicompleteness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -131,20 +132,29 @@ def _as_unit(f, mode, degree) -> Jet2:
 
 
 def standard_forms(mode=EXACT) -> List[Tuple[str, Jet2]]:
-    """The non-monomial divisor forms appearing in the table."""
+    """The non-monomial divisor forms appearing in the table, as a new list
+    of the jets _standard_forms builds once per mode."""
+    return list(_standard_forms(mode))
+
+
+@functools.cache
+def _standard_forms(mode) -> Tuple[Tuple[str, Jet2], ...]:
     x, y = _x(mode), _y(mode)
-    return [
+    return (
         ("x-y", x - y),
         ("y-x^2", y - jet_mul(x, x)),
         ("x^3+y^2", jet_mul(jet_mul(x, x), x) + jet_mul(y, y)),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # table rows
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _elliptic_data(mode):
+    """Row -> (first integral, (A, B)) of rows 4-9, built once per mode
+    and shared: jets are immutable, and no caller writes to the dict."""
     x, y = _x(mode), _y(mode)
     x_y = x - y
     y_x2 = y - jet_mul(x, x)

@@ -23,7 +23,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .scalars import EXACT, GaussianRational, Scalar
-from .series import INF, Jet2, exact_divide, jet_compose2, jet_derive, jet_mul
+from .series import (INF, Jet2, _zderive, exact_divide, jet_compose2, jet_derive, jet_dot,
+                     jet_mul)
 
 
 class VectorFieldGerm:
@@ -134,28 +135,41 @@ def derive_along(x: VectorFieldGerm, f):
     """Directional derivative A df/dx + B df/dy; zero certifies a first integral.
 
     Accepts a Jet2 (returns Jet2) or a RationalFn (returns RationalFn via the
-    quotient rule, so poles are handled formally).
+    quotient rule, so poles are handled formally).  For a Jet2, one
+    series.jet_dot sum: valid through the least series._mul_valid of its
+    two products, each partial known one degree less than f and of the
+    order of its terms.  f known through degree 0 only raises
+    PrecisionExhausted.
     """
     if isinstance(f, RationalFn):
         num = f.num
         den = f.den
         d_num = derive_along(x, num)
         d_den = derive_along(x, den)
-        return RationalFn(
-            jet_mul(d_num, den) - jet_mul(num, d_den),
-            jet_mul(den, den),
-        )
-    fx = jet_derive(f, "x")
-    fy = jet_derive(f, "y")
-    return jet_mul(x.a, fx) + jet_mul(x.b, fy)
+        return RationalFn(jet_dot([(1, d_num, den), (-1, num, d_den)]), jet_mul(den, den))
+    fx, fy = _zderive(f, "x"), _zderive(f, "y")
+    scalars.check_same_mode(x.mode, f.mode)
+    return jet_dot([(1, x.a, fx), (1, x.b, fy)])
 
 
 def lie_bracket(x: VectorFieldGerm, y: VectorFieldGerm) -> VectorFieldGerm:
-    """[X, Y] = (X.C - Y.A) dx + (X.D - Y.B) dy."""
+    """[X, Y] = (X.C - Y.A) dx + (X.D - Y.B) dy.
+
+    Each component is one series.jet_dot sum, such as
+    A dC/dx + B dC/dy - C dA/dx - D dA/dy on the stored numerators: valid
+    through the least series._mul_valid of its four products, each partial
+    known one degree less than its component and of the order of its
+    terms, and the germ is cut to the lesser of the two.  A germ known
+    through degree 0 only raises PrecisionExhausted.
+    """
     scalars.check_same_mode(x.mode, y.mode)
+    ca_x, ca_y = _zderive(y.a, "x"), _zderive(y.a, "y")
+    aa_x, aa_y = _zderive(x.a, "x"), _zderive(x.a, "y")
+    cb_x, cb_y = _zderive(y.b, "x"), _zderive(y.b, "y")
+    ab_x, ab_y = _zderive(x.b, "x"), _zderive(x.b, "y")
     return VectorFieldGerm(
-        derive_along(x, y.a) - derive_along(y, x.a),
-        derive_along(x, y.b) - derive_along(y, x.b),
+        jet_dot([(1, x.a, ca_x), (1, x.b, ca_y), (-1, y.a, aa_x), (-1, y.b, aa_y)]),
+        jet_dot([(1, x.a, cb_x), (1, x.b, cb_y), (-1, y.a, ab_x), (-1, y.b, ab_y)]),
     )
 
 
@@ -163,16 +177,18 @@ def decompose(z: VectorFieldGerm, x: VectorFieldGerm, y: VectorFieldGerm
               ) -> Tuple[RationalFn, RationalFn]:
     """Meromorphic f, g with Z = f X + g Y against a generically independent frame.
 
-    f = (PD - QC)/(AD - BC), g = (QA - PB)/(AD - BC).
+    f = (PD - QC)/(AD - BC), g = (QA - PB)/(AD - BC): each numerator and
+    the determinant is one series.jet_dot sum, valid through the least
+    series._mul_valid of its two products.
     """
     a, b = x.a, x.b
     c, d = y.a, y.b
     p, q = z.a, z.b
-    det = jet_mul(a, d) - jet_mul(b, c)
+    det = jet_dot([(1, a, d), (-1, b, c)])
     if det.is_zero():
         raise DegenerateFrame("AD - BC vanishes at available precision")
-    f = RationalFn(jet_mul(p, d) - jet_mul(q, c), det)
-    g = RationalFn(jet_mul(q, a) - jet_mul(p, b), det)
+    f = RationalFn(jet_dot([(1, p, d), (-1, q, c)]), det)
+    g = RationalFn(jet_dot([(1, q, a), (-1, p, b)]), det)
     return f, g
 
 

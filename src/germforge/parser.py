@@ -27,8 +27,9 @@ built per returned numerator and denominator.  Products use the product
 rule of series._mul_valid.  In exact mode a sum is one n-ary sum over the
 lcm of its terms' denominators, and while the denominator is a constant C
 (from literals such as 3/4 or a division by a constant) the value is kept
-folded, with C beside it; once a nonconstant denominator enters, C is
-multiplied back into numerator and denominator, so a RationalFn is
+folded, with C beside it (a sum keeps its terms' factors of C apart, and
+they are multiplied only if C is read); once a nonconstant denominator
+enters, C is multiplied back into numerator and denominator, so a RationalFn is
 normalised as multiplying through by every denominator gives it: (51/300)/y
 is 51/(300 y).  A float value always carries its denominator and takes the
 cross-multiplications of the numerator/denominator pair, so float results
@@ -109,7 +110,9 @@ def _is_number(tok: str) -> bool:
 #   through valid;
 # - while an exact denominator is a constant, den is None, num is the
 #   folded numerator (the value itself) and c is that constant as
-#   (cd, cr, ci), meaning (cr + ci*i) / cd, or None for 1;
+#   (cd, cr, ci), meaning (cr + ci*i) / cd, or None for 1, or a list:
+#   a product of constants not taken yet, taken only where it is read,
+#   by _pair and _cpow (see _taken);
 # - otherwise (a nonconstant denominator has entered, or the mode is
 #   float) num and den are the numerator and the denominator, both
 #   (d, re, im, valid), and c is None.
@@ -176,11 +179,11 @@ def _single_sum(terms: list) -> tuple:
     _lin_sum gives it."""
     den = math.lcm(*(t[1] for _, t in terms))
     r = s = 0
-    c = None
-    for sign, (_, d, tr, ts, _, tc) in terms:
+    for sign, (_, d, tr, ts, _, _) in terms:
         f = den // d * sign
-        r, s, c = r + tr * f, s + ts * f, _cmul(c, tc)
-    return _single(terms[0][1][0], den, r, s, min(t[4] for _, t in terms), c)
+        r, s = r + tr * f, s + ts * f
+    return _single(terms[0][1][0], den, r, s, min(t[4] for _, t in terms),
+                   [t[5] for _, t in terms if t[5] is not None] or None)
 
 
 def _leaf_den(mode: str):
@@ -245,18 +248,35 @@ def _lin_sum(terms: list) -> tuple:
 
 
 def _cmul(a, b):
-    """The product of two constants (cd, cr, ci), None standing for 1."""
+    """The product of two constants (cd, cr, ci), None standing for 1; with
+    a deferred product (a list) it is deferred too."""
     if a is None:
         return b
     if b is None:
         return a
+    if type(a) is list or type(b) is list:
+        return [a, b]
     return a[0] * b[0], a[1] * b[1] - a[2] * b[2], a[1] * b[2] + a[2] * b[1]
+
+
+def _taken(c):
+    """The constant c with its deferred products taken.  A sum's constant is
+    read only if a nonconstant denominator enters later or the sum is
+    raised to a power, so the sum keeps its terms' constants in a list
+    until then; the ints of their _cmul products do not depend on the
+    order they are taken in."""
+    if type(c) is not list:
+        return c
+    out = None
+    for f in c:
+        out = _cmul(out, _taken(f))
+    return out
 
 
 def _cpow(c, e: int):
     """c^e of a constant (cd, cr, ci), None standing for 1: the ints of e
     _cmul products, by squaring and multiplying."""
-    out = None
+    c, out = _taken(c), None
     while e:
         if e & 1:
             out = _cmul(out, c)
@@ -274,7 +294,7 @@ def _pair(val: tuple) -> tuple:
         return num, den
     if c is None:
         return num, (*_unit(EXACT), INF)
-    cd, cr, ci = c
+    cd, cr, ci = _taken(c)
     return ((num[0] * cd, *_zscaled(num[1], num[2], cr, ci), num[3]),
             (cd, {(0, 0): cr} if cr else {}, {(0, 0): ci} if ci else {}, INF))
 
@@ -442,10 +462,8 @@ class _Descent:
             return _single_sum(terms)
         vals = [(sign, _general(val)) for sign, val in terms]
         if all(val[1] is None for _, val in vals):
-            c = None
-            for _, val in vals:
-                c = _cmul(c, val[2])
-            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, c
+            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, \
+                [val[2] for _, val in vals if val[2] is not None] or None
         # num1/den1 + num2/den2 is (num1 den2 + num2 den1) / (den1 den2), term by term
         total = None
         for sign, val in vals:

@@ -10,7 +10,7 @@ valid_through = INF.  Zero jets have order INF.
 All values are immutable after construction; operations are pure functions.
 
 One kernel.  Every coefficient computation lives in the Jet2 operations of
-this module (jet_mul, jet_derive, jet_reciprocal, jet_compose1,
+this module (jet_mul, jet_dot, jet_derive, jet_reciprocal, jet_compose1,
 jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is a view, not
 a second kernel: it stores int-keyed coefficients and answers queries, and
 each of its operations embeds z -> x, runs the Jet2 operation and reads
@@ -418,8 +418,8 @@ def _zorder(re: dict, im: dict):
 
 def _mul_valid(a_valid, a_order, b_valid, b_order):
     """valid_through of a product: min(av + ord b, bv + ord a), with ord INF
-    for a zero jet.  The one home of the product rule: jet_mul, jet_pow and
-    the expression evaluator of germforge.parser all call it."""
+    for a zero jet.  The one home of the product rule: jet_mul, jet_dot,
+    jet_pow and the expression evaluator of germforge.parser all call it."""
     return min(a_valid + b_order, b_valid + a_order)
 
 
@@ -568,6 +568,46 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
     scalars.check_same_mode(a.mode, b.mode)
     valid = _mul_valid(a.valid_through, a.order(), b.valid_through, b.order())
     return _jet(a.mode, *_zproduct((a.den, a.re, a.im), (b.den, b.re, b.im), valid), valid)
+
+
+def _stored(jet: Jet2) -> tuple:
+    """The stored (den, re, im, valid) numerator of *jet*."""
+    return jet.den, jet.re, jet.im, jet.valid_through
+
+
+def jet_dot(terms: list) -> Jet2:
+    """sum of sign * a * b over the (sign, a, b) of *terms*, sign 1 or -1.
+
+    a is a Jet2, b a Jet2 or a stored numerator from _zderive, of a's mode.
+    valid_through is the least _mul_valid of the products, each order
+    taken from the factor's terms.  Exact products are summed on their
+    numerators over the lcm of their denominators and reduced once: the
+    Jet2 sum of the jet_mul products.  Float products are summed in pairs,
+    then the pairs, so a + b, a - b and (a + b) - (c + d) round as the Jet2
+    sums of jet_mul products do, bit for bit and in term order.
+    """
+    mode = scalars.check_same_mode(*(f.mode for _, a, b in terms for f in (a, b)
+                                     if isinstance(f, Jet2)))
+    products = [(s, _stored(a), _stored(b) if isinstance(b, Jet2) else b) for s, a, b in terms]
+    valid = min(_mul_valid(a[3], _zorder(a[1], a[2]), b[3], _zorder(b[1], b[2]))
+                for _, a, b in products)
+    if mode == FLOAT:
+        sums = [(sign, _zproduct(a, b, valid)[1]) for sign, a, b in products]
+        while len(sums) > 1:        # an odd one out waits for the next round
+            sums = [(sa, _zlin(a, 1, b, sa * sb, valid))
+                    for (sa, a), (sb, b) in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
+        sign, re = sums[0]
+        return _jet(FLOAT, 1, re if sign == 1 else {k: -v for k, v in re.items()}, {}, valid)
+    den = math.lcm(*[a[0] * b[0] for _, a, b in products])
+    re: dict = {}
+    im: dict = {}
+    for sign, (da, a_re, a_im, _), (db, b_re, b_im, _) in products:
+        s = den // (da * db) * sign
+        if s != 1:
+            a_re = {k: v * s for k, v in a_re.items()}
+            a_im = {k: v * s for k, v in a_im.items()}
+        _gmul_into(re, im, a_re, a_im, b_re, b_im, valid)
+    return _jet(mode, den, _nonzero(re), _nonzero(im), valid)
 
 
 def _zpow(mode: str, a: tuple, a_valid, e: int) -> tuple:
@@ -1042,6 +1082,12 @@ def _known_through(jet: Jet2, d: int) -> Jet2:
 
 def jet_derive(a: Jet2, var: str) -> Jet2:
     """Formal partial derivative; valid_through decreases by one."""
+    return _jet(a.mode, *_zderive(a, var))
+
+
+def _zderive(a: Jet2, var: str) -> tuple:
+    """The partial derivative of *a* as a stored (den, re, im, valid)
+    numerator over a's den, not reduced (see jet_derive)."""
     if a.valid_through != INF and a.valid_through < 1:
         raise PrecisionExhausted("jet_derive: valid_through would drop below 0")
     valid = a.valid_through if a.valid_through == INF else a.valid_through - 1
@@ -1054,7 +1100,7 @@ def jet_derive(a: Jet2, var: str) -> Jet2:
             return {(i, j - 1): v * j for (i, j), v in terms.items() if j}
     else:
         raise BadParams(f"unknown variable {var!r}")
-    return _jet(a.mode, a.den, part(a.re), part(a.im), valid)
+    return a.den, part(a.re), part(a.im), valid
 
 
 def laurent_residue(h: Jet1) -> Scalar:

@@ -30,7 +30,9 @@ germforge.mr.linearize.  `t_graded_inverse`, `t_graded_ode_solve` and
 `t_graded_linearize` are the graded solvers as they were before their
 passes shared a RelaxedComposition, each pass composing from degree 0.
 `ode_residual` and `rational_from_jet` are library helpers that only tests
-used.  `FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is
+used.  `t_lie_bracket`, `t_derive_along` and `t_decompose` are the germ
+operations as they were before each sum became one series.jet_dot: the
+oracle of germforge.germ's.  `FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is
 the exact scalar as it was before it stored reduced ints, with two
 Fraction parts: the oracle of germforge.scalars.
 """
@@ -45,8 +47,9 @@ from math import comb, gcd, isqrt
 from typing import Callable, List, Optional, Tuple, Union
 
 from germforge import mr, numflow, scalars, series
-from germforge.errors import (BadParams, GermforgeError, ModeMismatch, NonInvertibleChange,
-                              PrecisionExhausted, StepFailure, ZeroDenominator)
+from germforge.errors import (BadParams, DegenerateFrame, GermforgeError, ModeMismatch,
+                              NonInvertibleChange, PrecisionExhausted, StepFailure,
+                              ZeroDenominator)
 from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, linear_part, pullback
 from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
                                eval_poly, periodic_trapezoid)
@@ -500,6 +503,47 @@ def ode_residual(theta, u, degree):
 def rational_from_jet(jet):
     """The RationalFn jet / 1."""
     return RationalFn(jet, Jet2.const(1, jet.mode, INF))
+
+
+# -- brackets and frames as composites of jet operations ----------------------------
+#
+# germforge.germ's lie_bracket, derive_along and decompose as they were before
+# each sum became one series.jet_dot: every partial a Jet2 from jet_derive,
+# every product a Jet2 from jet_mul, and the sums Jet2 sums.  Exact results
+# must agree in den, numerators and valid_through, and errors in class.
+
+def t_derive_along(x, f):
+    """A df/dx + B df/dy, or the quotient rule for a RationalFn."""
+    if isinstance(f, RationalFn):
+        num, den = f.num, f.den
+        d_num = t_derive_along(x, num)
+        d_den = t_derive_along(x, den)
+        return RationalFn(jet_mul(d_num, den) - jet_mul(num, d_den), jet_mul(den, den))
+    fx = jet_derive(f, "x")
+    fy = jet_derive(f, "y")
+    return jet_mul(x.a, fx) + jet_mul(x.b, fy)
+
+
+def t_lie_bracket(x, y):
+    """[X, Y] = (X.C - Y.A) dx + (X.D - Y.B) dy."""
+    scalars.check_same_mode(x.mode, y.mode)
+    return VectorFieldGerm(
+        t_derive_along(x, y.a) - t_derive_along(y, x.a),
+        t_derive_along(x, y.b) - t_derive_along(y, x.b),
+    )
+
+
+def t_decompose(z, x, y):
+    """f = (PD - QC)/(AD - BC), g = (QA - PB)/(AD - BC)."""
+    a, b = x.a, x.b
+    c, d = y.a, y.b
+    p, q = z.a, z.b
+    det = jet_mul(a, d) - jet_mul(b, c)
+    if det.is_zero():
+        raise DegenerateFrame("AD - BC vanishes at available precision")
+    f = RationalFn(jet_mul(p, d) - jet_mul(q, c), det)
+    g = RationalFn(jet_mul(q, a) - jet_mul(p, b), det)
+    return f, g
 
 
 # -- Laurent polynomials and monomial charts ------------------------------------

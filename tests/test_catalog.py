@@ -218,3 +218,41 @@ def test_id_string_roundtrip():
         parse_id("table:99")
     with pytest.raises(BadParams):
         parse_id("mt:vii[m=")
+
+
+# -- the constant jets are built once per mode and shared -----------------------------
+
+def _cached_jets(mode):
+    """Every jet catalog keeps per mode, as (den, re, im, valid_through) copies."""
+    from germforge.catalog import _elliptic_data, standard_forms
+
+    jets = [jet for _, jet in standard_forms(mode)]
+    for integral, (v_a, v_b) in _elliptic_data(mode).values():
+        jets += [integral, v_a, v_b]
+    return [(j.den, dict(j.re), dict(j.im), j.valid_through) for j in jets]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_cached_jets_survive_the_catalog(mode):
+    from germforge.acceptance import table_instance_grid
+    from germforge.catalog import standard_forms
+
+    before = _cached_jets(mode)
+    runs = []
+    for _ in range(2):
+        out = []
+        for nf in table_instance_grid(mode):
+            x = make_normal_form(nf, mode, 10)
+            if mode == EXACT:
+                cands, reasons = classify_with_reasons(x)
+                out.append((repr(x), sorted(c.label() for c in cands), reasons))
+            else:
+                with pytest.raises(ModeMismatch):
+                    classify_with_reasons(x)
+                out.append(repr(x))
+        runs.append(out)
+    assert runs[0] == runs[1]
+    assert _cached_jets(mode) == before
+    forms = standard_forms(mode)
+    forms.append(("x", Jet2.variable("x", mode)))
+    assert len(standard_forms(mode)) == 3

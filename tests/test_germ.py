@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germforge.errors import (
@@ -16,6 +16,7 @@ from germforge.errors import (
     NonInvertibleChange,
     NonzeroEigenvalue,
     PoleAtOrigin,
+    PrecisionExhausted,
 )
 from germforge.germ import (
     CoordinateChange,
@@ -209,6 +210,196 @@ def test_decompose_degenerate_frame():
     xf = vf(x(), y())
     with pytest.raises(DegenerateFrame):
         decompose(xf, xf, xf.scale(2))
+
+
+# -- one jet_dot per sum, against the composite oracle -------------------------------
+#
+# lie_bracket, derive_along and decompose sum their products with one
+# series.jet_dot each.  oracles.t_lie_bracket, t_derive_along and t_decompose
+# are the composites of jet_derive, jet_mul and jet sums they replaced: the
+# results agree in den, numerators (float ones bit for bit and in term order)
+# and valid_through, and errors in class.
+
+def _gaussian(bits):
+    part = st.builds(Fraction, st.integers(-(2 ** bits), 2 ** bits), st.integers(1, 2 ** bits))
+    return st.builds(GR, part, st.one_of(st.just(Fraction(0)), part))
+
+
+_VALIDS = (INF, INF, 0, 1, 2, 3, 5)     # 0: no partial is known
+
+
+@st.composite
+def exact_components(draw, valid=None, valids=_VALIDS):
+    """A sparse Gaussian-rational jet of degree <= 4, possibly zero, known
+    through *valid* or one of *valids*."""
+    if valid is None:
+        valid = draw(st.sampled_from(valids))
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda k: k[0] + k[1] <= 4), max_size=5, unique=True))
+    bits = draw(st.sampled_from([2, 8]))
+    return Jet2(EXACT, {k: draw(_gaussian(bits)) for k in keys}, valid)
+
+
+@st.composite
+def exact_germs(draw, valids=_VALIDS):
+    valid = draw(st.sampled_from(valids))
+    return vf(draw(exact_components(valid)), draw(exact_components(valid)))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the GermforgeError it raises."""
+    try:
+        return fn(*args)
+    except (ModeMismatch, PrecisionExhausted, DegenerateFrame) as exc:
+        return type(exc)
+
+
+def _same_jet(new, old):
+    """Equal stored data; a float jet's terms also in the same order, since
+    they are its coefficient view and later float sums follow it."""
+    return (new.mode, new.den, new.re, new.im, new.valid_through) == \
+        (old.mode, old.den, old.re, old.im, old.valid_through) and \
+        (new.mode == EXACT or list(new.re) == list(old.re))
+
+
+def _same(new, old):
+    if isinstance(old, type):
+        return new is old
+    if isinstance(old, tuple):
+        return all(_same(n, o) for n, o in zip(new, old))
+    if isinstance(old, RationalFn):
+        return _same_jet(new.num, old.num) and _same_jet(new.den, old.den)
+    if isinstance(old, VectorFieldGerm):
+        return _same_jet(new.a, old.a) and _same_jet(new.b, old.b)
+    return _same_jet(new, old)
+
+
+def _quotient(f, g):
+    """f / g when g is not zero, else f."""
+    return f if g.is_zero() else RationalFn(f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_germs(), exact_germs(), exact_germs(), exact_components(), exact_components())
+def test_germ_sums_match_the_composite_oracle(gx, gy, gz, f, g):
+    for new, old, args in ((lie_bracket, oracles.t_lie_bracket, (gx, gy)),
+                           (derive_along, oracles.t_derive_along, (gx, f)),
+                           (derive_along, oracles.t_derive_along, (gy, _quotient(f, g))),
+                           (decompose, oracles.t_decompose, (gz, gx, gy))):
+        expected = _outcome(old, *args)
+        assert _same(_outcome(new, *args), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_germs(), exact_germs(), exact_germs(), exact_components(), exact_components())
+def test_float_germ_sums_match_the_composite_oracle(gx, gy, gz, f, g):
+    """Float sums round as the composite does: bit for bit and in term order."""
+    gx, gy, gz, f, g = (v.to_float() for v in (gx, gy, gz, f, g))
+    for new, old, args in ((lie_bracket, oracles.t_lie_bracket, (gx, gy)),
+                           (derive_along, oracles.t_derive_along, (gx, f)),
+                           (derive_along, oracles.t_derive_along, (gy, _quotient(f, g))),
+                           (decompose, oracles.t_decompose, (gz, gx, gy))):
+        assert _same(_outcome(new, *args), _outcome(old, *args))
+
+
+def test_germ_sums_raise_mode_mismatch():
+    ex = vf(jet_mul(x(), y()), x())
+    fl = ex.to_float()
+    with pytest.raises(ModeMismatch):
+        lie_bracket(ex, fl)
+    with pytest.raises(ModeMismatch):
+        derive_along(ex, fl.a)
+    with pytest.raises(ModeMismatch):
+        decompose(fl, ex, vf(y(), x()))
+    with pytest.raises(ModeMismatch):
+        decompose(ex, ex, fl)
+
+
+def test_germ_sums_raise_precision_exhausted_at_valid_through_zero():
+    known = vf(jet_mul(x(), y()), x())
+    flat = vf(Jet2.from_coeffs({(0, 0): 1, (1, 0): 2}, EXACT, 0), zero(0))
+    for args in ((known, flat), (flat, known), (flat, flat)):
+        with pytest.raises(PrecisionExhausted):
+            lie_bracket(*args)
+    with pytest.raises(PrecisionExhausted):
+        derive_along(known, flat.a)
+    with pytest.raises(PrecisionExhausted):
+        derive_along(known, RationalFn(x(), flat.a))
+    # the partials come before the mode check, as in the composite
+    with pytest.raises(PrecisionExhausted):
+        derive_along(known.to_float(), flat.a)
+
+
+# -- claimed precision is sound: brackets and directional derivatives ---------------
+#
+# Complete every input with random terms of the two degrees beyond its
+# valid_through; every coefficient the result claims must be that of the
+# completed inputs (no oracle of the precision rule).
+
+@st.composite
+def _tail(draw, valid):
+    """Random terms of degrees valid + 1 and valid + 2 (none for INF), as an
+    oracle polynomial."""
+    if valid == INF:
+        return {}
+    out = {}
+    for d in (valid + 1, valid + 2):
+        for i in draw(st.sets(st.integers(0, d), min_size=1, max_size=2)):
+            c = draw(_gaussian(4).filter(lambda c: not c.is_zero()))
+            out[(i, d - i)] = (c.re, c.im)
+    return out
+
+
+def _completed(jet, data):
+    return oracles.p_add(oracles.from_jet(jet), data.draw(_tail(jet.valid_through)))
+
+
+def _truncated_zero(jet, var=None):
+    """Whether *jet* (or its partial in var) is zero and known only so far."""
+    if var is not None:
+        jet = jet.derivative(var)
+    return jet.is_zero() and jet.valid_through != INF
+
+
+def _field_derivative(comps, poly):
+    """A dp/dx + B dp/dy of oracle polynomials."""
+    return oracles.p_add(oracles.p_mul(comps[0], oracles.p_derive(poly, 0)),
+                         oracles.p_mul(comps[1], oracles.p_derive(poly, 1)))
+
+
+def _assert_sound(jet, actual):
+    degree = min(jet.valid_through, 8)
+    assert oracles.p_truncate(oracles.from_jet(jet), degree) == \
+        oracles.p_truncate(actual, degree)
+
+
+_KNOWN = (INF, 1, 2, 3, 5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(exact_germs(_KNOWN), exact_germs(_KNOWN), st.data())
+def test_bracket_is_sound_for_any_completion(gx, gy, data):
+    # the product of two truncated zero jets is the known defect of
+    # series._mul_valid (ROADMAP item 3); keep every product clear of it
+    assume(not any(_truncated_zero(left) and _truncated_zero(right, var)
+                   for left, var, other in ((gx.a, "x", gy), (gx.b, "y", gy),
+                                            (gy.a, "x", gx), (gy.b, "y", gx))
+                   for right in (other.a, other.b)))
+    cx = [_completed(j, data) for j in (gx.a, gx.b)]
+    cy = [_completed(j, data) for j in (gy.a, gy.b)]
+    br = lie_bracket(gx, gy)
+    for comp, k in ((br.a, 0), (br.b, 1)):
+        _assert_sound(comp, oracles.p_add(_field_derivative(cx, cy[k]),
+                                          oracles.p_neg(_field_derivative(cy, cx[k]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_germs(), exact_components(valids=_KNOWN), st.data())
+def test_derive_along_is_sound_for_any_completion(gx, f, data):
+    assume(not any(_truncated_zero(left) and _truncated_zero(f, var)
+                   for left, var in ((gx.a, "x"), (gx.b, "y"))))
+    cx = [_completed(j, data) for j in (gx.a, gx.b)]
+    _assert_sound(derive_along(gx, f), _field_derivative(cx, _completed(f, data)))
 
 
 # -- pullback ----------------------------------------------------------------------
