@@ -458,7 +458,7 @@ def item_holonomy(cfg: SuiteConfig) -> ItemResult:
         good = diff < 1e-5
         ok &= good
         details.append(f"lambda={lam}: |tracked - time-one| = {diff:.2e} at |z0| = 0.05")
-        c2 = numflow.holonomy_taylor_coefficient(tracker, 2, radius=0.03)
+        c2 = numflow.holonomy_taylor_coefficient(tracker, 2)
         gap = abs(c2 - 2j * math.pi)
         good = gap < 1e-4
         ok &= good

@@ -16,16 +16,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import scalars, series
-from .blowup import blowup_vf
 from .errors import (
     BadParams,
     ModeMismatch,
     NonzeroEigenvalue,
     NotDivisible,
-    PrecisionExhausted,
 )
 from .germ import (
-    LinearPartData,
     RationalFn,
     VectorFieldGerm,
     linear_part,
@@ -118,7 +115,7 @@ def _y(mode=EXACT) -> Jet2:
     return Jet2.variable("y", mode, INF)
 
 
-def _as_unit(f, mode, degree) -> Jet2:
+def _as_unit(f, mode) -> Jet2:
     if f is None:
         return Jet2.const(1, mode, INF)
     if isinstance(f, Jet1):
@@ -217,13 +214,13 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         n = int(p.get("n", 0))
         if n < 0:
             raise BadParams("row 2 requires n >= 0")
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         v_a = jet_mul(x, x)
         v_b = -jet_mul(y, x.scale(n) - y.scale(n + 1))
         return VectorFieldGerm(jet_mul(f, v_a), jet_mul(f, v_b)).truncate(degree)
 
     if name == "3":
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         v_a = y - jet_mul(x, x).scale(2)
         v_b = -jet_mul(x, y).scale(2)
         return VectorFieldGerm(jet_mul(f, v_a), jet_mul(f, v_b)).truncate(degree)
@@ -232,7 +229,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         a = int(p.get("a", 0))
         if a < 0:
             raise BadParams("elliptic rows require a >= 0")
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         integral, (v_a, v_b) = _elliptic_data(mode)[name]
         div = jet_pow(integral, a)
         pre = jet_mul(div, f)
@@ -255,7 +252,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         n = int(p.get("n", 1))
         if n == 0:
             raise BadParams("row 11 requires n in Z*")
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         pre = jet_mul(x, f)
         return VectorFieldGerm(jet_mul(pre, x), jet_mul(pre, y.scale(n))).truncate(degree)
 
@@ -270,7 +267,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             raise BadParams("row 12 requires a, b >= 0")
         if a * m - b * n not in (1, -1):
             raise BadParams(f"row 12 requires am - bn = +-1, got {a * m - b * n}")
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         pre = jet_mul(jet_mul(jet_pow(x, a), jet_pow(y, b)), f)
         return VectorFieldGerm(
             jet_mul(pre, x.scale(m)), jet_mul(pre, y.scale(-n))
@@ -280,7 +277,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         n = int(p.get("n", 0))
         if n < 0:
             raise BadParams("row 13 requires n >= 0")
-        f = _as_unit(sp.get("f"), mode, degree)
+        f = _as_unit(sp.get("f"), mode)
         pre = jet_mul(jet_mul(jet_mul(jet_pow(x, n), jet_pow(y, n)), x - y), f)
         return VectorFieldGerm(jet_mul(pre, x), jet_mul(pre, -y)).truncate(degree)
 
@@ -489,47 +486,6 @@ def _vii_min_u2_order(m: int, n: int, amu: int, bmu: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GermInvariants:
-    order: int
-    divisor_x: int
-    divisor_y: int
-    form_powers: Dict[str, int]
-    primitive_linear: LinearPartData
-    nilpotent: bool
-    dicritical: Optional[bool]
-
-
-def extract_invariants(x: VectorFieldGerm,
-                       declared: Sequence[Tuple[str, Jet2]] = ()
-                       ) -> GermInvariants:
-    """Deterministic invariants of a germ; equal germs yield equal records."""
-    order = x.order()
-    if order == INF:
-        raise PrecisionExhausted("invariants of the zero germ")
-    forms = list(standard_forms(x.mode)) + list(declared)
-    factors, primitive = primitive_split(x, forms)
-    by_label = {f.label: f.power for f in factors}
-    lin = linear_part(primitive)
-    nilpotent = lin.is_nilpotent(x.mode)
-    dicritical: Optional[bool] = None
-    if primitive.order() != INF and primitive.order() >= 1 and primitive.valid_through == INF:
-        dicritical = blowup_vf(primitive, 0).dicritical
-    return GermInvariants(
-        order=int(order),
-        divisor_x=by_label.pop("x", 0),
-        divisor_y=by_label.pop("y", 0),
-        form_powers=by_label,
-        primitive_linear=lin,
-        nilpotent=nilpotent,
-        dicritical=dicritical,
-    )
-
-
-# ---------------------------------------------------------------------------
 # classifier
 # ---------------------------------------------------------------------------
 
@@ -696,7 +652,7 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
                     # am - bn = 0: Martinet-Ramis rows with singular curves
                     if ax >= 1 and ay >= 1 and ax % n == 0 and ay % m == 0 \
                             and ax // n == ay // m:
-                        if _axes_invariant(primitive):
+                        if invariant_axes(primitive) == ("x", "y"):
                             out.append(NormalFormID(
                                 "table", "10",
                                 {"m": m, "n": n, "k": ax // n}))
@@ -773,7 +729,3 @@ def _shape_exponent(ax, ay, form_powers, wx, wy, wforms) -> Optional[int]:
         return None
     return a_val if a_val is not None else 0
 
-
-def _axes_invariant(germ: VectorFieldGerm) -> bool:
-    return all(j >= 1 for (_, j) in germ.b.coeffs) and \
-        all(i >= 1 for (i, _) in germ.a.coeffs)

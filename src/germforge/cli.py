@@ -11,6 +11,7 @@ usage problems.  Vector field arguments accept either a literal
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import random
 import sys
@@ -26,7 +27,7 @@ from .catalog import (
     make_pair,
     parse_id,
 )
-from .errors import GermforgeError
+from .errors import BadParams, GermforgeError
 from .germ import (
     RationalFn,
     VectorFieldGerm,
@@ -150,7 +151,10 @@ def cmd_classify(args) -> Tuple[int, dict, List[str]]:
     x = resolve_field(args.X, EXACT, math.inf)
     declared = []
     for text in args.declare or []:
-        declared.append((text, parse_to_jet2(text, EXACT, math.inf)))
+        form = parse_to_jet2(text, EXACT, math.inf)
+        if isinstance(form, RationalFn):
+            raise BadParams(f"declared form {text!r} must be a polynomial, not a quotient")
+        declared.append((text, form))
     candidates, reasons = classify_with_reasons(x, declared)
     payload = {
         "candidates": [c.label() for c in candidates],
@@ -221,14 +225,10 @@ def cmd_period(args) -> Tuple[int, dict, List[str]]:
     else:
         spec = siegel_loop(args.base, c, tol=args.tol)
     if args.loops != 1:
-        spec = numflow.LeafLoopSpec(
-            base_var=spec.base_var, center=spec.center, radius=spec.radius,
-            winding=args.loops, phase=spec.phase, seed=spec.seed,
-            polydisc=spec.polydisc, tol=spec.tol, max_step=spec.max_step,
-        )
+        spec = dataclasses.replace(spec, winding=args.loops)
     period, result = leaf_period(xf, spec)
     payload = {
-        "period": report.complex_to_json(period),
+        "period": report.scalar_to_json(period),
         "closure_defect": result.closure_defect,
         "closed": result.closed,
     }
@@ -237,8 +237,8 @@ def cmd_period(args) -> Tuple[int, dict, List[str]]:
         lam = complex(args.scale)
         rep = numflow.homothety_period_ratio(xf, spec, lam)
         payload["homothety"] = {
-            "lambda": report.complex_to_json(lam),
-            "ratio": report.complex_to_json(rep.ratio),
+            "lambda": report.scalar_to_json(lam),
+            "ratio": report.scalar_to_json(rep.ratio),
             "defect": rep.defect,
         }
         lines.append(f"homothety ratio defect |ratio*lambda - 1| = {rep.defect:.2e}")
@@ -257,8 +257,8 @@ def cmd_holonomy(args) -> Tuple[int, dict, List[str]]:
                                          TimePath.segment(0, 1, tol=args.tol))
     gap = abs(tracked - time_one)
     payload = {
-        "tracked": report.complex_to_json(tracked),
-        "model_time_one": report.complex_to_json(time_one),
+        "tracked": report.scalar_to_json(tracked),
+        "model_time_one": report.scalar_to_json(time_one),
         "difference": gap,
     }
     return 0, payload, [

@@ -22,7 +22,7 @@ from .errors import (
     PoleAtOrigin,
     PrecisionExhausted,
 )
-from .scalars import EXACT, GaussianRational, Scalar
+from .scalars import EXACT, FLOAT, GaussianRational, Scalar
 from .series import (INF, Jet2, _zderive, exact_divide, jet_compose2, jet_derive, jet_dot,
                      jet_mul)
 
@@ -58,9 +58,6 @@ class VectorFieldGerm:
     def __add__(self, other: "VectorFieldGerm") -> "VectorFieldGerm":
         return VectorFieldGerm(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "VectorFieldGerm") -> "VectorFieldGerm":
-        return VectorFieldGerm(self.a - other.a, self.b - other.b)
-
     def __neg__(self) -> "VectorFieldGerm":
         return VectorFieldGerm(-self.a, -self.b)
 
@@ -95,33 +92,8 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    @property
-    def mode(self):
-        return self.num.mode
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            jet_mul(self.num, other.den) + jet_mul(other.num, self.den),
-            jet_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(jet_mul(self.num, other.num), jet_mul(self.den, other.den))
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.num.is_zero(tol)
-
-    def equals(self, other: "RationalFn", tol: float = 0.0) -> bool:
-        # cross-multiplied identity, exact in exact mode
-        lhs = jet_mul(self.num, other.den)
-        rhs = jet_mul(other.num, self.den)
-        return lhs.equals(rhs, tol)
 
     def __repr__(self):
         return f"RationalFn({self.num!r} / {self.den!r})"
@@ -179,17 +151,29 @@ def decompose(z: VectorFieldGerm, x: VectorFieldGerm, y: VectorFieldGerm
 
     f = (PD - QC)/(AD - BC), g = (QA - PB)/(AD - BC): each numerator and
     the determinant is one series.jet_dot sum, valid through the least
-    series._mul_valid of its two products.
+    series._mul_valid of its two products.  A float determinant counts as
+    zero when it is no more than rounding (_rounding_residue).
     """
     a, b = x.a, x.b
     c, d = y.a, y.b
     p, q = z.a, z.b
     det = jet_dot([(1, a, d), (-1, b, c)])
-    if det.is_zero():
+    if det.is_zero() or (det.mode == FLOAT and _rounding_residue(det, a, b, c, d)):
         raise DegenerateFrame("AD - BC vanishes at available precision")
     f = RationalFn(jet_dot([(1, p, d), (-1, q, c)]), det)
     g = RationalFn(jet_dot([(1, q, a), (-1, p, b)]), det)
     return f, g
+
+
+def _rounding_residue(det: Jet2, a: Jet2, b: Jet2, c: Jet2, d: Jet2) -> bool:
+    """Whether each coefficient of the float det = AD - BC has a modulus of
+    at most 64 ulps (64 * 2^-52) of the same coefficient of |A||D| + |B||C|,
+    absolute values taken per coefficient: what rounding leaves of a
+    determinant that cancels exactly."""
+    def mag(jet):
+        return Jet2(FLOAT, {k: abs(v) for k, v in jet.re.items()}, jet.valid_through)
+    bound = jet_dot([(1, mag(a), mag(d)), (1, mag(b), mag(c))]).re
+    return all(abs(v) <= 64 * 2.0 ** -52 * bound.get(k, 0.0) for k, v in det.re.items())
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +205,6 @@ class CoordinateChange:
         if series._has_constant(comp1) or series._has_constant(comp2):
             raise NonInvertibleChange("series change must fix the origin")
         return cls("series", comp1, comp2)
-
-    @classmethod
-    def linear(cls, m11, m12, m21, m22, mode=EXACT, valid=INF) -> "CoordinateChange":
-        x = Jet2.from_coeffs({(1, 0): m11, (0, 1): m12}, mode, valid)
-        y = Jet2.from_coeffs({(1, 0): m21, (0, 1): m22}, mode, valid)
-        return cls.from_series(x, y)
 
     @classmethod
     def monomial_chart(cls, forward: Sequence[Tuple[int, int, object]],
@@ -387,8 +365,13 @@ def primitive_split(x: VectorFieldGerm,
     """Extract the maximal common monomial (and declared-form) divisor.
 
     Factors searched: x^i, y^j, then each declared form in order (repeated
-    exact division of both components).  The divisor may be trivial.
+    exact division of both components).  The divisor may be trivial.  A
+    declared form must vanish at the origin and not be zero (BadParams):
+    a unit divides everything.
     """
+    for label, form in declared:
+        if form.is_zero() or series._has_constant(form):
+            raise BadParams(f"declared form {label!r} must vanish at the origin and be nonzero")
     a, b = x.a, x.b
     factors: List[DivisorFactor] = []
 
@@ -432,19 +415,6 @@ class LinearPartData:
     trace: Scalar
     det: Scalar
     eigenvalues: Optional[Tuple[Scalar, Scalar]]
-
-    def is_zero_matrix(self, mode, tol=0.0) -> bool:
-        return all(
-            scalars.is_zero_scalar(e, mode, tol)
-            for row in self.matrix for e in row
-        )
-
-    def is_nilpotent(self, mode, tol=0.0) -> bool:
-        return (
-            scalars.is_zero_scalar(self.trace, mode, tol)
-            and scalars.is_zero_scalar(self.det, mode, tol)
-            and not self.is_zero_matrix(mode, tol)
-        )
 
     def eigenvalues_zero(self, mode, tol=0.0) -> bool:
         return scalars.is_zero_scalar(self.trace, mode, tol) and scalars.is_zero_scalar(

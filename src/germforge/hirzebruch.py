@@ -57,14 +57,6 @@ class FnPoint:
             return cls(n, chart, _gr(base), GR(1), GR(0))  # infinity
         return cls(n, chart, _gr(base), _gr(fiber), GR(1))
 
-    def fiber_is_infinity(self) -> bool:
-        return self.fiber_den.is_zero()
-
-    def fiber_value(self) -> GR:
-        if self.fiber_is_infinity():
-            raise OnExceptionalLocus("fiber coordinate is infinite")
-        return self.fiber_num / self.fiber_den
-
 
 def fn_transition(p: FnPoint) -> FnPoint:
     """Same point in the other chart; requires base coordinate != 0."""

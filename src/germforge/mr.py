@@ -44,15 +44,11 @@ def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
                  ) -> VectorFieldGerm:
     """Dual vector field mx[1+lam w^p] dx - ny[1+(lam-1) w^p] dy, w = x^n y^m."""
     degree = degree if degree is not None else series.DEFAULT_DEGREE
-    lam = scalars.coerce(form.lam, mode)
-    x = Jet2.variable("x", mode, INF)
-    y = Jet2.variable("y", mode, INF)
-    wp = jet_pow(jet_mul(jet_pow(x, form.n), jet_pow(y, form.m)), form.p)
-    one = Jet2.const(1, mode, INF)
-    a = jet_mul(x.scale(form.m), one + wp.scale(lam))
-    b = -jet_mul(y.scale(form.n), one + wp.scale(lam - scalars.one(mode)))
-    vf = VectorFieldGerm(a, b).truncate(degree)
-    residue = contract_mr_form(form, vf, mode)
+    coeff_dx, coeff_dy = mr_one_form(form, mode)
+    vf = VectorFieldGerm(coeff_dy, -coeff_dx).truncate(degree)
+    # the contraction coeff_dx * A + coeff_dy * B of the form with the field
+    valid = vf.valid_through
+    residue = jet_mul(coeff_dx.truncate(valid), vf.a) + jet_mul(coeff_dy.truncate(valid), vf.b)
     if not residue.is_zero(0.0 if mode == EXACT else 1e-12):
         raise AssertionError("MR contraction identity violated at construction")
     return vf
@@ -68,12 +64,6 @@ def mr_one_form(form: MRFormalForm, mode=EXACT) -> Tuple[Jet2, Jet2]:
     coeff_dx = jet_mul(y.scale(form.n), one + wp.scale(lam - scalars.one(mode)))
     coeff_dy = jet_mul(x.scale(form.m), one + wp.scale(lam))
     return coeff_dx, coeff_dy
-
-
-def contract_mr_form(form: MRFormalForm, vf: VectorFieldGerm, mode=EXACT) -> Jet2:
-    coeff_dx, coeff_dy = mr_one_form(form, mode)
-    return jet_mul(coeff_dx.truncate(vf.valid_through), vf.a) + \
-        jet_mul(coeff_dy.truncate(vf.valid_through), vf.b)
 
 
 def holonomy_model(m: int, p: int, lam: complex, degree: Optional[int] = None) -> Jet1:
@@ -190,14 +180,15 @@ def _positive_int(value) -> Optional[int]:
 
 
 def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,
-                   seed: Tuple[complex, complex], t0: complex = 0.0,
-                   tol: float = 1e-12, max_doublings: int = 18) -> complex:
+                   seed: Tuple[complex, complex]) -> complex:
     """Leaf period of (x^n y^m)^k f(x,y) [mx dx - ny dy] through a seed.
 
     On the leaf T -> (x0 e^(mT), y0 e^(-nT)) the time form is
     dT / [(x0^n y0^m)^k f(x0 e^(mT), y0 e^(-nT))]; the period integrates it
-    over the vertical segment T0 -> T0 + 2*pi*i.  The integrand is periodic
-    in the segment parameter, so the trapezoid rule converges spectrally.
+    over the vertical segment T = 0 -> 2*pi*i, which starts at the seed.
+    The integrand is periodic in the segment parameter, so the trapezoid
+    rule converges spectrally: from 16 nodes, doubling at most 18 times
+    until two sums agree to 1e-12.
     """
     terms = list(f_unit.to_float().coeffs.items())
     x0, y0 = complex(seed[0]), complex(seed[1])
@@ -207,7 +198,7 @@ def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,
     base = c ** k
 
     def integrand(s: float) -> complex:
-        t = t0 + 2j * math.pi * s
+        t = 2j * math.pi * s
         xx = x0 * cmath.exp(m * t)
         yy = y0 * cmath.exp(-n * t)
         f_val = eval_poly(terms, xx, yy)
@@ -215,5 +206,5 @@ def mr_leaf_period(k: int, f_unit: Jet2, m: int, n: int,
             raise StepFailure("unit factor vanished along the leaf segment")
         return 1.0 / (base * f_val)
 
-    total = periodic_trapezoid(integrand, 16, tol, max_doublings)
+    total = periodic_trapezoid(integrand, 16, 1e-12, 18)
     return 2j * math.pi * total

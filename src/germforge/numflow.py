@@ -30,6 +30,10 @@ from .series import Jet1
 
 DEFAULT_TOL = 1e-10
 
+# a lifted loop is closed when its endpoint is within this relative
+# distance of the seed: |end - seed| <= CLOSURE_REL * |seed|
+CLOSURE_REL = 1e-8
+
 
 @dataclass
 class TimePath:
@@ -70,7 +74,6 @@ class LeafLoopSpec:
     polydisc: float = 4.0
     tol: float = DEFAULT_TOL
     max_step: float = 0.05
-    closure_rel: float = 1e-8
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -285,7 +288,7 @@ def _track(x: VectorFieldGerm, spec: LeafLoopSpec) -> LeafTrackResult:
     end_lift, period = _rk45(rhs, (complex(spec.seed), 0j), total_angle, spec.tol,
                              spec.max_step, guard=guard)
     defect = abs(end_lift - spec.seed) / max(abs(spec.seed), 1e-30)
-    return LeafTrackResult(end_lift, period, defect, defect <= spec.closure_rel)
+    return LeafTrackResult(end_lift, period, defect, defect <= CLOSURE_REL)
 
 
 def track_leaf(x: VectorFieldGerm, spec: LeafLoopSpec) -> complex:
@@ -293,15 +296,9 @@ def track_leaf(x: VectorFieldGerm, spec: LeafLoopSpec) -> complex:
     return _track(x, spec).endpoint
 
 
-def leaf_period(x: VectorFieldGerm, spec: LeafLoopSpec,
-                require_closed: bool = False) -> Tuple[complex, LeafTrackResult]:
+def leaf_period(x: VectorFieldGerm, spec: LeafLoopSpec) -> Tuple[complex, LeafTrackResult]:
     """Integral of the time form over the lifted loop, with closure diagnostics."""
     result = _track(x, spec)
-    if require_closed and not result.closed:
-        raise StepFailure(
-            f"lift did not close (defect {result.closure_defect:.3g})",
-            partial=result,
-        )
     return result.period, result
 
 
@@ -420,14 +417,13 @@ def periodic_trapezoid(f: Callable[[float], complex], n: int, tol: float,
     raise StepFailure("periodic quadrature did not converge")
 
 
-def holonomy_taylor_coefficient(tracker: Callable[[complex], complex],
-                                order: int, radius: float = 0.03,
-                                samples: int = 16) -> complex:
+def holonomy_taylor_coefficient(tracker: Callable[[complex], complex], order: int) -> complex:
     """Taylor coefficient of a tracked holonomy map via a discrete Cauchy integral.
 
-    Evaluates h(z) - z at *samples* points on |z| = radius and extracts the
-    z^order coefficient; spectrally accurate for analytic maps.
+    Evaluates h(z) - z at 16 points on the circle |z| = 0.03 and extracts
+    the z^order coefficient; spectrally accurate for analytic maps.
     """
+    radius, samples = 0.03, 16
     acc = 0j
     for k in range(samples):
         z = radius * cmath.exp(2j * math.pi * k / samples)

@@ -42,9 +42,6 @@ class SemicompleteVerdict:
     reason: Optional[str] = None
     witness: object = None
 
-    def __bool__(self):
-        return self.status == PASS
-
 
 def onedim_check(h: Jet1, tol: float = 0.0) -> SemicompleteVerdict:
     """Necessary conditions of the one-dimensional lemma.

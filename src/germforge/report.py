@@ -61,11 +61,6 @@ def rational_to_json(r: RationalFn) -> Dict[str, Any]:
     return {"num": jet2_to_json(r.num), "den": jet2_to_json(r.den)}
 
 
-def complex_to_json(z: complex) -> Dict[str, str]:
-    z = complex(z)
-    return {"re": repr(z.real), "im": repr(z.imag)}
-
-
 @dataclass
 class Report:
     command: List[str]

@@ -13,8 +13,10 @@ One kernel.  Every coefficient computation lives in the Jet2 operations of
 this module (jet_mul, jet_dot, jet_derive, jet_reciprocal, jet_compose1,
 jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is a view, not
 a second kernel: it stores int-keyed coefficients and answers queries, and
-each of its operations embeds z -> x, runs the Jet2 operation and reads
-the result back with restrict_y0().
+each of its four operations (sum, product, scaling and reciprocal) embeds
+z -> x, runs the Jet2 operation and reads the result back with
+restrict_y0(); to_float does the same.  Derivatives and compositions of a
+Jet1 go through jet_derive and jet_compose1 on its lift.
 
 One storage.  A Jet2 keeps its coefficients as numerators over one
 denominator, as FLINT's fmpq_poly does: the coefficient of x^i y^j is
@@ -130,43 +132,17 @@ class Jet1:
     def __add__(self, other: "Jet1") -> "Jet1":
         return (self._lift() + other._lift()).restrict_y0()
 
-    def __neg__(self) -> "Jet1":
-        return (-self._lift()).restrict_y0()
-
-    def __sub__(self, other: "Jet1") -> "Jet1":
-        return (self._lift() - other._lift()).restrict_y0()
-
     def __mul__(self, other: "Jet1") -> "Jet1":
         return jet_mul(self._lift(), other._lift()).restrict_y0()
 
     def scale(self, value) -> "Jet1":
         return self._lift().scale(value).restrict_y0()
 
-    def derivative(self) -> "Jet1":
-        return jet_derive(self._lift(), "x").restrict_y0()
-
     def reciprocal(self) -> "Jet1":
         return jet_reciprocal(self._lift()).restrict_y0()
 
-    def compose(self, g: "Jet1") -> "Jet1":
-        """self(g(z)) for g(0) = 0, or polynomial self."""
-        return jet_compose1(self, g._lift()).restrict_y0()
-
     def to_float(self) -> "Jet1":
         return self._lift().to_float().restrict_y0()
-
-    def equals(self, other: "Jet1", tol: float = 0.0) -> bool:
-        scalars.check_same_mode(self.mode, other.mode)
-        valid = min(self.valid_through, other.valid_through)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = scalars.zero(self.mode)
-        for k in keys:
-            if k > valid:
-                continue
-            d = self.coeffs.get(k, z) - other.coeffs.get(k, z)
-            if not scalars.is_zero_scalar(d, self.mode, tol):
-                return False
-        return True
 
     def __repr__(self):
         terms = " + ".join(f"({v})*z^{k}" for k, v in sorted(self.coeffs.items()))
@@ -311,12 +287,6 @@ class Jet2:
             cd, cr, ci = c.den, c.re_num, c.im_num
         return _jet(self.mode, self.den * cd, *_zscaled(self.re, self.im, cr, ci),
                     self.valid_through)
-
-    def derivative(self, var: str) -> "Jet2":
-        return jet_derive(self, var)
-
-    def reciprocal(self) -> "Jet2":
-        return jet_reciprocal(self)
 
     def to_float(self) -> "Jet2":
         if self.mode == FLOAT:
@@ -868,20 +838,6 @@ def _piece(pairs: list) -> tuple:
     return _reduced(den, re, im) if re or im else _ZERO
 
 
-def _joined(parts: list, valid) -> Jet2:
-    """The exact Jet2 whose degree-d part is parts[d], through *valid*."""
-    den = math.lcm(*[d for d, _, _ in parts])
-    re: dict = {}
-    im: dict = {}
-    for d, (part_den, p_re, p_im) in enumerate(parts):
-        s = den // part_den
-        for i, v in p_re.items():
-            re[(i, d - i)] = v * s
-        for i, v in p_im.items():
-            im[(i, d - i)] = v * s
-    return _jet(EXACT, den, re, im, valid)
-
-
 def _take(parts: list, used: int, jet: Jet2, top: int, known: int, name: str) -> None:
     """Bring *parts*, a series by degree, to the parts of *jet* through top.
     A part at or below *used* must not change (InputChanged); the others
@@ -947,8 +903,7 @@ class RelaxedComposition:
         """f(p, q) through *valid*, the valid_through jet_compose2 gives it."""
         if f.mode != EXACT:
             raise ModeMismatch("a relaxed composition runs in exact mode")
-        if valid == INF or (0, 0) in p.re or (0, 0) in p.im or (0, 0) in q.re \
-                or (0, 0) in q.im:
+        if valid == INF or _has_constant(p) or _has_constant(q):
             raise BadParams("a relaxed composition needs p(0) = q(0) = 0 and a finite "
                             "valid_through")
         top = int(valid)
@@ -972,9 +927,9 @@ class RelaxedComposition:
                 out.terms.setdefault(i, []).append(
                     (t - i, (den, {0: r} if r else {}, {0: s} if s else {})))
         result = out.result
-        if top < len(result) - 1:
-            return _joined(result[:top + 1], valid)
         den, re, im = out.den, out.re, out.im
+        if top < len(result) - 1:
+            return _jet(EXACT, den, _zcut(re, top), _zcut(im, top), valid)
         for k in range(len(result), top + 1):
             part = self._next(out.terms, out.rows, k)
             result.append(part)

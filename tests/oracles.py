@@ -505,6 +505,12 @@ def rational_from_jet(jet):
     return RationalFn(jet, Jet2.const(1, jet.mode, INF))
 
 
+def rational_equals(r, s, tol=0.0):
+    """Whether r.num / r.den = s.num / s.den, by the cross-multiplied identity
+    r.num s.den = s.num r.den (exact in exact mode)."""
+    return jet_mul(r.num, s.den).equals(jet_mul(s.num, r.den), tol)
+
+
 # -- brackets and frames as composites of jet operations ----------------------------
 #
 # germforge.germ's lie_bracket, derive_along and decompose as they were before

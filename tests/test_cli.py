@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from germforge import cli
+from germforge.numflow import leaf_period, siegel_loop
+from germforge.parser import parse_vector_field
+from germforge.scalars import EXACT
 
 OK, FAIL, ERROR, USAGE = 0, 1, 2, cli.USAGE_EXIT
 
@@ -48,6 +53,11 @@ ROWS = [
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),
     (["straighten", "--g1", "1", "--g2", "z", "--n", "-1"], ERROR),
+    # declared forms: a unit divides everything, so dividing by 1 never ended;
+    # 0 raised ZeroDivisionError and a quotient AttributeError
+    (["classify", "table:2[n=1]", "--declare", "1"], ERROR),
+    (["classify", "table:2[n=1]", "--declare", "0"], ERROR),
+    (["classify", "table:2[n=1]", "--declare", "1/x"], ERROR),
     # a superscript digit, and a coefficient too long for int-to-text conversion
     (["bracket", "[x^², y]", "[x, y]"], ERROR),
     (["bracket", "[(2+x)^20000, y]", "[x, y]", "--degree", "4"], ERROR),
@@ -123,3 +133,24 @@ def test_json_report_is_pinned(argv, code, digest, tmp_path, capsys):
     assert cli.main(argv + ["--json", str(path)]) == code
     text = path.read_text(encoding="utf-8").replace(f'"{path}"', '"OUT"')
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+PERIOD = ["period", "--field", "[x*x*y, -x*y*y]", "--degree", "4"]
+
+
+def _period_report(loops, tmp_path):
+    path = tmp_path / f"period{loops}.json"
+    assert cli.main(PERIOD + ["--loops", str(loops), "--json", str(path)]) == OK
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_period_loops_winds_the_loop(tmp_path):
+    once, twice = (_period_report(loops, tmp_path) for loops in (1, 2))
+    p1, p2 = (complex(float(r["result"]["period"]["re"]), float(r["result"]["period"]["im"]))
+              for r in (once, twice))
+    assert abs(p2 - 2 * p1) <= 1e-8 * abs(2 * p1)
+    # the report holds the library's value, digit for digit
+    field = parse_vector_field("[x*x*y, -x*y*y]", EXACT, 4).to_float()
+    spec = siegel_loop(0.5, complex(0.02, 0.0), tol=twice["config"]["tol"])
+    period, _ = leaf_period(field, dataclasses.replace(spec, winding=2))
+    assert twice["result"]["period"] == {"re": repr(period.real), "im": repr(period.imag)}

@@ -16,15 +16,15 @@ from germforge.errors import BadParams, ModeMismatch
 from germforge.germ import VectorFieldGerm, pullback
 from germforge.mr import (
     MRFormalForm,
-    contract_mr_form,
     holonomy_model,
     linearize,
     mr_formal_vf,
     mr_leaf_period,
+    mr_one_form,
 )
 from germforge.numflow import LeafLoopSpec, TimePath, integrate_flow_1d, track_leaf
 from germforge.scalars import EXACT, FLOAT, GaussianRational
-from germforge.series import INF, Jet1, Jet2, jet_mul
+from germforge.series import INF, Jet1, Jet2, jet_mul, jet_pow
 
 from oracles import resonant_monomials, t_linearize
 
@@ -38,12 +38,23 @@ def test_formal_vf_lambda_zero():
 
 
 def test_contraction_identity_grid():
+    x = Jet2.variable("x", EXACT, INF)
+    y = Jet2.variable("y", EXACT, INF)
+    one = Jet2.const(1, EXACT, INF)
     for m, n in ((1, 1), (2, 1), (1, 2), (3, 2)):
         for p in (1, 2):
             for lam in (GR(0), GR(1), GR(Fraction(1, 3), Fraction(1, 2))):
                 form = MRFormalForm(m, n, p, lam)
                 vf = mr_formal_vf(form, EXACT, 12)
-                assert contract_mr_form(form, vf, EXACT).is_zero()
+                # the field of the docstring: mx[1+lam w^p] dx - ny[1+(lam-1) w^p] dy
+                wp = jet_pow(jet_mul(jet_pow(x, n), jet_pow(y, m)), p)
+                a = jet_mul(x.scale(m), one + wp.scale(lam))
+                b = jet_mul(y.scale(-n), one + wp.scale(lam - GR(1)))
+                assert vf.equals(VectorFieldGerm(a, b).truncate(12))
+                coeff_dx, coeff_dy = mr_one_form(form, EXACT)
+                contraction = jet_mul(coeff_dx.truncate(12), vf.a) + \
+                    jet_mul(coeff_dy.truncate(12), vf.b)
+                assert contraction.is_zero()
 
 
 def test_formal_vf_exponent_convention():
@@ -284,5 +295,5 @@ def test_tracked_holonomy_matches_model():
         tracked = tracker(0.05)
         time_one = integrate_flow_1d(model, 0.05, TimePath.segment(0, 1, tol=1e-12))
         assert abs(tracked - time_one) < 1e-5
-        c2 = numflow.holonomy_taylor_coefficient(tracker, 2, radius=0.03)
+        c2 = numflow.holonomy_taylor_coefficient(tracker, 2)
         assert abs(c2 - 2j * math.pi) < 1e-4

@@ -245,8 +245,8 @@ def test_residue_invariant_under_coordinate_change():
 
 def _transform_1d(h: Jet1, phi: Jet1) -> Jet1:
     """Coefficient of the pushed-forward field: h(phi(w)) / phi'(w)."""
-    num = h.compose(phi)
-    dphi = phi.derivative()
+    num = jet_compose1(h, phi._lift()).restrict_y0()
+    dphi = jet_derive(phi._lift(), "x").restrict_y0()
     # dphi is a unit (phi'(0) != 0)
     inv = dphi.reciprocal()
     return num * inv
@@ -509,7 +509,10 @@ def _assert_float_close(out_float, out_exact):
     assert out_float.valid_through == out_exact.valid_through
     expected = out_exact.to_float()
     scale = max([1.0] + [abs(v) for v in expected.coeffs.values()])
-    assert out_float.equals(expected, tol=1e-12 * scale)
+    # a Jet1 or a Jet2, each storing only the terms through its valid_through
+    keys = out_float.coeffs.keys() | expected.coeffs.keys()
+    assert all(abs(out_float.coeffs.get(k, 0) - expected.coeffs.get(k, 0)) <= 1e-12 * scale
+               for k in keys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,20 +545,31 @@ def _unit1(a: Jet1, c) -> Jet1:
     return Jet1(EXACT, {**a.coeffs, 0: c}, a.valid_through)
 
 
+def _derivative1(a: Jet1) -> Jet1:
+    """da/dz through the kernel: jet_derive of the lift z -> x."""
+    return jet_derive(a._lift(), "x").restrict_y0()
+
+
+def _compose1(f: Jet1, g: Jet1) -> Jet1:
+    """f(g(z)) through the kernel: jet_compose1 on the lift of g."""
+    return jet_compose1(f, g._lift()).restrict_y0()
+
+
 @settings(max_examples=60, deadline=None)
 @given(exact_jet1s(), exact_jet1s())
 def test_jet1_ring_operations_match_oracle(a, b):
     _assert_jet1_matches(a * b, oracles.t_mul(_embedded(a), _embedded(b)))
     _assert_jet1_matches(a + b, oracles.t_add(_embedded(a), _embedded(b)))
-    _assert_jet1_matches(a - b, oracles.t_add(_embedded(a), _embedded(-b)))
-    assert _embedded(-b)[0] == oracles.p_neg(_embedded(b)[0])
+    neg_b = b.scale(-1)
+    _assert_jet1_matches(a + neg_b, oracles.t_add(_embedded(a), _embedded(neg_b)))
+    assert _embedded(neg_b)[0] == oracles.p_neg(_embedded(b)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(exact_jet1s())
 def test_jet1_derivative_matches_oracle(a):
     poly, valid = _embedded(a)
-    _assert_jet1_matches(a.derivative(), (oracles.p_derive(poly, 0), valid - 1))
+    _assert_jet1_matches(_derivative1(a), (oracles.p_derive(poly, 0), valid - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,7 +591,7 @@ def test_jet1_compose_matches_oracle(f, data):
     g = data.draw(exact_jet1s(min_order=0 if f.is_polynomial() else 1))
     f_poly = {k: (v.re, v.im) for k, v in f.coeffs.items()}
     expected = oracles.t_compose1(f_poly, f.valid_through, _embedded(g))
-    _assert_jet1_matches(f.compose(g), expected)
+    _assert_jet1_matches(_compose1(f, g), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,9 +599,9 @@ def test_jet1_compose_matches_oracle(f, data):
 def test_jet1_float_matches_exact(a, b, g):
     u = _unit1(a, GaussianRational(8))
     _assert_float_close(a.to_float() * b.to_float(), a * b)
-    _assert_float_close(a.to_float().derivative(), a.derivative())
+    _assert_float_close(_derivative1(a.to_float()), _derivative1(a))
     _assert_float_close(u.to_float().reciprocal(), u.reciprocal())
-    _assert_float_close(a.to_float().compose(g.to_float()), a.compose(g))
+    _assert_float_close(_compose1(a.to_float(), g.to_float()), _compose1(a, g))
 
 
 # -- truncated zero inner jets ------------------------------------------------------
@@ -597,13 +611,13 @@ def test_jet1_float_matches_exact(a, b, g):
 
 def test_compose_with_truncated_zero_keeps_its_precision():
     f = Jet1.from_coeffs({0: 1, 1: 1}, EXACT, 3)
-    out = f.compose(Jet1.zero(EXACT, 2))
+    out = _compose1(f, Jet1.zero(EXACT, 2))
     assert out.coeffs == {0: GaussianRational(1)} and out.valid_through == 2
     assert jet_compose1(f, Jet2.zero(EXACT, 2)).valid_through == 2
     fxy = Jet2.from_coeffs({(0, 0): 1, (1, 0): 1, (0, 1): 1}, EXACT, 3)
     assert jet_compose2(fxy, Jet2.zero(EXACT, 4), Jet2.zero(EXACT, 2)).valid_through == 2
     # exact zero inner jets leave f's constant term, exactly
-    assert f.compose(Jet1.zero(EXACT)).valid_through == INF
+    assert _compose1(f, Jet1.zero(EXACT)).valid_through == INF
     assert jet_compose2(fxy, Jet2.zero(EXACT), Jet2.zero(EXACT)).valid_through == INF
 
 
@@ -644,7 +658,7 @@ def test_jet1_compose_is_sound_for_any_completion(f, data):
     f_full = {k: v for (k, _), v in
               oracles.p_add(_embedded(f)[0], data.draw(_tail(f.valid_through, _keys1))).items()}
     g_full = oracles.p_add(_embedded(g)[0], data.draw(_tail(g.valid_through, _keys1)))
-    _assert_sound(*_embedded(f.compose(g)),
+    _assert_sound(*_embedded(_compose1(f, g)),
                   lambda degree: oracles.p_compose1(f_full, g_full, degree))
 
 
@@ -758,7 +772,7 @@ def test_ode_solve_is_sound_for_any_completion(degree, data):
     full = oracles.p_add(oracles.from_jet(theta), data.draw(_tail(valid, _keys2)))
     u = series_ode_solve(theta, degree)
     claimed = u.valid_through
-    assert u.restrict_x0().equals(Jet1.variable(EXACT, claimed))
+    assert u.restrict_x0().coeffs == Jet1.variable(EXACT, claimed).coeffs
     theta_full = Jet2(EXACT, {k: GaussianRational(*v) for k, v in full.items()}, INF)
     assert oracles.ode_residual(theta_full, u, claimed).is_zero()
 
