@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import scalars
 from .errors import (
     BadParams,
@@ -151,10 +149,19 @@ def _recenter_fiber(x: VectorFieldGerm, chart: int, value: Scalar) -> VectorFiel
 
 
 def _poly_roots(poly: Jet1) -> List[Scalar]:
-    """Roots of an exact univariate polynomial (0, deg<=2 formula, small candidates)."""
+    """Roots of a univariate polynomial.
+
+    Exact mode: 0, the degree <= 2 formula, then small-candidate deflation.
+    Float mode: numpy's companion-matrix roots.  numpy is imported here and
+    not at module level because it is the only third-party import of the
+    package and would otherwise add most of the start-up time of every
+    command, although only this branch uses it.
+    """
     if poly.is_zero():
         return []
     if poly.mode != EXACT:
+        import numpy as np
+
         coeffs = [0j] * (poly.degree_bound() + 1)
         for k, v in poly.coeffs.items():
             coeffs[k] = complex(v)

@@ -362,14 +362,20 @@ class _UsageError(Exception):
     pass
 
 
+# Defaults of the options every subcommand shares.  The options themselves
+# default to SUPPRESS, so the subcommand's parser sets only those given after
+# it and keeps any given before it.
+_COMMON_DEFAULTS = {"degree": DEFAULT_DEGREE, "mode": EXACT, "tol": 1e-10, "json": None}
+
+
 def build_parser() -> _ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--degree", type=int,
                         help="truncation degree (default 16)")
-    common.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT,
-                        help="scalar mode for symbolic commands")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="float comparison / integrator tolerance")
+    common.add_argument("--mode", choices=[EXACT, FLOAT],
+                        help="scalar mode for symbolic commands (default exact)")
+    common.add_argument("--tol", type=float,
+                        help="float comparison / integrator tolerance (default 1e-10)")
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     parser = _ArgumentParser(prog="germforge", parents=[common],
                              description="semicomplete commuting germ toolkit")
@@ -455,7 +461,7 @@ def build_parser() -> _ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(**_COMMON_DEFAULTS))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -147,6 +147,8 @@ def random_flow_failures(n: int, rng: random.Random, samples: int) -> List[str]:
     law of Phi, the commutation of Phi and Psi and, where both base
     coordinates are nonzero, that Phi commutes with the chart transition.
     """
+    if samples < 1:
+        raise BadParams(f"samples must be at least 1, got {samples}")
     failures = []
     for _ in range(samples):
         pt = FnPoint.make(n, rng.choice([0, 1]), random_gr(rng), random_gr(rng))

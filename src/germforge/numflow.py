@@ -49,7 +49,7 @@ class TimePath:
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise BadParams("consecutive waypoints must be distinct")
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan too
             raise BadParams("tolerance must be positive")
 
     @classmethod
@@ -76,8 +76,12 @@ class LeafLoopSpec:
     max_step: float = 0.05
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # nan too
             raise BadParams("loop radius must be positive")
+        if self.winding == 0:
+            raise BadParams("a loop of winding 0 encloses nothing")
+        if not self.tol > 0:  # nan too
+            raise BadParams("tolerance must be positive")
         if self.base_var not in ("x", "y"):
             raise BadParams("base_var must be 'x' or 'y'")
         if abs(self.seed) > self.polydisc:

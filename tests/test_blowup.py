@@ -24,6 +24,18 @@ def y():
     return Jet2.variable("y", EXACT, INF)
 
 
+def parabolic():
+    # x^2 dx - y(x-2y) dy
+    return VectorFieldGerm(jet_mul(x(), x()), -jet_mul(y(), x() - y().scale(2)))
+
+
+def quartic():
+    # A = 0, B = (y-x)(y+x)(y-3x)(y+x/2)
+    return VectorFieldGerm(Jet2.zero(EXACT, INF),
+                           jet_mul(jet_mul(y() - x(), y() + x()),
+                                   jet_mul(y() - x().scale(3), y() + x().scale(GR(1) / 2))))
+
+
 def test_radial_field_chart0():
     r = blowup_vf(VectorFieldGerm(x(), y()), 0)
     assert r.transformed.a.equals(x())
@@ -43,8 +55,8 @@ def test_linear_diagonal_chart0():
 
 
 def test_parabolic_has_three_divisor_singularities():
-    # x^2 dx - y(x-2y) dy: chart-0 roots t in {0, 1} plus the chart-1 corner
-    p = VectorFieldGerm(jet_mul(x(), x()), -jet_mul(y(), x() - y().scale(2)))
+    # chart-0 roots t in {0, 1} plus the chart-1 corner
+    p = parabolic()
     r0 = blowup_vf(p, 0)
     assert r0.divisor_order == 1 and not r0.dicritical
     s0 = divisor_singularities(r0)
@@ -59,15 +71,34 @@ def test_parabolic_has_three_divisor_singularities():
 def test_quartic_divisor_roots_found_by_deflation():
     # B = (y-x)(y+x)(y-3x)(y+x/2), A = 0: the divisor polynomial has degree 4
     # with small rational roots, so three are peeled off by synthetic division
-    b = jet_mul(jet_mul(y() - x(), y() + x()),
-                jet_mul(y() - x().scale(3), y() + x().scale(GR(1) / 2)))
-    sings = divisor_singularities(blowup_vf(VectorFieldGerm(Jet2.zero(EXACT, INF), b), 0))
+    sings = divisor_singularities(blowup_vf(quartic(), 0))
     assert sorted(str(s.point) for s in sings) == ["-1", "-1/2", "1", "3"]
+
+
+def _by_value(values):
+    return sorted(values, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("field, chart", [(parabolic(), 0), (parabolic(), 1), (quartic(), 0)],
+                         ids=["parabolic-chart0", "parabolic-chart1", "quartic"])
+def test_float_divisor_singularities_match_exact(field, chart):
+    # float mode finds the divisor roots with numpy; the points and the
+    # eigenvalues there agree with the exact ones
+    exact = divisor_singularities(blowup_vf(field, chart))
+    floats = divisor_singularities(blowup_vf(field.to_float(), chart))
+    assert len(floats) == len(exact) >= 2
+    for s in exact:
+        (f,) = [f for f in floats if abs(f.point - s.point.to_complex()) <= 1e-12]
+        assert (f.linear.eigenvalues is None) == (s.linear.eigenvalues is None)
+        if s.linear.eigenvalues is not None:
+            got = _by_value(f.linear.eigenvalues)
+            want = _by_value(e.to_complex() for e in s.linear.eigenvalues)
+            assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
 
 
 def test_parabolic_siegel_eigenvalues():
     # the chart-1 corner has eigenvalue ratio 1 : -1; the chart-0 corner 1 : -(n+1)
-    p = VectorFieldGerm(jet_mul(x(), x()), -jet_mul(y(), x() - y().scale(2)))
+    p = parabolic()
     s0 = divisor_singularities(blowup_vf(p, 0))
     at0 = next(s for s in s0 if s.point == GR(0))
     e1, e2 = at0.linear.eigenvalues
@@ -122,7 +153,7 @@ def test_chart_consistency_on_overlap():
     # chart 0 coords (x, t) with y = tx; chart 1 coords (s, y) with x = sy;
     # overlap: s = 1/t, y = tx, and back x = sy, t = 1/s.
     fields = [
-        VectorFieldGerm(jet_mul(x(), x()), -jet_mul(y(), x() - y().scale(2))),
+        parabolic(),
         VectorFieldGerm(jet_mul(x(), y()), jet_mul(y(), y()) - jet_mul(x(), x())),
         VectorFieldGerm(x().scale(2), y().scale(-3)),
     ]

@@ -39,6 +39,8 @@ ROWS = [
     # a constant factor and a float denominator 1 raised without e products
     (["bracket", "[(x/2)^1000000, y]", "[x, y]", "--degree", "4"], OK),
     (["bracket", "[x^1000000000, y]", "[x, y]", "--degree", "4", "--mode", "float"], OK),
+    # float divisor roots, the one use of numpy
+    (["blowup", "[x^2, -y*(x-2*y)]", "--singularities", "--mode", "float"], OK),
     # mathematical fail verdicts
     (["commute", "[x, -y]", "[x*y, x*y]"], FAIL),
     (["first-integral", "[x, -y]", "x"], FAIL),
@@ -53,6 +55,15 @@ ROWS = [
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),
     (["straighten", "--g1", "1", "--g2", "z", "--n", "-1"], ERROR),
+    # a loop of winding 0 encloses nothing (it printed period 0); a tolerance
+    # <= 0 ended in a TypeError traceback (-1) or a step underflow (0)
+    (["period", "--field", "[x*x*y, -x*y*y]", "--degree", "4", "--loops", "0"], ERROR),
+    (["period", "--field", "[x*x*y, -x*y*y]", "--degree", "4", "--tol", "0"], ERROR),
+    (["period", "--field", "[x*x*y, -x*y*y]", "--degree", "4", "--tol", "-1"], ERROR),
+    (["holonomy", "--tol", "-1"], ERROR),
+    # no sample checks nothing: it printed "-3 random exact checks all pass"
+    (["hirzebruch", "--samples", "-3"], ERROR),
+    (["hirzebruch", "--samples", "0"], ERROR),
     # declared forms: a unit divides everything, so dividing by 1 never ended;
     # 0 raised ZeroDivisionError and a quotient AttributeError
     (["classify", "table:2[n=1]", "--declare", "1"], ERROR),
@@ -92,6 +103,20 @@ def test_error_positions_are_offsets_into_the_argument(capsys):
     # the position used to count from the start of the component (3)
     assert cli.main(["bracket", "[x, y+$]", "[x, y]"]) == ERROR
     assert capsys.readouterr().out == "error: unexpected character '$' (at position 6)\n"
+
+
+def test_common_options_may_precede_the_subcommand(tmp_path):
+    # the subcommand's own defaults used to overwrite them: the run was exact
+    path = tmp_path / "report.json"
+    argv = ["--mode", "float", "--json", str(path), "blowup", "[x^2, -y*(x-2*y)]",
+            "--singularities"]
+    assert cli.main(argv) == OK
+    rep = json.loads(path.read_text(encoding="utf-8"))
+    assert rep["config"]["mode"] == "float"
+    assert rep["result"]["transformed"]["dx"]["mode"] == "float"
+    # given on both sides, the one after the subcommand wins
+    assert cli.main(argv + ["--mode", "exact"]) == OK
+    assert json.loads(path.read_text(encoding="utf-8"))["config"]["mode"] == "exact"
 
 
 # JSON reports pinned byte for byte: the sha256 of the report file, with the

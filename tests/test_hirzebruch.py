@@ -20,6 +20,7 @@ from germforge.hirzebruch import (
     points_equal,
     prop35_member,
     psi_flow,
+    random_flow_failures,
     y_display,
     z_display,
 )
@@ -232,3 +233,10 @@ def _rank(rows):
 def test_flow_generator_rejects_unknown_flow():
     with pytest.raises(BadParams):
         _flow_generator_chart0(1, "chi")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_random_flow_failures_needs_a_sample(samples):
+    # no sample checks nothing, so it must not read as "all pass"
+    with pytest.raises(BadParams, match="samples must be at least 1"):
+        random_flow_failures(1, random.Random(0), samples)

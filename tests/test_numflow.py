@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -124,6 +125,25 @@ def test_leaf_escape():
                         seed=0.4, polydisc=2.0, tol=1e-10)
     with pytest.raises(LeafEscape):
         track_leaf(f, spec)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"winding": 0}, "winding 0"),
+    ({"tol": 0.0}, "tolerance"),
+    ({"tol": -1.0}, "tolerance"),
+    ({"tol": math.nan}, "tolerance"),
+    ({"radius": math.nan}, "radius"),
+])
+def test_leaf_loop_spec_rejects_degenerate_controls(change, message):
+    # winding 0 gave a period of 0 for a loop that encloses nothing, a
+    # negative tolerance a TypeError in _rk45 and tolerance 0 a step underflow
+    with pytest.raises(BadParams, match=message):
+        dataclasses.replace(siegel_loop(0.5, 0.02), **change)
+
+
+def test_time_path_rejects_a_nan_tolerance():
+    with pytest.raises(BadParams, match="tolerance"):
+        TimePath.segment(0, 1, tol=math.nan)
 
 
 def test_period_zero_for_unimodular_pairing():
