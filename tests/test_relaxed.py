@@ -14,6 +14,7 @@ changes.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,77 @@ def test_linearize_matches_the_graded_solve(inputs, mn):
         Jet2(EXACT, {(1, 0): GR(m), **_terms(rng, 2, degree, share / 3, gaussian)}, valid),
         Jet2(EXACT, {(0, 1): GR(-n), **_terms(rng, 2, degree, share / 3, gaussian)}, valid))
     out, want = linearize(field, degree), oracles.t_graded_linearize(field, degree)
+    assert out.obstruction == want.obstruction
+    for got, ref in ((out.change.comp1, want.change.comp1), (out.change.comp2, want.change.comp2),
+                     (out.linearized.a, want.linearized.a), (out.linearized.b, want.linearized.b)):
+        _same(got, ref)
+
+
+# -- the edge degrees 0 .. 5 --------------------------------------------------------
+
+def _outcome(solve, *args):
+    """What a solve gives: its result, or the type of what it raises."""
+    try:
+        return solve(*args)
+    except GermforgeError as exc:
+        return type(exc)
+
+
+def _edge_valid(kind, degree):
+    # the linear part must be known for inverse and linearize to start
+    return max(1, _valid(kind, degree)) if kind != "polynomial" else INF
+
+
+_EDGES = [(degree, kind, gaussian) for degree in range(6)
+          for kind in ("polynomial", "below", "at", "above") for gaussian in (False, True)]
+
+
+@pytest.mark.parametrize("degree, kind, gaussian", _EDGES)
+@pytest.mark.parametrize("wanted", [None, "degree"])
+def test_inverse_at_the_edge_degrees(degree, kind, gaussian, wanted):
+    rng = random.Random(f"inverse {degree} {kind} {gaussian}")
+    linear = _LINEAR[4 if gaussian else degree % 4]
+    comps = [Jet2(EXACT, {(1, 0): GR.from_value(row[0]), (0, 1): GR.from_value(row[1]),
+                          **_terms(rng, 2, degree, 0.7, gaussian, 3)},
+                  _edge_valid(kind, degree)) for row in linear]
+    change = CoordinateChange.from_series(*comps)
+    wanted = degree if wanted == "degree" else None
+    out, want = (_outcome(solve, change, wanted)
+                 for solve in (CoordinateChange.inverse, oracles.t_graded_inverse))
+    assert isinstance(out, CoordinateChange) == isinstance(want, CoordinateChange)
+    if not isinstance(want, CoordinateChange):
+        assert out is want
+        return
+    _same(out.comp1, want.comp1)
+    _same(out.comp2, want.comp2)
+
+
+@pytest.mark.parametrize("degree, kind, gaussian", _EDGES)
+def test_ode_solve_at_the_edge_degrees(degree, kind, gaussian):
+    rng = random.Random(f"ode {degree} {kind} {gaussian}")
+    theta = Jet2(EXACT, _terms(rng, 0, degree, 0.6, gaussian), _valid(kind, degree))
+    out, want = (_outcome(solve, theta, degree)
+                 for solve in (series_ode_solve, oracles.t_graded_ode_solve))
+    if not isinstance(want, Jet2):
+        assert out is want
+        return
+    _same(out, want)
+
+
+@pytest.mark.parametrize("degree, kind, gaussian", _EDGES)
+@pytest.mark.parametrize("mn, resonant", [((1, 1), False), ((2, 1), False), ((1, 1), True)])
+def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
+    rng = random.Random(f"linearize {degree} {kind} {gaussian} {mn} {resonant}")
+    m, n = mn
+    valid = _edge_valid(kind, degree)
+    a = {(1, 0): GR(m), **_terms(rng, 2, degree, 0.5, gaussian)}
+    if resonant:
+        a[(2, 1)] = GR(1, 1) if gaussian else GR(3)     # x^2 y on dx: gap 2 - 1 - 1 = 0
+    field = VectorFieldGerm(Jet2(EXACT, a, valid),
+                            Jet2(EXACT, {(0, 1): GR(-n), **_terms(rng, 2, degree, 0.5, gaussian)},
+                                 valid))
+    out, want = (_outcome(solve, field, degree)
+                 for solve in (linearize, oracles.t_graded_linearize))
     assert out.obstruction == want.obstruction
     for got, ref in ((out.change.comp1, want.change.comp1), (out.change.comp2, want.change.comp2),
                      (out.linearized.a, want.linearized.a), (out.linearized.b, want.linearized.b)):
