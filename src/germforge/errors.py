@@ -31,10 +31,6 @@ class CompositionAtNonzeroPoint(GermforgeError):
     """Composition f(g) of a proper jet f with g(0,0) != 0."""
 
 
-class InputChanged(GermforgeError):
-    """A relaxed composition was handed a part it has used, with a new value."""
-
-
 class DegenerateFrame(GermforgeError):
     """decompose() called on a frame with AD - BC identically zero."""
 

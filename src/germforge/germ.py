@@ -234,14 +234,22 @@ class CoordinateChange:
         det = j11 * j22 - j12 * j21
         return not scalars.is_zero_scalar(det, self.comp1.mode, 0.0)
 
-    def compose(self, other: "CoordinateChange",
-                state: Optional[series.RelaxedComposition] = None) -> "CoordinateChange":
-        """self o other: apply *other* first (both series kind).  A graded
-        solve hands over its *state*: the components are its slots 0 and 1."""
+    def compose(self, other, state: Optional[series.RelaxedComposition] = None,
+                n: int = 0, k: int = 0):
+        """self o other: apply *other* first (both series kind).
+
+        A graded solve hands over its *state* and *other* as the pair of
+        parts of degree n of its inner pair, and gets back the pair of
+        parts of degree k of the two components (see jet_compose2), which
+        are its slots 0 and 1."""
+        if state is not None:
+            p, q = other
+            return (jet_compose2(self.comp1, p, q, state, 0, n, k),
+                    jet_compose2(self.comp2, p, q, state, 1, n, k))
         if self.kind != "series" or other.kind != "series":
             raise BadParams("compose is defined for series changes")
-        c1 = jet_compose2(self.comp1, other.comp1, other.comp2, state, 0)
-        c2 = jet_compose2(self.comp2, other.comp1, other.comp2, state, 1)
+        c1 = jet_compose2(self.comp1, other.comp1, other.comp2)
+        c2 = jet_compose2(self.comp2, other.comp1, other.comp2)
         return CoordinateChange.from_series(c1, c2)
 
     def inverse(self, degree: Optional[int] = None) -> "CoordinateChange":
@@ -249,13 +257,14 @@ class CoordinateChange:
 
         With phi = L + N, L the linear part, the inverse psi solves
         psi = L^-1 id - M(psi) for M = L^-1 N, formed once per call.  M has
-        no terms below degree 2, so an iterate right through degree d - 1
-        gives M(psi) right through d: pass d = 2 .. min(degree, valid) cuts
-        psi to degree d, and so composes only through d.  In exact mode
-        the passes share one series.RelaxedComposition, the two components
-        of M being its slots, so pass d computes only degree d of M(psi):
-        the degree-d part of psi is not known yet then, and no term of
-        degree >= 2 of M reads it.  The result is valid through
+        no terms below degree 2, so the parts of psi below degree d give
+        the part of degree d of M(psi): pass d = 2 .. min(degree, valid)
+        composes only that part.  In exact mode psi is kept as its
+        homogeneous parts: pass d hands the parts of degree d - 1 to one
+        series.RelaxedComposition, the two components of -M being its
+        slots, and takes back the parts of degree d of -M(psi), which are
+        those of psi; one Jet2 per component is built at the end.  Float
+        passes compose whole jets afresh.  The result is valid through
         min(degree, valid), valid being that of phi.
         *degree* defaults to valid, or twice the degree of a polynomial
         change; it is capped at 64, and an INF degree means 16.
@@ -283,13 +292,21 @@ class CoordinateChange:
         n2 = (self.comp2 - x.scale(j21) - y.scale(j22)).truncate(top)
         m1 = n1.scale(i11) + n2.scale(i12)
         m2 = n1.scale(i21) + n2.scale(i22)
-        p1, p2 = lin1.truncate(top), lin2.truncate(top)
-        state = series.RelaxedComposition() if mode == EXACT else None
+        if mode != EXACT:
+            p1, p2 = lin1.truncate(top), lin2.truncate(top)
+            for d in range(2, top + 1):
+                s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
+                p1 = lin1 - jet_compose2(m1, s1, s2)
+                p2 = lin2 - jet_compose2(m2, s1, s2)
+            return CoordinateChange.from_series(p1, p2)
+        state, minus = series.RelaxedComposition(), (-m1, -m2)
+        parts = (series._split(lin1, 1), series._split(lin2, 1))
         for d in range(2, top + 1):
-            s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
-            p1 = lin1 - jet_compose2(m1, s1, s2, state, 0)
-            p2 = lin2 - jet_compose2(m2, s1, s2, state, 1)
-        return CoordinateChange.from_series(p1, p2)
+            for c in (0, 1):        # the part psi_d is -M(psi)_d
+                parts[c].append(jet_compose2(minus[c], parts[0][d - 1], parts[1][d - 1], state,
+                                             c, d - 1, d))
+        return CoordinateChange.from_series(*(series._from_parts(c[:max(top + 1, 0)], top)
+                                              for c in parts))
 
 
 def pullback(x: VectorFieldGerm, change: CoordinateChange,

@@ -25,7 +25,7 @@ from .errors import BadParams, ModeMismatch, StepFailure
 from .germ import CoordinateChange, VectorFieldGerm, linear_part
 from .numflow import eval_poly, periodic_trapezoid
 from .scalars import EXACT, FLOAT
-from .series import INF, Jet1, Jet2, jet_derive, jet_mul, jet_pow
+from .series import _ONE, _ZERO, INF, Jet1, Jet2, jet_mul, jet_pow
 
 
 @dataclass
@@ -38,6 +38,8 @@ class MRFormalForm:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.p < 1:
             raise BadParams("Martinet-Ramis data requires m, n, p >= 1")
+        if isinstance(self.lam, (float, complex)) and not cmath.isfinite(self.lam):
+            raise BadParams(f"Martinet-Ramis lambda must be finite, not {self.lam}")
 
 
 def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
@@ -99,15 +101,17 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     Solves Dphi . Y = X o phi for phi = id + h and Y = L + R, with no
     resonant monomial in h and only resonant ones in R.  Its degree-d part
     is gap h_d + R_d = (N o phi - Dh . R)_d, and the right side needs h and
-    R below degree d only: pass d = 2 .. top composes N and phi through
-    degree d, as CoordinateChange.inverse does its Picard passes, and puts
-    each degree-d term v into h_d as v / gap, or into R_d as v when
-    gap = 0.  The passes share one series.RelaxedComposition, so pass d
-    computes only degree d of N o phi: N has no term below degree 2, and
-    its degree-d part reads phi below degree d only.  Likewise (Dh . R)_d
-    is the sum over e of Dh_(d-e+1) . R_e, from the parts of h and R kept
-    by degree.  The first resonant term met, by degree with dx first, is the
-    obstruction.  change and linearized are valid through
+    R below degree d only: pass d = 2 .. top hands the parts of degree
+    d - 1 of phi to one series.RelaxedComposition (through
+    CoordinateChange.compose) and takes back the parts of degree d of
+    N o phi, as CoordinateChange.inverse does its Picard passes: N has no
+    term below degree 2, so its degree-d part reads phi below degree d
+    only.  (Dh . R)_d is the sum over e of Dh_(d-e+1) . R_e, formed on the
+    parts of h and R kept by degree.  Each degree-d numerator v goes into
+    h_d as v / gap, the gap dividing the part's integer denominator, or
+    into R_d as v when gap = 0.  The first resonant term met, by degree
+    with dx first, is the obstruction.  One Jet2 per component of phi and
+    of R is built at the end.  change and linearized are valid through
     top = min(degree, X.valid_through), and pullback(X, change) =
     linearized there; with no obstruction, linearized = L through top.
     Raises ModeMismatch for a float field, and BadParams unless X(0) = 0
@@ -130,48 +134,53 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     yv = Jet2.variable("y", mode, INF)
     lin_a, lin_b = xv.scale(m), yv.scale(-n)
     n1, n2 = (x.a - lin_a).truncate(top), (x.b - lin_b).truncate(top)
-    # the components of phi and of R, each right through degree d - 1 before pass d
-    phi = [xv.truncate(min(top, 1)), yv.truncate(min(top, 1))]
-    res = [Jet2.zero(mode, min(top, 1))] * 2
     obstruction: Optional[Tuple[int, int, str]] = None
     state, outer = series.RelaxedComposition(), CoordinateChange.from_series(n1, n2)
-    # the parts h_e of h and the nonzero parts R_e of R, by degree
-    h_parts: Tuple[dict, dict] = ({}, {})
-    r_parts: dict = {}
+    # phi and R by degree: phi_1 = id, and phi_d = h_d for d >= 2
+    phi = (series._split(xv, 1), series._split(yv, 1))
+    res = ([_ZERO, _ZERO], [_ZERO, _ZERO])
     for d in range(2, top + 1):
-        phi = [series._known_through(c, d) for c in phi]
-        rhs = outer.compose(CoordinateChange.from_series(*phi), state)
-        rhs = [rhs.comp1.homogeneous_part(d), rhs.comp2.homogeneous_part(d)]
-        # (Dh . R)_d = sum over e of Dh_(d-e+1) . R_e
-        for e, r in r_parts.items():
-            for k in (0, 1):
-                h = h_parts[k].get(d - e + 1)
-                if h is not None:
-                    for var, name in ((0, "x"), (1, "y")):
-                        if r[var] is not None:
-                            rhs[k] = rhs[k] - jet_mul(jet_derive(h, name), r[var])
-        res = [series._known_through(c, d) for c in res]
-        r_new: list = [None, None]
+        rhs = outer.compose((phi[0][d - 1], phi[1][d - 1]), state, d - 1, d)
         for k, shift, name in ((0, -m, "x"), (1, n, "y")):
-            h_d, r_d = {}, {}
-            for (i, j), c in rhs[k].coeffs.items():
-                gap = i * m - j * n + shift
-                if gap:
-                    h_d[(i, j)] = c / gap
-                else:
-                    r_d[(i, j)] = c
-                    if obstruction is None:
-                        obstruction = (i, j, name)
-            if h_d:
-                h_parts[k][d] = Jet2(mode, h_d, INF)
-                phi[k] = phi[k] + h_parts[k][d]
-            if r_d:
-                r_new[k] = Jet2(mode, r_d, INF)
-                res[k] = res[k] + r_new[k]
-        if r_new[0] is not None or r_new[1] is not None:
-            r_parts[d] = r_new
-    linearized = VectorFieldGerm(lin_a + res[0], lin_b + res[1])
-    return LinearizationResult(CoordinateChange.from_series(*phi), linearized, obstruction)
+            # (N o phi - Dh . R)_d, with (Dh . R)_d = sum over e of Dh_(d-e+1) . R_e
+            pairs = [(rhs[k], _ONE)]
+            for e in range(2, d):
+                h = phi[k][d - e + 1]
+                if h is not _ZERO:
+                    pairs += [(_minus_derivative(h, d - e + 1, var), res[var][e])
+                              for var in (0, 1) if res[var][e] is not _ZERO]
+            den, re, im = series._piece(pairs) if len(pairs) > 1 else rhs[k]
+            # the terms in the order of the scalar view: re's keys, then im's others
+            order = [*re, *(i for i in im if i not in re)] if im else list(re)
+            im = {i: im[i] for i in order if i in im}
+            gaps = {i: i * m - (d - i) * n + shift for i in order}
+            scale = math.lcm(*[abs(g) for g in gaps.values() if g])
+            h_re, h_im, r_re, r_im = {}, {}, {}, {}
+            for nums, h_nums, r_nums in ((re, h_re, r_re), (im, h_im, r_im)):
+                for i, v in nums.items():
+                    if gaps[i]:
+                        h_nums[i] = v * (scale // gaps[i])
+                    else:
+                        r_nums[i] = v
+                        if obstruction is None:
+                            obstruction = (i, d - i, name)
+            phi[k].append(series._part(den * scale, h_re, h_im))
+            res[k].append(series._part(den, r_re, r_im))
+    cut = max(top + 1, 0)
+    change = CoordinateChange.from_series(*(series._from_parts(c[:cut], top) for c in phi))
+    r1, r2 = (series._from_parts(c[:cut], top) for c in res)
+    return LinearizationResult(change, VectorFieldGerm(lin_a + r1, lin_b + r2), obstruction)
+
+
+def _minus_derivative(h: tuple, a: int, var: int) -> tuple:
+    """-dh/dx (var 0) or -dh/dy (var 1) of the part h of degree a, as a part
+    of degree a - 1 over h's denominator (not reduced)."""
+    den, re, im = h
+    if var == 0:        # x^i y^(a-i) -> i x^(i-1) y^(a-i)
+        return den, {i - 1: -i * v for i, v in re.items() if i}, \
+            {i - 1: -i * v for i, v in im.items() if i}
+    return den, {i: (i - a) * v for i, v in re.items() if i != a}, \
+        {i: (i - a) * v for i, v in im.items() if i != a}
 
 
 def _positive_int(value) -> Optional[int]:

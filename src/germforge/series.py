@@ -42,7 +42,6 @@ from . import scalars
 from .errors import (
     BadParams,
     CompositionAtNonzeroPoint,
-    InputChanged,
     ModeMismatch,
     NotAUnit,
     NotDivisible,
@@ -729,8 +728,8 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     return _jet(f.mode, *acc, valid)
 
 
-def jet_compose2(f: Jet2, p: Jet2, q: Jet2, state: Optional["RelaxedComposition"] = None,
-                 slot: int = 0) -> Jet2:
+def jet_compose2(f: Jet2, p, q, state: Optional["RelaxedComposition"] = None, slot: int = 0,
+                 n: int = 0, k: int = 0):
     """f(p(x,y), q(x,y)) for p(0,0) = q(0,0) = 0 (or polynomial f).
 
     sum_i p^i row_i over the rows of f grouped by x-degree, each row
@@ -746,11 +745,16 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2, state: Optional["RelaxedComposition"
     loop's operations in its order, so float results are its results bit
     for bit.
 
-    With a *state* (exact mode, one per graded solve), the state computes
-    the same jet: it keeps what earlier calls of the solve computed, and
-    only the degrees not reached yet are new (see RelaxedComposition).
-    *slot* tells the outer series of one solve apart.
+    With a *state* (exact mode, one per graded solve) the call is one pass
+    of the solve on homogeneous parts, not on jets: p and q are the inner
+    pair's parts of degree *n*, reduced (den, re, im) triples keyed by the
+    x-exponent, and the call returns the part of degree *k* of f(p, q) in
+    the same layout, computing only what earlier calls of the solve did
+    not (see RelaxedComposition).  *slot* tells the outer series of one
+    solve apart.
     """
+    if state is not None:
+        return state.compose(f, p, q, n, k, slot)
     scalars.check_same_mode(f.mode, p.mode, q.mode)
     if (_has_constant(p) or _has_constant(q)) and not f.is_polynomial():
         raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
@@ -759,8 +763,6 @@ def jet_compose2(f: Jet2, p: Jet2, q: Jet2, state: Optional["RelaxedComposition"
         # no constant term here, so a linear term in p or q makes the order 1
         linear = any(k in part for part in (p.re, p.im, q.re, q.im) for k in ((1, 0), (0, 1)))
         valid = _proper_valid(f, 1 if linear else min(p.order(), q.order()), valid)
-    if state is not None:
-        return state.compose(f, p, q, valid, slot)
     rows: Dict[int, list] = {}
     for i, j in sorted(f._keys()):
         rows.setdefault(i, []).append(j)
@@ -790,16 +792,16 @@ _ZERO = (1, {}, {})      # a zero part; shared, and never written to
 _ONE = (1, {0: 1}, {})
 
 
-def _split(jet: Jet2, top: int, low: int = 0) -> list:
-    """The homogeneous parts of degree low .. top of an exact jet, at their
-    degrees in a list of top + 1 (the places below low hold _ZERO), each a
-    reduced (den, re, im) triple keyed by the x-exponent alone (the term
-    x^i y^(d-i) of the degree-d part has the key i); a zero part is _ZERO."""
+def _split(jet: Jet2, top: int) -> list:
+    """The homogeneous parts of degree 0 .. top of an exact jet, by degree,
+    each a reduced (den, re, im) triple keyed by the x-exponent alone (the
+    term x^i y^(d-i) of the degree-d part has the key i); a zero part is
+    _ZERO."""
     parts = [_ZERO] * (top + 1)
     by_degree: dict = {}
     for n, terms in enumerate((jet.re, jet.im)):
         for (i, j), v in terms.items():
-            if low <= i + j <= top:
+            if i + j <= top:
                 got = by_degree.get(i + j)
                 if got is None:
                     got = by_degree[i + j] = ({}, {})
@@ -838,117 +840,112 @@ def _piece(pairs: list) -> tuple:
     return _reduced(den, re, im) if re or im else _ZERO
 
 
-def _take(parts: list, used: int, jet: Jet2, top: int, known: int, name: str) -> None:
-    """Bring *parts*, a series by degree, to the parts of *jet* through top.
-    A part at or below *used* must not change (InputChanged); the others
-    are replaced.  The parts through *known* are jet's already."""
-    if top <= known:
-        return
-    new = _split(jet, top, known + 1)
-    low, high = known + 1, min(used, top)
-    if new[low:high + 1] != parts[low:high + 1]:
-        raise InputChanged(f"a used part of {name} changed")
-    start = max(used, known) + 1
-    parts[start:] = new[start:]
+def _from_parts(parts: list, valid) -> Jet2:
+    """The exact Jet2, valid through *valid*, whose degree-d part is parts[d]
+    (keyed as _split keys them): each part over the lcm of their
+    denominators, reduced once."""
+    den = math.lcm(*[part[0] for part in parts])
+    re: dict = {}
+    im: dict = {}
+    for d, (pd, p_re, p_im) in enumerate(parts):
+        s = den // pd
+        for i, v in p_re.items():
+            re[(i, d - i)] = v * s
+        for i, v in p_im.items():
+            im[(i, d - i)] = v * s
+    return _jet(EXACT, den, re, im, valid)
+
+
+def _part(den: int, re: dict, im: dict) -> tuple:
+    """A reduced part from numerators over *den*, zero terms dropped."""
+    re, im = _nonzero(re), _nonzero(im)
+    return _reduced(den, re, im) if re or im else _ZERO
 
 
 class _Outer:
     """One outer series f of a RelaxedComposition and what it has given."""
 
-    __slots__ = ("parts", "seen", "terms", "rows", "result", "den", "re", "im")
+    __slots__ = ("f", "linear", "terms", "rows", "result")
 
-    def __init__(self):
-        self.parts: list = []       # f by degree
-        self.seen = (None, -1)      # the last f and the degree through which it is taken
+    def __init__(self, f: Jet2):
+        self.f = f
         self.terms: dict = {}       # i -> [(j, f_ij as a part of degree 0)]
         self.rows: dict = {}        # i -> row i, sum_j f_ij q^j, by degree
         self.result: list = []      # f(p, q) by degree
-        self.den, self.re, self.im = 1, {}, {}      # the result parts over one lcm
+        for t, (den, re, im) in enumerate(_split(f, f.degree_bound())):
+            for i in (re.keys() | im.keys() if im else re):
+                r, s = re.get(i, 0), im.get(i, 0)
+                self.terms.setdefault(i, []).append(
+                    (t - i, (den, {0: r} if r else {}, {0: s} if s else {})))
+        # whether the degree-k part of f(p, q) reads the inner parts of degree k
+        self.linear = any(j + i == 1 for i, row in self.terms.items() for j, _ in row)
 
 
 class RelaxedComposition:
     """What the compositions f(p, q) of one graded solve share (exact mode).
 
     A graded solve (germ.CoordinateChange.inverse, series_ode_solve,
-    mr.linearize) composes with one inner pair (p, q) once per pass, and
-    each pass knows the pair one degree further.  Handed to jet_compose2,
-    the state keeps by homogeneous degree the parts of p and q, the powers
-    p^i and q^j (shared by every outer series of the solve), the rows
-    sum_j f_ij q^j of each outer series and each result.  A call computes
-    only the degrees of its result that no earlier call reached, and
-    returns the whole jet, the one jet_compose2 gives without a state.
-    Each piece is computed once (relaxed evaluation; van der Hoeven, J.
-    Symb. Comput. 34, 2002), as one sum of products over one lcm, reduced
-    once.  With p(0) = q(0) = 0 the degree-k part of p^i, i >= 2, needs the
-    parts of p below degree k only, so a pass may hand over a pair whose
-    newest degree is not known yet, as long as nothing kept reads it.
+    mr.linearize) learns its inner pair (p, q) one homogeneous degree per
+    pass and needs one new degree of each f(p, q) per pass.  The state
+    works on parts alone: each call of jet_compose2 with the state hands
+    over the parts of p and q of one degree n and asks for the part of
+    degree k of f(p, q).  A part is a reduced (den, re, im) triple keyed by
+    the x-exponent (see _split).  The state appends the inner parts in
+    order of degree, and keeps by degree the powers p^i and q^j (shared by
+    every outer series of the solve), the rows sum_j f_ij q^j of each
+    outer series and each result.  A call computes only the degrees of
+    its result that no earlier call reached, each piece once (relaxed
+    evaluation; van der Hoeven, J. Symb. Comput. 34, 2002) as one sum of
+    products over one lcm, reduced once.  With p(0) = q(0) = 0 the degree-k
+    part of f(p, q) reads the inner parts through degree k when f has a
+    linear term and through degree k - 1 otherwise.
 
-    The state never returns a stale value.  An inner part counts as used
-    once a kept piece depends on it, an outer term as soon as a call takes
-    it, and a call whose used parts or terms differ raises InputChanged.
-    *slot* (of jet_compose2) tells the outer series of one solve apart.
+    Since the state only appends, no part it has used can change under it.
+    A call raises BadParams when it hands over a degree out of order (or
+    another part for a degree the state holds), when the inner parts that
+    degree k reads are missing, or when a slot is handed another outer
+    series; ModeMismatch for a float f.  *slot* (of jet_compose2) tells the
+    outer series of one solve apart.
     """
 
-    __slots__ = ("parts", "used", "powers", "outers", "seen")
+    __slots__ = ("parts", "powers", "outers")
 
     def __init__(self):
-        self.parts = ([], [])       # p and q by degree
-        self.used = [-1, -1]        # the highest degree of p, q that a kept piece reads
-        self.powers = ([], [])      # [e] -> p^e, q^e by degree (e >= 2)
-        self.outers: dict = {}      # slot -> _Outer
-        self.seen = [(None, -1), (None, -1)]    # the last p, q and the degree through
-        #                                         which each is taken
+        self.parts = ([_ZERO], [_ZERO])     # p and q by degree; p(0) = q(0) = 0
+        self.powers = ([], [])              # [e] -> p^e, q^e by degree (e >= 2)
+        self.outers: dict = {}              # slot -> _Outer
 
-    def compose(self, f: Jet2, p: Jet2, q: Jet2, valid, slot) -> Jet2:
-        """f(p, q) through *valid*, the valid_through jet_compose2 gives it."""
+    def compose(self, f: Jet2, p: tuple, q: tuple, n: int, k: int, slot) -> tuple:
+        """The degree-k part of f(p, q), after taking p and q as the inner
+        pair's parts of degree n."""
         if f.mode != EXACT:
             raise ModeMismatch("a relaxed composition runs in exact mode")
-        if valid == INF or _has_constant(p) or _has_constant(q):
-            raise BadParams("a relaxed composition needs p(0) = q(0) = 0 and a finite "
-                            "valid_through")
-        top = int(valid)
-        for c, jet in enumerate((p, q)):
-            last, known = self.seen[c]
-            known = known if last is jet else -1
-            _take(self.parts[c], self.used[c], jet, top, known, "the inner series " + "pq"[c])
-            self.seen[c] = (jet, max(top, known))
+        p_parts, q_parts = self.parts
+        held = len(p_parts)
+        if n == held:
+            p_parts.append(p)
+            q_parts.append(q)
+        elif n > held or n < 0 or p_parts[n] != p or q_parts[n] != q:
+            raise BadParams(f"inner parts of degree {n} handed over out of order "
+                            f"(the state holds degrees 0 .. {held - 1})")
         out = self.outers.get(slot)
         if out is None:
-            out = self.outers[slot] = _Outer()
-        old = len(out.parts)
-        last, known = out.seen
-        known = known if last is f else -1
-        _take(out.parts, old - 1, f, top, known, "the outer series")
-        out.seen = (f, max(top, known))
-        for t in range(old, len(out.parts)):
-            den, re, im = out.parts[t]
-            for i in (re.keys() | im.keys() if im else re):
-                r, s = re.get(i, 0), im.get(i, 0)
-                out.terms.setdefault(i, []).append(
-                    (t - i, (den, {0: r} if r else {}, {0: s} if s else {})))
+            out = self.outers[slot] = _Outer(f)
+        elif out.f is not f:
+            raise BadParams(f"slot {slot} holds another outer series")
         result = out.result
-        den, re, im = out.den, out.re, out.im
-        if top < len(result) - 1:
-            return _jet(EXACT, den, _zcut(re, top), _zcut(im, top), valid)
-        for k in range(len(result), top + 1):
-            part = self._next(out.terms, out.rows, k)
-            result.append(part)
-            d, p_re, p_im = part
-            if not (p_re or p_im):
-                continue
-            lcm = den * d // math.gcd(den, d)
-            if lcm != den:
-                s = lcm // den
-                re = {key: v * s for key, v in re.items()}
-                im = {key: v * s for key, v in im.items()}
-                den = lcm
-            s = den // d
-            for i, v in p_re.items():
-                re[(i, k - i)] = v * s
-            for i, v in p_im.items():
-                im[(i, k - i)] = v * s
-        out.den, out.re, out.im = den, re, im
-        return _jet(EXACT, den, dict(re), dict(im), valid)
+        if k < len(result):
+            return result[k]
+        if k > f.valid_through:
+            raise PrecisionExhausted(f"the outer series is known through degree "
+                                     f"{f.valid_through} < {k}")
+        need = k if out.linear else k - 1
+        if need >= len(p_parts):
+            raise BadParams(f"degree {k} of f(p, q) reads the inner parts of degree {need}, "
+                            f"which are missing")
+        for t in range(len(result), k + 1):
+            result.append(self._next(out.terms, out.rows, t))
+        return result[k]
 
     def _next(self, terms: dict, rows: dict, k: int) -> tuple:
         """The degree-k part of f(p, q), sum over i and a of p^i_a row_i_(k-a),
@@ -956,7 +953,6 @@ class RelaxedComposition:
         *terms* holds the terms (j, f_ij) of f by row i."""
         p_parts, q_parts = self.parts
         p_powers, q_powers = self.powers
-        used = self.used
         for i, row_terms in terms.items():
             if i > k:
                 continue
@@ -967,8 +963,6 @@ class RelaxedComposition:
                 if j == 0:
                     part = _ONE
                 elif j == 1:
-                    if b > used[1]:
-                        used[1] = b
                     part = q_parts[b]
                 elif j < len(q_powers) and b < len(q_powers[j]):
                     part = q_powers[j][b]
@@ -989,8 +983,6 @@ class RelaxedComposition:
                 if i == 0:
                     part = _ONE
                 elif i == 1:
-                    if a > used[0]:
-                        used[0] = a
                     part = p_parts[a]
                 elif i < len(p_powers) and a < len(p_powers[i]):
                     part = p_powers[i][a]
@@ -1005,7 +997,7 @@ class RelaxedComposition:
         powers 2 .. e are extended through degree m: degree n of p^g is
         the sum over b of part b times the degree-(n - b) part of p^(g-1),
         and reads parts below degree n only."""
-        powers, parts, used = self.powers[c], self.parts[c], self.used
+        powers, parts = self.powers[c], self.parts[c]
         while len(powers) <= e:
             powers.append([])
         for g in range(2, e + 1):
@@ -1014,8 +1006,6 @@ class RelaxedComposition:
             for n in range(len(got), m + 1):
                 pairs = []
                 if n >= g:                                  # p^g has order >= g
-                    if n - 1 > used[c]:
-                        used[c] = n - 1
                     for b in range(1, n - g + 2):
                         u, v = parts[b], below[n - b]
                         if (u[1] or u[2]) and (v[1] or v[2]):
@@ -1029,8 +1019,8 @@ def _known_through(jet: Jet2, d: int) -> Jet2:
 
     The only place that raises a claimed valid_through (Jet2.truncate can
     only lower it).  The caller vouches that the result is right through d
-    wherever it is read: the graded passes of germ.CoordinateChange.inverse
-    and mr.linearize know this from the degree of the pass.
+    wherever it is read: the float passes of germ.CoordinateChange.inverse
+    know this from the degree of the pass.
     """
     return _jet(jet.mode, jet.den, _zcut(jet.re, d), _zcut(jet.im, d), d)
 
@@ -1089,10 +1079,12 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     integral raises the degree by one, so an iterate right through degree
     d - 1 gives one right through d, and pass d = 1 .. *degree* composes
     theta with x and u, u known through d - 1, so only through degree
-    d - 1.  The passes of an exact theta share one RelaxedComposition, so
-    pass d computes only degree d - 1 of theta(x, u); a float theta
-    composes afresh each pass.  The result is
-    valid through *degree*, with residual du/dx - theta(x, u) zero through
+    d - 1.  An exact solve keeps u as its homogeneous parts: pass d hands
+    the parts of degree d - 1 of x and u to one RelaxedComposition, takes
+    back the part of degree d - 1 of theta(x, u) and integrates it into
+    the part of degree d of u; one Jet2 is built at the end.  A float
+    theta composes whole jets afresh each pass.  The result is valid
+    through *degree*, with residual du/dx - theta(x, u) zero through
     degree - 1.
     """
     if theta.valid_through < degree:
@@ -1100,15 +1092,29 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
             f"theta known to degree {theta.valid_through} < requested {degree}"
         )
     mode = theta.mode
-    x = Jet2.variable("x", mode, INF)
-    y = Jet2.variable("y", mode, INF)
-    state = RelaxedComposition() if mode == EXACT else None
-    # y is right through degree 0; after pass d, u is valid through d
-    u = y.truncate(min(degree, 0))
+    if mode == FLOAT:
+        x = Jet2.variable("x", mode, INF)
+        y = Jet2.variable("y", mode, INF)
+        # y is right through degree 0; after pass d, u is valid through d
+        u = y.truncate(min(degree, 0))
+        for d in range(1, degree + 1):
+            rhs = jet_compose2(theta, x, u)
+            u = y + rhs.antiderivative_x()
+        return u
+    state = RelaxedComposition()
+    x_1 = (1, {1: 1}, {})           # the part of degree 1 of x; x has no other
+    u_parts = [_ZERO]
     for d in range(1, degree + 1):
-        rhs = jet_compose2(theta, x, u, state)
-        u = y + rhs.antiderivative_x()
-    return u
+        den, re, im = jet_compose2(theta, x_1 if d == 2 else _ZERO, u_parts[d - 1], state, 0,
+                                   d - 1, d - 1)
+        # the integral in x of the term x^i y^(d-1-i) has the key i + 1, over den * lcm
+        lcm = math.lcm(*[i + 1 for i in (re.keys() | im.keys() if im else re)])
+        u_re = {0: den * lcm} if d == 1 else {}      # u = y + ...
+        for i, v in re.items():
+            u_re[i + 1] = v * (lcm // (i + 1))
+        u_parts.append(_part(den * lcm, u_re, {i + 1: v * (lcm // (i + 1))
+                                                 for i, v in im.items()}))
+    return _from_parts(u_parts[:max(degree + 1, 0)], degree)
 
 
 # ---------------------------------------------------------------------------

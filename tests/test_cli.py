@@ -51,6 +51,9 @@ ROWS = [
     # bad parameters are errors, not tracebacks
     (["holonomy", "--radius", "0"], ERROR),
     (["holonomy", "--seed", "100"], ERROR),
+    # a non-finite lambda ended in an AssertionError traceback
+    (["holonomy", "--lam", "nan"], ERROR),
+    (["holonomy", "--lam", "inf"], ERROR),
     (["period", "--pencil", "elliptic", "--leaf-re", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),

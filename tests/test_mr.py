@@ -57,6 +57,13 @@ def test_contraction_identity_grid():
                 assert contraction.is_zero()
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 complex(1, math.inf)])
+def test_formal_form_rejects_a_non_finite_lambda(lam):
+    with pytest.raises(BadParams):
+        MRFormalForm(1, 1, 1, lam)
+
+
 def test_formal_vf_exponent_convention():
     # (m, n) = (2, 1): the invariant is x^n y^m = x y^2
     vf = mr_formal_vf(MRFormalForm(2, 1, 2, GR(1)), EXACT, 12)

@@ -7,29 +7,35 @@ composing from degree 0, are the oracles t_graded_inverse,
 t_graded_ode_solve and t_graded_linearize: on exact inputs of degree
 6 .. 12 (dense or sparse, real or Gaussian, polynomial or truncated) the
 solvers must return the same den, re, im and valid_through, and the same
-obstruction.  The state itself must give what jet_compose2 gives without
-one, and raise InputChanged, never a stale value, when a part it has used
-changes.
+obstruction, at degrees 0 .. 5 too.  The state works on homogeneous
+parts: each part it returns must be the homogeneous part of what
+jet_compose2 gives without one, and it must raise BadParams, never give a
+stale value, when it is handed a part out of order or another part for a
+degree it holds.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germforge.errors import (BadParams, GermforgeError, InputChanged, ModeMismatch,
-                              PrecisionExhausted)
+from germforge.errors import BadParams, GermforgeError, ModeMismatch, PrecisionExhausted
 from germforge.germ import CoordinateChange, VectorFieldGerm
 from germforge.mr import linearize
-from germforge.scalars import EXACT, GaussianRational as GR
-from germforge.series import (INF, Jet2, RelaxedComposition, _known_through, jet_compose2,
-                              series_ode_solve)
+from germforge.scalars import EXACT, FLOAT, GaussianRational as GR
+from germforge.series import (_ZERO, INF, Jet2, RelaxedComposition, _from_parts, _split,
+                              jet_compose2, series_ode_solve)
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "germbench"))
+from tracer import TARGETS  # noqa: E402  (what the bench tracer rebinds, and where)
 
 
 def _same(out: Jet2, want: Jet2):
@@ -181,25 +187,50 @@ def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
         _same(got, ref)
 
 
-# -- the state on its own ---------------------------------------------------------
+# -- the state on its own: the part protocol -----------------------------------------
+#
+# With a state, jet_compose2(f, p, q, state, slot, n, k) takes p and q as the
+# inner pair's parts of degree n and returns the part of degree k of f(p, q).
+
+def _parts(jet: Jet2, top: int) -> list:
+    return _split(jet, top)
+
+
+def _as_jet(part: tuple, k: int) -> Jet2:
+    """The part of degree k as a Jet2 (den, re, im compared, not valid_through)."""
+    return _from_parts([_ZERO] * k + [part], INF)
+
+
+def _same_part(part: tuple, k: int, want: Jet2):
+    got = _as_jet(part, k)
+    want = want.homogeneous_part(k)
+    assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
+
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 8), st.booleans(), st.randoms(use_true_random=False))
+@given(st.integers(1, 8), st.booleans(), st.randoms(use_true_random=False))
 def test_a_state_gives_what_jet_compose2_gives(top, with_linear, rng):
     """Calls in the pattern of a graded solve, two outer series and an inner
-    pair known one degree further each call: each result equals the
-    composition without a state, den, re, im and valid_through."""
+    pair known one degree further each pass: each part returned equals the
+    homogeneous part of the composition without a state.  With a linear
+    outer term degree k reads the inner parts of degree k, so a pass hands
+    them over first (as series_ode_solve does); otherwise it hands over the
+    parts of degree k - 1 (as inverse and linearize do)."""
     low = 1 if with_linear else 2
     outers = [Jet2(EXACT, _terms(rng, low, top, 0.6, True), top) for _ in range(2)]
     inner = [Jet2(EXACT, {(1, 0): GR(1), (0, 1): GR(k), **_terms(rng, 2, top, 0.6, True)}, INF)
              for k in (2, -1)]
+    wants = [jet_compose2(f, *inner) for f in outers]
+    p_parts, q_parts = (_parts(c, top) for c in inner)
     state = RelaxedComposition()
-    for d in range(1, top + 1):
-        # with a linear outer term the result through d reads the inner
-        # pair's degree d, which must then be known
-        p, q = (_known_through(c.truncate(d if with_linear else d - 1), d) for c in inner)
+    for k in range(1, top + 1):
+        n = k if with_linear else k - 1
         for slot, f in enumerate(outers):
-            _same(jet_compose2(f, p, q, state, slot), jet_compose2(f, p, q))
+            _same_part(jet_compose2(f, p_parts[n], q_parts[n], state, slot, n, k), k,
+                       wants[slot])
+    # a degree given before is given again, as it was
+    n = top if with_linear else top - 1
+    _same_part(jet_compose2(outers[0], p_parts[n], q_parts[n], state, 0, n, 1), 1, wants[0])
 
 
 def _pair():
@@ -210,6 +241,19 @@ def _pair():
     return f, p, q
 
 
+def _lead(f: Jet2) -> int:
+    """How far the degree asked for runs ahead of the inner parts handed over."""
+    return 0 if any(i + j == 1 for i, j in f.coeffs) else 1
+
+
+def _run(state, f, p, q, through):
+    """Passes n = 1 .. through of a solve; the parts through degree through + 1."""
+    p_parts, q_parts = _parts(p, through + 1), _parts(q, through + 1)
+    for n in range(1, through + 1):
+        jet_compose2(f, p_parts[n], q_parts[n], state, 0, n, n + _lead(f))
+    return p_parts, q_parts
+
+
 # an outer series that reads p only through powers p^i, i >= 2; q only
 # through powers; both through the rows' q^1 and p^1 . row_1; both directly
 # through linear terms
@@ -217,49 +261,143 @@ def _pair():
     ({(2, 0): 1}, "p"), ({(0, 3): -1}, "q"), ({(1, 1): 2}, "p"), ({(1, 1): 2}, "q"),
     ({(1, 0): 1, (0, 1): 1}, "p"), ({(1, 0): 1, (0, 1): 1}, "q")])
 def test_a_state_raises_when_a_used_lower_degree_changes(outer, changed):
+    """The state only appends: a part handed over again for a degree it
+    holds must be the one it holds, or the call raises BadParams."""
     _, p, q = _pair()
     f = Jet2.from_coeffs(outer, EXACT, 6)
     state = RelaxedComposition()
-    jet_compose2(f, p.truncate(4), q.truncate(4), state)
-    bump = Jet2.monomial(1, 1, 5)           # a new degree-2 part, read by then
-    p, q = (p + bump, q) if changed == "p" else (p, q + bump)
-    with pytest.raises(InputChanged):
-        jet_compose2(f, p.truncate(5), q.truncate(5), state)
-    assert issubclass(InputChanged, GermforgeError)
+    p_parts, q_parts = _run(state, f, p, q, 3)
+    bumped = _parts(Jet2.monomial(1, 1, 5), 2)[2]       # another degree-2 part
+    parts = (bumped, q_parts[2]) if changed == "p" else (p_parts[2], bumped)
+    with pytest.raises(BadParams):
+        jet_compose2(f, *parts, state, 0, 2, 2)
+    # the state is unharmed: the next pass gives what jet_compose2 gives
+    k = 4 + _lead(f)
+    _same_part(jet_compose2(f, p_parts[4], q_parts[4], state, 0, 4, k), k,
+               jet_compose2(f, p, q))
 
 
 def test_a_state_raises_when_a_used_outer_term_changes():
     f, p, q = _pair()
     state = RelaxedComposition()
-    jet_compose2(f, p.truncate(4), q.truncate(4), state)
-    with pytest.raises(InputChanged):
-        jet_compose2(f + Jet2.monomial(1, 2, 1), p.truncate(5), q.truncate(5), state)
-    # a new outer series in another slot is free
+    p_parts, q_parts = _run(state, f, p, q, 3)
     g = f + Jet2.monomial(1, 2, 1)
-    _same(jet_compose2(g, p.truncate(5), q.truncate(5), state, 1),
-          jet_compose2(g, p.truncate(5), q.truncate(5)))
+    with pytest.raises(BadParams):
+        jet_compose2(g, p_parts[4], q_parts[4], state, 0, 4, 5)
+    # a new outer series in another slot is free
+    _same_part(jet_compose2(g, p_parts[4], q_parts[4], state, 1, 4, 5), 5, jet_compose2(g, p, q))
 
 
 def test_a_state_takes_a_newest_degree_that_nothing_read():
     # an outer series with no linear term reads the inner pair below the
-    # result's top degree only: a pass may hand over its newest degree as zero
+    # asked degree only: a pass asks for degree n + 1 with the parts of degree n
     f, p, q = _pair()
     state = RelaxedComposition()
-    p3, q3 = _known_through(p.truncate(2), 3), _known_through(q.truncate(2), 3)
-    _same(jet_compose2(f, p3, q3, state), jet_compose2(f, p3, q3))
-    p4, q4 = p.truncate(4), q.truncate(4)
-    _same(jet_compose2(f, p4, q4, state), jet_compose2(f, p4, q4))
-    # and a call for fewer degrees than the state holds
-    p3, q3 = p.truncate(3), q.truncate(3)
-    _same(jet_compose2(f, p3, q3, state), jet_compose2(f, p3, q3))
+    p_parts, q_parts = _parts(p, 5), _parts(q, 5)
+    want = jet_compose2(f, p, q)
+    for n in range(1, 6):
+        _same_part(jet_compose2(f, p_parts[n], q_parts[n], state, 0, n, n + 1), n + 1, want)
+
+
+def test_a_state_raises_when_inner_parts_are_missing():
+    f, p, q = _pair()
+    p_parts, q_parts = _parts(p, 4), _parts(q, 4)
+    # degree 3 of an f without a linear term reads the parts through degree 2
+    state = RelaxedComposition()
+    jet_compose2(f, p_parts[1], q_parts[1], state, 0, 1, 2)
+    with pytest.raises(BadParams):
+        jet_compose2(f, p_parts[1], q_parts[1], state, 0, 1, 3)
+    # degree 2 of an f with a linear term reads the parts of degree 2
+    linear = f + Jet2.variable("y").truncate(6)
+    state = RelaxedComposition()
+    with pytest.raises(BadParams):
+        jet_compose2(linear, p_parts[1], q_parts[1], state, 0, 1, 2)
+    _same_part(jet_compose2(linear, p_parts[2], q_parts[2], state, 0, 2, 2), 2,
+               jet_compose2(linear, p, q))
+
+
+def test_a_state_refuses_a_degree_out_of_order():
+    f, p, q = _pair()
+    p_parts, q_parts = _parts(p, 4), _parts(q, 4)
+    state = RelaxedComposition()
+    with pytest.raises(BadParams):          # degree 1 not handed over yet
+        jet_compose2(f, p_parts[2], q_parts[2], state, 0, 2, 3)
+    jet_compose2(f, p_parts[1], q_parts[1], state, 0, 1, 2)
+    with pytest.raises(BadParams):
+        jet_compose2(f, p_parts[3], q_parts[3], state, 0, 3, 4)
+    with pytest.raises(BadParams):          # a part in the place of another degree's
+        jet_compose2(f, p_parts[2], q_parts[2], state, 0, 1, 2)
 
 
 def test_a_state_refuses_what_it_cannot_compose():
     f, p, q = _pair()
+    p_parts, q_parts = _parts(p, 3), _parts(q, 3)
     with pytest.raises(ModeMismatch):
-        jet_compose2(f.to_float(), p.to_float(), q.to_float(), RelaxedComposition())
-    polynomial = Jet2.from_coeffs({(2, 0): 1}, EXACT, INF)
-    with pytest.raises(BadParams):      # all known exactly: the result is known through INF
-        jet_compose2(polynomial, p, q, RelaxedComposition())
-    with pytest.raises(BadParams):      # an inner constant term
-        jet_compose2(polynomial, p + Jet2.const(1), q.truncate(3), RelaxedComposition())
+        jet_compose2(f.to_float(), p_parts[1], q_parts[1], RelaxedComposition(), 0, 1, 2)
+    with pytest.raises(BadParams):          # an inner constant term: p(0) != 0
+        jet_compose2(f, _parts(Jet2.const(1), 0)[0], q_parts[0], RelaxedComposition(), 0, 0, 1)
+    with pytest.raises(PrecisionExhausted):     # f known through degree 6 only
+        state = RelaxedComposition()
+        for n in range(1, 4):
+            jet_compose2(f, p_parts[n] if n < 3 else _ZERO, q_parts[n] if n < 3 else _ZERO,
+                         state, 0, n, 7)
+
+
+# -- the bench tracer's contract ----------------------------------------------------
+#
+# germbench/tracer.py counts the jet_compose2 calls inside inverse and
+# series_ode_solve, and CoordinateChange.compose calls, by rebinding them
+# where germforge holds them.  A solver that stopped making these calls
+# would leave the traced bench without the work it reports; these counts
+# are the solvers' passes.
+
+def _count_calls(monkeypatch, label: str) -> list:
+    """Rebind the function the tracer labels *label* as the tracer does, to
+    a wrapper that notes each call; returns the list of notes."""
+    owner, (attr,) = TARGETS[label]
+    original, calls = getattr(owner, attr), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(label)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, attr, wrapper)
+        return calls
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "germforge" or name.startswith("germforge.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("top", [1, 2, 7])
+def test_inverse_composes_twice_per_pass(monkeypatch, mode, top):
+    x, y = Jet2.variable("x"), Jet2.variable("y")
+    comp1 = x + y.scale(2) + Jet2.from_coeffs({(2, 0): 1, (1, 2): -3}, EXACT, INF)
+    comp2 = y + Jet2.from_coeffs({(1, 1): GR(1, 2)}, EXACT, INF)
+    change = CoordinateChange.from_series(*((c if mode == EXACT else c.to_float()).truncate(7)
+                                            for c in (comp1, comp2)))
+    calls = _count_calls(monkeypatch, "series.jet_compose2")
+    change.inverse(top)
+    assert len(calls) == 2 * max(top - 1, 0)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("degree", [0, 1, 6])
+def test_ode_solve_composes_once_per_pass(monkeypatch, mode, degree):
+    theta = Jet2.from_coeffs({(0, 0): 1, (0, 1): 2, (1, 1): -1, (0, 3): GR(0, 1)}, EXACT, 6)
+    calls = _count_calls(monkeypatch, "series.jet_compose2")
+    series_ode_solve(theta if mode == EXACT else theta.to_float(), degree)
+    assert len(calls) == degree
+
+
+@pytest.mark.parametrize("top", [1, 2, 7])
+def test_linearize_composes_once_per_pass(monkeypatch, top):
+    field = VectorFieldGerm(Jet2.from_coeffs({(1, 0): 2, (2, 1): 1, (0, 2): 3}, EXACT, 7),
+                            Jet2.from_coeffs({(0, 1): -1, (1, 1): GR(1, 1)}, EXACT, 7))
+    calls = _count_calls(monkeypatch, "germ.compose")
+    linearize(field, top)
+    assert len(calls) == max(top - 1, 0)
