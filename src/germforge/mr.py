@@ -150,7 +150,8 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
                     pairs += [(_minus_derivative(h, d - e + 1, var), res[var][e])
                               for var in (0, 1) if res[var][e] is not _ZERO]
             den, re, im = series._piece(pairs) if len(pairs) > 1 else rhs[k]
-            # the terms in the order of the scalar view: re's keys, then im's others
+            # the order of the scalar view, re's keys and then im's others: the
+            # obstruction is the first resonant term in it
             order = [*re, *(i for i in im if i not in re)] if im else list(re)
             im = {i: im[i] for i in order if i in im}
             gaps = {i: i * m - (d - i) * n + shift for i in order}

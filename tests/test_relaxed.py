@@ -192,18 +192,9 @@ def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
 # With a state, jet_compose2(f, p, q, state, slot, n, k) takes p and q as the
 # inner pair's parts of degree n and returns the part of degree k of f(p, q).
 
-def _parts(jet: Jet2, top: int) -> list:
-    return _split(jet, top)
-
-
-def _as_jet(part: tuple, k: int) -> Jet2:
-    """The part of degree k as a Jet2 (den, re, im compared, not valid_through)."""
-    return _from_parts([_ZERO] * k + [part], INF)
-
-
 def _same_part(part: tuple, k: int, want: Jet2):
-    got = _as_jet(part, k)
-    want = want.homogeneous_part(k)
+    """The part of degree k is that of *want* (den, re and im)."""
+    got, want = _from_parts([_ZERO] * k + [part], INF), want.homogeneous_part(k)
     assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
 
 
@@ -221,7 +212,7 @@ def test_a_state_gives_what_jet_compose2_gives(top, with_linear, rng):
     inner = [Jet2(EXACT, {(1, 0): GR(1), (0, 1): GR(k), **_terms(rng, 2, top, 0.6, True)}, INF)
              for k in (2, -1)]
     wants = [jet_compose2(f, *inner) for f in outers]
-    p_parts, q_parts = (_parts(c, top) for c in inner)
+    p_parts, q_parts = (_split(c, top) for c in inner)
     state = RelaxedComposition()
     for k in range(1, top + 1):
         n = k if with_linear else k - 1
@@ -248,7 +239,7 @@ def _lead(f: Jet2) -> int:
 
 def _run(state, f, p, q, through):
     """Passes n = 1 .. through of a solve; the parts through degree through + 1."""
-    p_parts, q_parts = _parts(p, through + 1), _parts(q, through + 1)
+    p_parts, q_parts = _split(p, through + 1), _split(q, through + 1)
     for n in range(1, through + 1):
         jet_compose2(f, p_parts[n], q_parts[n], state, 0, n, n + _lead(f))
     return p_parts, q_parts
@@ -267,7 +258,7 @@ def test_a_state_raises_when_a_used_lower_degree_changes(outer, changed):
     f = Jet2.from_coeffs(outer, EXACT, 6)
     state = RelaxedComposition()
     p_parts, q_parts = _run(state, f, p, q, 3)
-    bumped = _parts(Jet2.monomial(1, 1, 5), 2)[2]       # another degree-2 part
+    bumped = _split(Jet2.monomial(1, 1, 5), 2)[2]       # another degree-2 part
     parts = (bumped, q_parts[2]) if changed == "p" else (p_parts[2], bumped)
     with pytest.raises(BadParams):
         jet_compose2(f, *parts, state, 0, 2, 2)
@@ -293,7 +284,7 @@ def test_a_state_takes_a_newest_degree_that_nothing_read():
     # asked degree only: a pass asks for degree n + 1 with the parts of degree n
     f, p, q = _pair()
     state = RelaxedComposition()
-    p_parts, q_parts = _parts(p, 5), _parts(q, 5)
+    p_parts, q_parts = _split(p, 5), _split(q, 5)
     want = jet_compose2(f, p, q)
     for n in range(1, 6):
         _same_part(jet_compose2(f, p_parts[n], q_parts[n], state, 0, n, n + 1), n + 1, want)
@@ -301,7 +292,7 @@ def test_a_state_takes_a_newest_degree_that_nothing_read():
 
 def test_a_state_raises_when_inner_parts_are_missing():
     f, p, q = _pair()
-    p_parts, q_parts = _parts(p, 4), _parts(q, 4)
+    p_parts, q_parts = _split(p, 4), _split(q, 4)
     # degree 3 of an f without a linear term reads the parts through degree 2
     state = RelaxedComposition()
     jet_compose2(f, p_parts[1], q_parts[1], state, 0, 1, 2)
@@ -318,7 +309,7 @@ def test_a_state_raises_when_inner_parts_are_missing():
 
 def test_a_state_refuses_a_degree_out_of_order():
     f, p, q = _pair()
-    p_parts, q_parts = _parts(p, 4), _parts(q, 4)
+    p_parts, q_parts = _split(p, 4), _split(q, 4)
     state = RelaxedComposition()
     with pytest.raises(BadParams):          # degree 1 not handed over yet
         jet_compose2(f, p_parts[2], q_parts[2], state, 0, 2, 3)
@@ -331,11 +322,11 @@ def test_a_state_refuses_a_degree_out_of_order():
 
 def test_a_state_refuses_what_it_cannot_compose():
     f, p, q = _pair()
-    p_parts, q_parts = _parts(p, 3), _parts(q, 3)
+    p_parts, q_parts = _split(p, 3), _split(q, 3)
     with pytest.raises(ModeMismatch):
         jet_compose2(f.to_float(), p_parts[1], q_parts[1], RelaxedComposition(), 0, 1, 2)
     with pytest.raises(BadParams):          # an inner constant term: p(0) != 0
-        jet_compose2(f, _parts(Jet2.const(1), 0)[0], q_parts[0], RelaxedComposition(), 0, 0, 1)
+        jet_compose2(f, _split(Jet2.const(1), 0)[0], q_parts[0], RelaxedComposition(), 0, 0, 1)
     with pytest.raises(PrecisionExhausted):     # f known through degree 6 only
         state = RelaxedComposition()
         for n in range(1, 4):

@@ -8,7 +8,7 @@ both, their ratio and whether the outputs agree as JSON.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_graded_solves.json
+    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 97 --out BENCH_graded_solves.json
 
 PATH is the root of a checkout of the parent commit.  Each tree is timed
 in a process of its own (the same script with --time SRC): it runs every
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -57,12 +58,11 @@ def time_tree(src: str, seed: int, sweeps: int, repeat: int) -> dict:
     import jobs
     from germforge import germ, mr, series
 
-    owners = {"inverse": (germ.CoordinateChange,), "series_ode_solve": (series,),
-              "linearize": (mr,)}
+    owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr}
     calls = []
     undo = []
     for name in SOLVERS:
-        owner = owners[name][0]
+        owner = owners[name]
         original = getattr(owner, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -106,7 +106,7 @@ def _run_child(tree: Path, seed: int, args) -> dict:
 
 def _commit(tree: Path) -> str:
     try:
-        return subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
+        return subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
                               check=True, capture_output=True, text=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -119,10 +119,12 @@ def compare(args) -> dict:
         "what": "per-call times of the graded solvers on the exact-normalize inputs of "
                 f"sweeps 0-{args.sweeps - 1}: least of {args.repeat} timed calls, and of "
                 f"{args.rounds} alternating rounds of the two trees",
-        "command": "python3 tools/bench_graded_solves.py " + " ".join(sys.argv[1:]),
+        "command": "python3 tools/bench_graded_solves.py --parent PARENT --seeds "
+                   + " ".join(map(str, args.seeds))
+                   + f" --sweeps {args.sweeps} --repeat {args.repeat} --rounds {args.rounds}",
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "machine": {"python": platform.python_version(), "processor": platform.machine(),
-                    "system": platform.system()},
+                    "system": platform.system(), "cpus": os.cpu_count()},
         "seeds": {},
     }
     for seed in args.seeds:
