@@ -105,9 +105,14 @@ def _run_child(tree: Path, seed: int, args) -> dict:
 
 
 def _commit(tree: Path) -> str:
+    """The last commit that changed src/ in *tree*, marked when src/ has
+    edits not committed."""
+    def git(*cmd):
+        return subprocess.run(["git", "-C", str(tree), *cmd, "--", "src"], check=True,
+                              capture_output=True, text=True).stdout.strip()
     try:
-        return subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
-                              check=True, capture_output=True, text=True).stdout.strip()
+        return git("log", "-1", "--format=%h") + (" with edits" if git("status", "--porcelain")
+                                                  else "")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
