@@ -150,11 +150,7 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
                     pairs += [(_minus_derivative(h, d - e + 1, var), res[var][e])
                               for var in (0, 1) if res[var][e] is not _ZERO]
             den, re, im = series._piece(pairs) if len(pairs) > 1 else rhs[k]
-            # the order of the scalar view, re's keys and then im's others: the
-            # obstruction is the first resonant term in it
-            order = [*re, *(i for i in im if i not in re)] if im else list(re)
-            im = {i: im[i] for i in order if i in im}
-            gaps = {i: i * m - (d - i) * n + shift for i in order}
+            gaps = {i: i * m - (d - i) * n + shift for i in (re.keys() | im.keys() if im else re)}
             scale = math.lcm(*[abs(g) for g in gaps.values() if g])
             h_re, h_im, r_re, r_im = {}, {}, {}, {}
             for nums, h_nums, r_nums in ((re, h_re, r_re), (im, h_im, r_im)):

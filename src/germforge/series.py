@@ -250,11 +250,6 @@ class Jet2:
     def degree_bound(self) -> int:
         return max(map(sum, self._keys()), default=0)
 
-    def homogeneous_part(self, d: int) -> "Jet2":
-        re = {k: v for k, v in self.re.items() if k[0] + k[1] == d}
-        im = {k: v for k, v in self.im.items() if k[0] + k[1] == d}
-        return _jet(self.mode, self.den, re, im, self.valid_through)
-
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other: "Jet2"):
         scalars.check_same_mode(self.mode, other.mode)

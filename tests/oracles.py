@@ -62,6 +62,13 @@ from germforge.series import (DIVISIBLE, Jet1, Jet2, _jet, _reduced, _zscaled, _
 Z2 = tuple  # exponent pair
 
 
+def homogeneous_part(jet: Jet2, d: int) -> Jet2:
+    """The terms of *jet* of total degree d, with jet's valid_through."""
+    re = {k: v for k, v in jet.re.items() if k[0] + k[1] == d}
+    im = {k: v for k, v in jet.im.items() if k[0] + k[1] == d}
+    return _jet(jet.mode, jet.den, re, im, jet.valid_through)
+
+
 def gr(re=0, im=0):
     return (Fraction(re), Fraction(im))
 
@@ -476,7 +483,7 @@ def t_graded_linearize(x, degree=None):
         res = [series._known_through(c, d) for c in res]
         for k, shift, name in ((0, -m, "x"), (1, n, "y")):
             h_d, r_d = {}, {}
-            for (i, j), c in rhs[k].homogeneous_part(d).coeffs.items():
+            for (i, j), c in homogeneous_part(rhs[k], d).coeffs.items():
                 gap = i * m - j * n + shift
                 if gap:
                     h_d[(i, j)] = c / gap
@@ -1282,8 +1289,8 @@ def t_linearize(x, m, n, degree):
     xv = Jet2.variable("x", EXACT, degree)
     yv = Jet2.variable("y", EXACT, degree)
     for d in range(2, degree + 1):
-        pa = current.a.homogeneous_part(d)
-        pb = current.b.homogeneous_part(d)
+        pa = homogeneous_part(current.a, d)
+        pb = homogeneous_part(current.b, d)
         if pa.is_zero() and pb.is_zero():
             continue
         h1 = {}

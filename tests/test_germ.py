@@ -80,7 +80,7 @@ def test_bracket_nonzero_for_separatrix_lemma_pair():
     assert not br.is_zero()
     # bracket of two homogeneous quadratic fields is homogeneous cubic
     assert br.order() == 3
-    assert br.a.homogeneous_part(3).equals(br.a)
+    assert oracles.homogeneous_part(br.a, 3).equals(br.a)
 
 
 def test_bracket_antisymmetry_and_jacobi():

@@ -194,7 +194,7 @@ def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
 
 def _same_part(part: tuple, k: int, want: Jet2):
     """The part of degree k is that of *want* (den, re and im)."""
-    got, want = _from_parts([_ZERO] * k + [part], INF), want.homogeneous_part(k)
+    got, want = _from_parts([_ZERO] * k + [part], INF), oracles.homogeneous_part(want, k)
     assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
 
 

@@ -2,9 +2,9 @@
 
 Times germ.CoordinateChange.inverse, series.series_ode_solve and
 mr.linearize on every call that the exact-normalize jobs of the benchmark
-(germbench/jobs.py) make in the first --sweeps sweeps, once with the
-germforge of a parent checkout and once with this checkout's, and writes
-both, their ratio and whether the outputs agree as JSON.
+(germbench/jobs.py) make in sweeps 0-1, once with the germforge of a
+parent checkout and once with this checkout's, and writes both, their
+ratio and whether the outputs agree as JSON.
 
 Usage, from the root of a checkout:
 
@@ -13,12 +13,12 @@ Usage, from the root of a checkout:
 PATH is the root of a checkout of the parent commit.  Each tree is timed
 in a process of its own (the same script with --time SRC): it runs every
 job once to capture the solver calls with their inputs, then times each
-captured call --repeat times and keeps the least time, which is the one
+captured call REPEAT times and keeps the least time, which is the one
 least disturbed by other work on the machine.  The trees take turns
---rounds times per seed, and each call keeps its least time over the
+ROUNDS times per seed, and each call keeps its least time over the
 rounds too.  A solver's time is the sum over its calls.  The outputs of
-every call are compared through a digest of their stored numerators, in
-their stored order, valid_through and obstruction.
+every call are compared through a digest of their stored numerators,
+sorted by exponent, valid_through and obstruction.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = ("inverse", "series_ode_solve", "linearize")
+SWEEPS, REPEAT, ROUNDS = 2, 5, 4
 
 
 def _jet(jet):
-    return jet.mode, jet.den, list(jet.re.items()), list(jet.im.items()), jet.valid_through
+    return jet.mode, jet.den, sorted(jet.re.items()), sorted(jet.im.items()), jet.valid_through
 
 
 def _canonical(name, out):
@@ -51,7 +52,7 @@ def _canonical(name, out):
     return _jet(out)
 
 
-def time_tree(src: str, seed: int, sweeps: int, repeat: int) -> dict:
+def time_tree(src: str, seed: int) -> dict:
     """Capture and time the solver calls with the germforge under *src*."""
     sys.path.insert(0, src)
     sys.path.insert(0, str(ROOT / "germbench"))
@@ -79,7 +80,7 @@ def time_tree(src: str, seed: int, sweeps: int, repeat: int) -> dict:
                     undo.append((holder, key, value))
                     setattr(holder, key, wrapper)
     workload = jobs.WORKLOADS["exact-normalize"](seed)
-    for sweep in range(sweeps):
+    for sweep in range(SWEEPS):
         for i in range(workload.slots):
             job = workload.job(i, sweep)
             job.run()
@@ -88,7 +89,7 @@ def time_tree(src: str, seed: int, sweeps: int, repeat: int) -> dict:
     times, digests = [], []
     for name, fn, args, kwargs in calls:
         best = float("inf")
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             t0 = time.perf_counter()
             out = fn(*args, **kwargs)
             best = min(best, time.perf_counter() - t0)
@@ -97,9 +98,9 @@ def time_tree(src: str, seed: int, sweeps: int, repeat: int) -> dict:
     return {"names": [c[0] for c in calls], "times": times, "digests": digests}
 
 
-def _run_child(tree: Path, seed: int, args) -> dict:
+def _run_child(tree: Path, seed: int) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--time", str(tree / "src"),
-           "--seeds", str(seed), "--sweeps", str(args.sweeps), "--repeat", str(args.repeat)]
+           "--seeds", str(seed)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -122,11 +123,10 @@ def compare(args) -> dict:
     trees = {"parent": parent, "change": ROOT}
     report = {
         "what": "per-call times of the graded solvers on the exact-normalize inputs of "
-                f"sweeps 0-{args.sweeps - 1}: least of {args.repeat} timed calls, and of "
-                f"{args.rounds} alternating rounds of the two trees",
+                f"sweeps 0-{SWEEPS - 1}: least of {REPEAT} timed calls, and of "
+                f"{ROUNDS} alternating rounds of the two trees",
         "command": "python3 tools/bench_graded_solves.py --parent PARENT --seeds "
-                   + " ".join(map(str, args.seeds))
-                   + f" --sweeps {args.sweeps} --repeat {args.repeat} --rounds {args.rounds}",
+                   + " ".join(map(str, args.seeds)),
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "machine": {"python": platform.python_version(), "processor": platform.machine(),
                     "system": platform.system(), "cpus": os.cpu_count()},
@@ -134,9 +134,9 @@ def compare(args) -> dict:
     }
     for seed in args.seeds:
         best = {}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                got = _run_child(trees[side], seed, args)
+                got = _run_child(trees[side], seed)
                 if side in best:
                     assert best[side]["names"] == got["names"]
                     got["times"] = [min(a, b) for a, b in zip(best[side]["times"], got["times"])]
@@ -165,14 +165,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", help="root of a checkout of the parent commit")
     ap.add_argument("--seeds", type=int, nargs="+", default=[11])
-    ap.add_argument("--sweeps", type=int, default=2)
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--rounds", type=int, default=2)
     ap.add_argument("--out", default="BENCH_graded_solves.json")
     ap.add_argument("--time", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.time:
-        print(json.dumps(time_tree(args.time, args.seeds[0], args.sweeps, args.repeat)))
+        print(json.dumps(time_tree(args.time, args.seeds[0])))
         return 0
     if not args.parent:
         ap.error("--parent is required")
