@@ -471,54 +471,6 @@ def _zproduct(a: tuple, b: tuple, valid) -> tuple:
     return a[0] * b[0], _nonzero(re), _nonzero(im)
 
 
-def _zreciprocal(a: Jet2, valid, bound: int) -> Jet2:
-    """Exact series inverse through degree *bound* (see jet_reciprocal)."""
-    c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
-    # a / a(0,0) = 1 + H / D with H = A * conj(A(0,0)) / g and D = |A(0,0)|^2 / g,
-    # g the gcd of |A(0,0)|^2 and every component of A * conj(A(0,0))
-    norm = c_re * c_re + c_im * c_im
-    h_re: dict = {}
-    h_im: dict = {}
-    _gmul_into(h_re, h_im, {k: v for k, v in a.re.items() if k != (0, 0)},
-               {k: v for k, v in a.im.items() if k != (0, 0)},
-               {(0, 0): c_re}, {(0, 0): -c_im}, INF)
-    h_re, h_im = _nonzero(h_re), _nonzero(h_im)
-    g = math.gcd(norm, *h_re.values(), *h_im.values())
-    base = norm // g
-    # G_d = -D^(d-1) H_d grouped by degree d, so that B_s = sum_d G_d B_(s-d)
-    by_degree: Dict[int, Tuple[dict, dict]] = {}
-    for part, h in ((0, h_re), (1, h_im)):
-        for (i, j), v in h.items():
-            d = i + j
-            by_degree.setdefault(d, ({}, {}))[part][(i, j)] = -(v // g) * base ** (d - 1)
-    levels = {0: ({(0, 0): 1}, {})}
-    for s in range(1, bound + 1):
-        acc_re: dict = {}
-        acc_im: dict = {}
-        for d, (g_re, g_im) in by_degree.items():
-            lower = levels.get(s - d)
-            if lower is not None:
-                _gmul_into(acc_re, acc_im, g_re, g_im, lower[0], lower[1], INF)
-        acc_re, acc_im = _nonzero(acc_re), _nonzero(acc_im)
-        if acc_re or acc_im:
-            levels[s] = (acc_re, acc_im)
-    # 1 / a(0,0) = U / norm with U = den(a) * conj(A(0,0)), so the degree-s
-    # part is B_s U / (norm base^s); bring every level to norm base^top
-    u_re, u_im = a.den * c_re, -a.den * c_im
-    top = max(levels)
-    re, im = {}, {}
-    for s, (b_re, b_im) in levels.items():
-        lift = base ** (top - s)
-        for k in b_re.keys() | b_im.keys():
-            br, bi = b_re.get(k, 0), b_im.get(k, 0)
-            n_re, n_im = br * u_re - bi * u_im, br * u_im + bi * u_re
-            if n_re:
-                re[k] = n_re * lift
-            if n_im:
-                im[k] = n_im * lift
-    return _jet(EXACT, norm * base ** top, re, im, valid)
-
-
 # ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
@@ -631,11 +583,15 @@ def jet_pow(a: Jet2, e: int) -> Jet2:
 def jet_reciprocal(a: Jet2) -> Jet2:
     """Series inverse of a unit (a(0,0) != 0).
 
-    Exact mode divides by the constant term first: a / a(0,0) = 1 + H / D
-    with Gaussian-integer H and integer D, so the degree-s part of the
-    inverse is an integer numerator B_s over D^s, with
-    B_s = -sum_{0<d<=s} D^(d-1) H_d B_(s-d).  Float mode runs the same
-    degree-by-degree recurrence on complex coefficients.
+    Both modes run the classical power-series recurrence (Knuth, TAOCP
+    vol. 2, 4.7) degree by degree: b_0 = 1 / a_0 and
+    b_s = -b_0 * sum_{0<d<=s} a_d b_(s-d), a_d and b_s the homogeneous
+    parts of degree d and s.  Exact mode keeps the parts reduced, as
+    _split keys them: b_0 is den(a) * conj(c) / |c|^2 for the stored
+    constant numerator c, each nonzero a_d is scaled by -b_0 once, each
+    b_s is one _piece over the pairs (-b_0 a_d, b_(s-d)), and one
+    _from_parts builds the jet.  Float mode runs the recurrence on
+    complex coefficients.
     """
     if not _has_constant(a):
         raise NotAUnit("jet_reciprocal: constant term vanishes")
@@ -647,7 +603,17 @@ def jet_reciprocal(a: Jet2) -> Jet2:
         valid = DEFAULT_DEGREE
     bound = int(valid) if nonconstant else 0
     if a.mode == EXACT:
-        return _zreciprocal(a, valid, bound)
+        c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
+        norm, u_re, u_im = c_re * c_re + c_im * c_im, a.den * c_re, -a.den * c_im
+        parts = [_part(norm, {0: u_re}, {0: u_im})]
+        neg_b0 = _part(norm, {0: -u_re}, {0: -u_im})
+        scaled = [(d, _piece([(neg_b0, part)]))
+                  for d, part in enumerate(_split(a, bound)) if d and (part[1] or part[2])]
+        for s in range(1, bound + 1):
+            pairs = [(a_d, parts[s - d]) for d, a_d in scaled
+                     if d <= s and (parts[s - d][1] or parts[s - d][2])]
+            parts.append(_piece(pairs) if pairs else _ZERO)
+        return _from_parts(parts, valid)
     inv0 = scalars.one(a.mode) / a.re[(0, 0)]
     # degree-by-degree: b_s = -inv0 * sum_{0<d<=s} a_d b_{s-d}
     by_degree: Dict[int, dict] = {}

@@ -29,6 +29,9 @@ closed form of the eigenvalue relation; both are oracles for
 germforge.mr.linearize.  `t_graded_inverse`, `t_graded_ode_solve` and
 `t_graded_linearize` are the graded solvers as they were before their
 passes shared a RelaxedComposition, each pass composing from degree 0.
+`z_reciprocal` is the exact jet_reciprocal as it was before it ran on
+reduced homogeneous parts (integer numerators over powers of one
+denominator, reduced once at the end): the oracle of its stored output.
 `ode_residual` and `rational_from_jet` are library helpers that only tests
 used.  `t_lie_bracket`, `t_derive_along` and `t_decompose` are the germ
 operations as they were before each sum became one series.jet_dot: the
@@ -56,8 +59,9 @@ from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
 from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, _cpow, _leaf_den,
                               _lin_sum, _negated, _pair, _power, _times)
 from germforge.scalars import EXACT, GaussianRational
-from germforge.series import (DIVISIBLE, Jet1, Jet2, _jet, _reduced, _zscaled, _zsum, exact_divide,
-                              jet_compose2, jet_derive, jet_mul)
+from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _gmul_into, _jet, _nonzero,
+                              _reduced, _zscaled, _zsum, exact_divide, jet_compose2, jet_derive,
+                              jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -166,6 +170,65 @@ def p_reciprocal(a, degree):
                     acc = gr_add(acc, gr_neg(gr_mul(u, b.get((key[0] - i1, key[1] - j1), gr()))))
             b[key] = gr_mul(inv0, acc)
     return {k: v for k, v in b.items() if v != (0, 0)}
+
+
+def z_reciprocal(a: Jet2) -> Jet2:
+    """Exact jet_reciprocal as it was before it ran on reduced parts: integer
+    numerators B_s over D^s, reduced once at the end.
+
+    a / a(0,0) = 1 + H / D with Gaussian-integer H and integer D, so the
+    degree-s part of the inverse is B_s / D^s with
+    B_s = -sum_{0<d<=s} D^(d-1) H_d B_(s-d).  valid_through and the degree
+    bound are jet_reciprocal's.
+    """
+    valid = a.valid_through
+    nonconstant = len(a.re.keys() | a.im.keys()) > 1
+    if valid == INF and nonconstant:
+        valid = DEFAULT_DEGREE
+    bound = int(valid) if nonconstant else 0
+    c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
+    # g the gcd of |A(0,0)|^2 and every component of A * conj(A(0,0))
+    norm = c_re * c_re + c_im * c_im
+    h_re: dict = {}
+    h_im: dict = {}
+    _gmul_into(h_re, h_im, {k: v for k, v in a.re.items() if k != (0, 0)},
+               {k: v for k, v in a.im.items() if k != (0, 0)},
+               {(0, 0): c_re}, {(0, 0): -c_im}, INF)
+    h_re, h_im = _nonzero(h_re), _nonzero(h_im)
+    g = math.gcd(norm, *h_re.values(), *h_im.values())
+    base = norm // g
+    # G_d = -D^(d-1) H_d grouped by degree d, so that B_s = sum_d G_d B_(s-d)
+    by_degree = {}
+    for part, h in ((0, h_re), (1, h_im)):
+        for (i, j), v in h.items():
+            d = i + j
+            by_degree.setdefault(d, ({}, {}))[part][(i, j)] = -(v // g) * base ** (d - 1)
+    levels = {0: ({(0, 0): 1}, {})}
+    for s in range(1, bound + 1):
+        acc_re: dict = {}
+        acc_im: dict = {}
+        for d, (g_re, g_im) in by_degree.items():
+            lower = levels.get(s - d)
+            if lower is not None:
+                _gmul_into(acc_re, acc_im, g_re, g_im, lower[0], lower[1], INF)
+        acc_re, acc_im = _nonzero(acc_re), _nonzero(acc_im)
+        if acc_re or acc_im:
+            levels[s] = (acc_re, acc_im)
+    # 1 / a(0,0) = U / norm with U = den(a) * conj(A(0,0)), so the degree-s
+    # part is B_s U / (norm base^s); bring every level to norm base^top
+    u_re, u_im = a.den * c_re, -a.den * c_im
+    top = max(levels)
+    re, im = {}, {}
+    for s, (b_re, b_im) in levels.items():
+        lift = base ** (top - s)
+        for k in b_re.keys() | b_im.keys():
+            br, bi = b_re.get(k, 0), b_im.get(k, 0)
+            n_re, n_im = br * u_re - bi * u_im, br * u_im + bi * u_re
+            if n_re:
+                re[k] = n_re * lift
+            if n_im:
+                im[k] = n_im * lift
+    return _jet(EXACT, norm * base ** top, re, im, valid)
 
 
 # -- precision bookkeeping ---------------------------------------------------

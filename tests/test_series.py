@@ -485,6 +485,74 @@ def test_reciprocal_matches_oracle(u):
     assert oracles.from_jet(out) == oracles.p_reciprocal(oracles.from_jet(u), degree)
 
 
+# The exact reciprocal runs a recurrence on reduced homogeneous parts; the
+# oracle is the recurrence it replaced, on integer numerators over powers of
+# one denominator.  Both reduce their result, so the stored den, re, im and
+# valid_through must be identical, not only equal as series.
+
+def _stored(jet):
+    return jet.den, jet.re, jet.im, jet.valid_through
+
+
+@st.composite
+def _degree_keys(draw, top):
+    d = draw(st.integers(1, top))
+    i = draw(st.integers(0, d))
+    return i, d - i
+
+
+@st.composite
+def dense_units(draw):
+    """Units of degree <= 10 with real or Gaussian coefficients, truncated at
+    0 .. 10 or polynomial."""
+    valid = draw(st.sampled_from([INF, *range(11)]))
+    keys = draw(st.lists(_degree_keys(10), max_size=8, unique=True))
+    terms = {k: draw(gaussian_rationals()) for k in keys}
+    terms[(0, 0)] = draw(gaussian_rationals(nonzero=True))
+    return Jet2(EXACT, terms, valid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_units())
+def test_reciprocal_stores_what_the_oracle_stores(u):
+    assert _stored(jet_reciprocal(u)) == _stored(oracles.z_reciprocal(u))
+
+
+GR = GaussianRational
+
+RECIPROCAL_EDGES = {
+    "constant": Jet2.const(GR(3, 4), EXACT, INF),
+    "truncated-constant": Jet2.const(GR(Fraction(2, 3)), EXACT, 5),
+    "polynomial": Jet2.from_coeffs([((0, 0), 1), ((1, 0), 1), ((0, 2), 2)]),
+    "valid-0": Jet2(EXACT, {(0, 0): GR(2), (1, 0): GR(1)}, 0),
+    "valid-1": Jet2(EXACT, {(0, 0): GR(1, 2), (1, 0): GR(3), (0, 1): GR(0, 1)}, 1),
+    "imaginary-constant": Jet2(EXACT, {(0, 0): GR(0, Fraction(3, 7)), (1, 1): GR(5),
+                                       (0, 2): GR(1, -1)}, 8),
+    "large-norm": Jet2(EXACT, {(0, 0): GR(10 ** 30 + 1, 10 ** 25),
+                               (1, 0): GR(Fraction(1, 3))}, 10),
+    "empty-degrees": Jet2(EXACT, {(0, 0): GR(2), (3, 0): GR(1), (0, 7): GR(1, 1)}, 10),
+    "empty-degrees-polynomial": Jet2(EXACT, {(0, 0): GR(Fraction(-5, 6)),
+                                             (2, 2): GR(Fraction(1, 4), 3)}, INF),
+}
+
+
+@pytest.mark.parametrize("name", RECIPROCAL_EDGES)
+def test_reciprocal_edge_cases_store_what_the_oracle_stores(name):
+    u = RECIPROCAL_EDGES[name]
+    assert _stored(jet_reciprocal(u)) == _stored(oracles.z_reciprocal(u))
+
+
+@pytest.mark.parametrize("u", [
+    Jet1.const(GR(0, 2)),
+    Jet1(EXACT, {0: GR(Fraction(7, 3), -1), 1: GR(2), 4: GR(0, Fraction(1, 5))}, 9),
+    Jet1.from_coeffs([(0, 1), (1, -1)]),
+], ids=["constant", "truncated", "polynomial"])
+def test_jet1_reciprocal_stores_what_the_oracle_stores(u):
+    out = u.reciprocal()
+    expected = oracles.z_reciprocal(u._lift()).restrict_y0()
+    assert (out.coeffs, out.valid_through) == (expected.coeffs, expected.valid_through)
+
+
 def test_reciprocal_of_a_constant_jet1_terminates():
     inv = Jet1.const(2).reciprocal()
     assert inv.coeffs == {0: GaussianRational(Fraction(1, 2))}

@@ -1,7 +1,8 @@
 """Per-call times of the graded solvers on the exact-normalize inputs.
 
-Times germ.CoordinateChange.inverse, series.series_ode_solve and
-mr.linearize on every call that the exact-normalize jobs of the benchmark
+Times germ.CoordinateChange.inverse, series.series_ode_solve,
+mr.linearize and series.jet_reciprocal (the degree-by-degree series
+inverse) on every call that the exact-normalize jobs of the benchmark
 (germbench/jobs.py) make in sweeps 0-1, once with the germforge of a
 parent checkout and once with this checkout's, and writes both, their
 ratio and whether the outputs agree as JSON.
@@ -35,7 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = ("inverse", "series_ode_solve", "linearize")
+SOLVERS = ("inverse", "series_ode_solve", "linearize", "jet_reciprocal")
 SWEEPS, REPEAT, ROUNDS = 2, 5, 4
 
 
@@ -59,7 +60,8 @@ def time_tree(src: str, seed: int) -> dict:
     import jobs
     from germforge import germ, mr, series
 
-    owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr}
+    owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr,
+              "jet_reciprocal": series}
     calls = []
     undo = []
     for name in SOLVERS:
