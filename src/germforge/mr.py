@@ -51,6 +51,9 @@ def mr_formal_vf(form: MRFormalForm, mode=EXACT, degree: Optional[int] = None
     # the contraction coeff_dx * A + coeff_dy * B of the form with the field
     valid = vf.valid_through
     residue = jet_mul(coeff_dx.truncate(valid), vf.a) + jet_mul(coeff_dy.truncate(valid), vf.b)
+    if mode == FLOAT and not all(map(cmath.isfinite, residue.re.values())):
+        raise BadParams(f"Martinet-Ramis lambda {form.lam} overflows the float contraction "
+                        "of the form with the field")
     if not residue.is_zero(0.0 if mode == EXACT else 1e-12):
         raise AssertionError("MR contraction identity violated at construction")
     return vf

@@ -54,6 +54,9 @@ ROWS = [
     # a non-finite lambda ended in an AssertionError traceback
     (["holonomy", "--lam", "nan"], ERROR),
     (["holonomy", "--lam", "inf"], ERROR),
+    # lambda^2 overflows the float contraction of the form with the field
+    # (it ended in the same AssertionError traceback)
+    (["holonomy", "--lam", "1e200"], ERROR),
     (["period", "--pencil", "elliptic", "--leaf-re", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),

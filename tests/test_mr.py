@@ -64,6 +64,14 @@ def test_formal_form_rejects_a_non_finite_lambda(lam):
         MRFormalForm(1, 1, 1, lam)
 
 
+@pytest.mark.parametrize("lam", [1e155, 1e200, complex(0, 1e308)])
+def test_formal_vf_refuses_a_lambda_that_overflows_in_float(lam):
+    # lam * (lam - 1) is inf and the contraction inf - inf = nan: it ended in
+    # "AssertionError: MR contraction identity violated at construction"
+    with pytest.raises(BadParams, match="overflows"):
+        mr_formal_vf(MRFormalForm(1, 1, 1, lam), FLOAT, 8)
+
+
 def test_formal_vf_exponent_convention():
     # (m, n) = (2, 1): the invariant is x^n y^m = x y^2
     vf = mr_formal_vf(MRFormalForm(2, 1, 2, GR(1)), EXACT, 12)
