@@ -369,14 +369,18 @@ def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
     The x-projection of the leaf is a double cover branched at x = 0 and the
     three roots of x^3 = 4c; a circle around exactly {0, r1} lifts to a
     closed loop realizing a torus cycle, which carries a nonzero period.
+    Raises BadParams for c = 0 and for a c whose loop overflows a float.
     """
     if c == 0:
         raise BadParams("c = 0 is the singular fiber")
-    r1 = (4 * complex(c)) ** (1.0 / 3.0)
-    center = r1 / 2.0
-    radius = 0.65 * abs(r1)
-    start = center + radius * cmath.exp(1j * cmath.phase(r1))
-    seed = _elliptic_lift(start, c, seed_branch)
+    try:
+        r1 = (4 * complex(c)) ** (1.0 / 3.0)
+        center = r1 / 2.0
+        radius = 0.65 * abs(r1)
+        start = center + radius * cmath.exp(1j * cmath.phase(r1))
+        seed = _elliptic_lift(start, c, seed_branch)
+    except OverflowError:
+        raise BadParams(f"the loop on the leaf c = {c} overflows a float") from None
     return LeafLoopSpec(
         base_var="x", center=center, radius=radius, winding=1,
         phase=cmath.phase(r1), seed=seed, tol=tol, max_step=0.02,

@@ -57,6 +57,8 @@ ROWS = [
     # lambda^2 overflows the float contraction of the form with the field
     # (it ended in the same AssertionError traceback)
     (["holonomy", "--lam", "1e200"], ERROR),
+    # (4c)^(1/3) overflowed: an OverflowError traceback
+    (["period", "--pencil", "elliptic", "--field", "[x^2, -x*y]", "--leaf-im", "1e308"], ERROR),
     (["period", "--pencil", "elliptic", "--leaf-re", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),

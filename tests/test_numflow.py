@@ -141,6 +141,13 @@ def test_leaf_loop_spec_rejects_degenerate_controls(change, message):
         dataclasses.replace(siegel_loop(0.5, 0.02), **change)
 
 
+@pytest.mark.parametrize("c", [complex(0.02, 1e308), 1e250])
+def test_elliptic_loop_refuses_a_leaf_that_overflows(c):
+    # (4c)^(1/3) and the lift's x^4 raised OverflowError
+    with pytest.raises(BadParams, match="overflows"):
+        elliptic_loop(c)
+
+
 def test_time_path_rejects_a_nan_tolerance():
     with pytest.raises(BadParams, match="tolerance"):
         TimePath.segment(0, 1, tol=math.nan)
