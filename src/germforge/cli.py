@@ -42,6 +42,7 @@ from .scalars import EXACT, FLOAT
 from .series import DEFAULT_DEGREE, laurent_residue
 
 USAGE_EXIT = 64
+MAX_DEGREE = 64
 
 
 def resolve_field(text: str, mode: str, degree: int) -> VectorFieldGerm:
@@ -368,10 +369,18 @@ class _UsageError(Exception):
 _COMMON_DEFAULTS = {"degree": DEFAULT_DEGREE, "mode": EXACT, "tol": 1e-10, "json": None}
 
 
+def _degree(text: str) -> int:
+    """The --degree type: an int, refused with BadParams above MAX_DEGREE."""
+    degree = int(text)
+    if degree > MAX_DEGREE:
+        raise BadParams(f"--degree {degree} is above the bound {MAX_DEGREE}")
+    return degree
+
+
 def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--degree", type=int,
-                        help="truncation degree (default 16)")
+    common.add_argument("--degree", type=_degree,
+                        help=f"truncation degree, at most {MAX_DEGREE} (default 16)")
     common.add_argument("--mode", choices=[EXACT, FLOAT],
                         help="scalar mode for symbolic commands (default exact)")
     common.add_argument("--tol", type=float,
@@ -465,6 +474,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except BadParams as exc:
+        print(f"error: {exc}")
+        return 2
     rep = Report(command=list(argv) if argv is not None else sys.argv[1:],
                  config=_config_dict(args))
     try:

@@ -59,6 +59,11 @@ ROWS = [
     (["holonomy", "--lam", "1e200"], ERROR),
     # (4c)^(1/3) overflowed: an OverflowError traceback
     (["period", "--pencil", "elliptic", "--field", "[x^2, -x*y]", "--leaf-im", "1e308"], ERROR),
+    # --degree is at most 64, given before or after the subcommand: a larger
+    # degree ran on (71 s at degree 1000)
+    (["straighten", "--g1", "1", "--g2", "z", "--n", "3", "--degree", "64"], OK),
+    (["straighten", "--g1", "1", "--g2", "z", "--n", "3", "--degree", "65"], ERROR),
+    (["--degree", "65", "straighten", "--g1", "1", "--g2", "z", "--n", "3"], ERROR),
     (["period", "--pencil", "elliptic", "--leaf-re", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--base", "0", "--field", "[x,-y]"], ERROR),
     (["period", "--field", "[x,-y]", "--scale", "2"], ERROR),
