@@ -31,6 +31,12 @@ GaussianRational stores one coefficient the same way, as reduced ints
 lcms of ints alone.  ``coeffs`` is a read-only scalar view that an exact
 jet builds on first read (re keys first, then the purely imaginary ones)
 and caches, and that for a float jet is re itself.
+
+Degree-by-degree recurrences work on homogeneous parts.  The exact
+reciprocal and the graded solves (RelaxedComposition and its callers) keep
+each degree as a reduced (den, re, im) part (_split), form each new part as
+one sum of products over one lcm (_piece) and build one Jet2 at the end
+(_from_parts).
 """
 
 from __future__ import annotations
@@ -608,10 +614,10 @@ def jet_reciprocal(a: Jet2) -> Jet2:
         parts = [_part(norm, {0: u_re}, {0: u_im})]
         neg_b0 = _part(norm, {0: -u_re}, {0: -u_im})
         scaled = [(d, _piece([(neg_b0, part)]))
-                  for d, part in enumerate(_split(a, bound)) if d and (part[1] or part[2])]
+                  for d, part in enumerate(_split(a, bound)) if d and part is not _ZERO]
         for s in range(1, bound + 1):
             pairs = [(a_d, parts[s - d]) for d, a_d in scaled
-                     if d <= s and (parts[s - d][1] or parts[s - d][2])]
+                     if d <= s and parts[s - d] is not _ZERO]
             parts.append(_piece(pairs) if pairs else _ZERO)
         return _from_parts(parts, valid)
     inv0 = scalars.one(a.mode) / a.re[(0, 0)]
