@@ -371,7 +371,10 @@ _COMMON_DEFAULTS = {"degree": DEFAULT_DEGREE, "mode": EXACT, "tol": 1e-10, "json
 
 def _degree(text: str) -> int:
     """The --degree type: an int, refused with BadParams above MAX_DEGREE."""
-    degree = int(text)
+    try:
+        degree = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if degree > MAX_DEGREE:
         raise BadParams(f"--degree {degree} is above the bound {MAX_DEGREE}")
     return degree

@@ -94,6 +94,7 @@ ROWS = [
       "--leaf-im", "0.5"], ERROR),
     # usage
     (["no-such-command"], USAGE),
+    (["straighten", "--g1", "1", "--g2", "z", "--degree", "abc"], USAGE),
 ]
 
 
