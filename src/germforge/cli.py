@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import random
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -354,6 +355,12 @@ def cmd_verify_paper(args) -> Tuple[int, dict, List[str]]:
 # ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain decimals as negative numbers, so a value in
+        # exponent form (--lam -1e-3) would be taken for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)

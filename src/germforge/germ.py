@@ -259,13 +259,12 @@ class CoordinateChange:
         psi = L^-1 id - M(psi) for M = L^-1 N, formed once per call.  M has
         no terms below degree 2, so the parts of psi below degree d give
         the part of degree d of M(psi): pass d = 2 .. min(degree, valid)
-        composes only that part.  In exact mode psi is kept as its
-        homogeneous parts: pass d hands the parts of degree d - 1 to one
+        composes only that part.  psi is kept as its homogeneous parts, in
+        both modes: pass d hands the parts of degree d - 1 to one
         series.RelaxedComposition, the two components of -M being its
         slots, and takes back the parts of degree d of -M(psi), which are
-        those of psi; one Jet2 per component is built at the end.  Float
-        passes compose whole jets afresh.  The result is valid through
-        min(degree, valid), valid being that of phi.
+        those of psi; one Jet2 per component is built at the end.  The
+        result is valid through min(degree, valid), valid being that of phi.
         *degree* defaults to valid, or twice the degree of a polynomial
         change; it is capped at 64, and an INF degree means 16.
         """
@@ -292,20 +291,14 @@ class CoordinateChange:
         n2 = (self.comp2 - x.scale(j21) - y.scale(j22)).truncate(top)
         m1 = n1.scale(i11) + n2.scale(i12)
         m2 = n1.scale(i21) + n2.scale(i22)
-        if mode != EXACT:
-            p1, p2 = lin1.truncate(top), lin2.truncate(top)
-            for d in range(2, top + 1):
-                s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
-                p1 = lin1 - jet_compose2(m1, s1, s2)
-                p2 = lin2 - jet_compose2(m2, s1, s2)
-            return CoordinateChange.from_series(p1, p2)
         state, minus = series.RelaxedComposition(), (-m1, -m2)
         parts = (series._split(lin1, 1), series._split(lin2, 1))
         for d in range(2, top + 1):
             for c in (0, 1):        # the part psi_d is -M(psi)_d
                 parts[c].append(jet_compose2(minus[c], parts[0][d - 1], parts[1][d - 1], state,
                                              c, d - 1, d))
-        return CoordinateChange.from_series(*(series._from_parts(c[:max(top + 1, 0)], top)
+        cut = max(top + 1, 0)
+        return CoordinateChange.from_series(*(series._from_parts(mode, c[:cut], top)
                                               for c in parts))
 
 

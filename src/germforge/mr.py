@@ -167,8 +167,8 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
             phi[k].append(series._part(den * scale, h_re, h_im))
             res[k].append(series._part(den, r_re, r_im))
     cut = max(top + 1, 0)
-    change = CoordinateChange.from_series(*(series._from_parts(c[:cut], top) for c in phi))
-    r1, r2 = (series._from_parts(c[:cut], top) for c in res)
+    change = CoordinateChange.from_series(*(series._from_parts(mode, c[:cut], top) for c in phi))
+    r1, r2 = (series._from_parts(mode, c[:cut], top) for c in res)
     return LinearizationResult(change, VectorFieldGerm(lin_a + r1, lin_b + r2), obstruction)
 
 

@@ -32,11 +32,12 @@ lcms of ints alone.  ``coeffs`` is a read-only scalar view that an exact
 jet builds on first read (re keys first, then the purely imaginary ones)
 and caches, and that for a float jet is re itself.
 
-Degree-by-degree recurrences work on homogeneous parts.  The exact
+Degree-by-degree recurrences work on homogeneous parts, in both modes.  The
 reciprocal and the graded solves (RelaxedComposition and its callers) keep
 each degree as a reduced (den, re, im) part (_split), form each new part as
 one sum of products over one lcm (_piece) and build one Jet2 at the end
-(_from_parts).
+(_from_parts).  A float part is over 1, which _reduced leaves alone; only b_0
+of the reciprocal and the integral of series_ode_solve depend on the mode.
 """
 
 from __future__ import annotations
@@ -316,19 +317,6 @@ class Jet2:
         out = {j: v for (i, j), v in self.coeffs.items() if i == 0}
         return Jet1(self.mode, out, self.valid_through)
 
-    def antiderivative_x(self) -> "Jet2":
-        """Term-wise integral in x with zero constant of integration."""
-        valid = self.valid_through if self.valid_through == INF else self.valid_through + 1
-        if self.mode == FLOAT:
-            return Jet2(FLOAT, {(i + 1, j): v / complex(i + 1) for (i, j), v in self.re.items()},
-                        valid)
-        # (re + i*im) / (den (i + 1)) over den * L, L the lcm of every i + 1
-        lcm = math.lcm(*(i + 1 for i, _ in self._keys()))
-
-        def part(a):
-            return {(i + 1, j): v * (lcm // (i + 1)) for (i, j), v in a.items()}
-        return _jet(EXACT, self.den * lcm, part(self.re), part(self.im), valid)
-
     def divide_monomial(self, i: int, j: int) -> "Jet2":
         """Exact division by x^i y^j; raises NotDivisible when not divisible."""
         out = {}
@@ -589,15 +577,13 @@ def jet_pow(a: Jet2, e: int) -> Jet2:
 def jet_reciprocal(a: Jet2) -> Jet2:
     """Series inverse of a unit (a(0,0) != 0).
 
-    Both modes run the classical power-series recurrence (Knuth, TAOCP
-    vol. 2, 4.7) degree by degree: b_0 = 1 / a_0 and
-    b_s = -b_0 * sum_{0<d<=s} a_d b_(s-d), a_d and b_s the homogeneous
-    parts of degree d and s.  Exact mode keeps the parts reduced, as
-    _split keys them: b_0 is den(a) * conj(c) / |c|^2 for the stored
-    constant numerator c, each nonzero a_d is scaled by -b_0 once, each
-    b_s is one _piece over the pairs (-b_0 a_d, b_(s-d)), and one
-    _from_parts builds the jet.  Float mode runs the recurrence on
-    complex coefficients.
+    The classical power-series recurrence (Knuth, TAOCP vol. 2, 4.7) on
+    homogeneous parts, keyed as _split keys them: b_0 = 1 / a_0 and
+    b_s = -b_0 * sum_{0<d<=s} a_d b_(s-d).  Each nonzero a_d is scaled by
+    -b_0 once, each b_s is one _piece over the pairs (-b_0 a_d, b_(s-d)),
+    and one _from_parts builds the jet.  Only b_0 depends on the mode: an
+    exact b_0 is den(a) * conj(c) / |c|^2 for the stored constant
+    numerator c, a float b_0 is 1 / c.
     """
     if not _has_constant(a):
         raise NotAUnit("jet_reciprocal: constant term vanishes")
@@ -608,51 +594,24 @@ def jet_reciprocal(a: Jet2) -> Jet2:
     if valid == INF and nonconstant:
         valid = DEFAULT_DEGREE
     bound = int(valid) if nonconstant else 0
+    c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
     if a.mode == EXACT:
-        c_re, c_im = a.re.get((0, 0), 0), a.im.get((0, 0), 0)
         norm, u_re, u_im = c_re * c_re + c_im * c_im, a.den * c_re, -a.den * c_im
-        parts = [_part(norm, {0: u_re}, {0: u_im})]
-        neg_b0 = _part(norm, {0: -u_re}, {0: -u_im})
-        scaled = [(d, _piece([(neg_b0, part)]))
-                  for d, part in enumerate(_split(a, bound)) if d and part is not _ZERO]
-        for s in range(1, bound + 1):
-            pairs = [(a_d, parts[s - d]) for d, a_d in scaled
-                     if d <= s and parts[s - d] is not _ZERO]
-            parts.append(_piece(pairs) if pairs else _ZERO)
-        return _from_parts(parts, valid)
-    inv0 = scalars.one(a.mode) / a.re[(0, 0)]
-    # degree-by-degree: b_s = -inv0 * sum_{0<d<=s} a_d b_{s-d}
-    by_degree: Dict[int, dict] = {}
-    for (i, j), v in a.re.items():
-        if i + j > 0:
-            by_degree.setdefault(i + j, {})[(i, j)] = v
-    out = {(0, 0): inv0}
-    levels = {0: out.copy()}
+    else:
+        norm, u_re, u_im = 1, 1 / c_re, 0
+    parts = [_part(norm, {0: u_re}, {0: u_im})]
+    neg_b0 = _part(norm, {0: -u_re}, {0: -u_im})
+    scaled = [(d, _piece([(neg_b0, part)]))
+              for d, part in enumerate(_split(a, bound)) if d and part is not _ZERO]
     for s in range(1, bound + 1):
-        acc: dict = {}
-        for d, terms in by_degree.items():
-            if d <= s:
-                _zmul_into(acc, terms, levels[s - d], INF)
-        levels[s] = _nonzero({k: -inv0 * v for k, v in acc.items()})
-        out.update(levels[s])
-    return _jet(FLOAT, 1, out, {}, valid)
+        pairs = [(a_d, parts[s - d]) for d, a_d in scaled
+                 if d <= s and parts[s - d] is not _ZERO]
+        parts.append(_piece(pairs) if pairs else _ZERO)
+    return _from_parts(a.mode, parts, valid)
 
 
 def _has_constant(g: Jet2) -> bool:
     return (0, 0) in g.re or (0, 0) in g.im
-
-
-def _proper_valid(f, order, valid):
-    """valid_through of f(g) for a truncated f and inner jets of *order*
-    known through *valid*: f's tail contributes from degree
-    (f.valid_through + 1) * order on.  A zero inner jet that is truncated
-    is only known to vanish through *valid*, so its order counts as
-    valid + 1; only exact zero inner jets give INF.
-    """
-    order = min(order, valid + 1)
-    if order == INF:
-        return INF
-    return min(valid, (f.valid_through + 1) * order - 1)
 
 
 def _unit(mode: str) -> tuple:
@@ -664,35 +623,13 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g:
     sum_k f_k g^k, through the valid_through of the result.
 
-    Runs on stored (den, re, im) numerators, not on Jet2 objects: each
-    power g^k is cut at the result's valid_through as it is made (so its
-    terms beyond it are never formed) and reduced, each partial sum is
-    reduced, and one Jet2 is built at the end.  Float jets are den 1 with
-    im empty, and every step does the scalar loop's operations in its
-    order, so float results are its results bit for bit.
+    This is jet_compose2 of the lift f(x) at the inner pair (g, 0), which
+    forms the same powers g^k, cut at the same valid_through.
     """
     scalars.check_same_mode(f.mode, g.mode)
     if _has_constant(g) and not f.is_polynomial():
         raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
-    valid = g.valid_through
-    if not f.is_polynomial():
-        valid = _proper_valid(f, g.order(), valid)
-    fz = f._lift()
-    g_num = (g.den, g.re, g.im)
-    acc = (1, {}, {})
-    power = _unit(f.mode)
-    top = f.degree_bound()
-    for k in range(0, top + 1):
-        if k in f.coeffs:
-            key = (k, 0)
-            acc = _reduced(*_zsum(*acc, power[0] * fz.den,
-                                  *_zscaled(power[1], power[2], fz.re.get(key, 0),
-                                            fz.im.get(key, 0)), valid))
-        if k < top:
-            power = _reduced(*_zproduct(power, g_num, valid))
-            if not power[1] and not power[2]:
-                break
-    return _jet(f.mode, *acc, valid)
+    return jet_compose2(f._lift(), g, Jet2.zero(g.mode, INF))
 
 
 def jet_compose2(f: Jet2, p, q, state: Optional["RelaxedComposition"] = None, slot: int = 0,
@@ -712,7 +649,7 @@ def jet_compose2(f: Jet2, p, q, state: Optional["RelaxedComposition"] = None, sl
     loop's operations in its order, so float results are its results bit
     for bit.
 
-    With a *state* (exact mode, one per graded solve) the call is one pass
+    With a *state* (one per graded solve) the call is one pass
     of the solve on homogeneous parts, not on jets: p and q are the inner
     pair's parts of degree *n*, reduced (den, re, im) triples keyed by the
     x-exponent, and the call returns the part of degree *k* of f(p, q) in
@@ -727,9 +664,14 @@ def jet_compose2(f: Jet2, p, q, state: Optional["RelaxedComposition"] = None, sl
         raise CompositionAtNonzeroPoint("jet_compose2 at nonzero point")
     valid = min(p.valid_through, q.valid_through)
     if not f.is_polynomial():
-        # no constant term here, so a linear term in p or q makes the order 1
+        # f's tail contributes from degree (f.valid_through + 1) * ord on.  No
+        # constant term here, so a linear term in p or q makes the order 1; a
+        # zero inner jet that is truncated is only known to vanish through
+        # valid, so its order counts as valid + 1
         linear = any(k in part for part in (p.re, p.im, q.re, q.im) for k in ((1, 0), (0, 1)))
-        valid = _proper_valid(f, 1 if linear else min(p.order(), q.order()), valid)
+        order = min(1 if linear else min(p.order(), q.order()), valid + 1)
+        if order < INF:
+            valid = min(valid, (f.valid_through + 1) * order - 1)
     rows: Dict[int, list] = {}
     for i, j in sorted(f._keys()):
         rows.setdefault(i, []).append(j)
@@ -807,20 +749,20 @@ def _piece(pairs: list) -> tuple:
     return _reduced(den, re, im) if re or im else _ZERO
 
 
-def _from_parts(parts: list, valid) -> Jet2:
-    """The exact Jet2, valid through *valid*, whose degree-d part is parts[d]
-    (keyed as _split keys them): each part over the lcm of their
-    denominators, reduced once."""
+def _from_parts(mode: str, parts: list, valid) -> Jet2:
+    """The Jet2 of *mode*, valid through *valid*, whose degree-d part is
+    parts[d] (keyed as _split keys them): each part over the lcm of their
+    denominators, reduced once.  Float parts are over 1 and are copied."""
     den = math.lcm(*[part[0] for part in parts])
     re: dict = {}
     im: dict = {}
     for d, (pd, p_re, p_im) in enumerate(parts):
         s = den // pd
         for i, v in p_re.items():
-            re[(i, d - i)] = v * s
+            re[(i, d - i)] = v * s if s != 1 else v
         for i, v in p_im.items():
-            im[(i, d - i)] = v * s
-    return _jet(EXACT, den, re, im, valid)
+            im[(i, d - i)] = v * s if s != 1 else v
+    return _jet(mode, den, re, im, valid)
 
 
 def _part(den: int, re: dict, im: dict) -> tuple:
@@ -849,7 +791,7 @@ class _Outer:
 
 
 class RelaxedComposition:
-    """What the compositions f(p, q) of one graded solve share (exact mode).
+    """What the compositions f(p, q) of one graded solve share.
 
     A graded solve (germ.CoordinateChange.inverse, series_ode_solve,
     mr.linearize) learns its inner pair (p, q) one homogeneous degree per
@@ -867,17 +809,21 @@ class RelaxedComposition:
     part of f(p, q) reads the inner parts through degree k when f has a
     linear term and through degree k - 1 otherwise.
 
+    The parts helpers serve both modes (a float part is over 1), so the
+    state runs in the mode of the first outer series it is handed.
+
     Since the state only appends, no part it has used can change under it.
     A call raises BadParams when it hands over a degree out of order (or
     another part for a degree the state holds), when the inner parts that
     degree k reads are missing, or when a slot is handed another outer
-    series; ModeMismatch for a float f.  *slot* (of jet_compose2) tells the
-    outer series of one solve apart.
+    series; ModeMismatch for an outer series of the other mode.  *slot* (of
+    jet_compose2) tells the outer series of one solve apart.
     """
 
-    __slots__ = ("parts", "powers", "outers")
+    __slots__ = ("mode", "parts", "powers", "outers")
 
     def __init__(self):
+        self.mode = None                    # that of the first outer series
         self.parts = ([_ZERO], [_ZERO])     # p and q by degree; p(0) = q(0) = 0
         self.powers = ([], [])              # [e] -> p^e, q^e by degree (e >= 2)
         self.outers: dict = {}              # slot -> _Outer
@@ -885,8 +831,10 @@ class RelaxedComposition:
     def compose(self, f: Jet2, p: tuple, q: tuple, n: int, k: int, slot) -> tuple:
         """The degree-k part of f(p, q), after taking p and q as the inner
         pair's parts of degree n."""
-        if f.mode != EXACT:
-            raise ModeMismatch("a relaxed composition runs in exact mode")
+        if f.mode != self.mode:
+            if self.outers:
+                raise ModeMismatch(f"a {f.mode} outer series in a {self.mode} composition")
+            self.mode = f.mode
         p_parts, q_parts = self.parts
         held = len(p_parts)
         if n == held:
@@ -981,17 +929,6 @@ class RelaxedComposition:
         return powers[e][m]
 
 
-def _known_through(jet: Jet2, d: int) -> Jet2:
-    """The terms of *jet* of degree <= d, with valid_through set to d.
-
-    The only place that raises a claimed valid_through (Jet2.truncate can
-    only lower it).  The caller vouches that the result is right through d
-    wherever it is read: the float passes of germ.CoordinateChange.inverse
-    know this from the degree of the pass.
-    """
-    return _jet(jet.mode, jet.den, _zcut(jet.re, d), _zcut(jet.im, d), d)
-
-
 def jet_derive(a: Jet2, var: str) -> Jet2:
     """Formal partial derivative; valid_through decreases by one."""
     return _jet(a.mode, *_zderive(a, var))
@@ -1046,42 +983,38 @@ def series_ode_solve(theta: Jet2, degree: int) -> Jet2:
     integral raises the degree by one, so an iterate right through degree
     d - 1 gives one right through d, and pass d = 1 .. *degree* composes
     theta with x and u, u known through d - 1, so only through degree
-    d - 1.  An exact solve keeps u as its homogeneous parts: pass d hands
-    the parts of degree d - 1 of x and u to one RelaxedComposition, takes
-    back the part of degree d - 1 of theta(x, u) and integrates it into
-    the part of degree d of u; one Jet2 is built at the end.  A float
-    theta composes whole jets afresh each pass.  The result is valid
-    through *degree*, with residual du/dx - theta(x, u) zero through
-    degree - 1.
+    d - 1.  The solve keeps u as its homogeneous parts, in both modes:
+    pass d hands the parts of degree d - 1 of x and u to one
+    RelaxedComposition, takes back the part of degree d - 1 of
+    theta(x, u) and integrates it into the part of degree d of u; one
+    Jet2 is built at the end.  Only the integral depends on the mode.  The
+    result is valid through *degree*, with residual du/dx - theta(x, u)
+    zero through degree - 1.
     """
     if theta.valid_through < degree:
         raise PrecisionExhausted(
             f"theta known to degree {theta.valid_through} < requested {degree}"
         )
     mode = theta.mode
-    if mode == FLOAT:
-        x = Jet2.variable("x", mode, INF)
-        y = Jet2.variable("y", mode, INF)
-        # y is right through degree 0; after pass d, u is valid through d
-        u = y.truncate(min(degree, 0))
-        for d in range(1, degree + 1):
-            rhs = jet_compose2(theta, x, u)
-            u = y + rhs.antiderivative_x()
-        return u
     state = RelaxedComposition()
-    x_1 = (1, {1: 1}, {})           # the part of degree 1 of x; x has no other
+    one = 1 if mode == EXACT else 1 + 0j
+    x_1 = (1, {1: one}, {})         # the part of degree 1 of x; x has no other
     u_parts = [_ZERO]
     for d in range(1, degree + 1):
         den, re, im = jet_compose2(theta, x_1 if d == 2 else _ZERO, u_parts[d - 1], state, 0,
                                    d - 1, d - 1)
-        # the integral in x of the term x^i y^(d-1-i) has the key i + 1, over den * lcm
-        lcm = math.lcm(*[i + 1 for i in (re.keys() | im.keys() if im else re)])
-        u_re = {0: den * lcm} if d == 1 else {}      # u = y + ...
-        for i, v in re.items():
-            u_re[i + 1] = v * (lcm // (i + 1))
-        u_parts.append(_part(den * lcm, u_re, {i + 1: v * (lcm // (i + 1))
-                                                 for i, v in im.items()}))
-    return _from_parts(u_parts[:max(degree + 1, 0)], degree)
+        # the integral in x of the term x^i y^(d-1-i) has the key i + 1: exact
+        # numerators go over den * lcm, float coefficients are divided by i + 1
+        if mode == EXACT:
+            lcm = math.lcm(*[i + 1 for i in (re.keys() | im.keys() if im else re)])
+            den *= lcm
+            re, im = ({i + 1: v * (lcm // (i + 1)) for i, v in t.items()} for t in (re, im))
+        else:
+            re = {i + 1: v / (i + 1) for i, v in re.items()}
+        if d == 1:                  # u = y + ...
+            re = {0: den * one, **re}
+        u_parts.append(_part(den, re, im))
+    return _from_parts(mode, u_parts[:max(degree + 1, 0)], degree)
 
 
 # ---------------------------------------------------------------------------

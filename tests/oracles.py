@@ -32,6 +32,12 @@ passes shared a RelaxedComposition, each pass composing from degree 0.
 `z_reciprocal` is the exact jet_reciprocal as it was before it ran on
 reduced homogeneous parts (integer numerators over powers of one
 denominator, reduced once at the end): the oracle of its stored output.
+`f_reciprocal` is the float jet_reciprocal as it was before it ran on
+homogeneous parts, and the float forms of `t_graded_inverse` and
+`t_graded_ode_solve` are the float solvers as they were before: the
+oracles of float solves, which must agree within 1e-12.  `known_through`
+(which raises a claimed valid_through) and `antiderivative_x` are the
+library helpers that only those float passes used.
 `ode_residual` and `rational_from_jet` are library helpers that only tests
 used.  `t_lie_bracket`, `t_derive_along` and `t_decompose` are the germ
 operations as they were before each sum became one series.jet_dot: the
@@ -58,10 +64,10 @@ from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
                                eval_poly, periodic_trapezoid)
 from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, _cpow, _leaf_den,
                               _lin_sum, _negated, _pair, _power, _times)
-from germforge.scalars import EXACT, GaussianRational
+from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _gmul_into, _jet, _nonzero,
-                              _reduced, _zscaled, _zsum, exact_divide, jet_compose2, jet_derive,
-                              jet_mul)
+                              _reduced, _zcut, _zmul_into, _zscaled, _zsum, exact_divide,
+                              jet_compose2, jet_derive, jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -71,6 +77,30 @@ def homogeneous_part(jet: Jet2, d: int) -> Jet2:
     re = {k: v for k, v in jet.re.items() if k[0] + k[1] == d}
     im = {k: v for k, v in jet.im.items() if k[0] + k[1] == d}
     return _jet(jet.mode, jet.den, re, im, jet.valid_through)
+
+
+def known_through(jet: Jet2, d: int) -> Jet2:
+    """The terms of *jet* of degree <= d, with valid_through set to d.
+
+    It raises a claimed valid_through, which Jet2.truncate cannot: the
+    caller vouches that the result is right through d wherever it is read,
+    as the graded passes below know from the degree of the pass.
+    """
+    return _jet(jet.mode, jet.den, _zcut(jet.re, d), _zcut(jet.im, d), d)
+
+
+def antiderivative_x(jet: Jet2) -> Jet2:
+    """Term-wise integral in x with zero constant of integration."""
+    valid = jet.valid_through if jet.valid_through == INF else jet.valid_through + 1
+    if jet.mode == FLOAT:
+        return Jet2(FLOAT, {(i + 1, j): v / complex(i + 1) for (i, j), v in jet.re.items()},
+                    valid)
+    # (re + i*im) / (den (i + 1)) over den * L, L the lcm of every i + 1
+    lcm = math.lcm(*(i + 1 for i, _ in jet.re.keys() | jet.im.keys()))
+
+    def part(a):
+        return {(i + 1, j): v * (lcm // (i + 1)) for (i, j), v in a.items()}
+    return _jet(EXACT, jet.den * lcm, part(jet.re), part(jet.im), valid)
 
 
 def gr(re=0, im=0):
@@ -229,6 +259,33 @@ def z_reciprocal(a: Jet2) -> Jet2:
             if n_im:
                 im[k] = n_im * lift
     return _jet(EXACT, norm * base ** top, re, im, valid)
+
+
+def f_reciprocal(a: Jet2) -> Jet2:
+    """Float jet_reciprocal as it was before it ran on homogeneous parts: the
+    same recurrence on whole complex levels, b_s = -b_0 * sum_{0<d<=s}
+    a_d b_(s-d), scaled by -b_0 after the sum.  valid_through and the
+    degree bound are jet_reciprocal's."""
+    valid = a.valid_through
+    nonconstant = len(a.re) > 1
+    if valid == INF and nonconstant:
+        valid = DEFAULT_DEGREE
+    bound = int(valid) if nonconstant else 0
+    inv0 = scalars.one(FLOAT) / a.re[(0, 0)]
+    by_degree = {}
+    for (i, j), v in a.re.items():
+        if i + j > 0:
+            by_degree.setdefault(i + j, {})[(i, j)] = v
+    out = {(0, 0): inv0}
+    levels = {0: out.copy()}
+    for s in range(1, bound + 1):
+        acc = {}
+        for d, terms in by_degree.items():
+            if d <= s:
+                _zmul_into(acc, terms, levels[s - d], INF)
+        levels[s] = _nonzero({k: -inv0 * v for k, v in acc.items()})
+        out.update(levels[s])
+    return _jet(FLOAT, 1, out, {}, valid)
 
 
 # -- precision bookkeeping ---------------------------------------------------
@@ -489,9 +546,9 @@ def t_graded_inverse(change, degree=None):
     m2 = n1.scale(i21) + n2.scale(i22)
     p1, p2 = lin1.truncate(top), lin2.truncate(top)
     for d in range(2, top + 1):
-        s1, s2 = series._known_through(p1, d), series._known_through(p2, d)
-        p1 = lin1 - jet_compose2(series._known_through(m1, d), s1, s2)
-        p2 = lin2 - jet_compose2(series._known_through(m2, d), s1, s2)
+        s1, s2 = known_through(p1, d), known_through(p2, d)
+        p1 = lin1 - jet_compose2(known_through(m1, d), s1, s2)
+        p2 = lin2 - jet_compose2(known_through(m2, d), s1, s2)
     return CoordinateChange.from_series(p1, p2)
 
 
@@ -507,7 +564,7 @@ def t_graded_ode_solve(theta, degree):
     u = y.truncate(min(degree, 0))
     for d in range(1, degree + 1):
         rhs = jet_compose2(theta.truncate(d - 1), x.truncate(d - 1), u)
-        u = y + rhs.antiderivative_x()
+        u = y + antiderivative_x(rhs)
     return u
 
 
@@ -535,7 +592,7 @@ def t_graded_linearize(x, degree=None):
     res = [Jet2.zero(mode, min(top, 1))] * 2
     obstruction = None
     for d in range(2, top + 1):
-        phi = [series._known_through(c, d) for c in phi]
+        phi = [known_through(c, d) for c in phi]
         rhs = CoordinateChange.from_series(n1.truncate(d), n2.truncate(d)).compose(
             CoordinateChange.from_series(*phi))
         rhs = [rhs.comp1, rhs.comp2]
@@ -543,7 +600,7 @@ def t_graded_linearize(x, degree=None):
             for k, h in enumerate((phi[0] - xv, phi[1] - yv)):
                 rhs[k] = rhs[k] - jet_mul(jet_derive(h, "x"), res[0]) \
                     - jet_mul(jet_derive(h, "y"), res[1])
-        res = [series._known_through(c, d) for c in res]
+        res = [known_through(c, d) for c in res]
         for k, shift, name in ((0, -m, "x"), (1, n, "y")):
             h_d, r_d = {}, {}
             for (i, j), c in homogeneous_part(rhs[k], d).coeffs.items():

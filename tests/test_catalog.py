@@ -238,6 +238,15 @@ def test_id_string_roundtrip():
         parse_id("mt:vii[m=")
 
 
+def test_integer_parameters_are_bounded():
+    # "table:5[a=1000]" took longer than 60 s to classify, and 0.82 s at a = 64
+    assert parse_id("table:5[a=64]").params == {"a": 64}
+    assert parse_id("mt:vii[m=-64,n=1]").params == {"m": -64, "n": 1}
+    for text in ("table:5[a=65]", "table:5[a=-65]", "table:5[a=1000]", "mt:vii[m=2,n=100000]"):
+        with pytest.raises(BadParams):
+            parse_id(text)
+
+
 # -- the constant jets are built once per mode and shared -----------------------------
 
 def _cached_jets(mode):

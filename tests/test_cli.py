@@ -82,6 +82,9 @@ ROWS = [
     (["classify", "table:2[n=1]", "--declare", "1"], ERROR),
     (["classify", "table:2[n=1]", "--declare", "0"], ERROR),
     (["classify", "table:2[n=1]", "--declare", "1/x"], ERROR),
+    # catalog integer parameters are bounded like --degree: a = 1000 ran on
+    # for more than 60 s
+    (["classify", "table:5[a=1000]"], ERROR),
     # a superscript digit, and a coefficient too long for int-to-text conversion
     (["bracket", "[x^², y]", "[x, y]"], ERROR),
     (["bracket", "[(2+x)^20000, y]", "[x, y]", "--degree", "4"], ERROR),
@@ -92,6 +95,11 @@ ROWS = [
     (["period", "--field", "[x-1/2, y]", "--base", "0.5"], ERROR),
     (["period", "--field", "[x^2, y^2]", "--base", "1", "--leaf-re", "0.5",
       "--leaf-im", "0.5"], ERROR),
+    # a negative number in exponent form is a value, not an option (it was a
+    # usage error); a negative option-like word still is one
+    (["holonomy", "--lam", "-1e-3"], OK),
+    (["period", "--field", "[x*x*y, -x*y*y]", "--leaf-re", "-2e-2", "--degree", "4"], OK),
+    (["holonomy", "--lam", "-x"], USAGE),
     # usage
     (["no-such-command"], USAGE),
     (["straighten", "--g1", "1", "--g2", "z", "--degree", "abc"], USAGE),

@@ -11,7 +11,9 @@ obstruction, at degrees 0 .. 5 too.  The state works on homogeneous
 parts: each part it returns must be the homogeneous part of what
 jet_compose2 gives without one, and it must raise BadParams, never give a
 stale value, when it is handed a part out of order or another part for a
-degree it holds.
+degree it holds.  Float solves, jet_reciprocal's included, run the same
+parts code; the whole-jet float loops they ran before are their oracles,
+to 1e-12 of the largest coefficient of each degree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from germforge.germ import CoordinateChange, VectorFieldGerm
 from germforge.mr import linearize
 from germforge.scalars import EXACT, FLOAT, GaussianRational as GR
 from germforge.series import (_ZERO, INF, Jet2, RelaxedComposition, _from_parts, _split,
-                              jet_compose2, series_ode_solve)
+                              jet_compose2, jet_reciprocal, series_ode_solve)
 
 import oracles
 
@@ -70,16 +72,26 @@ _LINEAR = [((1, 0), (0, 1)), ((2, 1), (1, 1)), ((0, 1), (1, 0)), ((3, -1), (1, 2
            ((1, GR(0, 1)), (0, GR(2, 1)))]
 
 
+def _change(rng, linear, degree, share, gaussian, valid, size=2):
+    """The components of a random change with linear part *linear*; small
+    coefficients, since the inverse of a dense change grows them fast."""
+    return [Jet2(EXACT, {(1, 0): GR.from_value(row[0]), (0, 1): GR.from_value(row[1]),
+                         **_terms(rng, 2, degree, share, gaussian, size)}, valid)
+            for row in linear]
+
+
+def _unit(rng, degree, share, gaussian, valid):
+    """A random unit with a nonzero constant term."""
+    return Jet2(EXACT, {(0, 0): _random_gr(rng, gaussian, 5) or GR(1),
+                        **_terms(rng, 1, degree, share, gaussian)}, valid)
+
+
 @settings(max_examples=20, deadline=None)
 @given(_inputs, st.sampled_from(_LINEAR), st.sampled_from([None, 0, 2]))
 def test_inverse_matches_the_graded_passes(inputs, linear, extra):
     degree, share, gaussian, kind, rng = inputs
-    valid = _valid(kind, degree)
-    # small coefficients: the inverse of a dense change grows them fast
-    comps = [Jet2(EXACT, {(1, 0): GR.from_value(row[0]), (0, 1): GR.from_value(row[1]),
-                          **_terms(rng, 2, degree, share, gaussian, 2)}, valid)
-             for row in linear]
-    change = CoordinateChange.from_series(*comps)
+    change = CoordinateChange.from_series(*_change(rng, linear, degree, share, gaussian,
+                                                   _valid(kind, degree)))
     wanted = None if extra is None else degree + extra
     out, want = change.inverse(wanted), oracles.t_graded_inverse(change, wanted)
     _same(out.comp1, want.comp1)
@@ -140,10 +152,8 @@ _EDGES = [(degree, kind, gaussian) for degree in range(6)
 def test_inverse_at_the_edge_degrees(degree, kind, gaussian, wanted):
     rng = random.Random(f"inverse {degree} {kind} {gaussian}")
     linear = _LINEAR[4 if gaussian else degree % 4]
-    comps = [Jet2(EXACT, {(1, 0): GR.from_value(row[0]), (0, 1): GR.from_value(row[1]),
-                          **_terms(rng, 2, degree, 0.7, gaussian, 3)},
-                  _edge_valid(kind, degree)) for row in linear]
-    change = CoordinateChange.from_series(*comps)
+    change = CoordinateChange.from_series(*_change(rng, linear, degree, 0.7, gaussian,
+                                                   _edge_valid(kind, degree), 3))
     wanted = degree if wanted == "degree" else None
     out, want = (_outcome(solve, change, wanted)
                  for solve in (CoordinateChange.inverse, oracles.t_graded_inverse))
@@ -187,6 +197,64 @@ def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
         _same(got, ref)
 
 
+# -- float solves ------------------------------------------------------------------
+#
+# A float solve runs the parts code of an exact one.  The whole-jet float
+# loops the solvers ran before are the oracles: t_graded_inverse and
+# t_graded_ode_solve on float jets, and f_reciprocal.  On the float images
+# of the inputs above, every coefficient must agree within 1e-12 of
+# max(1, |c|) for c the largest coefficient of its degree, with the same
+# valid_through.  A coefficient is a sum that may cancel, so its rounding is
+# relative to the terms of its degree, not to itself: on random dense units
+# the two loops differed by 1.3e-12 of a coefficient of size 6 that each of
+# them missed by 3e-13 or more, and by at most 7e-15 of the largest
+# coefficient of a degree over 1,000 draws of each solve.
+
+def _same_float(out, want):
+    if not isinstance(want, Jet2):          # both raise the same error
+        assert out is want
+        return
+    assert (out.mode, out.valid_through) == (FLOAT, want.valid_through)
+    scale: dict = {}
+    for (i, j), c in want.re.items():
+        scale[i + j] = max(scale.get(i + j, 1.0), abs(c))
+    for k in out.re.keys() | want.re.keys():
+        assert abs(out.re.get(k, 0) - want.re.get(k, 0)) <= 1e-12 * scale.get(sum(k), 1.0), k
+
+
+def _float_solves(change, theta, unit, degree, wanted):
+    """Each float solve and its oracle on the float images of the inputs."""
+    change = CoordinateChange.from_series(*(c.to_float() for c in change))
+    theta, unit = theta.to_float(), unit.to_float()
+    inverse, want = change.inverse(wanted), oracles.t_graded_inverse(change, wanted)
+    _same_float(inverse.comp1, want.comp1)
+    _same_float(inverse.comp2, want.comp2)
+    _same_float(*(_outcome(solve, theta, degree)
+                  for solve in (series_ode_solve, oracles.t_graded_ode_solve)))
+    _same_float(jet_reciprocal(unit), oracles.f_reciprocal(unit))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_inputs, st.sampled_from(_LINEAR), st.sampled_from([None, 0, 2]))
+def test_float_solves_match_the_float_loops(inputs, linear, extra):
+    degree, share, gaussian, kind, rng = inputs
+    valid = _valid(kind, degree)
+    _float_solves(_change(rng, linear, degree, share, gaussian, valid),
+                  Jet2(EXACT, _terms(rng, 0, degree, share / 2, gaussian), valid),
+                  _unit(rng, degree, share, gaussian, valid),
+                  degree, None if extra is None else degree + extra)
+
+
+@pytest.mark.parametrize("degree, kind, gaussian", _EDGES)
+def test_float_solves_at_the_edge_degrees(degree, kind, gaussian):
+    rng = random.Random(f"float {degree} {kind} {gaussian}")
+    valid = _edge_valid(kind, degree)
+    _float_solves(_change(rng, _LINEAR[4 if gaussian else degree % 4], degree, 0.7, gaussian,
+                          valid, 3),
+                  Jet2(EXACT, _terms(rng, 0, degree, 0.6, gaussian), _valid(kind, degree)),
+                  _unit(rng, degree, 0.7, gaussian, valid), degree, degree)
+
+
 # -- the state on its own: the part protocol -----------------------------------------
 #
 # With a state, jet_compose2(f, p, q, state, slot, n, k) takes p and q as the
@@ -194,7 +262,7 @@ def test_linearize_at_the_edge_degrees(degree, kind, gaussian, mn, resonant):
 
 def _same_part(part: tuple, k: int, want: Jet2):
     """The part of degree k is that of *want* (den, re and im)."""
-    got, want = _from_parts([_ZERO] * k + [part], INF), oracles.homogeneous_part(want, k)
+    got, want = _from_parts(EXACT, [_ZERO] * k + [part], INF), oracles.homogeneous_part(want, k)
     assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
 
 
@@ -323,8 +391,14 @@ def test_a_state_refuses_a_degree_out_of_order():
 def test_a_state_refuses_what_it_cannot_compose():
     f, p, q = _pair()
     p_parts, q_parts = _split(p, 3), _split(q, 3)
-    with pytest.raises(ModeMismatch):
-        jet_compose2(f.to_float(), p_parts[1], q_parts[1], RelaxedComposition(), 0, 1, 2)
+    # a state runs in the mode of the first outer series it is handed
+    for first, other, (ps, qs) in ((f, f.to_float(), (p_parts, q_parts)),
+                                   (f.to_float(), f, (_split(p.to_float(), 3),
+                                                      _split(q.to_float(), 3)))):
+        state = RelaxedComposition()
+        jet_compose2(first, ps[1], qs[1], state, 0, 1, 2)
+        with pytest.raises(ModeMismatch):
+            jet_compose2(other, ps[1], qs[1], state, 1, 1, 2)
     with pytest.raises(BadParams):          # an inner constant term: p(0) != 0
         jet_compose2(f, _split(Jet2.const(1), 0)[0], q_parts[0], RelaxedComposition(), 0, 0, 1)
     with pytest.raises(PrecisionExhausted):     # f known through degree 6 only
