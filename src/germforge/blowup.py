@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from . import scalars
 from .errors import (
     BadParams,
     DegenerateBlowup,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .germ import LinearPartData, VectorFieldGerm, linear_part
 from .scalars import EXACT, GaussianRational, Scalar
-from .series import INF, Jet1, Jet2
+from .series import INF, Jet1, Jet2, _rekeyed
 
 
 @dataclass
@@ -41,17 +40,11 @@ class BlowupResult:
 
 
 def _substitute_line(jet: Jet2, chart: int) -> Jet2:
-    """y = tx (chart 0) or x = sy (chart 1): monomial exponent remap."""
-    out = {}
-    if chart == 0:
-        for (i, j), v in jet.coeffs.items():
-            key = (i + j, j)  # x^i (tx)^j = x^(i+j) t^j
-            out[key] = out.get(key, scalars.zero(jet.mode)) + v
-    else:
-        for (i, j), v in jet.coeffs.items():
-            key = (i, i + j)  # (sy)^i y^j, stored as s^i y^(i+j) -> (s-exp, y-exp)
-            out[key] = out.get(key, scalars.zero(jet.mode)) + v
-    return Jet2(jet.mode, out, jet.valid_through)
+    """y = tx (chart 0) or x = sy (chart 1): monomial exponent remap,
+    x^i (tx)^j = x^(i+j) t^j and (sy)^i y^j = s^i y^(i+j).  The terms are
+    added to zero, which clears the sign of a float zero part."""
+    move = (lambda k: (k[0] + k[1], k[1])) if chart == 0 else (lambda k: (k[0], k[0] + k[1]))
+    return Jet2.zero(jet.mode) + _rekeyed(jet, move, jet.valid_through)
 
 
 def _common_power(idx: int, *jets: Jet2) -> Optional[int]:

@@ -44,9 +44,6 @@ from .series import (
 TABLE_ROWS = ("1a", "1b", "1c", "2", "3", "4", "5", "6", "7", "8", "9",
               "10", "11", "12", "13")
 MT_FAMILIES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
-# parse_id refuses a larger integer parameter (in absolute value), as the CLI
-# does a larger --degree: the time to build and classify a germ grows with it
-MAX_INT_PARAM = 64
 
 
 @dataclass
@@ -101,8 +98,8 @@ def _parse_param(text: str):
     except ValueError:
         pass
     else:
-        if abs(value) > MAX_INT_PARAM:
-            raise BadParams(f"integer parameter {value} is beyond the bound {MAX_INT_PARAM}")
+        if abs(value) > series.MAX_DEGREE:
+            raise BadParams(f"integer parameter {value} is beyond the bound {series.MAX_DEGREE}")
         return value
     try:
         return scalars.parse_exact(text)

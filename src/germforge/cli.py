@@ -40,10 +40,9 @@ from .numflow import LeafLoopSpec, TimePath, elliptic_loop, leaf_period, siegel_
 from .parser import parse_to_jet1, parse_to_jet2, parse_vector_field
 from .report import Report
 from .scalars import EXACT, FLOAT
-from .series import DEFAULT_DEGREE, laurent_residue
+from .series import DEFAULT_DEGREE, MAX_DEGREE, laurent_residue
 
 USAGE_EXIT = 64
-MAX_DEGREE = 64
 
 
 def resolve_field(text: str, mode: str, degree: int) -> VectorFieldGerm:
@@ -358,8 +357,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only plain decimals as negative numbers, so a value in
-        # exponent form (--lam -1e-3) would be taken for an option
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
+        # exponent form (--lam -1e-3), or -inf, -infinity or -nan in any case
+        # as float() reads them, would be taken for an option
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+|\d*\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -390,7 +391,7 @@ def _degree(text: str) -> int:
 def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--degree", type=_degree,
-                        help=f"truncation degree, at most {MAX_DEGREE} (default 16)")
+                        help=f"truncation degree, at most {MAX_DEGREE} (default {DEFAULT_DEGREE})")
     common.add_argument("--mode", choices=[EXACT, FLOAT],
                         help="scalar mode for symbolic commands (default exact)")
     common.add_argument("--tol", type=float,

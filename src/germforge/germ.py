@@ -23,8 +23,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .scalars import EXACT, FLOAT, GaussianRational, Scalar
-from .series import (INF, Jet2, _zderive, exact_divide, jet_compose2, jet_derive, jet_dot,
-                     jet_mul)
+from .series import (INF, Jet2, _rekeyed, _zderive, exact_divide, jet_compose2, jet_derive,
+                     jet_dot, jet_mul)
 
 
 class VectorFieldGerm:
@@ -69,8 +69,7 @@ class VectorFieldGerm:
 
     def swap_axes(self) -> "VectorFieldGerm":
         """The germ in coordinates (x, y) -> (y, x)."""
-        sw = lambda jet: Jet2(jet.mode, {(j, i): v for (i, j), v in jet.coeffs.items()},
-                              jet.valid_through)
+        sw = lambda jet: _rekeyed(jet, lambda k: (k[1], k[0]), jet.valid_through)
         return VectorFieldGerm(sw(self.b), sw(self.a))
 
     def to_float(self) -> "VectorFieldGerm":
@@ -266,7 +265,8 @@ class CoordinateChange:
         those of psi; one Jet2 per component is built at the end.  The
         result is valid through min(degree, valid), valid being that of phi.
         *degree* defaults to valid, or twice the degree of a polynomial
-        change; it is capped at 64, and an INF degree means 16.
+        change; it is capped at series.MAX_DEGREE, and an INF degree means
+        series.DEFAULT_DEGREE.
         """
         if self.kind != "series":
             return CoordinateChange("rational-chart", self.inverse1, self.inverse2,
@@ -278,7 +278,7 @@ class CoordinateChange:
         if degree is None:
             degree = valid if valid != INF else max(
                 self.comp1.degree_bound(), self.comp2.degree_bound(), 1) * 2
-        degree = int(min(degree, 64)) if degree != INF else 16
+        degree = int(min(degree, series.MAX_DEGREE)) if degree != INF else series.DEFAULT_DEGREE
         top = min(degree, valid)
         j11, j12, j21, j22 = self.jacobian_at_origin()
         det = j11 * j22 - j12 * j21

@@ -362,8 +362,7 @@ def replace_controls(spec: LeafLoopSpec, tol: Optional[float] = None,
 # loop builders and quadrature
 # ---------------------------------------------------------------------------
 
-def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
-                  ) -> LeafLoopSpec:
+def elliptic_loop(c: complex, tol: float = DEFAULT_TOL) -> LeafLoopSpec:
     """A homology-nontrivial loop on the leaf xy(x-y) = c.
 
     The x-projection of the leaf is a double cover branched at x = 0 and the
@@ -378,7 +377,7 @@ def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
         center = r1 / 2.0
         radius = 0.65 * abs(r1)
         start = center + radius * cmath.exp(1j * cmath.phase(r1))
-        seed = _elliptic_lift(start, c, seed_branch)
+        seed = _elliptic_lift(start, c)
     except OverflowError:
         raise BadParams(f"the loop on the leaf c = {c} overflows a float") from None
     return LeafLoopSpec(
@@ -388,14 +387,13 @@ def elliptic_loop(c: complex, seed_branch: int = 0, tol: float = DEFAULT_TOL
     )
 
 
-def _elliptic_lift(x0: complex, c: complex, branch: int) -> complex:
+def _elliptic_lift(x0: complex, c: complex) -> complex:
     # xy(x - y) = c  <=>  x y^2 - x^2 y + c = 0
     disc = x0 ** 4 - 4 * c * x0
     root = cmath.sqrt(disc)
     y_a = (x0 ** 2 + root) / (2 * x0)
     y_b = (x0 ** 2 - root) / (2 * x0)
-    roots = sorted((y_a, y_b), key=lambda z: (abs(z), cmath.phase(z)))
-    return roots[branch]
+    return min((y_a, y_b), key=lambda z: (abs(z), cmath.phase(z)))
 
 
 def siegel_loop(x0: complex, c: complex, tol: float = DEFAULT_TOL) -> LeafLoopSpec:

@@ -43,7 +43,7 @@ class SemicompleteVerdict:
     witness: object = None
 
 
-def onedim_check(h: Jet1, tol: float = 0.0) -> SemicompleteVerdict:
+def onedim_check(h: Jet1) -> SemicompleteVerdict:
     """Necessary conditions of the one-dimensional lemma.
 
     order <= 1 passes; order 2 requires residue zero; order >= 3 fails.
@@ -62,7 +62,7 @@ def onedim_check(h: Jet1, tol: float = 0.0) -> SemicompleteVerdict:
         res = laurent_residue(h)
     except PrecisionExhausted:
         return SemicompleteVerdict(UNKNOWN, "precision")
-    if scalars.is_zero_scalar(res, h.mode, tol):
+    if scalars.is_zero_scalar(res, h.mode):
         return SemicompleteVerdict(PASS, "zero-residue")
     return SemicompleteVerdict(FAIL, "nonzero-residue", res)
 
@@ -132,8 +132,7 @@ def straighten_regular(g1: Jet1, g2: Jet1, n: int, degree: int
     return u, beta
 
 
-def siegel_regular_test(g1: Jet1, g2: Jet1, n: int, degree: int,
-                        tol: float = 0.0) -> SemicompleteVerdict:
+def siegel_regular_test(g1: Jet1, g2: Jet1, n: int, degree: int) -> SemicompleteVerdict:
     """Semicompleteness of the Siegel-regular family via monomial absence.
 
     Pass iff neither the straightened unit 1 + beta nor the straightening
@@ -147,21 +146,18 @@ def siegel_regular_test(g1: Jet1, g2: Jet1, n: int, degree: int,
     if degree < n + 2:
         return SemicompleteVerdict(UNKNOWN, "precision")
     u, beta = straighten_regular(g1, g2, n, degree)
-    u_witness = _first_x_linear_monomial(u, tol)
+    u_witness = _first_x_linear_monomial(u)
     if u_witness is not None:
         return SemicompleteVerdict(FAIL, "witness-monomial", u_witness)
-    beta_witness = _first_x_linear_monomial(beta, tol)
+    beta_witness = _first_x_linear_monomial(beta)
     if beta_witness is not None:
         return SemicompleteVerdict(FAIL, "witness-monomial", beta_witness)
     return SemicompleteVerdict(PASS, "no-x-linear-monomials")
 
 
-def _first_x_linear_monomial(jet: Jet2, tol: float):
-    hits = [
-        (i, j) for (i, j), v in jet.coeffs.items()
-        if i == 1 and not scalars.is_zero_scalar(v, jet.mode, tol)
-    ]
-    return min(hits, key=lambda k: k[1]) if hits else None
+def _first_x_linear_monomial(jet: Jet2):
+    """The stored term x y^j of least j (a stored term is nonzero), or None."""
+    return min((k for k in jet._keys() if k[0] == 1), key=lambda k: k[1], default=None)
 
 
 def closed_criterion(g1: Jet1, g2: Jet1) -> bool:

@@ -11,12 +11,11 @@ All values are immutable after construction; operations are pure functions.
 
 One kernel.  Every coefficient computation lives in the Jet2 operations of
 this module (jet_mul, jet_dot, jet_derive, jet_reciprocal, jet_compose1,
-jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is a view, not
-a second kernel: it stores int-keyed coefficients and answers queries, and
-each of its four operations (sum, product, scaling and reciprocal) embeds
-z -> x, runs the Jet2 operation and reads the result back with
-restrict_y0(); to_float does the same.  Derivatives and compositions of a
-Jet1 go through jet_derive and jet_compose1 on its lift.
+jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is not a
+second kernel: it holds ``jet``, the Jet2 in x alone that z -> x maps it
+to, and its queries, sum, product, scaling, reciprocal and to_float are the
+Jet2 ones on that jet.  Derivatives and compositions of a Jet1 go through
+jet_derive and jet_compose1 on its jet.
 
 One storage.  A Jet2 keeps its coefficients as numerators over one
 denominator, as FLINT's fmpq_poly does: the coefficient of x^i y^j is
@@ -30,7 +29,8 @@ GaussianRational stores one coefficient the same way, as reduced ints
 (den, re_num, im_num), so a jet and its scalars convert by gcds and
 lcms of ints alone.  ``coeffs`` is a read-only scalar view that an exact
 jet builds on first read (re keys first, then the purely imaginary ones)
-and caches, and that for a float jet is re itself.
+and caches, and that for a float jet is re itself.  No kernel operation
+reads it: re-keyings (_rekeyed), equals and to_float run on stored data.
 
 Degree-by-degree recurrences work on homogeneous parts, in both modes.  The
 reciprocal and the graded solves (RelaxedComposition and its callers) keep
@@ -59,6 +59,8 @@ from .scalars import EXACT, FLOAT, GaussianRational, Scalar, from_ints
 INF = math.inf
 
 DEFAULT_DEGREE = 16
+# the bound of --degree, of inverse's degree and of catalog int parameters
+MAX_DEGREE = 64
 
 
 def _as_scalar(value, mode):
@@ -70,26 +72,25 @@ def _as_scalar(value, mode):
 
 
 class Jet1:
-    """Truncated series in one variable z: a view of the Jet2 kernel.
-
-    The coefficient of z^k is stored under the int key k.  Constructors and
-    queries are Jet1's own; every operation lifts z -> x with _lift(), runs
-    the Jet2 operation on its numerators and reads the result back with
-    restrict_y0().
+    """Truncated series in one variable z, held as ``jet``, the Jet2 in x
+    alone that z -> x maps it to.  ``coeffs`` is the scalar view keyed by
+    the exponent of z, built on each read; the queries and operations are
+    the Jet2 ones on ``jet``, their results wrapped without a copy.
     """
 
-    __slots__ = ("mode", "coeffs", "valid_through")
+    __slots__ = ("jet",)
 
     def __init__(self, mode: str, coeffs: Dict[int, Scalar], valid_through):
-        self.mode = mode
-        cleaned = {}
-        for k, v in coeffs.items():
-            if k < 0:
-                raise BadParams("Jet1 exponents must be >= 0")
-            if k <= valid_through and not scalars.is_zero_scalar(v, mode):
-                cleaned[k] = v
-        self.coeffs = cleaned
-        self.valid_through = valid_through
+        if any(k < 0 for k in coeffs):
+            raise BadParams("Jet1 exponents must be >= 0")
+        self.jet = Jet2(mode, {(k, 0): v for k, v in coeffs.items()}, valid_through)
+
+    @classmethod
+    def _of(cls, jet: "Jet2") -> "Jet1":
+        """The Jet1 that holds *jet*, a Jet2 in x alone."""
+        out = cls.__new__(cls)
+        out.jet = jet
+        return out
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -111,44 +112,43 @@ class Jet1:
         return cls(mode, {1: scalars.one(mode)}, valid_through)
 
     # -- basic queries ----------------------------------------------------
+    mode = property(lambda self: self.jet.mode)
+    valid_through = property(lambda self: self.jet.valid_through)
+    coeffs = property(lambda self: {i: v for (i, _), v in self.jet.coeffs.items()})
+
     def order(self):
-        return min(self.coeffs) if self.coeffs else INF
+        return self.jet.order()
 
     def coeff(self, k: int) -> Scalar:
-        if k > self.valid_through:
-            raise PrecisionExhausted(f"degree {k} beyond valid_through {self.valid_through}")
-        return self.coeffs.get(k, scalars.zero(self.mode))
+        return self.jet.coeff(k, 0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(scalars.is_zero_scalar(v, self.mode, tol) for v in self.coeffs.values())
+        return self.jet.is_zero(tol)
 
     def is_polynomial(self) -> bool:
-        return self.valid_through == INF
+        return self.jet.is_polynomial()
 
     def truncate(self, valid_through) -> "Jet1":
-        return Jet1(self.mode, dict(self.coeffs), min(self.valid_through, valid_through))
+        return Jet1._of(self.jet.truncate(valid_through))
 
     def degree_bound(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
+        return self.jet.degree_bound()
 
-    # -- arithmetic: z -> x, the Jet2 kernel, then back ------------------------
-    def _lift(self) -> "Jet2":
-        return Jet2(self.mode, {(k, 0): v for k, v in self.coeffs.items()}, self.valid_through)
-
+    # -- arithmetic: the Jet2 kernel on the held jets ------------------------
     def __add__(self, other: "Jet1") -> "Jet1":
-        return (self._lift() + other._lift()).restrict_y0()
+        return Jet1._of(self.jet + other.jet)
 
     def __mul__(self, other: "Jet1") -> "Jet1":
-        return jet_mul(self._lift(), other._lift()).restrict_y0()
+        return Jet1._of(jet_mul(self.jet, other.jet))
 
     def scale(self, value) -> "Jet1":
-        return self._lift().scale(value).restrict_y0()
+        return Jet1._of(self.jet.scale(value))
 
     def reciprocal(self) -> "Jet1":
-        return jet_reciprocal(self._lift()).restrict_y0()
+        return Jet1._of(jet_reciprocal(self.jet))
 
     def to_float(self) -> "Jet1":
-        return self._lift().to_float().restrict_y0()
+        return Jet1._of(self.jet.to_float())
 
     def __repr__(self):
         terms = " + ".join(f"({v})*z^{k}" for k, v in sorted(self.coeffs.items()))
@@ -190,11 +190,8 @@ class Jet2:
         view = self._view
         if view is None:
             den, re, im = self.den, self.re, self.im
-            view = {k: from_ints(den, v, im.get(k, 0)) for k, v in re.items()}
-            for k, v in im.items():
-                if k not in view:
-                    view[k] = from_ints(den, 0, v)
-            self._view = view
+            view = self._view = {k: from_ints(den, re.get(k, 0), im.get(k, 0))
+                                 for k in self._keys()}
         return view
 
     # -- constructors ----------------------------------------------------
@@ -228,17 +225,20 @@ class Jet2:
 
     # -- queries -----------------------------------------------------------
     def _keys(self):
-        return self.re.keys() | self.im.keys() if self.im else self.re.keys()
+        """The stored keys, in the order of the scalar view."""
+        if self._view is None:
+            return self.re | self.im if self.im else self.re
+        return self._view
 
     def order(self):
         return _zorder(self.re, self.im)
 
     def coeff(self, i: int, j: int) -> Scalar:
         if i + j > self.valid_through:
-            raise PrecisionExhausted(
-                f"degree {i + j} beyond valid_through {self.valid_through}"
-            )
-        return self.coeffs.get((i, j), scalars.zero(self.mode))
+            raise PrecisionExhausted(f"degree {i + j} beyond valid_through {self.valid_through}")
+        if self.mode == FLOAT:
+            return self.re.get((i, j), 0j)
+        return from_ints(self.den, self.re.get((i, j), 0), self.im.get((i, j), 0))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol and self.mode == FLOAT:
@@ -290,42 +290,42 @@ class Jet2:
                     self.valid_through)
 
     def to_float(self) -> "Jet2":
+        """Each part of each coefficient an int / int division (correctly rounded)."""
         if self.mode == FLOAT:
             return self
-        return Jet2(FLOAT, {k: v.to_complex() for k, v in self.coeffs.items()}, self.valid_through)
+        den, re, im = self.den, self.re, self.im
+        out = {}
+        for k in self._keys():
+            c = complex(re.get(k, 0) / den) + 1j * complex(im.get(k, 0) / den)
+            if c:
+                out[k] = c
+        return _jet(FLOAT, 1, out, {}, self.valid_through)
 
     def equals(self, other: "Jet2", tol: float = 0.0) -> bool:
+        """Through the common valid_through: exact jets are stored reduced."""
         self._check(other)
         valid = min(self.valid_through, other.valid_through)
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = scalars.zero(self.mode)
-        for k in keys:
-            if k[0] + k[1] > valid:
-                continue
-            d = self.coeffs.get(k, z) - other.coeffs.get(k, z)
-            if not scalars.is_zero_scalar(d, self.mode, tol):
-                return False
-        return True
+        a, b = self.truncate(valid), other.truncate(valid)
+        if self.mode == EXACT:
+            return (a.den, a.re, a.im) == (b.den, b.re, b.im)
+        return all(abs(a.re.get(k, 0) - b.re.get(k, 0)) <= tol for k in a.re.keys() | b.re.keys())
 
     def restrict_y0(self) -> Jet1:
         """The 1-variable jet self(x, 0)."""
-        out = {i: v for (i, j), v in self.coeffs.items() if j == 0}
-        return Jet1(self.mode, out, self.valid_through)
+        return Jet1._of(_rekeyed(self, lambda k: None if k[1] else k, self.valid_through))
 
     def restrict_x0(self) -> Jet1:
         """The 1-variable jet self(0, y)."""
-        out = {j: v for (i, j), v in self.coeffs.items() if i == 0}
-        return Jet1(self.mode, out, self.valid_through)
+        return Jet1._of(_rekeyed(self, lambda k: None if k[0] else (k[1], 0),
+                                 self.valid_through))
 
     def divide_monomial(self, i: int, j: int) -> "Jet2":
         """Exact division by x^i y^j; raises NotDivisible when not divisible."""
-        out = {}
-        for (a, b), v in self.coeffs.items():
-            if a < i or b < j:
-                raise NotDivisible(f"not divisible by x^{i} y^{j}: term x^{a} y^{b}")
-            out[(a - i, b - j)] = v
-        valid = self.valid_through if self.valid_through == INF else self.valid_through - (i + j)
-        return Jet2(self.mode, out, valid)
+        def move(key):
+            if key[0] < i or key[1] < j:
+                raise NotDivisible(f"not divisible by x^{i} y^{j}: term x^{key[0]} y^{key[1]}")
+            return key[0] - i, key[1] - j
+        return _rekeyed(self, move, self.valid_through - (i + j))
 
     def __repr__(self):
         terms = " + ".join(
@@ -359,6 +359,21 @@ def _jet(mode: str, den: int, re: dict, im: dict, valid) -> Jet2:
     jet.mode, jet.den, jet.re, jet.im, jet.valid_through = mode, den, re, im, valid
     jet._view = re if mode == FLOAT else None
     return jet
+
+
+def _rekeyed(jet: Jet2, move, valid) -> Jet2:
+    """*jet* with the term of each key k moved to move(k) (one-to-one) or dropped
+    where that is None, cut at *valid* and reduced, in the scalar view's order."""
+    re, im = jet.re, jet.im
+    out_re, out_im = {}, {}
+    for k in jet._keys():
+        new = move(k)
+        if new is not None and new[0] + new[1] <= valid:
+            if k in re:
+                out_re[new] = re[k]
+            if k in im:
+                out_im[new] = im[k]
+    return _jet(jet.mode, jet.den, out_re, out_im, valid)
 
 
 def _nonzero(a: dict) -> dict:
@@ -623,13 +638,13 @@ def jet_compose1(f: Jet1, g: Jet2) -> Jet2:
     """f(g(x,y)) for g(0,0) = 0, or polynomial f at arbitrary g:
     sum_k f_k g^k, through the valid_through of the result.
 
-    This is jet_compose2 of the lift f(x) at the inner pair (g, 0), which
+    This is jet_compose2 of f's jet f(x) at the inner pair (g, 0), which
     forms the same powers g^k, cut at the same valid_through.
     """
     scalars.check_same_mode(f.mode, g.mode)
     if _has_constant(g) and not f.is_polynomial():
         raise CompositionAtNonzeroPoint("jet_compose1: g(0,0) != 0 for a proper jet f")
-    return jet_compose2(f._lift(), g, Jet2.zero(g.mode, INF))
+    return jet_compose2(f.jet, g, Jet2.zero(g.mode, INF))
 
 
 def jet_compose2(f: Jet2, p, q, state: Optional["RelaxedComposition"] = None, slot: int = 0,
@@ -968,12 +983,10 @@ def laurent_residue(h: Jet1) -> Scalar:
         raise PrecisionExhausted(
             f"need unit part of h to degree {r - 1}; valid_through {h.valid_through}"
         )
-    unit_valid = h.valid_through if h.valid_through == INF else h.valid_through - r
-    unit = Jet1(h.mode, {k - r: v for k, v in h.coeffs.items()}, unit_valid)
-    inv = unit.truncate(max(r - 1, 0)).reciprocal()
+    inv = jet_reciprocal(h.jet.divide_monomial(r, 0).truncate(r - 1))
     if r - 1 > inv.valid_through:
         raise PrecisionExhausted("reciprocal not determined to degree order-1")
-    return inv.coeff(r - 1)
+    return inv.coeff(r - 1, 0)
 
 
 def series_ode_solve(theta: Jet2, degree: int) -> Jet2:

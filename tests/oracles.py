@@ -43,7 +43,10 @@ used.  `t_lie_bracket`, `t_derive_along` and `t_decompose` are the germ
 operations as they were before each sum became one series.jet_dot: the
 oracle of germforge.germ's.  `FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is
 the exact scalar as it was before it stored reduced ints, with two
-Fraction parts: the oracle of germforge.scalars.
+Fraction parts: the oracle of germforge.scalars.  `v_restrict_y0`,
+`v_restrict_x0`, `v_divide_monomial`, `v_swap_axes`, `v_substitute_line`,
+`v_equals` and `v_to_float` are the jet operations that walked the scalar
+view, as they were before they ran on the stored numerators.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from germforge import mr, numflow, scalars, series
 from germforge.errors import (BadParams, DegenerateFrame, GermforgeError, ModeMismatch,
-                              NonInvertibleChange, PrecisionExhausted, StepFailure,
+                              NonInvertibleChange, NotDivisible, PrecisionExhausted, StepFailure,
                               ZeroDenominator)
 from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, linear_part, pullback
 from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
@@ -1605,3 +1608,64 @@ def _fp_split_signed(body: str):
         if c in "+-" and body[k - 1] not in "+-/":
             return body[:k], (1 if c == "+" else -1), body[k + 1:]
     return None
+
+
+# -- re-keying, comparing and lowering through the scalar view ---------------------
+#
+# Jet2's restrict_y0, restrict_x0, divide_monomial, equals and to_float,
+# VectorFieldGerm.swap_axes and germforge.blowup's _substitute_line as they
+# were before they ran on the stored numerators: each walked the scalar view
+# and built its result through Jet2() (a restriction as the Jet2 in x alone
+# that a Jet1 holds).  The library's must store the same den, re, im and
+# valid_through in the same term order, give the same booleans and raise the
+# same NotDivisible message.
+
+def v_restrict_y0(jet: Jet2) -> Jet2:
+    return Jet2(jet.mode, {(i, 0): v for (i, j), v in jet.coeffs.items() if j == 0},
+                jet.valid_through)
+
+
+def v_restrict_x0(jet: Jet2) -> Jet2:
+    return Jet2(jet.mode, {(j, 0): v for (i, j), v in jet.coeffs.items() if i == 0},
+                jet.valid_through)
+
+
+def v_divide_monomial(jet: Jet2, i: int, j: int) -> Jet2:
+    out = {}
+    for (a, b), v in jet.coeffs.items():
+        if a < i or b < j:
+            raise NotDivisible(f"not divisible by x^{i} y^{j}: term x^{a} y^{b}")
+        out[(a - i, b - j)] = v
+    valid = jet.valid_through if jet.valid_through == INF else jet.valid_through - (i + j)
+    return Jet2(jet.mode, out, valid)
+
+
+def v_swap_axes(x: VectorFieldGerm) -> VectorFieldGerm:
+    sw = lambda jet: Jet2(jet.mode, {(j, i): v for (i, j), v in jet.coeffs.items()},
+                          jet.valid_through)
+    return VectorFieldGerm(sw(x.b), sw(x.a))
+
+
+def v_substitute_line(jet: Jet2, chart: int) -> Jet2:
+    out = {}
+    for (i, j), v in jet.coeffs.items():
+        key = (i + j, j) if chart == 0 else (i, i + j)
+        out[key] = out.get(key, scalars.zero(jet.mode)) + v
+    return Jet2(jet.mode, out, jet.valid_through)
+
+
+def v_equals(a: Jet2, b: Jet2, tol: float = 0.0) -> bool:
+    scalars.check_same_mode(a.mode, b.mode)
+    valid = min(a.valid_through, b.valid_through)
+    z = scalars.zero(a.mode)
+    for k in set(a.coeffs) | set(b.coeffs):
+        if k[0] + k[1] <= valid and not scalars.is_zero_scalar(
+                a.coeffs.get(k, z) - b.coeffs.get(k, z), a.mode, tol):
+            return False
+    return True
+
+
+def v_to_float(jet: Jet2) -> Jet2:
+    if jet.mode == FLOAT:
+        return jet
+    return Jet2(FLOAT, {k: v.to_complex() for k, v in jet.coeffs.items()}, jet.valid_through)

@@ -100,6 +100,13 @@ ROWS = [
     (["holonomy", "--lam", "-1e-3"], OK),
     (["period", "--field", "[x*x*y, -x*y*y]", "--leaf-re", "-2e-2", "--degree", "4"], OK),
     (["holonomy", "--lam", "-x"], USAGE),
+    # so are -inf, -infinity and -nan in any case, as float() reads them (they
+    # were usage errors): each reaches the error its positive form reaches
+    (["holonomy", "--lam", "-inf"], ERROR),
+    (["holonomy", "--lam", "-NaN"], ERROR),
+    (["holonomy", "--lam", "-Infinity"], ERROR),
+    (["period", "--field", "[x*x*y, -x*y*y]", "--degree", "4", "--leaf-re", "-inf"], ERROR),
+    (["holonomy", "--lam", "-infx"], USAGE),
     # usage
     (["no-such-command"], USAGE),
     (["straighten", "--g1", "1", "--g2", "z", "--degree", "abc"], USAGE),

@@ -19,7 +19,8 @@ from germforge.errors import (
     NotDivisible,
     PrecisionExhausted,
 )
-from germforge.germ import CoordinateChange
+from germforge.blowup import _substitute_line
+from germforge.germ import CoordinateChange, VectorFieldGerm
 from germforge.parser import parse_to_jet2
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (
@@ -39,6 +40,7 @@ from germforge.series import (
     jet_reciprocal,
     laurent_residue,
     series_ode_solve,
+    _rekeyed,
 )
 
 import oracles
@@ -244,8 +246,8 @@ def test_residue_invariant_under_coordinate_change():
 
 def _transform_1d(h: Jet1, phi: Jet1) -> Jet1:
     """Coefficient of the pushed-forward field: h(phi(w)) / phi'(w)."""
-    num = jet_compose1(h, phi._lift()).restrict_y0()
-    dphi = jet_derive(phi._lift(), "x").restrict_y0()
+    num = jet_compose1(h, phi.jet).restrict_y0()
+    dphi = jet_derive(phi.jet, "x").restrict_y0()
     # dphi is a unit (phi'(0) != 0)
     inv = dphi.reciprocal()
     return num * inv
@@ -548,7 +550,7 @@ def test_reciprocal_edge_cases_store_what_the_oracle_stores(name):
 ], ids=["constant", "truncated", "polynomial"])
 def test_jet1_reciprocal_stores_what_the_oracle_stores(u):
     out = u.reciprocal()
-    expected = oracles.z_reciprocal(u._lift()).restrict_y0()
+    expected = oracles.z_reciprocal(u.jet).restrict_y0()
     assert (out.coeffs, out.valid_through) == (expected.coeffs, expected.valid_through)
 
 
@@ -614,12 +616,12 @@ def _unit1(a: Jet1, c) -> Jet1:
 
 def _derivative1(a: Jet1) -> Jet1:
     """da/dz through the kernel: jet_derive of the lift z -> x."""
-    return jet_derive(a._lift(), "x").restrict_y0()
+    return jet_derive(a.jet, "x").restrict_y0()
 
 
 def _compose1(f: Jet1, g: Jet1) -> Jet1:
     """f(g(z)) through the kernel: jet_compose1 on the lift of g."""
-    return jet_compose1(f, g._lift()).restrict_y0()
+    return jet_compose1(f, g.jet).restrict_y0()
 
 
 @settings(max_examples=60, deadline=None)
@@ -868,6 +870,13 @@ def _assert_stored(jet: Jet2):
         assert jet.den == 1 and jet.im == {} and jet.coeffs is jet.re
 
 
+def _assert_stored1(f: Jet1):
+    """A Jet1 holds a stored Jet2 in x alone."""
+    assert isinstance(f, Jet1)
+    _assert_stored(f.jet)
+    assert all(j == 0 for _, j in (*f.jet.re, *f.jet.im))
+
+
 _float_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                          st.integers(-4, 4).map(float),
                          st.floats(-1e3, 1e3, allow_nan=False))
@@ -988,6 +997,12 @@ def test_storage_invariant_after_every_kernel_op(mode, data):
         outs.append(a.divide_monomial(1, 0))
     for out in outs:
         _assert_stored(out)
+    g1 = Jet1(mode, {k: v.to_complex() if mode == FLOAT else v
+                     for k, v in data.draw(exact_jet1s()).coeffs.items()}, INF)
+    outs1 = [f1, f1 + g1, f1 * g1, f1.scale(c), f1.truncate(2), f1.to_float(),
+             a.restrict_y0(), a.restrict_x0(), unit.restrict_y0().reciprocal()]
+    for out in outs1:
+        _assert_stored1(out)
 
 
 # -- compositions on stored numerators, cut at the result's precision -------------
@@ -1209,3 +1224,91 @@ def test_unknown_variable_of_jet2_is_bad_params():
 def test_unknown_variable_of_jet_derive_is_bad_params():
     with pytest.raises(BadParams):
         jet_derive(x(4), "z")
+
+
+# -- re-keying, comparing and lowering on the stored numerators ---------------------
+#
+# restrict_y0, restrict_x0, divide_monomial, swap_axes and the blow-up's line
+# substitution move stored keys, equals compares stored data and to_float
+# divides stored numerators.  Each must store what its scalar-view form in
+# the oracle stores: the same den, re, im and valid_through in the same term
+# order (repr shows each float's bits and the sign of zero), the same
+# boolean and the same NotDivisible message.
+
+def _layout(jet: Jet2):
+    assert isinstance(jet, Jet2)
+    return (jet.mode, jet.den, repr(list(jet.re.items())), repr(list(jet.im.items())),
+            jet.valid_through)
+
+
+def _divided(jet: Jet2, i: int, j: int, divide):
+    try:
+        return _layout(divide(jet, i, j))
+    except NotDivisible as exc:
+        return str(exc)
+
+
+@st.composite
+def _gaussian_jets(draw, mode):
+    """Truncated or polynomial jets with Gaussian coefficients of up to 80
+    bits (exact), or with float parts that include signed zeros."""
+    if mode == FLOAT:
+        return draw(st.one_of(float_jets(), exact_jets().map(Jet2.to_float)))
+    return draw(exact_jets(bits=draw(st.sampled_from([2, 8, 24, 80]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([EXACT, FLOAT]), st.data())
+def test_rekeying_stores_what_the_scalar_view_stores(mode, data):
+    a, b = data.draw(_gaussian_jets(mode)), data.draw(_gaussian_jets(mode))
+    _assert_stored1(a.restrict_y0())
+    assert _layout(a.restrict_y0().jet) == _layout(oracles.v_restrict_y0(a))
+    assert _layout(a.restrict_x0().jet) == _layout(oracles.v_restrict_x0(a))
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
+        assert _divided(a, i, j, Jet2.divide_monomial) == \
+            _divided(a, i, j, oracles.v_divide_monomial)
+    # a jet of order >= 2 is divisible by x^i y^j for some i + j = 2
+    shifted = jet_mul(a, Jet2.monomial(1, 1, 1, mode))
+    assert _layout(shifted.divide_monomial(1, 1)) == \
+        _layout(oracles.v_divide_monomial(shifted, 1, 1))
+    field = VectorFieldGerm(a, b)
+    assert [_layout(c) for c in (field.swap_axes().a, field.swap_axes().b)] == \
+        [_layout(c) for c in (oracles.v_swap_axes(field).a, oracles.v_swap_axes(field).b)]
+    for chart in (0, 1):
+        assert _layout(_substitute_line(a, chart)) == \
+            _layout(oracles.v_substitute_line(a, chart))
+    # a move that raises degrees is cut at valid_through
+    _assert_stored(_rekeyed(a, lambda k: (k[0] + k[1], k[1]), a.valid_through))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([EXACT, FLOAT]), st.data())
+def test_equals_answers_what_the_scalar_view_answers(mode, data):
+    a, b = data.draw(_gaussian_jets(mode)), data.draw(_gaussian_jets(mode))
+    rebuilt = Jet2(mode, dict(a.coeffs), a.valid_through)
+    pairs = [(a, b), (a, a), (a, rebuilt), (a, a.truncate(2)), (a, (a + b) - b),
+             (a, a + b.truncate(1)), (a + b, b + a), (a, a + b.scale(1e-3 if mode == FLOAT else 1))]
+    tols = (0.0, 1e-3, 1.0) if mode == FLOAT else (0.0,)
+    seen = set()
+    for u, v in pairs:
+        for tol in tols:
+            got = u.equals(v, tol)
+            assert got == oracles.v_equals(u, v, tol)
+            seen.add(got)
+    assert True in seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_to_float_is_the_scalar_view_lowered(data):
+    a = data.draw(_gaussian_jets(EXACT))
+    assert _layout(a.to_float()) == _layout(oracles.v_to_float(a))
+    f = a.restrict_y0()
+    _assert_stored1(f.to_float())
+    assert _layout(f.to_float().jet) == _layout(oracles.v_to_float(f.jet))
+
+
+def test_to_float_keeps_the_signs_of_parts_that_underflow():
+    tiny = Fraction(-1, 10 ** 400)     # a part that rounds to -0.0
+    a = Jet2(EXACT, {(0, 0): GR(1, tiny), (1, 0): GR(tiny, 1), (0, 1): GR(tiny, tiny)}, INF)
+    assert _layout(a.to_float()) == _layout(oracles.v_to_float(a))
