@@ -49,7 +49,7 @@ def _substitute_line(jet: Jet2, chart: int) -> Jet2:
 
 def _common_power(idx: int, *jets: Jet2) -> Optional[int]:
     """Least exponent of variable idx (0: x, 1: y) over the nonzero jets."""
-    mins = [min(k[idx] for k in jet.coeffs) for jet in jets if not jet.is_zero()]
+    mins = [min(k[idx] for k in jet._keys()) for jet in jets if not jet.is_zero()]
     return min(mins) if mins else None
 
 

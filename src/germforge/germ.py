@@ -1,8 +1,16 @@
 """Vector field germs on (C^2, 0): bracket, decomposition, coordinate changes.
 
 A germ is a pair of Jet2 components A dx + B dy with shared precision and
-scalar mode.  Meromorphic quotients live in RationalFn (formal num/den with
-a divisibility-based holomorphy test).  Coordinate changes come in two
+scalar mode.  The exact Lie bracket is one pass over the term pairs of the
+two germs (series.exact_bracket), which adds the structure constants of
+monomial fields, [x^a y^b d_x, x^c y^d d_x] = (c - a) x^(a+c-1) y^(b+d) d_x
+and their mixed twins, with no partial-derivative jets; it is valid through
+the least product bound of the eight (component, partial) products of
+(X.C - Y.A, X.D - Y.B).  The float bracket keeps those products as
+series.jet_dot sums, whose order of roundings its results are pinned to.
+
+Meromorphic quotients live in RationalFn (formal num/den with a
+divisibility-based holomorphy test).  Coordinate changes come in two
 kinds: series (tangent to identity up to an invertible linear part) and
 rational charts (Laurent-monomial maps such as (x,y) = (1/u, v/u)).
 """
@@ -23,8 +31,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .scalars import EXACT, FLOAT, GaussianRational, Scalar
-from .series import (INF, Jet2, _rekeyed, _zderive, exact_divide, jet_compose2, jet_derive,
-                     jet_dot, jet_mul)
+from .series import (INF, Jet2, _rekeyed, _zderive, exact_bracket, exact_divide, jet_compose2,
+                     jet_derive, jet_dot, jet_mul)
 
 
 class VectorFieldGerm:
@@ -126,14 +134,20 @@ def derive_along(x: VectorFieldGerm, f):
 def lie_bracket(x: VectorFieldGerm, y: VectorFieldGerm) -> VectorFieldGerm:
     """[X, Y] = (X.C - Y.A) dx + (X.D - Y.B) dy.
 
-    Each component is one series.jet_dot sum, such as
-    A dC/dx + B dC/dy - C dA/dx - D dA/dy on the stored numerators: valid
-    through the least series._mul_valid of its four products, each partial
-    known one degree less than its component and of the order of its
-    terms, and the germ is cut to the lesser of the two.  A germ known
-    through degree 0 only raises PrecisionExhausted.
+    Exact germs take series.exact_bracket: one pass over the term pairs of
+    (A, B) x (C, D) that adds the structure constants of monomial fields,
+    over one lcm and with no partial-derivative jets.  Float germs keep one
+    series.jet_dot sum per component, such as
+    A dC/dx + B dC/dy - C dA/dx - D dA/dy, since its order of products and
+    sums is what float results are pinned to, bit for bit and in term order.
+    Both are valid through the least series._mul_valid of the eight
+    (component, partial) products, each partial known one degree less than
+    its component and of the order of its terms, and the germ is cut to the
+    lesser of the two components.  A germ known through degree 0 only raises
+    PrecisionExhausted.
     """
-    scalars.check_same_mode(x.mode, y.mode)
+    if scalars.check_same_mode(x.mode, y.mode) == EXACT:
+        return VectorFieldGerm(*exact_bracket(x.a, x.b, y.a, y.b))
     ca_x, ca_y = _zderive(y.a, "x"), _zderive(y.a, "y")
     aa_x, aa_y = _zderive(x.a, "x"), _zderive(x.a, "y")
     cb_x, cb_y = _zderive(y.b, "x"), _zderive(y.b, "y")
@@ -220,11 +234,10 @@ class CoordinateChange:
 
     # -- series-kind utilities ------------------------------------------
     def jacobian_at_origin(self):
-        j11 = self.comp1.coeffs.get((1, 0), scalars.zero(self.comp1.mode))
-        j12 = self.comp1.coeffs.get((0, 1), scalars.zero(self.comp1.mode))
-        j21 = self.comp2.coeffs.get((1, 0), scalars.zero(self.comp2.mode))
-        j22 = self.comp2.coeffs.get((0, 1), scalars.zero(self.comp2.mode))
-        return j11, j12, j21, j22
+        """The degree-1 coefficients, zero for a component known only through degree 0."""
+        def c(jet, i, j):
+            return jet.coeff(i, j) if jet.valid_through >= 1 else scalars.zero(jet.mode)
+        return c(self.comp1, 1, 0), c(self.comp1, 0, 1), c(self.comp2, 1, 0), c(self.comp2, 0, 1)
 
     def invertible(self) -> bool:
         if self.kind != "series":
@@ -388,7 +401,7 @@ def primitive_split(x: VectorFieldGerm,
     def support_min(jet: Jet2, idx: int):
         if jet.is_zero():
             return None
-        return min(k[idx] for k in jet.coeffs)
+        return min(k[idx] for k in jet._keys())
 
     for idx, (label, form_key) in enumerate((("x", (1, 0)), ("y", (0, 1)))):
         mins = [m for m in (support_min(a, idx), support_min(b, idx)) if m is not None]
@@ -443,7 +456,7 @@ def linear_part(x: VectorFieldGerm) -> LinearPartData:
     def c(jet, key):
         if jet.valid_through != INF and jet.valid_through < 1:
             raise PrecisionExhausted("linear_part needs degree-1 coefficients")
-        return jet.coeffs.get(key, scalars.zero(jet.mode))
+        return jet.coeff(*key)
 
     m = (
         (c(x.a, (1, 0)), c(x.a, (0, 1))),

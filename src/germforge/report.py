@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional
 
 from . import scalars
 from .germ import RationalFn, VectorFieldGerm
-from .scalars import GaussianRational
+from .scalars import EXACT, GaussianRational
 from .series import INF, Jet2
 
 SCHEMA = "germforge/1"
@@ -37,13 +37,19 @@ def _valid_to_json(valid):
 
 
 def jet2_to_json(jet: Jet2) -> Dict[str, Any]:
+    """The terms sorted by exponent; exact ones formatted from the stored
+    numerators (scalars.format_numerators), with no scalar view."""
+    if jet.mode == EXACT:
+        den, re, im = jet.den, jet.re, jet.im
+        terms = [[i, j, scalars.format_numerators(den, re.get((i, j), 0), im.get((i, j), 0))]
+                 for i, j in sorted(jet._keys())]
+    else:
+        terms = [[i, j, scalar_to_json(v)] for (i, j), v in sorted(jet.re.items())]
     return {
         "vars": ["x", "y"],
         "mode": jet.mode,
         "valid_through": _valid_to_json(jet.valid_through),
-        "terms": [
-            [i, j, scalar_to_json(v)] for (i, j), v in sorted(jet.coeffs.items())
-        ],
+        "terms": terms,
     }
 
 

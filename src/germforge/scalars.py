@@ -209,16 +209,28 @@ def as_rational(value) -> Optional[Fraction]:
 
 def format_exact(value: GaussianRational) -> str:
     """Serialize as "p/q", "r/s*i" or "p/q+r/s*i" (lossless)."""
+    return format_numerators(value.den, value.re_num, value.im_num)
+
+
+def _part_text(num: int, den: int) -> str:
+    """num/den in lowest terms as str(Fraction(num, den)) writes it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def format_numerators(den: int, re_num: int, im_num: int) -> str:
+    """format_exact of (re_num + im_num*i) / den, den > 0, reduced or not:
+    each part in lowest terms, as the Fraction views print them."""
     try:
-        re_s, im_s = str(value.re), f"{value.im}*i"
+        re_s, im_s = _part_text(re_num, den), _part_text(im_num, den) + "*i"
     except ValueError:          # Python refuses int-to-text beyond its digit limit
         raise NumberTooLong(f"a coefficient has more than {sys.get_int_max_str_digits()} "
                             f"digits, the limit of Python's int-to-text conversion") from None
-    if not value.im_num:
+    if not im_num:
         return re_s
-    if not value.re_num:
+    if not re_num:
         return im_s
-    return f"{re_s}+{im_s}" if value.im_num > 0 else re_s + im_s
+    return f"{re_s}+{im_s}" if im_num > 0 else re_s + im_s
 
 
 def parse_exact(text: str) -> GaussianRational:

@@ -10,8 +10,8 @@ valid_through = INF.  Zero jets have order INF.
 All values are immutable after construction; operations are pure functions.
 
 One kernel.  Every coefficient computation lives in the Jet2 operations of
-this module (jet_mul, jet_dot, jet_derive, jet_reciprocal, jet_compose1,
-jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is not a
+this module (jet_mul, jet_dot, exact_bracket, jet_derive, jet_reciprocal,
+jet_compose1, jet_compose2, jet_pow and Jet2's sums and scalings).  Jet1 is not a
 second kernel: it holds ``jet``, the Jet2 in x alone that z -> x maps it
 to, and its queries, sum, product, scaling, reciprocal and to_float are the
 Jet2 ones on that jet.  Derivatives and compositions of a Jet1 go through
@@ -533,6 +533,115 @@ def jet_dot(terms: list) -> Jet2:
             a_im = {k: v * s for k, v in a_im.items()}
         _gmul_into(re, im, a_re, a_im, b_re, b_im, valid)
     return _jet(mode, den, _nonzero(re), _nonzero(im), valid)
+
+
+def _bracket_terms(jet: Jet2, scale: int) -> list:
+    """(i, j, i + j, re, im) of each stored term of *jet*, numerators times *scale*."""
+    re, im = jet.re, jet.im
+    return [(i, j, i + j, re.get((i, j), 0) * scale, im.get((i, j), 0) * scale)
+            for i, j in jet._keys()]
+
+
+def _zdiag_into(re: dict, im: dict, p: list, q: list, valid) -> None:
+    """re + i*im += (i2 - i1) uv at x^(i1+i2-1) y^(j1+j2) for each pair of
+    a term u x^i1 y^j1 of p and v x^i2 y^j2 of q, of degree <= valid."""
+    rget, iget = re.get, im.get
+    valid += 1
+    for i1, j1, d1, ur, ui in p:
+        room = valid - d1
+        for i2, j2, d2, vr, vi in q:
+            w = i2 - i1
+            if w and d2 <= room:
+                k = (i1 + i2 - 1, j1 + j2)
+                if ui or vi:
+                    re[k] = rget(k, 0) + w * (ur * vr - ui * vi)
+                    im[k] = iget(k, 0) + w * (ur * vi + ui * vr)
+                else:
+                    re[k] = rget(k, 0) + w * ur * vr
+
+
+def _zcross_into(x_re: dict, x_im: dict, y_re: dict, y_im: dict, p: list, q: list, sign: int,
+                 valid) -> None:
+    """For each pair of a term u x^i1 y^j1 of p and v x^i2 y^j2 of q, add
+    sign * j2 uv at x^(i1+i2) y^(j1+j2-1) to x_re + i*x_im and
+    -sign * i1 uv at x^(i1+i2-1) y^(j1+j2) to y_re + i*y_im, of degree
+    <= valid."""
+    xr, xi, yr, yi = x_re.get, x_im.get, y_re.get, y_im.get
+    valid += 1
+    for i1, j1, d1, ur, ui in p:
+        room = valid - d1
+        wy = -sign * i1
+        for i2, j2, d2, vr, vi in q:
+            if d2 > room:
+                continue
+            if ui or vi:
+                uv_re, uv_im = ur * vr - ui * vi, ur * vi + ui * vr
+            else:
+                uv_re, uv_im = ur * vr, 0
+            if j2:
+                w = sign * j2
+                k = (i1 + i2, j1 + j2 - 1)
+                x_re[k] = xr(k, 0) + w * uv_re
+                if uv_im:
+                    x_im[k] = xi(k, 0) + w * uv_im
+            if wy:
+                k = (i1 + i2 - 1, j1 + j2)
+                y_re[k] = yr(k, 0) + wy * uv_re
+                if uv_im:
+                    y_im[k] = yi(k, 0) + wy * uv_im
+
+
+def exact_bracket(a: Jet2, b: Jet2, c: Jet2, d: Jet2) -> Tuple[Jet2, Jet2]:
+    """The components of [A dx + B dy, C dx + D dy] for exact jets.
+
+    One pass over the term pairs of (A, B) x (C, D), on the numerators over
+    lcm(den A, den B) * lcm(den C, den D), the lcm of the four den(P) den(Q).
+    The contributions are the structure constants of monomial fields: a
+    pair u x^i1 y^j1 of P and v x^i2 y^j2 of Q adds
+      A x C: (i2 - i1) uv at x^(i1+i2-1) y^(j1+j2) to dx (X.C and Y.A merged);
+      B x D: (j2 - j1) uv at x^(i1+i2) y^(j1+j2-1) to dy (A x C with x and
+             y exchanged);
+      B x C: j2 uv to dx and -i1 uv to dy;
+      A x D: -j1 uv to dx and i2 uv to dy (B x C of D and A, negated);
+    zero weights and pairs beyond the cut are skipped.
+
+    The cut is the least series._mul_valid of the eight (component,
+    partial) products of A dC/dx + B dC/dy - C dA/dx - D dA/dy and of its
+    dy twin, each partial known one degree less than its component and of
+    the order of its terms, which is then also the lesser valid_through of
+    the two components, as lie_bracket cuts them.  A partial's order is at
+    least its component's order less one, so the bound v_P + ord(dQ) of
+    each product is never below the bound v_P - 1 + ord Q of the product
+    of Q and a partial of P, and the least of the eight is
+    _mul_valid(v_X - 1, ord X, v_Y - 1, ord Y), with v_X and ord X the
+    least valid_through and order of A and B (and v_Y, ord Y of C and D).
+    A component known through degree 0 only raises PrecisionExhausted, as
+    its partials do (_zderive).
+    """
+    for jet in (c, a, d, b):
+        if jet.valid_through < 1:
+            raise PrecisionExhausted("jet_derive: valid_through would drop below 0")
+    valid = _mul_valid(min(a.valid_through, b.valid_through) - 1,
+                       min(_zorder(a.re, a.im), _zorder(b.re, b.im)),
+                       min(c.valid_through, d.valid_through) - 1,
+                       min(_zorder(c.re, c.im), _zorder(d.re, d.im)))
+    dx, dy = math.lcm(a.den, b.den), math.lcm(c.den, d.den)
+    ta, tb = _bracket_terms(a, dx // a.den), _bracket_terms(b, dx // b.den)
+    tc, td = _bracket_terms(c, dy // c.den), _bracket_terms(d, dy // d.den)
+    x_re: dict = {}
+    x_im: dict = {}
+    swapped_re: dict = {}
+    swapped_im: dict = {}
+    _zdiag_into(x_re, x_im, ta, tc, valid)
+    _zdiag_into(swapped_re, swapped_im, [(j, i, *t) for i, j, *t in tb],
+                [(j, i, *t) for i, j, *t in td], valid)     # B x D is A x C with x, y exchanged
+    y_re = {(j, i): v for (i, j), v in swapped_re.items()}
+    y_im = {(j, i): v for (i, j), v in swapped_im.items()}
+    _zcross_into(x_re, x_im, y_re, y_im, tb, tc, 1, valid)
+    _zcross_into(x_re, x_im, y_re, y_im, td, ta, -1, valid)
+    den = dx * dy
+    return (_jet(EXACT, den, _nonzero(x_re), _nonzero(x_im), valid),
+            _jet(EXACT, den, _nonzero(y_re), _nonzero(y_im), valid))
 
 
 def _zpow(mode: str, a: tuple, a_valid, e: int) -> tuple:

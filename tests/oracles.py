@@ -41,12 +41,17 @@ library helpers that only those float passes used.
 `ode_residual` and `rational_from_jet` are library helpers that only tests
 used.  `t_lie_bracket`, `t_derive_along` and `t_decompose` are the germ
 operations as they were before each sum became one series.jet_dot: the
-oracle of germforge.germ's.  `FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is
-the exact scalar as it was before it stored reduced ints, with two
-Fraction parts: the oracle of germforge.scalars.  `v_restrict_y0`,
-`v_restrict_x0`, `v_divide_monomial`, `v_swap_axes`, `v_substitute_line`,
-`v_equals` and `v_to_float` are the jet operations that walked the scalar
-view, as they were before they ran on the stored numerators.
+oracle of germforge.germ's.  `dot_lie_bracket` is the exact lie_bracket as
+it was before it became one pass over term pairs (series.exact_bracket),
+two series.jet_dot sums: the oracle of its stored output.
+`FractionPairGR`, with `fp_format_exact` and `fp_parse_exact`, is the
+exact scalar as it was before it stored reduced ints, with two Fraction
+parts: the oracle of germforge.scalars.  `v_restrict_y0`, `v_restrict_x0`,
+`v_divide_monomial`, `v_swap_axes`, `v_substitute_line`, `v_equals` and
+`v_to_float` are the jet operations that walked the scalar view, as they
+were before they ran on the stored numerators, and `v_jet2_to_json` is
+germforge.report's jet serializer as it was before it formatted the stored
+numerators.
 """
 
 from __future__ import annotations
@@ -69,8 +74,8 @@ from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, 
                               _lin_sum, _negated, _pair, _power, _times)
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _gmul_into, _jet, _nonzero,
-                              _reduced, _zcut, _zmul_into, _zscaled, _zsum, exact_divide,
-                              jet_compose2, jet_derive, jet_mul)
+                              _reduced, _zcut, _zderive, _zmul_into, _zscaled, _zsum, exact_divide,
+                              jet_compose2, jet_derive, jet_dot, jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -666,6 +671,21 @@ def t_lie_bracket(x, y):
     return VectorFieldGerm(
         t_derive_along(x, y.a) - t_derive_along(y, x.a),
         t_derive_along(x, y.b) - t_derive_along(y, x.b),
+    )
+
+
+def dot_lie_bracket(x, y):
+    """The exact lie_bracket as it was before it became one pass over term
+    pairs (series.exact_bracket): 8 partial-derivative numerators and one
+    series.jet_dot sum of four products per component."""
+    scalars.check_same_mode(x.mode, y.mode)
+    ca_x, ca_y = _zderive(y.a, "x"), _zderive(y.a, "y")
+    aa_x, aa_y = _zderive(x.a, "x"), _zderive(x.a, "y")
+    cb_x, cb_y = _zderive(y.b, "x"), _zderive(y.b, "y")
+    ab_x, ab_y = _zderive(x.b, "x"), _zderive(x.b, "y")
+    return VectorFieldGerm(
+        jet_dot([(1, x.a, ca_x), (1, x.b, ca_y), (-1, y.a, aa_x), (-1, y.b, aa_y)]),
+        jet_dot([(1, x.a, cb_x), (1, x.b, cb_y), (-1, y.a, ab_x), (-1, y.b, ab_y)]),
     )
 
 
@@ -1669,3 +1689,16 @@ def v_to_float(jet: Jet2) -> Jet2:
     if jet.mode == FLOAT:
         return jet
     return Jet2(FLOAT, {k: v.to_complex() for k, v in jet.coeffs.items()}, jet.valid_through)
+
+
+def v_jet2_to_json(jet: Jet2) -> dict:
+    """germforge.report.jet2_to_json as it was before it formatted the stored
+    numerators: each term a GaussianRational of the scalar view, printed
+    through its two Fraction parts (scalars.format_exact then)."""
+    def scalar(v):
+        if isinstance(v, GaussianRational):
+            return fp_format_exact(FractionPairGR(v.re, v.im))
+        return {"re": repr(v.real), "im": repr(v.imag)}
+    valid = "inf" if jet.valid_through == INF else int(jet.valid_through)
+    return {"vars": ["x", "y"], "mode": jet.mode, "valid_through": valid,
+            "terms": [[i, j, scalar(v)] for (i, j), v in sorted(jet.coeffs.items())]}

@@ -345,6 +345,43 @@ def test_float_germ_sums_match_the_composite_oracle(gx, gy, gz, f, g):
         assert _same(_outcome(new, *args), _outcome(old, *args))
 
 
+@st.composite
+def bench_germs(draw):
+    """An exact germ shaped like the benchmark's: each component of degree
+    <= 16 with 0 to 15 terms (the degree drawn first, then the split), about
+    30% of them Gaussian, each part over its own denominator of up to 8 or 24
+    bits, known through INF or 0 to 3.  The terms come from one drawn seed,
+    so a germ costs a few draws."""
+    valid = draw(st.sampled_from((INF, 0, 1, 2, 3)))
+    bits = draw(st.sampled_from((8, 24)))
+    sizes = draw(st.tuples(st.integers(0, 15), st.integers(0, 15)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def part():
+        return Fraction(rng.randint(-(2 ** bits), 2 ** bits), rng.randint(1, 2 ** bits))
+
+    comps = []
+    for size in sizes:
+        coeffs = {}
+        for _ in range(size):
+            d = rng.randint(0, 16)
+            i = rng.randint(0, d)
+            coeffs[(i, d - i)] = GR(part(), part() if rng.random() < 0.3 else 0)
+        comps.append(Jet2(EXACT, coeffs, valid))
+    return vf(*comps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bench_germs(), bench_germs())
+def test_exact_bracket_matches_the_jet_dot_and_composite_oracles(gx, gy):
+    """The one pass over term pairs stores what the jet_dot sums and the
+    composite of jet_derive, jet_mul and Jet2 sums store: den, re, im and
+    valid_through, and errors in class."""
+    got = _outcome(lie_bracket, gx, gy)
+    for oracle in (oracles.dot_lie_bracket, oracles.t_lie_bracket):
+        assert _same(got, _outcome(oracle, gx, gy))
+
+
 def test_germ_sums_raise_mode_mismatch():
     ex = vf(jet_mul(x(), y()), x())
     fl = ex.to_float()
@@ -691,6 +728,20 @@ def test_linear_part_cases():
 
     diag = linear_part(vf(x().scale(4), y().scale(-3)))
     assert diag.eigenvalues == (GR(4), GR(-3))
+
+
+def test_jacobian_of_a_change_known_only_through_degree_zero_reads_zero():
+    # the degree-1 coefficients lie beyond valid_through 0: they read as zero
+    # (the scalar view held no such key), so the change is not invertible
+    for mode in (EXACT, FLOAT):
+        comp = Jet2.from_coeffs({(1, 0): 2, (0, 1): 3}, mode, 0)
+        change = CoordinateChange.from_series(comp, comp)
+        zero_scalar = GR(0) if mode == EXACT else 0j
+        assert change.jacobian_at_origin() == (zero_scalar,) * 4
+        assert not change.invertible()
+    known = CoordinateChange.from_series(x(1).scale(2) + y(1), y(1).scale(GR(0, 1)))
+    assert known.jacobian_at_origin() == (GR(2), GR(1), GR(0), GR(0, 1))
+    assert known.invertible()
 
 
 def test_gaussian_rational_integer_powers():

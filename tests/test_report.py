@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import cli
+from germforge.errors import NumberTooLong
 from germforge.germ import lie_bracket
 from germforge.parser import parse_vector_field
 from germforge.report import Report, germ_to_json, jet2_from_json, jet2_to_json
 from germforge.scalars import EXACT, FLOAT, GaussianRational as GR
 from germforge.series import INF, Jet2, jet_mul
+
+import oracles
 
 
 def _jets():
@@ -32,6 +38,33 @@ def test_jet2_json_round_trip(jet):
     assert back.mode == jet.mode
     assert back.valid_through == jet.valid_through
     assert back.coeffs == jet.coeffs
+
+
+_PART = st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-(2 ** 200), 2 ** 200),
+                            st.sampled_from((1, 2, 3, 6, 7, 2 ** 24 - 3, 10 ** 30, 2 ** 200 + 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.builds(GR, _PART, _PART), max_size=8),
+       st.sampled_from((INF, 0, 3, 12)), st.booleans())
+def test_jet2_json_is_the_view_based_text(coeffs, valid, lowered):
+    """Exact terms formatted from the stored numerators read as the scalar
+    view's GaussianRationals printed through their Fraction parts, and float
+    terms as before: the same payload, so the same JSON bytes."""
+    jet = Jet2(EXACT, coeffs, valid)
+    if lowered:
+        jet = jet.to_float()
+    got = jet2_to_json(jet)
+    assert got == oracles.v_jet2_to_json(jet)
+    assert json.dumps(got) == json.dumps(oracles.v_jet2_to_json(jet))
+
+
+def test_jet2_json_refuses_a_coefficient_beyond_the_digit_limit():
+    huge = GR(Fraction(1, 10 ** sys.get_int_max_str_digits()), 1)
+    with pytest.raises(NumberTooLong, match="more than .* digits"):
+        jet2_to_json(Jet2(EXACT, {(1, 0): huge, (0, 1): GR(1)}, INF))
 
 
 def test_report_json_round_trip():

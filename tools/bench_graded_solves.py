@@ -1,15 +1,19 @@
-"""Per-call times of the graded solvers on the exact-normalize inputs.
+"""Per-call times of the graded solvers and the exact Lie bracket.
 
 Times germ.CoordinateChange.inverse, series.series_ode_solve,
 mr.linearize and series.jet_reciprocal (the degree-by-degree series
 inverse) on every call that the exact-normalize jobs of the benchmark
-(germbench/jobs.py) make in sweeps 0-1, once with the germforge of a
-parent checkout and once with this checkout's, and writes both, their
-ratio and whether the outputs agree as JSON.
+(germbench/jobs.py) make in sweeps 0-1, and germ.lie_bracket on every
+call that the exact-algebra jobs make in sweeps 0-1, once with the
+germforge of a parent checkout and once with this checkout's, and writes
+both, their ratio and whether the outputs agree as JSON.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 97 --out BENCH_graded_solves.json
+    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 97 --out BENCH_graded_solves.json \
+        --kernels inverse series_ode_solve linearize jet_reciprocal
+    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_bracket.json \
+        --kernels lie_bracket
 
 PATH is the root of a checkout of the parent commit.  Each tree is timed
 in a process of its own (the same script with --time SRC): it runs every
@@ -36,7 +40,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = ("inverse", "series_ode_solve", "linearize", "jet_reciprocal")
+# each kernel with the workload whose calls it is timed on
+KERNELS = {"inverse": "exact-normalize", "series_ode_solve": "exact-normalize",
+           "linearize": "exact-normalize", "jet_reciprocal": "exact-normalize",
+           "lie_bracket": "exact-algebra"}
 SWEEPS, REPEAT, ROUNDS = 2, 5, 4
 
 
@@ -50,21 +57,23 @@ def _canonical(name, out):
     if name == "linearize":
         return (_jet(out.change.comp1), _jet(out.change.comp2), _jet(out.linearized.a),
                 _jet(out.linearized.b), out.obstruction)
+    if name == "lie_bracket":
+        return _jet(out.a), _jet(out.b)
     return _jet(out)
 
 
-def time_tree(src: str, seed: int) -> dict:
-    """Capture and time the solver calls with the germforge under *src*."""
+def time_tree(src: str, seed: int, kernels) -> dict:
+    """Capture and time the calls of *kernels* with the germforge under *src*."""
     sys.path.insert(0, src)
     sys.path.insert(0, str(ROOT / "germbench"))
     import jobs
     from germforge import germ, mr, series
 
     owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr,
-              "jet_reciprocal": series}
+              "jet_reciprocal": series, "lie_bracket": germ}
     calls = []
     undo = []
-    for name in SOLVERS:
+    for name in kernels:
         owner = owners[name]
         original = getattr(owner, name)
 
@@ -81,11 +90,11 @@ def time_tree(src: str, seed: int) -> dict:
                 if value is original:
                     undo.append((holder, key, value))
                     setattr(holder, key, wrapper)
-    workload = jobs.WORKLOADS["exact-normalize"](seed)
-    for sweep in range(SWEEPS):
-        for i in range(workload.slots):
-            job = workload.job(i, sweep)
-            job.run()
+    for name in sorted({KERNELS[k] for k in kernels}):
+        workload = jobs.WORKLOADS[name](seed)
+        for sweep in range(SWEEPS):
+            for i in range(workload.slots):
+                workload.job(i, sweep).run()
     for holder, key, value in undo:
         setattr(holder, key, value)
     times, digests = [], []
@@ -100,9 +109,9 @@ def time_tree(src: str, seed: int) -> dict:
     return {"names": [c[0] for c in calls], "times": times, "digests": digests}
 
 
-def _run_child(tree: Path, seed: int) -> dict:
+def _run_child(tree: Path, seed: int, kernels) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--time", str(tree / "src"),
-           "--seeds", str(seed)]
+           "--seeds", str(seed), "--kernels", *kernels]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -124,11 +133,12 @@ def compare(args) -> dict:
     parent = Path(args.parent).resolve()
     trees = {"parent": parent, "change": ROOT}
     report = {
-        "what": "per-call times of the graded solvers on the exact-normalize inputs of "
-                f"sweeps 0-{SWEEPS - 1}: least of {REPEAT} timed calls, and of "
+        "what": "per-call times of " + ", ".join(args.kernels) + " on the inputs of "
+                + " and ".join(sorted({KERNELS[k] for k in args.kernels}))
+                + f" in sweeps 0-{SWEEPS - 1}: least of {REPEAT} timed calls, and of "
                 f"{ROUNDS} alternating rounds of the two trees",
         "command": "python3 tools/bench_graded_solves.py --parent PARENT --seeds "
-                   + " ".join(map(str, args.seeds)),
+                   + " ".join(map(str, args.seeds)) + " --kernels " + " ".join(args.kernels),
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "machine": {"python": platform.python_version(), "processor": platform.machine(),
                     "system": platform.system(), "cpus": os.cpu_count()},
@@ -138,13 +148,13 @@ def compare(args) -> dict:
         best = {}
         for r in range(ROUNDS):
             for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                got = _run_child(trees[side], seed)
+                got = _run_child(trees[side], seed, args.kernels)
                 if side in best:
                     assert best[side]["names"] == got["names"]
                     got["times"] = [min(a, b) for a, b in zip(best[side]["times"], got["times"])]
                 best[side] = got
         rows = {}
-        for name in SOLVERS:
+        for name in args.kernels:
             sides = {side: [t for n, t in zip(best[side]["names"], best[side]["times"])
                             if n == name] for side in trees}
             same = [a == b for n, a, b in zip(best["parent"]["names"], best["parent"]["digests"],
@@ -168,10 +178,11 @@ def main(argv=None):
     ap.add_argument("--parent", help="root of a checkout of the parent commit")
     ap.add_argument("--seeds", type=int, nargs="+", default=[11])
     ap.add_argument("--out", default="BENCH_graded_solves.json")
+    ap.add_argument("--kernels", nargs="+", choices=list(KERNELS), default=list(KERNELS))
     ap.add_argument("--time", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.time:
-        print(json.dumps(time_tree(args.time, args.seeds[0])))
+        print(json.dumps(time_tree(args.time, args.seeds[0], args.kernels)))
         return 0
     if not args.parent:
         ap.error("--parent is required")
