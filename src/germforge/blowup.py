@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     BadParams,
@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     UnresolvedRoots,
 )
-from .germ import LinearPartData, VectorFieldGerm, linear_part
+from .germ import LinearPartData, VectorFieldGerm, linear_part, monomial_content
 from .scalars import EXACT, GaussianRational, Scalar
 from .series import INF, Jet1, Jet2, _rekeyed
 
@@ -45,12 +45,6 @@ def _substitute_line(jet: Jet2, chart: int) -> Jet2:
     added to zero, which clears the sign of a float zero part."""
     move = (lambda k: (k[0] + k[1], k[1])) if chart == 0 else (lambda k: (k[0], k[0] + k[1]))
     return Jet2.zero(jet.mode) + _rekeyed(jet, move, jet.valid_through)
-
-
-def _common_power(idx: int, *jets: Jet2) -> Optional[int]:
-    """Least exponent of variable idx (0: x, 1: y) over the nonzero jets."""
-    mins = [min(k[idx] for k in jet._keys()) for jet in jets if not jet.is_zero()]
-    return min(mins) if mins else None
 
 
 def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
@@ -81,9 +75,8 @@ def blowup_vf(x: VectorFieldGerm, chart: int) -> BlowupResult:
 
     # mixed is divisible by the exceptional coordinate since X(0,0) = 0
     fiber = divide_exc(mixed, 1)
-    common = _common_power(exc_idx, base, fiber)
-    if common is None:
-        common = d - 1
+    content = monomial_content(base, fiber)
+    common = d - 1 if content is None else content[exc_idx]
     divisor_order = min(d - 1, common)
     base_c = divide_exc(base, divisor_order)
     fiber_c = divide_exc(fiber, divisor_order)
@@ -155,21 +148,12 @@ def _poly_roots(poly: Jet1) -> List[Scalar]:
     if poly.mode != EXACT:
         import numpy as np
 
-        coeffs = [0j] * (poly.degree_bound() + 1)
-        for k, v in poly.coeffs.items():
-            coeffs[k] = complex(v)
+        coeffs = [poly.coeff(k) for k in range(poly.degree_bound() + 1)]
         rts = np.roots(list(reversed(coeffs)))
         return [complex(r) for r in rts]
-    roots: List[Scalar] = []
-    work = dict(poly.coeffs)
-    low = min(work)
-    if low > 0:
-        roots.append(GaussianRational(0))
-        work = {k - low: v for k, v in work.items()}
-    deg = max(work)
-    coeffs = [work.get(k, GaussianRational(0)) for k in range(deg + 1)]
-    roots.extend(_roots_exact(coeffs))
-    return roots
+    low = int(poly.order())
+    coeffs = [poly.coeff(k) for k in range(low, poly.degree_bound() + 1)]
+    return ([GaussianRational(0)] if low else []) + _roots_exact(coeffs)
 
 
 def _roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:

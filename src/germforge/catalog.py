@@ -26,6 +26,7 @@ from .germ import (
     RationalFn,
     VectorFieldGerm,
     linear_part,
+    monomial_content,
     primitive_split,
 )
 from .onedim import FAIL, invariant_axes, onedim_check, restrict_to_axis
@@ -96,15 +97,33 @@ def _parse_param(text: str):
     try:
         value = int(text)
     except ValueError:
-        pass
-    else:
-        if abs(value) > series.MAX_DEGREE:
-            raise BadParams(f"integer parameter {value} is beyond the bound {series.MAX_DEGREE}")
-        return value
-    try:
-        return scalars.parse_exact(text)
-    except Exception:
-        raise BadParams(f"cannot parse parameter value {text!r}")
+        try:
+            value = scalars.parse_exact(text)
+        except Exception:
+            raise BadParams(f"cannot parse parameter value {text!r}")
+    whole = _as_int(value)
+    if whole is not None and abs(whole) > series.MAX_DEGREE:
+        raise BadParams(f"integer parameter {value} is beyond the bound {series.MAX_DEGREE}")
+    return value
+
+
+def _as_int(value) -> Optional[int]:
+    """The int that *value* is (an int, or a rational value with
+    denominator 1), else None."""
+    if isinstance(value, scalars.GaussianRational):
+        value = scalars.as_rational(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return int(value) if isinstance(value, int) else None
+
+
+def _int_param(params: Dict[str, object], name: str, default: int) -> int:
+    """The integer parameter *name* of an id, *default* when it is absent;
+    any value that is not an integer is BadParams (4/2 reads as 2)."""
+    value = _as_int(params.get(name, default))
+    if value is None:
+        raise BadParams(f"parameter {name} must be an integer, got {params[name]}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +145,7 @@ def _as_unit(f, mode) -> Jet2:
         raise BadParams("unit factor must be a 2-variable jet")
     if f.mode != mode:
         raise BadParams("unit factor has wrong scalar mode")
-    c0 = f.coeffs.get((0, 0))
-    if c0 is None or scalars.is_zero_scalar(c0, mode):
+    if not series._has_constant(f):
         raise BadParams("unit factor f must satisfy f(0,0) != 0")
     return f
 
@@ -190,7 +208,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         # regular horizontal foliation: X = y^a F(x, y) d/dx; the restriction
         # to each leaf {y = c} is then c^a F(x, c) d/dx, as in the
         # regular-foliation analysis (and X = y^n d/dx of the pair families)
-        a = int(p.get("a", 1))
+        a = _int_param(p, "a", 1)
         if a < 0:
             raise BadParams("row 1 requires a >= 0")
         if name in ("1a", "1b") and a == 0:
@@ -204,18 +222,18 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
             g1 = sp.get("g1", Jet1.zero(mode))
             g2 = sp.get("g2", Jet1.zero(mode))
             for label, g in (("g1", g1), ("g2", g2)):
-                if not scalars.is_zero_scalar(g.coeff(0), mode):
+                if g.coeff(0):
                     raise BadParams(f"row 1c requires {label}(0) = 0")
             g1_y = jet_compose1(g1.truncate(degree), y.truncate(degree))
             g2_y = jet_compose1(g2.truncate(degree), y.truncate(degree))
             f_big = jet_mul(x, x) + jet_mul(g1_y, x) + g2_y
         germ = VectorFieldGerm(jet_mul(ya, f_big), Jet2.zero(mode, INF))
-        if not linear_part(germ).eigenvalues_zero(mode):
+        if not linear_part(germ).eigenvalues_zero():
             raise BadParams("row 1 instance has a nonzero eigenvalue at the origin")
         return germ.truncate(degree)
 
     if name == "2":
-        n = int(p.get("n", 0))
+        n = _int_param(p, "n", 0)
         if n < 0:
             raise BadParams("row 2 requires n >= 0")
         f = _as_unit(sp.get("f"), mode)
@@ -230,7 +248,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return VectorFieldGerm(jet_mul(f, v_a), jet_mul(f, v_b)).truncate(degree)
 
     if name in ("4", "5", "6", "7", "8", "9"):
-        a = int(p.get("a", 0))
+        a = _int_param(p, "a", 0)
         if a < 0:
             raise BadParams("elliptic rows require a >= 0")
         f = _as_unit(sp.get("f"), mode)
@@ -240,9 +258,9 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return VectorFieldGerm(jet_mul(pre, v_a), jet_mul(pre, v_b)).truncate(degree)
 
     if name == "10":
-        m = int(p.get("m", 1))
-        n = int(p.get("n", 1))
-        pp = int(p.get("p", 1))
+        m = _int_param(p, "m", 1)
+        n = _int_param(p, "n", 1)
+        pp = _int_param(p, "p", 1)
         lam = p.get("lambda", scalars.zero(mode))
         if m < 1 or n < 1 or pp < 1:
             raise BadParams("row 10 requires m, n, p >= 1")
@@ -253,7 +271,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return VectorFieldGerm(jet_mul(div, inner.a), jet_mul(div, inner.b)).truncate(degree)
 
     if name == "11":
-        n = int(p.get("n", 1))
+        n = _int_param(p, "n", 1)
         if n == 0:
             raise BadParams("row 11 requires n in Z*")
         f = _as_unit(sp.get("f"), mode)
@@ -261,10 +279,10 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return VectorFieldGerm(jet_mul(pre, x), jet_mul(pre, y.scale(n))).truncate(degree)
 
     if name == "12":
-        m = int(p.get("m", 1))
-        n = int(p.get("n", 1))
-        a = int(p.get("a", 0))
-        b = int(p.get("b", 0))
+        m = _int_param(p, "m", 1)
+        n = _int_param(p, "n", 1)
+        a = _int_param(p, "a", 0)
+        b = _int_param(p, "b", 0)
         if m < 1 or n < 1:
             raise BadParams("row 12 requires m, n >= 1")
         if a < 0 or b < 0:
@@ -278,7 +296,7 @@ def make_normal_form(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         ).truncate(degree)
 
     if name == "13":
-        n = int(p.get("n", 0))
+        n = _int_param(p, "n", 0)
         if n < 0:
             raise BadParams("row 13 requires n >= 0")
         f = _as_unit(sp.get("f"), mode)
@@ -300,12 +318,12 @@ def first_integral(nf: NormalFormID, mode=EXACT):
     if nf.kind == "table" and name in ("4", "5", "6", "7", "8", "9"):
         return _elliptic_data(mode)[name][0]
     if nf.kind == "table" and name == "2":
-        n = int(nf.params.get("n", 0))
+        n = _int_param(nf.params, "n", 0)
         return RationalFn(jet_mul(jet_pow(x, n + 1), y), x - y)
     if nf.kind == "table" and name == "3":
         return RationalFn(jet_mul(y, y), y - jet_mul(x, x))
     if nf.kind == "table" and name == "11":
-        n = int(nf.params.get("n", 1))
+        n = _int_param(nf.params, "n", 1)
         if n >= 1:
             return RationalFn(x, jet_pow(y, n))
         return RationalFn(jet_mul(x, jet_pow(y, -n)), Jet2.const(1, mode, INF))
@@ -333,16 +351,16 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
     name = nf.name
 
     if name == "i":
-        n = int(p.get("n", 1))
+        n = _int_param(p, "n", 1)
         if n < 1:
             raise BadParams("family i requires n >= 1")
         alpha = scalars.coerce(p.get("alpha", 1), mode)
-        if scalars.is_zero_scalar(alpha, mode):
+        if not alpha:
             raise BadParams("family i requires alpha != 0")
         r = sp.get("r", Jet1.zero(mode))
         s = sp.get("s", Jet1.zero(mode))
         for label, g in (("r", r), ("s", s)):
-            if not scalars.is_zero_scalar(g.coeff(0), mode):
+            if g.coeff(0):
                 raise BadParams(f"family i requires {label}(0) = 0")
         r_y = jet_compose1(r.truncate(degree), y.truncate(degree))
         s_y = jet_compose1(s.truncate(degree), y.truncate(degree))
@@ -362,7 +380,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         )
 
     if name == "iii":
-        n = int(p.get("n", 2))
+        n = _int_param(p, "n", 2)
         if n < 1:
             raise BadParams("family iii requires n >= 1")
         radial = VectorFieldGerm(jet_mul(y, x.scale(n)), jet_mul(y, y))
@@ -378,16 +396,16 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return x_field.truncate(degree), radial.truncate(degree)
 
     if name == "iv":
-        n = int(p.get("n", 1))
+        n = _int_param(p, "n", 1)
         if n < 1:
             raise BadParams("family iv requires n >= 1")
         g1 = sp.get("g1", Jet1.const(1, mode))
         g2 = sp.get("g2", Jet1.zero(mode))
-        if not scalars.is_zero_scalar(g1.coeff(0) - scalars.one(mode), mode):
+        if g1.coeff(0) - scalars.one(mode):
             raise BadParams("family iv requires g1(0) = 1")
-        if g1.valid_through >= 1 and not scalars.is_zero_scalar(g1.coeff(1), mode):
+        if g1.valid_through >= 1 and g1.coeff(1):
             raise BadParams("family iv requires g1'(0) = 0")
-        if not scalars.is_zero_scalar(g2.coeff(0), mode):
+        if g2.coeff(0):
             raise BadParams("family iv requires g2(0) = 0")
         w = jet_mul(x, jet_pow(y, n)).truncate(degree)
         g1_w = jet_compose1(g1.truncate(degree), w)
@@ -402,7 +420,7 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
         return x_field.truncate(degree), y_field.truncate(degree)
 
     if name == "v":
-        n = int(p.get("n", 1))
+        n = _int_param(p, "n", 1)
         if n < 0:
             raise BadParams("family v requires n >= 0")
         x_field = VectorFieldGerm(jet_mul(jet_pow(y, n), jet_mul(x, x)), Jet2.zero(mode, INF))
@@ -425,11 +443,11 @@ def make_pair(nf: NormalFormID, mode=EXACT, degree: Optional[int] = None
 def _make_pair_vii(nf: NormalFormID, mode, degree):
     p = nf.params
     sp = nf.series_params
-    m = int(p.get("m", 1))
-    n = int(p.get("n", 1))
-    a = int(p.get("a", 1))
-    b = int(p.get("b", 0))
-    k1_extra = int(p.get("k1", 0))
+    m = _int_param(p, "m", 1)
+    n = _int_param(p, "n", 1)
+    a = _int_param(p, "a", 1)
+    b = _int_param(p, "b", 0)
+    k1_extra = _int_param(p, "k1", 0)
     if m < 1 or n < 1:
         raise BadParams("family vii requires m, n >= 1")
     if a < 0 or b < 0:
@@ -450,7 +468,7 @@ def _make_pair_vii(nf: NormalFormID, mode, degree):
     assert amu * m - bmu * n == sign
     x, y = _x(mode), _y(mode)
     u1 = sp.get("u1", Jet1.const(1, mode))
-    if not scalars.is_zero_scalar(u1.coeff(0) - scalars.one(mode), mode):
+    if u1.coeff(0) - scalars.one(mode):
         raise BadParams("family vii requires u1(0) = 1")
     u2 = sp.get("u2")
     if u2 is None:
@@ -475,9 +493,6 @@ def _make_pair_vii(nf: NormalFormID, mode, degree):
     inner_a = x.scale(m) + jet_mul(psi, x.scale(b))
     inner_b = y.scale(-n) - jet_mul(psi, y.scale(a))
     y_field = VectorFieldGerm(jet_mul(pre, inner_a), jet_mul(pre, inner_b))
-    nf.params["sign"] = sign
-    nf.params["a_mu"] = amu
-    nf.params["b_mu"] = bmu
     return x_field.truncate(degree), y_field.truncate(degree)
 
 
@@ -513,7 +528,7 @@ def classify_with_reasons(x: VectorFieldGerm,
         raise ModeMismatch("classify operates in exact mode")
     reasons: List[str] = []
     lin = linear_part(x)
-    if not lin.eigenvalues_zero(x.mode):
+    if not lin.eigenvalues_zero():
         raise NonzeroEigenvalue("germ has a nonzero eigenvalue at the origin")
     for axis in invariant_axes(x):
         verdict = onedim_check(restrict_to_axis(x, axis))
@@ -543,10 +558,7 @@ def _unit_quotient(num: Jet2, pattern: Jet2) -> Optional[Jet2]:
     if pattern.is_zero():
         return None
     status, quot = exact_divide(num, pattern)
-    if status != DIVISIBLE or quot is None:
-        return None
-    c0 = quot.coeffs.get((0, 0))
-    if c0 is None or scalars.is_zero_scalar(c0, quot.mode):
+    if status != DIVISIBLE or quot is None or not series._has_constant(quot):
         return None
     return quot
 
@@ -583,18 +595,15 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
 
     # rows 1a/1b/1c: regular horizontal foliation, B identically zero
     if germ.b.is_zero() and not germ.a.is_zero():
-        a_comp = germ.a
-        a_pow = min(j for (_, j) in a_comp.coeffs)
-        f_big = a_comp.divide_monomial(0, a_pow)
-        c0 = f_big.coeffs.get((0, 0))
-        if c0 is not None and not scalars.is_zero_scalar(c0, mode) and a_pow >= 1:
+        a_pow = monomial_content(germ.a)[1]
+        f_big = germ.a.divide_monomial(0, a_pow)
+        if series._has_constant(f_big) and a_pow >= 1:
             out.append(NormalFormID("table", "1a", {"a": a_pow}))
         q = _unit_quotient(f_big, x)
-        if q is not None and a_pow >= 1 and all(k == (0, 0) for k in q.coeffs):
+        if q is not None and a_pow >= 1 and all(k == (0, 0) for k in q._keys()):
             out.append(NormalFormID("table", "1b", {"a": a_pow}))
-        cand = _match_1c(f_big, a_pow, mode)
-        if cand is not None:
-            out.append(cand)
+        if _match_1c(f_big):
+            out.append(NormalFormID("table", "1c", {"a": a_pow}))
 
     # rows with divisor data
     elliptic_shapes = {
@@ -636,10 +645,7 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
     if lin.eigenvalues is not None and not primitive.is_zero():
         lam1 = lin.matrix[0][0]
         lam2 = lin.matrix[1][1]
-        off_zero = scalars.is_zero_scalar(lin.matrix[0][1], mode) and \
-            scalars.is_zero_scalar(lin.matrix[1][0], mode)
-        if off_zero and not scalars.is_zero_scalar(lam1, mode) and \
-                not scalars.is_zero_scalar(lam2, mode):
+        if not lin.matrix[0][1] and not lin.matrix[1][0] and lam1 and lam2:
             ratio = lam2 / lam1
             rat = scalars.as_rational(ratio)
             if rat is not None and rat < 0 and p_xy == 0 and p_cusp == 0 and p_sept == 0:
@@ -676,36 +682,24 @@ def _match_rows(germ: VectorFieldGerm, declared) -> List[NormalFormID]:
     return out
 
 
-def _match_1c(f_big: Jet2, a_pow: int, mode) -> Optional[NormalFormID]:
-    by_xdeg: Dict[int, Dict[int, object]] = {}
-    for (i, j), v in f_big.coeffs.items():
-        by_xdeg.setdefault(i, {})[j] = v
-    if max(by_xdeg, default=0) != 2:
-        return None
-    f2 = by_xdeg.get(2, {})
-    if set(f2) != {0} :
-        return None
-    g1 = by_xdeg.get(1, {})
-    g2 = by_xdeg.get(0, {})
-    if 0 in g1 and not scalars.is_zero_scalar(g1[0], mode):
-        return None
-    if 0 in g2 and not scalars.is_zero_scalar(g2[0], mode):
-        return None
-    return NormalFormID("table", "1c", {"a": a_pow})
+def _match_1c(f_big: Jet2) -> bool:
+    """f_big has the shape x^2 + g1(y) x + g2(y) of row 1c with
+    g1(0) = g2(0) = 0: its terms are x^2 and x^i y^j with i < 2 and j >= 1."""
+    keys = f_big._keys()
+    return (2, 0) in keys and all(k == (2, 0) or (k[0] < 2 and k[1] >= 1) for k in keys)
 
 
 def _row2_param(v_b: Jet2, mode) -> Optional[int]:
-    allowed = {(1, 1), (0, 2)}
-    if any(k not in allowed for k in v_b.coeffs):
+    """n when v_b is -y(n x - (n+1) y), else None.  The y^2 term is
+    stored, so valid_through >= 2 and the xy coefficient can be read."""
+    keys = v_b._keys()
+    if (0, 2) not in keys or any(k not in ((1, 1), (0, 2)) for k in keys):
         return None
-    c_xy = v_b.coeffs.get((1, 1), scalars.zero(mode))
-    c_y2 = v_b.coeffs.get((0, 2), scalars.zero(mode))
-    n_plus_1 = scalars.as_rational(c_y2)
+    n_plus_1 = scalars.as_rational(v_b.coeff(0, 2))
     if n_plus_1 is None or n_plus_1.denominator != 1 or n_plus_1 < 1:
         return None
     n = int(n_plus_1) - 1
-    expected = scalars.coerce(-n, mode)
-    if not scalars.is_zero_scalar(c_xy - expected, mode):
+    if v_b.coeff(1, 1) != scalars.coerce(-n, mode):
         return None
     return n
 

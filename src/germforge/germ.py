@@ -244,7 +244,7 @@ class CoordinateChange:
             return True
         j11, j12, j21, j22 = self.jacobian_at_origin()
         det = j11 * j22 - j12 * j21
-        return not scalars.is_zero_scalar(det, self.comp1.mode, 0.0)
+        return bool(det)
 
     def compose(self, other, state: Optional[series.RelaxedComposition] = None,
                 n: int = 0, k: int = 0):
@@ -382,6 +382,16 @@ class DivisorFactor:
     power: int
 
 
+def monomial_content(*jets: Jet2) -> Optional[Tuple[int, int]]:
+    """(i, j) of the greatest monomial x^i y^j that divides every one of
+    *jets*: the least exponents of x and of y over their stored keys (a zero
+    jet has none); None when every jet is zero."""
+    keys = [k for jet in jets for k in jet._keys()]
+    if not keys:
+        return None
+    return min(i for i, _ in keys), min(j for _, j in keys)
+
+
 def primitive_split(x: VectorFieldGerm,
                     declared: Sequence[Tuple[str, Jet2]] = ()
                     ) -> Tuple[List[DivisorFactor], VectorFieldGerm]:
@@ -396,24 +406,11 @@ def primitive_split(x: VectorFieldGerm,
         if form.is_zero() or series._has_constant(form):
             raise BadParams(f"declared form {label!r} must vanish at the origin and be nonzero")
     a, b = x.a, x.b
-    factors: List[DivisorFactor] = []
-
-    def support_min(jet: Jet2, idx: int):
-        if jet.is_zero():
-            return None
-        return min(k[idx] for k in jet._keys())
-
-    for idx, (label, form_key) in enumerate((("x", (1, 0)), ("y", (0, 1)))):
-        mins = [m for m in (support_min(a, idx), support_min(b, idx)) if m is not None]
-        power = min(mins) if mins else 0
-        if power > 0:
-            if idx == 0:
-                a = a.divide_monomial(power, 0)
-                b = b.divide_monomial(power, 0)
-            else:
-                a = a.divide_monomial(0, power)
-                b = b.divide_monomial(0, power)
-            factors.append(DivisorFactor(label, Jet2.variable(label, x.mode, INF), power))
+    content = monomial_content(a, b) or (0, 0)
+    if content != (0, 0):
+        a, b = a.divide_monomial(*content), b.divide_monomial(*content)
+    factors = [DivisorFactor(label, Jet2.variable(label, x.mode, INF), power)
+               for label, power in zip("xy", content) if power]
 
     for label, form in declared:
         power = 0
@@ -439,10 +436,8 @@ class LinearPartData:
     det: Scalar
     eigenvalues: Optional[Tuple[Scalar, Scalar]]
 
-    def eigenvalues_zero(self, mode, tol=0.0) -> bool:
-        return scalars.is_zero_scalar(self.trace, mode, tol) and scalars.is_zero_scalar(
-            self.det, mode, tol
-        )
+    def eigenvalues_zero(self) -> bool:
+        return not self.trace and not self.det
 
 
 def linear_part(x: VectorFieldGerm) -> LinearPartData:

@@ -127,9 +127,7 @@ def linearize(x: VectorFieldGerm, degree: Optional[int] = None) -> Linearization
     lin = linear_part(x)
     m = _positive_int(lin.matrix[0][0])
     n = _positive_int(-lin.matrix[1][1])
-    if m is None or n is None or x.order() < 1 or not (
-            scalars.is_zero_scalar(lin.matrix[0][1], mode)
-            and scalars.is_zero_scalar(lin.matrix[1][0], mode)):
+    if m is None or n is None or x.order() < 1 or lin.matrix[0][1] or lin.matrix[1][0]:
         raise BadParams("linearize requires X(0) = 0 and linear part exactly diag(m, -n), "
                         "m, n >= 1")
     top = min(degree, x.valid_through)

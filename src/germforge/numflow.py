@@ -333,9 +333,8 @@ def homothety_period_ratio(x: VectorFieldGerm, spec: LeafLoopSpec,
 
 def _is_homogeneous(x: VectorFieldGerm, degree: int) -> bool:
     for jet in (x.a, x.b):
-        for (i, j) in jet.coeffs:
-            if i + j != degree:
-                return False
+        if any(i + j != degree for i, j in jet._keys()):
+            return False
     return True
 
 

@@ -59,6 +59,7 @@ from .series import (
     DIVISIBLE,
     INF,
     Jet1,
+    _has_constant,
     _jet,
     _mul_valid,
     _nonzero,
@@ -530,7 +531,8 @@ class _Descent:
                 if variables != ("x", "y"):
                     raise GermforgeError("1-variable expressions must be polynomial in z")
                 return RationalFn(num, den)
-            out = num.scale(scalars.one(mode) / den.coeffs.get((0, 0), scalars.one(mode)))
+            c = den.coeff(0, 0) if _has_constant(den) else scalars.one(mode)
+            out = num.scale(scalars.one(mode) / c)
         return out if variables == ("x", "y") else out.restrict_y0()
 
 

@@ -5,9 +5,11 @@ Exact mode stores an element of Q(i) as three Python ints, the value
 which is how a Jet2 stores each coefficient (as FLINT's fmpq and fmpzi
 types keep integers over one denominator).  Every value is reduced, so
 equal numbers have equal ints and every symbolic check in the suite is an
-equality check.  Float mode is plain ``complex`` and all comparisons go
-through a tolerance.  The two modes never mix silently: containers carry a
-mode tag and refuse mixed input.
+equality check.  Float mode is plain ``complex``, and a comparison that
+needs a tolerance states its own.  In both modes a scalar is zero exactly
+when it is falsy (``GaussianRational.__bool__``, or complex truthiness, so
+-0.0 is zero and nan is not).  The two modes never mix silently:
+containers carry a mode tag and refuse mixed input.
 """
 
 from __future__ import annotations
@@ -192,12 +194,6 @@ def check_same_mode(*modes: str) -> str:
         if m != first:
             raise ModeMismatch(f"mixed scalar modes {modes!r}")
     return first
-
-
-def is_zero_scalar(value: Scalar, mode: str, tol: float = 0.0) -> bool:
-    if mode == EXACT:
-        return value.is_zero()
-    return abs(value) <= tol
 
 
 def as_rational(value) -> Optional[Fraction]:

@@ -30,7 +30,14 @@ GaussianRational stores one coefficient the same way, as reduced ints
 lcms of ints alone.  ``coeffs`` is a read-only scalar view that an exact
 jet builds on first read (re keys first, then the purely imaginary ones)
 and caches, and that for a float jet is re itself.  No kernel operation
-reads it: re-keyings (_rekeyed), equals and to_float run on stored data.
+reads it: re-keyings (_rekeyed), equals and to_float run on stored data,
+and a caller that needs the keys or one coefficient asks ``_keys``,
+``coeff`` or ``_has_constant``.  The readers left are the float lowerings,
+the chart pullback and exact_divide, whose remainder stays in scalars.  The
+view stays cached because exact_divide reads it once per call and
+classify divides one numerator by many patterns: building the view afresh
+on each read made the classify jobs 12-19% slower (3.4 times the from_ints
+calls).
 
 Degree-by-degree recurrences work on homogeneous parts, in both modes.  The
 reciprocal and the graded solves (RelaxedComposition and its callers) keep
@@ -42,6 +49,7 @@ of the reciprocal and the integral of series_ode_solve depend on the mode.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Optional, Tuple
 
@@ -169,7 +177,7 @@ class Jet2:
         for (i, j), v in coeffs.items():
             if i < 0 or j < 0:
                 raise BadParams("Jet2 exponents must be >= 0")
-            if i + j <= valid_through and not scalars.is_zero_scalar(v, mode):
+            if i + j <= valid_through and v:
                 cleaned[(i, j)] = v
         self.mode = mode
         self.valid_through = valid_through
@@ -225,7 +233,8 @@ class Jet2:
 
     # -- queries -----------------------------------------------------------
     def _keys(self):
-        """The stored keys, in the order of the scalar view."""
+        """The stored keys, in the order of the scalar view, without
+        building it (the cached view is returned when there is one)."""
         if self._view is None:
             return self.re | self.im if self.im else self.re
         return self._view
@@ -1164,15 +1173,27 @@ def exact_divide(num: Jet2, den: Jet2) -> Tuple[str, Optional[Jet2]]:
     series quotient reports NOT_DIVISIBLE).  Soundness rests on graded-lex
     being a monomial order: the minimal monomial of Q*D is the product of
     the minimal monomials.
+
+    The next remainder term comes from a heap of graded-lex keys (Monagan
+    & Pearce, J. Symb. Comput. 46, 2011), not from a scan of the remainder.
+    The pivot is the least term of den, so every key a step adds lies above
+    the key it divides: a key is pushed when it enters the remainder, and a
+    popped key that has cancelled since is skipped.  The remainder keeps
+    its scalars, each over its own denominator: a quotient by a non-unit
+    pivot has growing denominators (1/(2 - x) = sum x^k / 2^(k+1)), and one
+    common denominator would cost a gcd over the whole remainder per step.
     """
     scalars.check_same_mode(num.mode, den.mode)
     if den.is_zero():
         raise ZeroDivisionError("exact_divide by zero jet")
     if num.is_zero():
         return DIVISIBLE, Jet2.zero(num.mode, num.valid_through)
-    pivot = min(den.coeffs, key=_glex_key)
-    pdeg = pivot[0] + pivot[1]
-    pval = den.coeffs[pivot]
+    terms = den.coeffs
+    pivot = min(terms, key=_glex_key)
+    pi, pj = pivot
+    pdeg = pi + pj
+    pval = terms[pivot]
+    others = [(k, v) for k, v in terms.items() if k != pivot]
     q_valid = min(num.valid_through, den.valid_through)
     if q_valid != INF:
         q_valid -= pdeg
@@ -1186,31 +1207,35 @@ def exact_divide(num: Jet2, den: Jet2) -> Tuple[str, Optional[Jet2]]:
     else:
         limit = q_valid + pdeg  # determined region of the remainder
     rem = dict(num.coeffs)
+    heap = [(i + j, j) for i, j in rem]      # _glex_key of each remainder key
+    heapq.heapify(heap)
     quot: Dict[Tuple[int, int], Scalar] = {}
     z = scalars.zero(num.mode)
-    while rem:
-        key = min(rem, key=_glex_key)
-        if key[0] + key[1] > limit:
+    while heap:
+        d, j = heapq.heappop(heap)
+        key = (d - j, j)
+        if key not in rem:
+            continue                # cancelled after it was pushed
+        if d > limit:
             if polynomial_inputs:
                 return NOT_DIVISIBLE, None
             break  # tail beyond determination: divisible to available precision
-        i, j = key
-        if i < pivot[0] or j < pivot[1]:
+        qi, qj = key[0] - pi, j - pj
+        if qi < 0 or qj < 0:
             return NOT_DIVISIBLE, None
-        qkey = (i - pivot[0], j - pivot[1])
         # the pivot term cancels by construction; a float remainder would
         # leave a rounding residue there and pick the same key for ever
         c = rem.pop(key) / pval
-        quot[qkey] = c
-        for (di, dj), dv in den.coeffs.items():
-            if (di, dj) == pivot:
-                continue
-            rkey = (qkey[0] + di, qkey[1] + dj)
+        quot[qi, qj] = c
+        for (di, dj), dv in others:
+            rkey = (qi + di, qj + dj)
             if not polynomial_inputs and rkey[0] + rkey[1] > limit:
                 continue
             nv = rem.get(rkey, z) - c * dv
-            if scalars.is_zero_scalar(nv, num.mode):
+            if not nv:
                 rem.pop(rkey, None)
             else:
+                if rkey not in rem:
+                    heapq.heappush(heap, (rkey[0] + rkey[1], rkey[1]))
                 rem[rkey] = nv
     return DIVISIBLE, Jet2(num.mode, quot, q_valid)

@@ -51,7 +51,9 @@ parts: the oracle of germforge.scalars.  `v_restrict_y0`, `v_restrict_x0`,
 `v_to_float` are the jet operations that walked the scalar view, as they
 were before they ran on the stored numerators, and `v_jet2_to_json` is
 germforge.report's jet serializer as it was before it formatted the stored
-numerators.
+numerators.  `scan_exact_divide` is germforge.series.exact_divide as it was
+before it took the next remainder key from a heap, scanning the whole
+remainder at each step: the oracle of its status and stored quotient.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
 from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, _cpow, _leaf_den,
                               _lin_sum, _negated, _pair, _power, _times)
 from germforge.scalars import EXACT, FLOAT, GaussianRational
-from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _gmul_into, _jet, _nonzero,
-                              _reduced, _zcut, _zderive, _zmul_into, _zscaled, _zsum, exact_divide,
-                              jet_compose2, jet_derive, jet_dot, jet_mul)
+from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _glex_key, _gmul_into, _jet,
+                              _nonzero, _reduced, _zcut, _zderive, _zmul_into, _zscaled, _zsum,
+                              exact_divide, jet_compose2, jet_derive, jet_dot, jet_mul)
 
 Z2 = tuple  # exponent pair
 
@@ -586,9 +588,7 @@ def t_graded_linearize(x, degree=None):
     lin = linear_part(x)
     m = mr._positive_int(lin.matrix[0][0])
     n = mr._positive_int(-lin.matrix[1][1])
-    if m is None or n is None or x.order() < 1 or not (
-            scalars.is_zero_scalar(lin.matrix[0][1], mode)
-            and scalars.is_zero_scalar(lin.matrix[1][0], mode)):
+    if m is None or n is None or x.order() < 1 or lin.matrix[0][1] or lin.matrix[1][0]:
         raise BadParams("linearize requires X(0) = 0 and linear part exactly diag(m, -n), "
                         "m, n >= 1")
     top = min(degree, x.valid_through)
@@ -1674,12 +1674,19 @@ def v_substitute_line(jet: Jet2, chart: int) -> Jet2:
     return Jet2(jet.mode, out, jet.valid_through)
 
 
+def _is_zero_scalar(value, mode: str, tol: float = 0.0) -> bool:
+    """A scalar within *tol* of zero (exact scalars: zero)."""
+    if mode == EXACT:
+        return value.is_zero()
+    return abs(value) <= tol
+
+
 def v_equals(a: Jet2, b: Jet2, tol: float = 0.0) -> bool:
     scalars.check_same_mode(a.mode, b.mode)
     valid = min(a.valid_through, b.valid_through)
     z = scalars.zero(a.mode)
     for k in set(a.coeffs) | set(b.coeffs):
-        if k[0] + k[1] <= valid and not scalars.is_zero_scalar(
+        if k[0] + k[1] <= valid and not _is_zero_scalar(
                 a.coeffs.get(k, z) - b.coeffs.get(k, z), a.mode, tol):
             return False
     return True
@@ -1702,3 +1709,51 @@ def v_jet2_to_json(jet: Jet2) -> dict:
     valid = "inf" if jet.valid_through == INF else int(jet.valid_through)
     return {"vars": ["x", "y"], "mode": jet.mode, "valid_through": valid,
             "terms": [[i, j, scalar(v)] for (i, j), v in sorted(jet.coeffs.items())]}
+
+
+def scan_exact_divide(num: Jet2, den: Jet2):
+    """germforge.series.exact_divide as it was before it took the next
+    remainder key from a heap: each step scans the whole remainder for its
+    least graded-lex key.  The oracle of its status and stored quotient."""
+    scalars.check_same_mode(num.mode, den.mode)
+    if den.is_zero():
+        raise ZeroDivisionError("exact_divide by zero jet")
+    if num.is_zero():
+        return DIVISIBLE, Jet2.zero(num.mode, num.valid_through)
+    pivot = min(den.coeffs, key=_glex_key)
+    pdeg = pivot[0] + pivot[1]
+    pval = den.coeffs[pivot]
+    q_valid = min(num.valid_through, den.valid_through)
+    if q_valid != INF:
+        q_valid -= pdeg
+        if q_valid < 0:
+            return series.UNKNOWN, None
+    polynomial_inputs = q_valid == INF
+    limit = num.degree_bound() if polynomial_inputs else q_valid + pdeg
+    rem = dict(num.coeffs)
+    quot = {}
+    z = scalars.zero(num.mode)
+    while rem:
+        key = min(rem, key=_glex_key)
+        if key[0] + key[1] > limit:
+            if polynomial_inputs:
+                return series.NOT_DIVISIBLE, None
+            break
+        i, j = key
+        if i < pivot[0] or j < pivot[1]:
+            return series.NOT_DIVISIBLE, None
+        qkey = (i - pivot[0], j - pivot[1])
+        c = rem.pop(key) / pval
+        quot[qkey] = c
+        for (di, dj), dv in den.coeffs.items():
+            if (di, dj) == pivot:
+                continue
+            rkey = (qkey[0] + di, qkey[1] + dj)
+            if not polynomial_inputs and rkey[0] + rkey[1] > limit:
+                continue
+            nv = rem.get(rkey, z) - c * dv
+            if _is_zero_scalar(nv, num.mode):
+                rem.pop(rkey, None)
+            else:
+                rem[rkey] = nv
+    return DIVISIBLE, Jet2(num.mode, quot, q_valid)

@@ -107,15 +107,17 @@ def test_every_family_commutes():
         assert lie_bracket(x, y).is_zero(), nf.label()
 
 
-def test_mt_vii_records_decomposition():
-    nf = NormalFormID("mt", "vii", {"m": 3, "n": 2, "a": 1, "b": 2})
-    make_pair(nf, EXACT, 10)
-    assert nf.params["sign"] == -1
-    assert (nf.params["a_mu"], nf.params["b_mu"]) == (1, 2)
-    nf = NormalFormID("mt", "vii", {"m": 1, "n": 1, "a": 2, "b": 1})
-    make_pair(nf, EXACT, 10)
-    assert nf.params["sign"] == 1
-    assert (nf.params["a_mu"], nf.params["b_mu"]) == (1, 0)
+def test_make_pair_leaves_the_id_alone():
+    # make_pair wrote sign, a_mu and b_mu into the caller's params, so the
+    # label of "mt:vii[m=1,n=1,a=1,b=0,k1=1]" gained three entries
+    for params in ({"m": 3, "n": 2, "a": 1, "b": 2}, {"m": 1, "n": 1, "a": 2, "b": 1}):
+        nf = NormalFormID("mt", "vii", dict(params))
+        x, y = make_pair(nf, EXACT, 10)
+        assert nf.params == params
+        assert lie_bracket(x, y).is_zero()
+    nf = parse_id("mt:vii[m=1,n=1,a=1,b=0,k1=1]")
+    make_pair(nf, EXACT, 6)
+    assert nf.label() == "mt:vii[a=1,b=0,k1=1,m=1,n=1]"
 
 
 def test_pair_constructor_rejects_vii_pole():
@@ -160,7 +162,7 @@ def _invariants(germ):
     lin = linear_part(primitive)
     nonzero = any(not e.is_zero() for row in lin.matrix for e in row)
     return (germ.order(), (powers.get("x", 0), powers.get("y", 0)), lin,
-            nonzero and lin.eigenvalues_zero(EXACT))
+            nonzero and lin.eigenvalues_zero())
 
 
 def test_invariants_examples():
@@ -238,6 +240,21 @@ def test_id_string_roundtrip():
         parse_id("mt:vii[m=")
 
 
+def test_integer_parameters_are_integers():
+    # int() of a GaussianRational was a TypeError, and int(1.5) built n = 1
+    for params in ({"n": 1.5}, {"n": GR(Fraction(3, 2))}, {"n": GR(1, 1)}, {"n": "1"}):
+        with pytest.raises(BadParams, match="parameter n must be an integer"):
+            make_normal_form(NormalFormID("table", "2", params), EXACT, 4)
+    with pytest.raises(BadParams, match="parameter k1"):
+        make_pair(parse_id("mt:vii[m=1,n=1,a=1,b=0,k1=1/2]"), EXACT, 4)
+    want = make_normal_form(NormalFormID("table", "2", {"n": 2}), EXACT, 6)
+    for value in (GR(2), Fraction(4, 2), parse_id("table:2[n=4/2]").params["n"]):
+        assert make_normal_form(NormalFormID("table", "2", {"n": value}), EXACT, 6).equals(want)
+    # an integral rational is bounded like an int
+    with pytest.raises(BadParams, match="beyond the bound"):
+        parse_id("table:5[a=2000/2]")
+
+
 def test_integer_parameters_are_bounded():
     # "table:5[a=1000]" took longer than 60 s to classify, and 0.82 s at a = 64
     assert parse_id("table:5[a=64]").params == {"a": 64}
@@ -283,3 +300,28 @@ def test_cached_jets_survive_the_catalog(mode):
     forms = standard_forms(mode)
     forms.append(("x", Jet2.variable("x", mode)))
     assert len(standard_forms(mode)) == 3
+
+
+# -- classifier screens read the stored keys ------------------------------------------
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_row2_screen_reads_no_coefficient_beyond_valid_through(degree):
+    # the quotient's xy coefficient lies beyond valid_through below degree 4;
+    # reading it raised PrecisionExhausted instead of returning no candidate
+    x = make_normal_form(parse_id("table:2[n=1]"), EXACT, degree)
+    assert classify(x) == []
+
+
+@pytest.mark.parametrize("terms, match", [
+    ({(2, 0): 1, (1, 0): 3, (0, 1): 1}, False),            # g1(0) != 0
+    ({(2, 0): 1, (0, 0): -2, (1, 2): 1}, False),           # g2(0) != 0
+    ({(2, 0): 1, (3, 0): 1, (0, 2): 1}, False),            # an x^3 term
+    ({(2, 0): 1, (2, 1): 1, (0, 2): 1}, False),            # an x^2 y term
+    ({(1, 1): 1, (0, 2): 1}, False),                       # no x^2 term
+    ({}, False),
+    ({(2, 0): 1, (1, 1): 2, (1, 3): 1, (0, 2): -1, (0, 5): 1}, True),
+])
+def test_row1c_screen(terms, match):
+    from germforge.catalog import _match_1c
+
+    assert _match_1c(Jet2.from_coeffs(terms, EXACT, 8)) is match

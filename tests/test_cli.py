@@ -85,6 +85,12 @@ ROWS = [
     # catalog integer parameters are bounded like --degree: a = 1000 ran on
     # for more than 60 s
     (["classify", "table:5[a=1000]"], ERROR),
+    # a catalog integer parameter that is not an integer ended in a TypeError
+    # traceback (exit 1); an integral rational reads as its int
+    (["make", "table:2[n=1.5]"], ERROR),
+    (["make", "table:2[n=4/2]"], OK),
+    (["classify", "table:5[a=1/2]"], ERROR),
+    (["make", "mt:vii[m=1,n=1,a=1,b=0,k1=0.5]"], ERROR),
     # a superscript digit, and a coefficient too long for int-to-text conversion
     (["bracket", "[x^², y]", "[x, y]"], ERROR),
     (["bracket", "[(2+x)^20000, y]", "[x, y]", "--degree", "4"], ERROR),
@@ -126,6 +132,14 @@ def test_exit_code(argv, code, capsys):
         assert out.out.startswith("error:")
     if code == USAGE:
         assert "usage error" in out.err
+
+
+def test_make_prints_the_id_it_was_given(capsys):
+    # make_pair added sign, a_mu and b_mu to the id it printed
+    assert cli.main(["make", "mt:vii[m=1,n=1,a=1,b=0,k1=1]"]) == OK
+    assert capsys.readouterr().out == "built commuting pair mt:vii[a=1,b=0,k1=1,m=1,n=1]\n"
+    assert cli.main(["make", "table:2[n=4/2]"]) == OK
+    assert capsys.readouterr().out == "built table:2[n=2]\n"
 
 
 def test_error_positions_are_offsets_into_the_argument(capsys):

@@ -26,6 +26,7 @@ from germforge.germ import (
     derive_along,
     lie_bracket,
     linear_part,
+    monomial_content,
     primitive_split,
     pullback,
 )
@@ -723,7 +724,7 @@ def test_linear_part_cases():
     assert lp.eigenvalues == (GR(0), GR(0))
 
     nil = linear_part(vf(y() - jet_mul(x(), x()).scale(2), -jet_mul(x(), y()).scale(2)))
-    assert nil.eigenvalues_zero(EXACT)
+    assert nil.eigenvalues_zero()
     assert nil.matrix[0][1] == GR(1)    # a nonzero matrix: nilpotent
 
     diag = linear_part(vf(x().scale(4), y().scale(-3)))
@@ -749,3 +750,15 @@ def test_gaussian_rational_integer_powers():
     assert z ** 0 == GR(1)
     assert z ** 3 == z * z * z
     assert z ** -2 == GR(1) / (z * z)
+
+
+def test_monomial_content_is_the_least_exponents_over_the_nonzero_jets():
+    zero = Jet2.zero(EXACT, 5)
+    assert monomial_content(zero) is None
+    assert monomial_content(zero, Jet2.zero(EXACT, INF)) is None
+    assert monomial_content(Jet2.const(3, EXACT, INF)) == (0, 0)
+    mixed = Jet2.from_coeffs({(2, 1): 1, (1, 3): GaussianRational(0, 2), (4, 2): -1}, EXACT, INF)
+    assert monomial_content(mixed) == (1, 1)
+    assert monomial_content(mixed, zero) == (1, 1)
+    assert monomial_content(mixed, Jet2.monomial(3, 0, 5, EXACT, 4)) == (1, 0)
+    assert monomial_content(mixed.to_float(), Jet2.monomial(0, 2, 1, FLOAT, INF)) == (0, 1)

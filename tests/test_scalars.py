@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from germforge import scalars
 from germforge.errors import GermforgeError, ModeMismatch, NumberTooLong
 from germforge.scalars import GaussianRational
-from oracles import FractionPairGR, fp_format_exact, fp_parse_exact
+from oracles import FractionPairGR, _is_zero_scalar, fp_format_exact, fp_parse_exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "germbench"))
 from tracer import GR_OPS  # noqa: E402  (the operations the bench tracer counts)
@@ -116,3 +116,21 @@ def test_a_coefficient_beyond_the_digit_limit_is_a_germforge_error():
     with pytest.raises(NumberTooLong, match="more than .* digits"):
         scalars.format_exact(value)
     assert issubclass(NumberTooLong, GermforgeError)
+
+
+@pytest.mark.parametrize("value", [
+    GaussianRational(0), GaussianRational(0, 0), GaussianRational(Fraction(1, 10 ** 400)),
+    GaussianRational(0, Fraction(-1, 3)), GaussianRational(-2, 5),
+])
+def test_an_exact_scalar_is_zero_exactly_when_falsy(value):
+    assert (not value) == _is_zero_scalar(value, scalars.EXACT) == value.is_zero()
+
+
+@pytest.mark.parametrize("value", [
+    0j, -0.0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(math.nan, 0),
+    complex(0, math.nan), complex(math.inf, 0), complex(0, -math.inf), 5e-324 + 0j,
+    5e-324j, 1e-300 + 1e-300j, -1 + 0j,
+])
+def test_a_float_scalar_is_zero_exactly_when_falsy(value):
+    # the old zero test at its only tolerance, 0.0: -0.0 is zero, nan is not
+    assert (not value) == _is_zero_scalar(value, scalars.FLOAT)

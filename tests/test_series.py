@@ -1199,6 +1199,53 @@ def test_zero_numerator_quotient_is_known_to_the_pivot_degree_less():
     assert status == DIVISIBLE and quot.valid_through == 2
 
 
+# -- the heap division against the scan it replaced ------------------------------------
+#
+# exact_divide takes the next remainder key from a heap; oracles.scan_exact_divide
+# scans the whole remainder for it.  Both must give the same status, the same
+# stored quotient and the same key order.  den is c x^i y^j + h for a non-unit
+# or Gaussian c and an h of terms above x^i y^j in graded-lex order, which may
+# lie below it in x or in y; num is q * den, plus an optional extra term, so
+# the remainder cancels as the division goes.
+
+_PIVOT_VALUES = [GaussianRational(2), GaussianRational(-3), GaussianRational(Fraction(1, 3)),
+                 GaussianRational(0, 1), GaussianRational(1, -2), GaussianRational(Fraction(-1, 2), 3)]
+
+
+@st.composite
+def _division_cases(draw):
+    pi, pj = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]))
+    h = draw(exact_jets(min_order=pi + pj, max_degree=pi + pj + 2, valid=INF, bits=4,
+                        max_terms=3))
+    h = Jet2(EXACT, {(i, j): v for (i, j), v in h.coeffs.items()
+                     if (i + j, j) > (pi + pj, pj)}, INF)
+    den = Jet2.monomial(pi, pj, draw(st.sampled_from(_PIVOT_VALUES)), valid_through=INF) + h
+    num = jet_mul(draw(exact_jets(max_degree=3, valid=INF, bits=4, max_terms=4)), den)
+    if draw(st.booleans()):
+        num = num + draw(exact_jets(max_degree=5, valid=INF, bits=4, max_terms=1))
+    valid = draw(st.sampled_from([INF, INF, 0, 1, 2, 3, 4, 6]))
+    return num.truncate(valid), den.truncate(draw(st.sampled_from([INF, valid, valid + 1])))
+
+
+def _stored_in_order(jet):
+    return None if jet is None else (jet.den, list(jet.re.items()), list(jet.im.items()),
+                                     jet.valid_through)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@settings(max_examples=200, deadline=None)
+@given(case=_division_cases())
+def test_heap_division_matches_the_scan(mode, case):
+    num, den = case
+    if mode == FLOAT:
+        num, den = num.to_float(), den.to_float()
+    assume(not den.is_zero())
+    status, quot = exact_divide(num, den)
+    want_status, want = oracles.scan_exact_divide(num, den)
+    assert status == want_status
+    assert _stored_in_order(quot) == _stored_in_order(want)
+
+
 # -- error contract -------------------------------------------------------------------
 
 def test_divide_monomial_raises_not_divisible():
