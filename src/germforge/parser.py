@@ -38,15 +38,30 @@ round as they did when every node was a Jet2.
 Single-term rule: in exact mode a value with at most one monomial, such as
 3, i, x^2 or (3+3*i)*x^2*y, is held as its key and Gaussian-integer
 coefficient over an integer denominator.  Products, quotients by a nonzero
-constant, powers and one-key sums of such terms go straight to the key and
-the coefficient, with valid_through from series._mul_valid; a power whose
-term lies beyond the degree (e * ord > degree) is zero at once, and c^e is
-taken by squaring and multiplying.  The results are those of the general
-path.
+constant and powers of such terms go straight to the key and the
+coefficient, with valid_through from series._mul_valid; a power whose term
+lies beyond the degree (e * ord > degree) is zero at once, and c^e is taken
+by squaring and multiplying.  A sum of single terms is one numerator over
+the lcm of their denominators, and a single term again when at most one
+key is left.  The results are those of the general path.
+
+Run tokens: in exact mode in x and y, the scan takes a whole monomial term
+such as (3+3*i)*x^2*y^1, x^2*y/3 or (2+i)*x as one token, a run: atoms
+joined by '*', each with an optional exponent, and divisions by positive
+integers, where an atom is a number, x, y, i or a numeric literal such as
+(p/q+r/s*i).  A run starts only where a term starts and ends only where one
+ends, so the token is a whole term and the fold order and precedence are
+those of its tokens (the x*y of 1/x*y is no run).  factor() reads a run's
+value like a leaf: _run_value folds its atoms by the single-term rule, and
+the descent keeps it beside the leaves, so a run read twice is folded once.
+A run holds no space and no division by 0; such text is read token by
+token as before.  Error positions and zero-denominator spans come from the
+same scan, and float mode and parse_to_jet1 scan the plain tokens.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -88,15 +103,32 @@ class UnknownVariable(GermforgeError):
 # A token is a number (decimal digits with at most one '.'), a name (a
 # letter, then letters and digits), or any other single non-space
 # character: an operator, a bracket or a character no token may hold.  The
-# name pattern also takes a run that starts with a non-decimal digit such
+# name pattern also takes a word that starts with a non-decimal digit such
 # as '²'; _bad() tells those apart.
 _TOKEN = re.compile(r"\d+(?:\.\d*)?|\.\d+|[^\W\d_][^\W_]*|\S")
 _PUNCT = frozenset("+-*/^()[],")
 
+# The scan of exact mode in x and y also takes runs (see the module
+# docstring).  A literal's signed parts are p, p/q, p/q*i, p*i, p*i/q, i and
+# i/q.  A run starts after '+', '-', '(', '[' or ',', with at most one space
+# between, or at the start of the text, and ends before '+', '-', ')', ']',
+# ',' or the end.  A division by 0 is no run, so that the token path raises
+# ZeroDenominator for it.
+_DEN = r"/0*[1-9]\d*"
+_PART = rf"(?:\d+(?:{_DEN}(?:\*i)?|\*i(?:{_DEN})?)?|i(?:{_DEN})?)"
+_ATOM = rf"(?:\d+(?:\.\d*)?|\.\d+|[xyi]|\([-+]?{_PART}(?:[-+]{_PART})*\))(?:\^\d+)?"
+_RUN_TOKEN = re.compile(rf"(?:(?<=[-+(\[,])|(?<=[-+(\[,] )|^){_ATOM}(?:\*{_ATOM}|{_DEN})*"
+                        rf"(?=\s*(?:[-+)\],]|$))|" + _TOKEN.pattern)
+# the atoms of a run, as (operator, literal, atom, exponent), and the signed
+# parts of a literal, as (sign, p, '*i', 'i', q, '*i')
+_ATOMS = re.compile(r"([*/]?)(?:\(([^)]*)\)|([^*/^]+))(?:\^(\d+))?")
+_PARTS = re.compile(r"([-+]?)(?:(\d+)(\*i)?|(i))(?:/(\d+))?(\*i)?")
+
 
 def _bad(tok: str) -> bool:
-    """Whether *tok* is a character no token may hold (or starts with one)."""
-    return bool(tok) and tok not in _PUNCT and not (
+    """Whether *tok* is a character no token may hold (or starts with one;
+    a run may start with '(')."""
+    return bool(tok) and tok[0] not in _PUNCT and not (
         tok[0].isalpha() or _is_number(tok))
 
 
@@ -176,15 +208,99 @@ def _single_pow(a: tuple, e: int, degree) -> tuple:
 
 
 def _single_sum(terms: list) -> tuple:
-    """The sum of sign * term over (sign, single) pairs with one key, as
-    _lin_sum gives it."""
+    """The sum of sign * term over (sign, single) pairs, as _lin_sum gives
+    it: every numerator over the lcm of the denominators, cut at the least
+    valid_through.  A sum with at most one key left is a single term."""
+    valid = min(t[4] for _, t in terms)
     den = math.lcm(*(t[1] for _, t in terms))
-    r = s = 0
-    for sign, (_, d, tr, ts, _, _) in terms:
-        f = den // d * sign
-        r, s = r + tr * f, s + ts * f
-    return _single(terms[0][1][0], den, r, s, min(t[4] for _, t in terms),
-                   [t[5] for _, t in terms if t[5] is not None] or None)
+    re_: dict = {}
+    im: dict = {}
+    for sign, (key, d, r, s, _, _) in terms:
+        if key[0] + key[1] <= valid:
+            f = den // d * sign
+            if r:
+                re_[key] = re_.get(key, 0) + r * f
+            if s:
+                im[key] = im.get(key, 0) + s * f
+    c = [t[5] for _, t in terms if t[5] is not None] or None
+    re_, im = _nonzero(re_), _nonzero(im)
+    if len(re_) + len(im) > 1 and len(re_.keys() | im.keys()) > 1:
+        return (*_reduced(den, re_, im), valid), None, c
+    key = next(iter(re_ or im), (0, 0))
+    return _single(key, den, re_.get(key, 0), im.get(key, 0), valid, c)
+
+
+def _number(tok: str, degree) -> tuple:
+    """The exact single term of a number token."""
+    value = Fraction(tok) if "." in tok else int(tok)
+    return _single((0, 0), value.denominator, value.numerator, 0, degree, None)
+
+
+def _literal(lit: str, degree) -> tuple:
+    """The single term of the literal (lit): the sum of its signed parts
+    sign * p / q * i^(0 or 1), each known through the degree, over the lcm of
+    their q, with the constants q of the divisions kept apart, as the
+    descent's sum of their single terms gives them."""
+    den, r, s, c = 1, 0, 0, None
+    for sign, num, star_i, bare_i, q, tail_i in _PARTS.findall(lit):
+        v = -int(num or 1) if sign == "-" else int(num or 1)
+        if q:
+            q = int(q)
+            c = [(1, q, 0)] if c is None else [*c, (1, q, 0)]
+            if den % q:
+                m = q // math.gcd(den, q)
+                den, r, s = den * m, r * m, s * m
+            v *= den // q
+        else:
+            v *= den
+        if star_i or bare_i or tail_i:
+            s += v
+        else:
+            r += v
+    return _single((0, 0), den, r, s, degree, c)
+
+
+def _run_value(run: str, degree, leaves: dict) -> tuple:
+    """The single term of a run token, as the descent folds the tokens of
+    the same text: the product of its atoms and the divisions, with
+    valid_through by the product rule of series._mul_valid and every
+    constant of a division kept apart.  Reduced once at the end, as the
+    value does not depend on when it is reduced; a product of nonzero terms
+    known through their orders is never cut."""
+    valid, order, i, j, d, r, s, cs = INF, 0, 0, 0, 1, 1, 0, []
+    for op, lit, atom, e in _ATOMS.findall(run):
+        if atom == "x" or atom == "y":
+            # x^e and y^e as _single_pow gives them
+            e = int(e) if e else 1
+            vb = degree
+            if e and e > degree:
+                r = s = 0
+                ob = INF
+            else:
+                ob = e
+                if atom == "x":
+                    i += e
+                else:
+                    j += e
+        elif op == "/":
+            d *= int(atom)
+            cs.append((1, int(atom), 0))
+            continue
+        else:
+            if lit:
+                b = _number(lit, degree) if lit.isdecimal() else _literal(lit, degree)
+            else:
+                b = leaves.get(atom) or _number(atom, degree)
+            if e:
+                b = _single_pow(b, int(e), degree)
+            kb, db, rb, sb, vb, cb = b
+            ob = kb[0] + kb[1] if rb or sb else INF
+            i, j, d = i + kb[0], j + kb[1], d * db
+            r, s = r * rb - s * sb, r * sb + s * rb
+            if cb is not None:
+                cs.append(cb)
+        valid, order = min(valid + ob, vb + order), order + ob
+    return _single((i, j), d, r, s, valid, cs or None)
 
 
 def _leaf_den(mode: str):
@@ -302,8 +418,10 @@ def _pair(val: tuple) -> tuple:
 
 # -- the descent ---------------------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
 def _exact_leaves(degree, variables) -> dict:
-    """The exact single terms of the allowed variables and of i."""
+    """The exact single terms of the allowed variables and of i (a descent
+    reads a copy, which it adds the values of its runs to)."""
     leaves = {name: _single((0, 1) if name == "y" else (1, 0), 1, 1, 0, degree, None)
               for name in variables}
     leaves["i"] = _single((0, 0), 1, 0, 1, degree, None)
@@ -315,20 +433,22 @@ class _Descent:
     reads.  The tokens are kept reversed, so that the next one is toks[-1];
     "" stands for the end of the input."""
 
-    __slots__ = ("text", "toks", "n", "mode", "degree", "variables", "leaves")
+    __slots__ = ("text", "toks", "n", "mode", "degree", "variables", "leaves", "tokens")
 
     def __init__(self, text: str, mode: str, degree, variables):
-        toks = _TOKEN.findall(text)
+        # runs only in exact mode in x and y: float values keep every node
+        self.tokens = _RUN_TOKEN if mode == EXACT and variables == ("x", "y") else _TOKEN
+        toks = self.tokens.findall(text)
         toks.reverse()
         self.toks = [""] + toks
         self.text, self.n = text, len(self.toks)
         self.mode, self.degree, self.variables = mode, degree, variables
-        self.leaves = _exact_leaves(degree, variables) if mode == EXACT else {}
+        self.leaves = dict(_exact_leaves(degree, variables)) if mode == EXACT else {}
 
     # -- positions and errors, computed only when an error is raised --
 
     def _spans(self):
-        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        spans = [m.span() for m in self.tokens.finditer(self.text)]
         return spans + [(len(self.text), len(self.text))]
 
     def _position(self) -> int:
@@ -426,11 +546,16 @@ class _Descent:
         return self._pow(val, int(tok), left)
 
     def base(self) -> tuple:
-        """A number, a float variable or i, or the error the next token makes
-        (exact variables and i are the leaves factor() reads)."""
+        """A run, a number, a float variable or i, or the error the next token
+        makes (exact variables and i, and runs read before, are the leaves
+        factor() reads)."""
         toks = self.toks
         tok = toks[-1]
         mode, degree = self.mode, self.degree
+        if len(tok) > 1 and (tok[0] == "(" or "*" in tok or "/" in tok or "^" in tok):
+            toks.pop()
+            val = self.leaves[tok] = _run_value(tok, degree, self.leaves)
+            return val
         if tok == "x" or tok == "y" or tok == "z":
             if tok not in self.variables:
                 raise UnknownVariable(
@@ -459,7 +584,7 @@ class _Descent:
     # -- operations, each as the per-node evaluation of its node --
 
     def _sum(self, terms: list) -> tuple:
-        if all(len(val) == 6 and val[0] == terms[0][1][0] for _, val in terms):
+        if all(len(val) == 6 for _, val in terms):
             return _single_sum(terms)
         vals = [(sign, _general(val)) for sign, val in terms]
         if all(val[1] is None for _, val in vals):

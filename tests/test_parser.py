@@ -416,3 +416,142 @@ def test_exact_powers_square_and_multiply(text):
     if text == "(1+x)^1000000":
         assert (out.den, out.re, out.im) == (1, {(k, 0): math.comb(10 ** 6, k)
                                                  for k in range(5)}, {})
+
+
+# -- run tokens: a whole term read as one token in exact mode -----------------------
+
+def _op(draw, op, spaces):
+    """*op*, with or without a space on either side when *spaces* holds."""
+    if not spaces:
+        return op
+    return draw(st.sampled_from(["", " "])) + op + draw(st.sampled_from(["", " "]))
+
+
+# divisors, 0 once in eleven draws
+_DIVISORS = st.sampled_from([0] + [1, 2, 3, 7, 12] * 2)
+
+
+def _literal(draw, spaces):
+    """(p/q+r/s*i) and its variants: every part shape a run literal takes,
+    zero parts and divisions by 0."""
+    parts = []
+    for k in range(draw(st.integers(1, 3))):
+        p, q = draw(st.integers(0, 9)), draw(_DIVISORS)
+        shape = draw(st.sampled_from(["{p}", "{p}/{q}", "{p}/{q}*i", "{p}*i", "{p}*i/{q}",
+                                      "i", "i/{q}"]))
+        sign = draw(st.sampled_from(["", "-", "+"] if k == 0 else ["-", "+"]))
+        parts.append(sign + shape.format(p=p, q=q).replace("/", _op(draw, "/", spaces)))
+    return "(" + "".join(parts) + ")"
+
+
+def _run_term(draw, spaces):
+    """Atoms (numbers, 0 among them, i, x, y and literals), each maybe raised
+    to a power (^0 and beyond the degree too), joined by '*' and divisions
+    by small integers, 0 among them."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        atom = draw(st.sampled_from(["x", "y", "i", "0", "1", "2", "3", "0.5", "("]))
+        if atom == "(":
+            atom = _literal(draw, spaces)
+        if draw(st.booleans()):
+            atom += _op(draw, "^", spaces) + str(draw(st.sampled_from([0, 1, 2, 3, 5, 9, 40])))
+        atoms.append(atom)
+        if draw(st.integers(0, 3)) == 0:
+            atoms[-1] += _op(draw, "/", spaces) + str(draw(_DIVISORS))
+    return "".join(a if k == 0 else _op(draw, "*", spaces) + a for k, a in enumerate(atoms))
+
+
+# one text in four has spaces around its operators and inside its literals,
+# which makes the terms around them no runs
+_SPACES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _run_terms(draw):
+    return _run_term(draw, draw(_SPACES))
+
+
+@st.composite
+def _run_sums(draw):
+    """Sums of run-shaped terms after an optional unary minus, some next to
+    a '^' or a '/' (where they are no runs), some in parentheses."""
+    spaces = draw(_SPACES)
+    out = draw(st.sampled_from(["", "-", "- "]))
+    for k in range(draw(st.sampled_from([1, 1, 2, 3, 4]))):
+        term = _run_term(draw, spaces)
+        around = ["{}", "{}", "({})", "(-{})", "({})^2", "{}/(1+x)", "({})/(y-x)", "1/{}",
+                  "x^2*{}", "({})/(3)"]
+        if not term[-1].isdigit():
+            around.append("{}^2")       # a term that ends in an exponent takes no second one
+        out += (draw(st.sampled_from([" + ", " - ", "+", "-"])) if k else "") + \
+            draw(st.sampled_from(around)).format(term)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(term=_run_terms(), a=_run_sums(), b=_run_sums(),
+       degree=st.sampled_from([0, 1, 2, 3, 5, 8, math.inf]))
+def test_run_shaped_texts_match_the_per_node_evaluator(term, a, b, degree):
+    # the exact tokenizer reads each whole term of these texts as one run
+    # token where it can: values, valid_through and the exception type stay
+    # those of the per-node evaluator
+    for text in (term, a, b):
+        node = _outcome(parse_expression, text)
+        if isinstance(node, type):
+            assert _outcome(parse_to_jet2, text, EXACT, degree) is node
+            continue
+        _assert_same(_outcome(parse_to_jet2, text, EXACT, degree),
+                     _outcome(oracles.p_eval, node, EXACT, degree))
+    _assert_same(_outcome(parse_vector_field, f"[{a}, {b}]", EXACT, degree),
+                 _outcome(_p_vector_field, (a, b), EXACT, degree))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("[(2)*x^2 + $, y]", ExprSyntaxError, "unexpected character '$' (at position 11)"),
+    ("[(1/2)*x^2^2, y]", ExprSyntaxError,
+     "vector field literal must look like [exprA, exprB] (at position 10)"),
+    ("[(1+i)*x*, y]", ExprSyntaxError,
+     "expected a number, variable or '(', found ',' (at position 9)"),
+    ("[-(2)*x^, y]", ExprSyntaxError, "expected 'num', found ',' (at position 8)"),
+    ("[(2)*x^2.5, y]", ExprSyntaxError, "exponent must be a non-negative integer (at position 7)"),
+    ("[(2)*x^2 y, y]", ExprSyntaxError,
+     "vector field literal must look like [exprA, exprB] (at position 9)"),
+    ("(2)*x, y]", ExprSyntaxError,
+     "vector field literal must look like [exprA, exprB] (at position 0)"),
+    ("[(2)*w, y]", UnknownVariable, "unknown variable 'w' (at position 5)"),
+    ("[(3+3*i)*x^2*y^1 + (2)*x $, y]", ExprSyntaxError,
+     "unexpected character '$' (at position 25)"),
+    ("[(i)+(0/0), y]", ZeroDenominator, "denominator of '0/0' vanishes to degree 4"),
+    ("[(1/0+i)*x, y]", ZeroDenominator, "denominator of '1/0' vanishes to degree 4"),
+    ("[2*x/0, y]", ZeroDenominator, "denominator of '2*x/0' vanishes to degree 4"),
+    ("[(1/2)*x/(y-y)^2, y]", ZeroDenominator,
+     "denominator of '(1/2)*x/(y-y)^2' vanishes to degree 4"),
+])
+def test_faults_next_to_a_run_keep_their_text_and_position(text, error, message):
+    with pytest.raises(error) as info:
+        parse_vector_field(text, EXACT, 4)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "(0)*x^1*y^1", "0*0*x", "x*0*y^2", "(0/3)*x", "x^0*(0)", "(0*i)*y", "(1/2+3/4*i)^3*x/5",
+    "(-2-i/3)*x^9*y", "i^3*x^2/6", "(2)^40*x", "0.5*x*y/2", "(i)+(0/0)", "-(1/2)*x - (i)*y"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 8, math.inf])
+def test_runs_match_the_per_node_evaluator(text, degree):
+    # a zero factor keeps the product rule's valid_through (min(av + ord b,
+    # bv + ord a) with ord 0 = INF), and a literal's divisions are kept
+    # apart as constants, as the descent keeps them
+    _assert_same(_outcome(parse_to_jet2, text, EXACT, degree),
+                 _outcome(oracles.p_eval, parse_expression(text), EXACT, degree))
+
+
+def test_runs_are_whole_terms():
+    # a run starts where a term starts and ends where one ends, so the x*y
+    # of 1/x*y is no run; a division by 0 is none either
+    tokens = parser._RUN_TOKEN.findall
+    assert tokens("[(3+3*i)*x^2*y^1 + (2)*y, -x^2*y/3]") == \
+        ["[", "(3+3*i)*x^2*y^1", "+", "(2)*y", ",", "-", "x^2*y/3", "]"]
+    assert tokens("1/x*y") == ["1", "/", "x", "*", "y"]
+    assert tokens("x^2*y^2^2") == ["x", "^", "2", "*", "y", "^", "2", "^", "2"]
+    assert tokens("(i)+(0/0)") == ["(i)", "+", "(", "0", "/", "0", ")"]
+    assert tokens("2 * x") == ["2", "*", "x"]
