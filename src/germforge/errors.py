@@ -16,7 +16,8 @@ class NotAUnit(GermforgeError):
 
 
 class ZeroDenominator(GermforgeError):
-    """An expression divides by a quantity that vanishes at the working degree."""
+    """A divisor vanishes: an expression's denominator at the working degree,
+    or the zero jet that exact_divide or a RationalFn is given as divisor."""
 
 
 class NotDivisible(GermforgeError):

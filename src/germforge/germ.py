@@ -29,6 +29,7 @@ from .errors import (
     NonInvertibleChange,
     PoleAtOrigin,
     PrecisionExhausted,
+    ZeroDenominator,
 )
 from .scalars import EXACT, FLOAT, GaussianRational, Scalar
 from .series import (INF, Jet2, _rekeyed, _zderive, exact_bracket, exact_divide, jet_compose2,
@@ -95,7 +96,7 @@ class RationalFn:
     def __init__(self, num: Jet2, den: Jet2):
         scalars.check_same_mode(num.mode, den.mode)
         if den.is_zero():
-            raise ZeroDivisionError("RationalFn with zero denominator")
+            raise ZeroDenominator("RationalFn with zero denominator")
         self.num = num
         self.den = den
 

@@ -61,6 +61,7 @@ from .errors import (
     NotAUnit,
     NotDivisible,
     PrecisionExhausted,
+    ZeroDenominator,
 )
 from .scalars import EXACT, FLOAT, GaussianRational, Scalar, from_ints
 
@@ -1185,7 +1186,7 @@ def exact_divide(num: Jet2, den: Jet2) -> Tuple[str, Optional[Jet2]]:
     """
     scalars.check_same_mode(num.mode, den.mode)
     if den.is_zero():
-        raise ZeroDivisionError("exact_divide by zero jet")
+        raise ZeroDenominator("exact_divide by zero jet")
     if num.is_zero():
         return DIVISIBLE, Jet2.zero(num.mode, num.valid_through)
     terms = den.coeffs

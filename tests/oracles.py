@@ -1717,7 +1717,7 @@ def scan_exact_divide(num: Jet2, den: Jet2):
     least graded-lex key.  The oracle of its status and stored quotient."""
     scalars.check_same_mode(num.mode, den.mode)
     if den.is_zero():
-        raise ZeroDivisionError("exact_divide by zero jet")
+        raise ZeroDenominator("exact_divide by zero jet")
     if num.is_zero():
         return DIVISIBLE, Jet2.zero(num.mode, num.valid_through)
     pivot = min(den.coeffs, key=_glex_key)

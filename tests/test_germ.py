@@ -17,6 +17,7 @@ from germforge.errors import (
     NonzeroEigenvalue,
     PoleAtOrigin,
     PrecisionExhausted,
+    ZeroDenominator,
 )
 from germforge.germ import (
     CoordinateChange,
@@ -143,6 +144,13 @@ def test_first_integral_elliptic():
     e = vf(jet_mul(x(), x() - y().scale(2)), jet_mul(y(), y() - x().scale(2)))
     f = jet_mul(jet_mul(x(), y()), x() - y())
     assert derive_along(e, f).is_zero()
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_rational_fn_with_a_zero_denominator_raises_zero_denominator(mode):
+    # it raised a bare ZeroDivisionError, outside the GermforgeError contract
+    with pytest.raises(ZeroDenominator, match="RationalFn with zero denominator"):
+        RationalFn(Jet2.const(1, mode), Jet2.zero(mode, 3))
 
 
 def test_first_integral_parabolic_meromorphic():

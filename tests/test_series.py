@@ -18,6 +18,7 @@ from germforge.errors import (
     NotAUnit,
     NotDivisible,
     PrecisionExhausted,
+    ZeroDenominator,
 )
 from germforge.blowup import _substitute_line
 from germforge.germ import CoordinateChange, VectorFieldGerm
@@ -306,6 +307,14 @@ def test_exact_divide_linear_form():
 def test_exact_divide_obstruction():
     status, _ = exact_divide(x(), x() - y())
     assert status == NOT_DIVISIBLE
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_exact_divide_by_a_zero_jet_raises_zero_denominator(mode):
+    # it raised a bare ZeroDivisionError, outside the GermforgeError contract
+    num = Jet2.from_coeffs({(1, 0): 1}, mode)
+    with pytest.raises(ZeroDenominator, match="exact_divide by zero jet"):
+        exact_divide(num, Jet2.zero(mode, 3))
 
 
 def test_exact_divide_polynomial_ring_semantics():
