@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import scalars
@@ -70,6 +71,15 @@ INF = math.inf
 DEFAULT_DEGREE = 16
 # the bound of --degree, of inverse's degree and of catalog int parameters
 MAX_DEGREE = 64
+
+
+def _exact_coefficient(value) -> GaussianRational:
+    """An exact Jet2 coefficient: an int or Fraction is coerced, as
+    from_coeffs coerces it; any other value is refused."""
+    if isinstance(value, (GaussianRational, int, Fraction)):
+        return GaussianRational.from_value(value)
+    raise BadParams(f"an exact Jet2 coefficient must be a GaussianRational, int or Fraction,"
+                    f" not {type(value).__name__}")
 
 
 def _as_scalar(value, mode):
@@ -175,10 +185,13 @@ class Jet2:
 
     def __init__(self, mode: str, coeffs: Dict[Tuple[int, int], Scalar], valid_through):
         cleaned = {}
+        exact = mode != FLOAT
         for (i, j), v in coeffs.items():
             if i < 0 or j < 0:
                 raise BadParams("Jet2 exponents must be >= 0")
             if i + j <= valid_through and v:
+                if exact and type(v) is not GaussianRational:
+                    v = _exact_coefficient(v)
                 cleaned[(i, j)] = v
         self.mode = mode
         self.valid_through = valid_through

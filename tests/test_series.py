@@ -317,6 +317,21 @@ def test_exact_divide_by_a_zero_jet_raises_zero_denominator(mode):
         exact_divide(num, Jet2.zero(mode, 3))
 
 
+def test_jet2_constructor_coerces_exact_coefficients():
+    # an int or Fraction is coerced as from_coeffs coerces it (an int raised
+    # AttributeError: 'int' object has no attribute 'den'); anything else is
+    # refused with BadParams
+    coeffs = {(1, 0): 1, (0, 1): Fraction(-3, 4), (2, 0): GaussianRational(1, 2)}
+    jet = Jet2(EXACT, coeffs, INF)
+    want = Jet2.from_coeffs(coeffs, EXACT)
+    assert (jet.den, jet.re, jet.im) == (want.den, want.re, want.im) == \
+        (4, {(1, 0): 4, (0, 1): -3, (2, 0): 4}, {(2, 0): 8})
+    assert jet.coeffs == want.coeffs
+    for bad in (0.5, 1j, "1", [1]):
+        with pytest.raises(BadParams, match="exact Jet2 coefficient"):
+            Jet2(EXACT, {(1, 0): bad}, INF)
+
+
 def test_exact_divide_polynomial_ring_semantics():
     one = Jet2.const(1, EXACT, INF)
     den = one + Jet2.variable("x", EXACT, INF)
