@@ -287,6 +287,10 @@ def cmd_linearize(args) -> Tuple[int, dict, List[str]]:
 
 def cmd_hirzebruch(args) -> Tuple[int, dict, List[str]]:
     n = args.n
+    if n > MAX_DEGREE:
+        # a sample's exact arithmetic grows faster than n^1.5 (0.9 s for 10
+        # samples at n = 256), so a large n would run for minutes
+        raise BadParams(f"--n {n} is above the bound {MAX_DEGREE}")
     rng = random.Random(args.samples * 7919 + n)
     failures = hz.random_flow_failures(n, rng, args.samples)
     gens = hz.local_generators_at_p(n)
@@ -464,7 +468,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("X"); p.set_defaults(fn=cmd_linearize)
 
     p = add_parser("hirzebruch", help="exact surface-flow verification")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=1, help=f"the index of F_n, at most {MAX_DEGREE}")
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(fn=cmd_hirzebruch)
 

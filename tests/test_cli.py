@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,10 @@ ROWS = [
     # no sample checks nothing: it printed "-3 random exact checks all pass"
     (["hirzebruch", "--samples", "-3"], ERROR),
     (["hirzebruch", "--samples", "0"], ERROR),
+    # --n is at most 64, the bound of --degree: n = 1000 took 51.8 s for 50
+    # samples
+    (["hirzebruch", "--n", "64", "--samples", "2"], OK),
+    (["hirzebruch", "--n", "65"], ERROR),
     # declared forms: a unit divides everything, so dividing by 1 never ended;
     # 0 raised ZeroDivisionError and a quotient AttributeError
     (["classify", "table:2[n=1]", "--declare", "1"], ERROR),
@@ -140,6 +145,13 @@ def test_make_prints_the_id_it_was_given(capsys):
     assert capsys.readouterr().out == "built commuting pair mt:vii[a=1,b=0,k1=1,m=1,n=1]\n"
     assert cli.main(["make", "table:2[n=4/2]"]) == OK
     assert capsys.readouterr().out == "built table:2[n=2]\n"
+
+
+def test_hirzebruch_n_is_refused_above_its_bound(capsys):
+    start = time.perf_counter()
+    assert cli.main(["hirzebruch", "--n", "1000"]) == ERROR
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == "error: --n 1000 is above the bound 64\n"
 
 
 def test_error_positions_are_offsets_into_the_argument(capsys):
