@@ -54,9 +54,11 @@ ends, so the token is a whole term and the fold order and precedence are
 those of its tokens (the x*y of 1/x*y is no run).  factor() reads a run's
 value like a leaf: _run_value folds its atoms by the single-term rule, and
 the descent keeps it beside the leaves, so a run read twice is folded once.
-A run holds no space and no division by 0; such text is read token by
-token as before.  Error positions and zero-denominator spans come from the
-same scan, and float mode and parse_to_jet1 scan the plain tokens.
+A run holds no space and no division by 0, and a product of x, y and i
+alone (x*y) is none, since the descent reads its leaves as fast; such text
+is read token by token as before.  Error positions and zero-denominator
+spans come from the same scan, and float mode and parse_to_jet1 scan the
+plain tokens.
 """
 
 from __future__ import annotations
@@ -111,17 +113,18 @@ _PUNCT = frozenset("+-*/^()[],")
 # The scan of exact mode in x and y also takes runs (see the module
 # docstring).  A literal's signed parts are p, p/q, p/q*i, p*i, p*i/q, i and
 # i/q.  A run starts after '+', '-', '(', '[' or ',', with at most one space
-# between, or at the start of the text, and ends before '+', '-', ')', ']',
-# ',' or the end.  A division by 0 is no run, so that the token path raises
-# ZeroDenominator for it.
+# between, or at the start of the text, holds a digit, '(', '^' or '/', and
+# ends before '+', '-', ')', ']', ',' or the end.  The cheap checks come
+# first, as the pattern is tried at every position.  A division by 0 is no
+# run, so that the token path raises ZeroDenominator for it.
 _DEN = r"/0*[1-9]\d*"
 _PART = rf"(?:\d+(?:{_DEN}(?:\*i)?|\*i(?:{_DEN})?)?|i(?:{_DEN})?)"
 _ATOM = rf"(?:\d+(?:\.\d*)?|\.\d+|[xyi]|\([-+]?{_PART}(?:[-+]{_PART})*\))(?:\^\d+)?"
-_RUN_TOKEN = re.compile(rf"(?:(?<=[-+(\[,])|(?<=[-+(\[,] )|^){_ATOM}(?:\*{_ATOM}|{_DEN})*"
-                        rf"(?=\s*(?:[-+)\],]|$))|" + _TOKEN.pattern)
-# the atoms of a run, as (operator, literal, atom, exponent), and the signed
-# parts of a literal, as (sign, p, '*i', 'i', q, '*i')
-_ATOMS = re.compile(r"([*/]?)(?:\(([^)]*)\)|([^*/^]+))(?:\^(\d+))?")
+_RUN_TOKEN = re.compile(rf"(?=[\d.xyi(])(?:(?<=[-+(\[,])|^|(?<=[-+(\[,] ))(?=[^-+)\],\s]*[\d(^/])"
+                        rf"{_ATOM}(?:\*{_ATOM}|{_DEN})*(?=\s*(?:[-+)\],]|$))|" + _TOKEN.pattern)
+# the atoms of a run, as (operator, atom, exponent), and the signed parts
+# of a literal, as (sign, p, '*i', 'i', q, '*i')
+_ATOMS = re.compile(r"([*/]?)([^*/^(]+|\([^)]*\))\^?(\d*)")
 _PARTS = re.compile(r"([-+]?)(?:(\d+)(\*i)?|(i))(?:/(\d+))?(\*i)?")
 
 
@@ -211,6 +214,9 @@ def _single_sum(terms: list) -> tuple:
     """The sum of sign * term over (sign, single) pairs, as _lin_sum gives
     it: every numerator over the lcm of the denominators, cut at the least
     valid_through.  A sum with at most one key left is a single term."""
+    if len(terms) == 1:         # -a: expr() returns a lone +a as it is
+        key, d, r, s, valid, c = terms[0][1]
+        return key, d, -r, -s, valid, c
     valid = min(t[4] for _, t in terms)
     den = math.lcm(*(t[1] for _, t in terms))
     re_: dict = {}
@@ -237,10 +243,10 @@ def _number(tok: str, degree) -> tuple:
 
 
 def _literal(lit: str, degree) -> tuple:
-    """The single term of the literal (lit): the sum of its signed parts
-    sign * p / q * i^(0 or 1), each known through the degree, over the lcm of
-    their q, with the constants q of the divisions kept apart, as the
-    descent's sum of their single terms gives them."""
+    """The single term of the literal lit, such as (p/q+r/s*i): the sum of
+    its signed parts sign * p / q * i^(0 or 1), each known through the
+    degree, over the lcm of their q, with the constants q of the divisions
+    kept apart, as the descent's sum of their single terms gives them."""
     den, r, s, c = 1, 0, 0, None
     for sign, num, star_i, bare_i, q, tail_i in _PARTS.findall(lit):
         v = -int(num or 1) if sign == "-" else int(num or 1)
@@ -268,7 +274,7 @@ def _run_value(run: str, degree, leaves: dict) -> tuple:
     value does not depend on when it is reduced; a product of nonzero terms
     known through their orders is never cut."""
     valid, order, i, j, d, r, s, cs = INF, 0, 0, 0, 1, 1, 0, []
-    for op, lit, atom, e in _ATOMS.findall(run):
+    for op, atom, e in _ATOMS.findall(run):
         if atom == "x" or atom == "y":
             # x^e and y^e as _single_pow gives them
             e = int(e) if e else 1
@@ -287,8 +293,9 @@ def _run_value(run: str, degree, leaves: dict) -> tuple:
             cs.append((1, int(atom), 0))
             continue
         else:
-            if lit:
-                b = _number(lit, degree) if lit.isdecimal() else _literal(lit, degree)
+            if atom[0] == "(":
+                b = _number(atom[1:-1], degree) if atom[1:-1].isdecimal() \
+                    else _literal(atom, degree)
             else:
                 b = leaves.get(atom) or _number(atom, degree)
             if e:

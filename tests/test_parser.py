@@ -555,3 +555,5 @@ def test_runs_are_whole_terms():
     assert tokens("x^2*y^2^2") == ["x", "^", "2", "*", "y", "^", "2", "^", "2"]
     assert tokens("(i)+(0/0)") == ["(i)", "+", "(", "0", "/", "0", ")"]
     assert tokens("2 * x") == ["2", "*", "x"]
+    # a product of leaves alone is read token by token
+    assert tokens("[x*y, -i*x*y]") == ["[", "x", "*", "y", ",", "-", "i", "*", "x", "*", "y", "]"]
