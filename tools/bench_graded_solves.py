@@ -1,12 +1,15 @@
-"""Per-call times of the graded solvers and the exact Lie bracket.
+"""Per-call times of the graded solvers, the exact Lie bracket and the parser.
 
 Times germ.CoordinateChange.inverse, series.series_ode_solve,
 mr.linearize and series.jet_reciprocal (the degree-by-degree series
 inverse) on every call that the exact-normalize jobs of the benchmark
-(germbench/jobs.py) make in sweeps 0-1, and germ.lie_bracket on every
-call that the exact-algebra jobs make in sweeps 0-1, once with the
-germforge of a parent checkout and once with this checkout's, and writes
-both, their ratio and whether the outputs agree as JSON.
+(germbench/jobs.py) make in sweeps 0-1, and germ.lie_bracket and
+parser.parse_vector_field on every call that the exact-algebra jobs make
+in sweeps 0-1, once with the germforge of a parent checkout and once with
+this checkout's, and writes both, their ratio and whether the outputs
+agree as JSON.  The parse_vector_field kernel also times the fixed
+user-shaped fields of USER_FIELDS, in a row per mode that lists each
+text's time too.
 
 Usage, from the root of a checkout:
 
@@ -14,16 +17,20 @@ Usage, from the root of a checkout:
         --kernels inverse series_ode_solve linearize jet_reciprocal
     python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_bracket.json \
         --kernels lie_bracket
+    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_parse.json \
+        --kernels parse_vector_field
 
 PATH is the root of a checkout of the parent commit.  Each tree is timed
 in a process of its own (the same script with --time SRC): it runs every
 job once to capture the solver calls with their inputs, then times each
-captured call REPEAT times and keeps the least time, which is the one
-least disturbed by other work on the machine.  The trees take turns
+captured call REPEAT times (a user-shaped parse USER_REPEAT times) and
+keeps the least time, which is the one least disturbed by other work on
+the machine.  The trees take turns
 ROUNDS times per seed, and each call keeps its least time over the
 rounds too.  A solver's time is the sum over its calls.  The outputs of
 every call are compared through a digest of their stored numerators,
-sorted by exponent, valid_through and obstruction.
+sorted by exponent, valid_through and obstruction; a call that raises a
+GermforgeError is compared by the error's type and message.
 """
 
 from __future__ import annotations
@@ -43,8 +50,25 @@ ROOT = Path(__file__).resolve().parent.parent
 # each kernel with the workload whose calls it is timed on
 KERNELS = {"inverse": "exact-normalize", "series_ode_solve": "exact-normalize",
            "linearize": "exact-normalize", "jet_reciprocal": "exact-normalize",
-           "lie_bracket": "exact-algebra"}
+           "lie_bracket": "exact-algebra", "parse_vector_field": "exact-algebra"}
 SWEEPS, REPEAT, ROUNDS = 2, 5, 4
+# a user-shaped parse takes 5-50 microseconds, so its least time needs more calls
+USER_REPEAT = 200
+# Field texts as users write them: those of tests/test_parser.py,
+# tests/test_cli.py and the console step of .github/workflows/tier1.yml,
+# parsed at the CLI's default degree in both modes.  The last three are
+# malformed or have a zero denominator.
+USER_FIELDS = [
+    "[x, y]", "[x, -y]", "[x,-y]", "[y, x]", "[y, 0]", "[x*y, 0]", "[x*y, x*y]", "[x^2, y]",
+    "[x^3, y]", "[x^3, 0]", "[x^2, 0]", "[x^2, y^2]", "[x^2, x*y]", "[x*y, y^2]", "[x^2, -x*y]",
+    "[x*x*y, -x*y*y]", "[x + x^2*y, -y]", "[x^2*y, 0]", "[x-1/2, y]", "[x^2, -y*(x-2*y)]",
+    "[x + y^2, 2*y + x^3]", "[x/2+3/4*x^2, -y/2]", "[2/3*x^2*y+x/5, -y/5]",
+    "[x^2*y/3, -x*y^2/3]", "[(2+i)*x, (-2-i)*y]", "[(1)*x, (1)*y]",
+    "[(1/2+3/4*i)*x^2*y, (2)*x*y^2]", "[3/4*x^2+(2-i)*y, y^3/5-x*y]",
+    "[x*y/7, (1+2*i)/3*x^2-i*y]", "[(1/2+i/3)*x^3-y^2/9, 0.25*x*y]", "[x^2/6, (5/2)*y^4]",
+    "[x + x^2*y + x^3 + y^2, -y + x*y^2 + x^2 + 3*x*y]",
+    "[x, y+$]", "[(2)*x^2 + $, y]", "[x, (1 + y) / (x - x)]",
+]
 
 
 def _jet(jet):
@@ -57,7 +81,9 @@ def _canonical(name, out):
     if name == "linearize":
         return (_jet(out.change.comp1), _jet(out.change.comp2), _jet(out.linearized.a),
                 _jet(out.linearized.b), out.obstruction)
-    if name == "lie_bracket":
+    if name == "lie_bracket" or name.startswith("parse_vector_field"):
+        if isinstance(out, Exception):
+            return type(out).__name__, str(out)
         return _jet(out.a), _jet(out.b)
     return _jet(out)
 
@@ -67,10 +93,11 @@ def time_tree(src: str, seed: int, kernels) -> dict:
     sys.path.insert(0, src)
     sys.path.insert(0, str(ROOT / "germbench"))
     import jobs
-    from germforge import germ, mr, series
+    from germforge import germ, mr, parser, series
+    from germforge.errors import GermforgeError
 
     owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr,
-              "jet_reciprocal": series, "lie_bracket": germ}
+              "jet_reciprocal": series, "lie_bracket": germ, "parse_vector_field": parser}
     calls = []
     undo = []
     for name in kernels:
@@ -97,12 +124,19 @@ def time_tree(src: str, seed: int, kernels) -> dict:
                 workload.job(i, sweep).run()
     for holder, key, value in undo:
         setattr(holder, key, value)
+    if "parse_vector_field" in kernels:
+        calls += [(f"parse_vector_field (user-shaped, {mode})", parser.parse_vector_field,
+                   (text, mode, series.DEFAULT_DEGREE), {})
+                  for mode in ("exact", "float") for text in USER_FIELDS]
     times, digests = [], []
     for name, fn, args, kwargs in calls:
         best = float("inf")
-        for _ in range(REPEAT):
+        for _ in range(USER_REPEAT if "user-shaped" in name else REPEAT):
             t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
+            try:
+                out = fn(*args, **kwargs)
+            except GermforgeError as exc:
+                out = exc
             best = min(best, time.perf_counter() - t0)
         times.append(best)
         digests.append(hashlib.sha256(repr(_canonical(name, out)).encode()).hexdigest())
@@ -154,7 +188,7 @@ def compare(args) -> dict:
                     got["times"] = [min(a, b) for a, b in zip(best[side]["times"], got["times"])]
                 best[side] = got
         rows = {}
-        for name in args.kernels:
+        for name in dict.fromkeys(best["change"]["names"]):
             sides = {side: [t for n, t in zip(best[side]["names"], best[side]["times"])
                             if n == name] for side in trees}
             same = [a == b for n, a, b in zip(best["parent"]["names"], best["parent"]["digests"],
@@ -169,6 +203,11 @@ def compare(args) -> dict:
                 "change_median_call_ms": round(1e3 * statistics.median(sides["change"]), 4),
                 "identical_outputs": f"{sum(same)}/{len(same)}",
             }
+            if "user-shaped" in name:
+                # each text's least time in microseconds, parent then change
+                rows[name]["per_call_us"] = {
+                    text: [round(1e6 * p, 2), round(1e6 * c, 2)]
+                    for text, p, c in zip(USER_FIELDS, sides["parent"], sides["change"])}
         report["seeds"][str(seed)] = rows
     return report
 
