@@ -247,12 +247,14 @@ def _literal(lit: str, degree) -> tuple:
     its signed parts sign * p / q * i^(0 or 1), each known through the
     degree, over the lcm of their q, with the constants q of the divisions
     kept apart, as the descent's sum of their single terms gives them."""
-    den, r, s, c = 1, 0, 0, None
+    if lit[1:-1].isdecimal():
+        return _number(lit[1:-1], degree)
+    den, r, s, cs = 1, 0, 0, []
     for sign, num, star_i, bare_i, q, tail_i in _PARTS.findall(lit):
         v = -int(num or 1) if sign == "-" else int(num or 1)
         if q:
             q = int(q)
-            c = [(1, q, 0)] if c is None else [*c, (1, q, 0)]
+            cs.append((1, q, 0))
             if den % q:
                 m = q // math.gcd(den, q)
                 den, r, s = den * m, r * m, s * m
@@ -263,7 +265,7 @@ def _literal(lit: str, degree) -> tuple:
             s += v
         else:
             r += v
-    return _single((0, 0), den, r, s, degree, c)
+    return _single((0, 0), den, r, s, degree, cs or None)
 
 
 def _run_value(run: str, degree, leaves: dict) -> tuple:
@@ -289,13 +291,13 @@ def _run_value(run: str, degree, leaves: dict) -> tuple:
                 else:
                     j += e
         elif op == "/":
-            d *= int(atom)
-            cs.append((1, int(atom), 0))
+            q = int(atom)
+            d *= q
+            cs.append((1, q, 0))
             continue
         else:
             if atom[0] == "(":
-                b = _number(atom[1:-1], degree) if atom[1:-1].isdecimal() \
-                    else _literal(atom, degree)
+                b = _literal(atom, degree)
             else:
                 b = leaves.get(atom) or _number(atom, degree)
             if e:
