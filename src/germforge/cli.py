@@ -285,12 +285,17 @@ def cmd_linearize(args) -> Tuple[int, dict, List[str]]:
     return code, payload, lines
 
 
+# the largest --n of hirzebruch: a sample's exact arithmetic grows faster
+# than n^1.5 (10 samples take 0.15 s at n = 128, 0.84 s at n = 256 and
+# 2.5 s at n = 512), so the default 50 samples take about 3 s at the bound
+# and a larger n would run for minutes
+MAX_HIRZEBRUCH_N = 256
+
+
 def cmd_hirzebruch(args) -> Tuple[int, dict, List[str]]:
     n = args.n
-    if n > MAX_DEGREE:
-        # a sample's exact arithmetic grows faster than n^1.5 (0.9 s for 10
-        # samples at n = 256), so a large n would run for minutes
-        raise BadParams(f"--n {n} is above the bound {MAX_DEGREE}")
+    if n > MAX_HIRZEBRUCH_N:
+        raise BadParams(f"--n {n} is above the bound {MAX_HIRZEBRUCH_N}")
     rng = random.Random(args.samples * 7919 + n)
     failures = hz.random_flow_failures(n, rng, args.samples)
     gens = hz.local_generators_at_p(n)
@@ -468,7 +473,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("X"); p.set_defaults(fn=cmd_linearize)
 
     p = add_parser("hirzebruch", help="exact surface-flow verification")
-    p.add_argument("--n", type=int, default=1, help=f"the index of F_n, at most {MAX_DEGREE}")
+    p.add_argument("--n", type=int, default=1, help=f"the index of F_n, at most {MAX_HIRZEBRUCH_N}")
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(fn=cmd_hirzebruch)
 

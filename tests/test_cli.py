@@ -80,8 +80,8 @@ ROWS = [
     (["hirzebruch", "--samples", "0"], ERROR),
     # --n is at most 64, the bound of --degree: n = 1000 took 51.8 s for 50
     # samples
-    (["hirzebruch", "--n", "64", "--samples", "2"], OK),
-    (["hirzebruch", "--n", "65"], ERROR),
+    (["hirzebruch", "--n", "256", "--samples", "2"], OK),
+    (["hirzebruch", "--n", "257"], ERROR),
     # declared forms: a unit divides everything, so dividing by 1 never ended;
     # 0 raised ZeroDivisionError and a quotient AttributeError
     (["classify", "table:2[n=1]", "--declare", "1"], ERROR),
@@ -151,7 +151,7 @@ def test_hirzebruch_n_is_refused_above_its_bound(capsys):
     start = time.perf_counter()
     assert cli.main(["hirzebruch", "--n", "1000"]) == ERROR
     assert time.perf_counter() - start < 10
-    assert capsys.readouterr().out == "error: --n 1000 is above the bound 64\n"
+    assert capsys.readouterr().out == "error: --n 1000 is above the bound 256\n"
 
 
 def test_error_positions_are_offsets_into_the_argument(capsys):
