@@ -52,8 +52,9 @@ integers, where an atom is a number, x, y, i or a numeric literal such as
 (p/q+r/s*i).  A run starts only where a term starts and ends only where one
 ends, so the token is a whole term and the fold order and precedence are
 those of its tokens (the x*y of 1/x*y is no run).  factor() reads a run's
-value like a leaf: _run_value folds its atoms by the single-term rule, and
-the descent keeps it beside the leaves, so a run read twice is folded once.
+value like a leaf: _run_value multiplies its atoms with _single_mul and
+divides with _single_div, as the descent folds the same tokens, and
+_literal sums a literal's parts with _single_sum.
 A run holds no space and no division by 0, and a product of x, y and i
 alone (x*y) is none, since the descent reads its leaves as fast; such text
 is read token by token as before.  Error positions and zero-denominator
@@ -179,12 +180,20 @@ def _general(val: tuple) -> tuple:
     return (d, {key: r} if r else {}, {key: s} if s else {}, valid), None, c
 
 
-def _single_mul(a: tuple, b: tuple) -> tuple:
-    (ka, da, ra, sa, va, ca), (kb, db, rb, sb, vb, cb) = a, b
-    valid = _mul_valid(va, ka[0] + ka[1] if ra or sa else INF,
-                       vb, kb[0] + kb[1] if rb or sb else INF)
-    return _single((ka[0] + kb[0], ka[1] + kb[1]), da * db, ra * rb - sa * sb,
-                   ra * sb + sa * rb, valid, _cmul(ca, cb))
+def _single_mul(a: tuple, *rest: tuple) -> tuple:
+    """The product of single terms, folded left to right by the product rule
+    of series._mul_valid and reduced once (a product of terms known through
+    their orders is never cut, so reducing between the steps changes
+    nothing)."""
+    (i, j), d, r, s, valid, c = a
+    order = i + j if r or s else INF
+    for (bi, bj), db, rb, sb, vb, cb in rest:
+        ob = bi + bj if rb or sb else INF
+        valid, order = _mul_valid(valid, order, vb, ob), order + ob
+        i, j, d = i + bi, j + bj, d * db
+        r, s = r * rb - s * sb, r * sb + s * rb
+        c = _cmul(c, cb)
+    return _single((i, j), d, r, s, valid, c)
 
 
 def _single_div(a: tuple, b: tuple) -> tuple:
@@ -219,6 +228,14 @@ def _single_sum(terms: list) -> tuple:
         return key, d, -r, -s, valid, c
     valid = min(t[4] for _, t in terms)
     den = math.lcm(*(t[1] for _, t in terms))
+    c = [t[5] for _, t in terms if t[5] is not None] or None
+    key = terms[0][1][0]
+    if all(t[0] == key for _, t in terms):
+        r = s = 0
+        for sign, (_, d, tr, ts, _, _) in terms:
+            f = den // d * sign
+            r, s = r + tr * f, s + ts * f
+        return _single(key, den, r, s, valid, c)
     re_: dict = {}
     im: dict = {}
     for sign, (key, d, r, s, _, _) in terms:
@@ -228,7 +245,6 @@ def _single_sum(terms: list) -> tuple:
                 re_[key] = re_.get(key, 0) + r * f
             if s:
                 im[key] = im.get(key, 0) + s * f
-    c = [t[5] for _, t in terms if t[5] is not None] or None
     re_, im = _nonzero(re_), _nonzero(im)
     if len(re_) + len(im) > 1 and len(re_.keys() | im.keys()) > 1:
         return (*_reduced(den, re_, im), valid), None, c
@@ -243,73 +259,54 @@ def _number(tok: str, degree) -> tuple:
 
 
 def _literal(lit: str, degree) -> tuple:
-    """The single term of the literal lit, such as (p/q+r/s*i): the sum of
-    its signed parts sign * p / q * i^(0 or 1), each known through the
-    degree, over the lcm of their q, with the constants q of the divisions
-    kept apart, as the descent's sum of their single terms gives them."""
+    """The single term of a literal such as (p/q+r/s*i), as expr() sums its
+    signed parts p or p*i, each divided by its q with _single_div: over the
+    lcm of the q by _single_sum, or at once when no part has a q."""
     if lit[1:-1].isdecimal():
         return _number(lit[1:-1], degree)
-    den, r, s, cs = 1, 0, 0, []
-    for sign, num, star_i, bare_i, q, tail_i in _PARTS.findall(lit):
-        v = -int(num or 1) if sign == "-" else int(num or 1)
+    parts = _PARTS.findall(lit)
+    if "/" not in lit:
+        r = s = 0
+        for sign, p, star_i, bare_i, _, _ in parts:
+            p = -int(p or 1) if sign == "-" else int(p or 1)
+            if star_i or bare_i:
+                s += p
+            else:
+                r += p
+        return _single((0, 0), 1, r, s, degree, None)
+    terms = []
+    for sign, p, star_i, bare_i, q, tail_i in parts:
+        p = int(p or 1)
+        # the single term p or p*i, reduced as it stands
+        val = ((0, 0), 1, 0, p, degree, None) if star_i or bare_i or tail_i \
+            else ((0, 0), 1, p, 0, degree, None)
         if q:
-            q = int(q)
-            cs.append((1, q, 0))
-            if den % q:
-                m = q // math.gcd(den, q)
-                den, r, s = den * m, r * m, s * m
-            v *= den // q
-        else:
-            v *= den
-        if star_i or bare_i or tail_i:
-            s += v
-        else:
-            r += v
-    return _single((0, 0), den, r, s, degree, cs or None)
+            val = _single_div(val, _number(q, degree))
+        terms.append((-1 if sign == "-" else 1, val))
+    return terms[0][1] if len(terms) == 1 and terms[0][0] > 0 else _single_sum(terms)
 
 
 def _run_value(run: str, degree, leaves: dict) -> tuple:
     """The single term of a run token, as the descent folds the tokens of
-    the same text: the product of its atoms and the divisions, with
-    valid_through by the product rule of series._mul_valid and every
-    constant of a division kept apart.  Reduced once at the end, as the
-    value does not depend on when it is reduced; a product of nonzero terms
-    known through their orders is never cut."""
-    valid, order, i, j, d, r, s, cs = INF, 0, 0, 0, 1, 1, 0, []
+    the same text: the product of its atoms (x^e and y^e the monomial known
+    through the degree, zero beyond it, as _single_pow gives them), divided
+    by its divisors with _single_div (a division by a constant moves neither
+    valid_through nor the order, so it may come last)."""
+    atoms, divisors = [], []
     for op, atom, e in _ATOMS.findall(run):
-        if atom == "x" or atom == "y":
-            # x^e and y^e as _single_pow gives them
-            e = int(e) if e else 1
-            vb = degree
-            if e and e > degree:
-                r = s = 0
-                ob = INF
-            else:
-                ob = e
-                if atom == "x":
-                    i += e
-                else:
-                    j += e
-        elif op == "/":
-            q = int(atom)
-            d *= q
-            cs.append((1, q, 0))
-            continue
+        if op == "/":
+            divisors.append(atom)
+        elif e and (atom == "x" or atom == "y"):
+            e = int(e)
+            atoms.append(_single((e, 0) if atom == "x" else (0, e), 1, 1, 0, degree, None))
         else:
-            if atom[0] == "(":
-                b = _literal(atom, degree)
-            else:
-                b = leaves.get(atom) or _number(atom, degree)
-            if e:
-                b = _single_pow(b, int(e), degree)
-            kb, db, rb, sb, vb, cb = b
-            ob = kb[0] + kb[1] if rb or sb else INF
-            i, j, d = i + kb[0], j + kb[1], d * db
-            r, s = r * rb - s * sb, r * sb + s * rb
-            if cb is not None:
-                cs.append(cb)
-        valid, order = min(valid + ob, vb + order), order + ob
-    return _single((i, j), d, r, s, valid, cs or None)
+            b = leaves.get(atom) or (
+                _literal(atom, degree) if atom[0] == "(" else _number(atom, degree))
+            atoms.append(_single_pow(b, int(e), degree) if e else b)
+    val = _single_mul(*atoms)
+    for q in divisors:
+        val = _single_div(val, _number(q, degree))
+    return val
 
 
 def _leaf_den(mode: str):
@@ -429,8 +426,8 @@ def _pair(val: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=128)
 def _exact_leaves(degree, variables) -> dict:
-    """The exact single terms of the allowed variables and of i (a descent
-    reads a copy, which it adds the values of its runs to)."""
+    """The exact single terms of the allowed variables and of i, built once
+    per degree (the descents only read them)."""
     leaves = {name: _single((0, 1) if name == "y" else (1, 0), 1, 1, 0, degree, None)
               for name in variables}
     leaves["i"] = _single((0, 0), 1, 0, 1, degree, None)
@@ -452,7 +449,7 @@ class _Descent:
         self.toks = [""] + toks
         self.text, self.n = text, len(self.toks)
         self.mode, self.degree, self.variables = mode, degree, variables
-        self.leaves = dict(_exact_leaves(degree, variables)) if mode == EXACT else {}
+        self.leaves = _exact_leaves(degree, variables) if mode == EXACT else {}
 
     # -- positions and errors, computed only when an error is raised --
 
@@ -556,15 +553,13 @@ class _Descent:
 
     def base(self) -> tuple:
         """A run, a number, a float variable or i, or the error the next token
-        makes (exact variables and i, and runs read before, are the leaves
-        factor() reads)."""
+        makes (exact variables and i are the leaves factor() reads)."""
         toks = self.toks
         tok = toks[-1]
         mode, degree = self.mode, self.degree
         if len(tok) > 1 and (tok[0] == "(" or "*" in tok or "/" in tok or "^" in tok):
             toks.pop()
-            val = self.leaves[tok] = _run_value(tok, degree, self.leaves)
-            return val
+            return _run_value(tok, degree, self.leaves)
         if tok == "x" or tok == "y" or tok == "z":
             if tok not in self.variables:
                 raise UnknownVariable(
@@ -580,10 +575,9 @@ class _Descent:
                 _leaf_den(mode), None
         if _is_number(tok):
             toks.pop()
-            value = Fraction(tok) if "." in tok else int(tok)
             if mode == EXACT:
-                return _single((0, 0), value.denominator, value.numerator, 0, degree, None)
-            v = complex(float(Fraction(value)))
+                return _number(tok, degree)
+            v = complex(float(Fraction(tok) if "." in tok else Fraction(int(tok))))
             return (1, {(0, 0): v} if v and degree >= 0 else {}, {}, degree), \
                 _leaf_den(mode), None
         if tok[:1].isalpha():
