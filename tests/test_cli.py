@@ -78,8 +78,8 @@ ROWS = [
     # no sample checks nothing: it printed "-3 random exact checks all pass"
     (["hirzebruch", "--samples", "-3"], ERROR),
     (["hirzebruch", "--samples", "0"], ERROR),
-    # --n is at most 64, the bound of --degree: n = 1000 took 51.8 s for 50
-    # samples
+    # --n is at most 256, where 50 samples take about 3 s: n = 1000 took
+    # 51.8 s for 50 samples
     (["hirzebruch", "--n", "256", "--samples", "2"], OK),
     (["hirzebruch", "--n", "257"], ERROR),
     # declared forms: a unit divides everything, so dividing by 1 never ended;
