@@ -54,7 +54,7 @@ ends, so the token is a whole term and the fold order and precedence are
 those of its tokens (the x*y of 1/x*y is no run).  factor() reads a run's
 value like a leaf: _run_value multiplies its atoms with _single_mul and
 divides with _single_div, as the descent folds the same tokens, and
-_literal sums a literal's parts with _single_sum.
+_literal sums the parts of a literal that has a divisor with _single_sum.
 A run holds no space and no division by 0, and a product of x, y and i
 alone (x*y) is none, since the descent reads its leaves as fast; such text
 is read token by token as before.  Error positions and zero-denominator
