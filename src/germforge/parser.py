@@ -209,13 +209,14 @@ def _single_div(a: tuple, b: tuple) -> tuple:
 def _single_pow(a: tuple, e: int, degree) -> tuple:
     """a^e cut at the degree, as _power gives it.  Every value here is known
     through the degree at least, so a^e is known through the degree: a term
-    beyond it (e * ord > degree) is zero without any product, and the
-    coefficient and denominator are raised by squaring and multiplying."""
+    beyond it (e * ord > degree) is zero without any product, its constants
+    c raised neither, and the coefficient and denominator are raised by
+    squaring and multiplying."""
     key, d, r, s, _, c = a
     if not e:
         return _single((0, 0), 1, 1, 0, degree, None)
     if e * (key[0] + key[1]) > degree:
-        return _single((0, 0), 1, 0, 0, degree, _cpow(c, e))
+        return _single((0, 0), 1, 0, 0, degree, None)
     return _single((key[0] * e, key[1] * e), *_cpow((d, r, s), e), degree, _cpow(c, e))
 
 
@@ -636,6 +637,13 @@ class _Descent:
     def _pow(self, val: tuple, e: int, left: int) -> tuple:
         mode, degree = self.mode, self.degree
         num, den, c = val
+        order = _zorder(num[1], num[2])
+        if 1 <= order < INF and e * order > degree and (
+                den is None or _zorder(den[1], den[2]) == 0):
+            # over a unit, (num / den)^e has order e * ord(num) beyond the
+            # degree: zero through the degree in both modes, over no power
+            # of den or of the constants c
+            return _power(mode, num, e, degree), _leaf_den(mode), None
         if den is not None:
             den = _power(mode, den, e, degree)
             if not den[1] and not den[2]:

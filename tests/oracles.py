@@ -14,7 +14,11 @@ scalar-dict float loops the jet kernel had before it kept numerators
 them) as the oracle for float jets.  `h_phi_flow_chart1` keeps the
 binomial sum of the Hirzebruch flow's chart-1 fiber shift, and
 `h_phi_flow_chart0` the difference of powers of the chart-0 shift, both of
-which germforge.hirzebruch now sums by Horner.  `p_eval` is the expression
+which germforge.hirzebruch now sums by Horner on Gaussian integers;
+`h_psi_flow` and `h_transition` are the other flow and the chart change
+on the same Fraction pairs, and `gr_binomial_sum` is the Horner sum on
+GaussianRationals that the flows ran before they worked on the stored
+ints.  `p_eval` is the expression
 evaluator that built one Jet2 per AST node (with `t_jet_pow`, the power
 loop that started from the Jet2 constant 1), kept as the oracle for the
 parser's evaluation on stored numerators.  `parse_expression` (a tokenizer,
@@ -732,6 +736,30 @@ def h_phi_flow_chart0(n, t, x, num, den):
     return gr_add(x, t), gr_add(num, gr_mul(shift, den)), den
 
 
+def h_psi_flow(n, chart, s, base, num, den):
+    """Psi^s on F_n: the fiber moves by s in chart 0 and by s u^n in
+    chart 1, which is y + s written in v = y / x^n: (base, fiber num, fiber den)."""
+    shift = s if chart == 0 else gr_mul(s, gr_pow(base, n))
+    return base, gr_add(num, gr_mul(shift, den)), den
+
+
+def h_transition(n, base, num, den):
+    """The same point of F_n in the other chart, for base != 0: (u, v) =
+    (1/x, y/x^n) and back, the fiber denominator times base^n."""
+    return gr_inv(base), num, gr_mul(den, gr_pow(base, n))
+
+
+def gr_binomial_sum(n: int, a: GaussianRational, b) -> GaussianRational:
+    """S(a, b) = sum_{k=1}^{n+1} C(n+1, k) a^(k-1) b^(n+1-k), by Horner in a
+    on GaussianRationals: the fiber shift of the Hirzebruch flow Phi is
+    t S(t, x) in chart 0 and t S(t u, 1) in chart 1."""
+    total = b_pow = GaussianRational(1)     # the k = n+1 term, and b^0
+    for k in range(n, 0, -1):
+        b_pow = b_pow * b
+        total = total * a + comb(n + 1, k) * b_pow
+    return total
+
+
 def l_derive(p, var):
     """d/dx (var 0) or d/dy (var 1); unlike p_derive, negative exponents count."""
     out = {}
@@ -1381,6 +1409,11 @@ def _p_eval(node, mode, degree, variables):
         return _RatValue(jet_mul(num.num, den.den_jet()), jet_mul(num.den_jet(), den.num))
     if isinstance(node, Pow):
         base = _p_eval(node.base, mode, degree, variables)
+        order = base.num.order()
+        if 1 <= order < INF and node.exponent * order > degree and (
+                base.den is None or base.den.order() == 0):
+            # over a unit the power is zero through the degree, over the constant 1
+            return _RatValue(t_jet_pow(base.num, node.exponent).truncate(degree))
         den = None
         if base.den is not None:
             den = t_jet_pow(base.den, node.exponent).truncate(degree)

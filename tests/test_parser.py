@@ -403,6 +403,30 @@ def test_large_powers_take_no_e_products(text, mode):
     assert out.is_zero() and out.valid_through == 4
 
 
+@pytest.mark.parametrize("text, mode", [("[(x/2)^4000000, y]", FLOAT),
+                                        ("[(x/3)^1000000000, y]", EXACT),
+                                        ("[((x+y)/3)^1000000000, y]", EXACT),
+                                        ("[(x/(1+y))^1000000000, y]", FLOAT)])
+def test_powers_beyond_the_degree_raise_no_denominator(text, mode):
+    # the float denominator 2 was raised by e products (2.1 s at e = 4 * 10^6),
+    # and the exact constant 1/3 by squaring to 3^e (4.8 s at e = 10^7)
+    start = time.perf_counter()
+    out = parse_vector_field(text, mode, 4)
+    assert time.perf_counter() - start < 1.0
+    assert out.a.is_zero() and out.a.valid_through == 4
+
+
+def test_a_float_power_beyond_the_degree_is_zero_as_in_exact_mode():
+    # 0.5^2000 underflows to 0.0, which read as a vanishing denominator
+    for mode in (EXACT, FLOAT):
+        out = parse_vector_field("[(x/0.5)^2000, y]", mode, 4)
+        assert out.a.is_zero() and out.a.valid_through == 4
+    # a denominator without a constant term is still no unit
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(ZeroDenominator):
+            parse_vector_field("[(x/x^2)^20, y]", mode, 16)
+
+
 @pytest.mark.parametrize("text", ["2^1000000*x", "(1+x)^1000000", "((2-i)/3+x)^100000"])
 def test_exact_powers_square_and_multiply(text):
     # e products of growing ints took a time growing with e squared
