@@ -11,6 +11,13 @@ over Gaussian rationals; the two commuting flows are
 
 with the chart-1 expressions applied verbatim and a chart switch whenever
 1 + t u = 0.
+
+The flows, the chart transition and points_equal work on the stored ints
+(den, re_num, im_num) of their GaussianRational inputs: each fiber shift
+is one Horner sum on Gaussian integers (_binomial_sum), each power is
+taken by squaring and multiplying, and each output coordinate is built
+once with scalars.from_ints, so one gcd reduces it.  points_equal
+cross-multiplies numerators and denominators and divides nothing.
 """
 
 from __future__ import annotations
@@ -23,14 +30,11 @@ from typing import List, Optional
 
 from .errors import BadParams, OnExceptionalLocus
 from .germ import CoordinateChange, VectorFieldGerm, pullback
-from .scalars import EXACT, GaussianRational
+from .scalars import EXACT, GaussianRational, from_ints, gaussian_pow
 from .series import INF, Jet2, jet_pow
 
 GR = GaussianRational
-
-
-def _gr(value) -> GR:
-    return GR.from_value(value)
+_gr = GR.from_value
 
 
 @dataclass
@@ -60,12 +64,14 @@ class FnPoint:
 
 def fn_transition(p: FnPoint) -> FnPoint:
     """Same point in the other chart; requires base coordinate != 0."""
-    if p.base.is_zero():
+    bd, br, bi = p.base.den, p.base.re_num, p.base.im_num
+    if not (br or bi):
         raise OnExceptionalLocus("transition undefined where the base coordinate is 0")
-    new_base = GR(1) / p.base
     # v = y/x^n and y = v/u^n: either way the fiber denominator picks up base^n
-    base_pow = p.base ** p.n
-    return FnPoint(p.n, 1 - p.chart, new_base, p.fiber_num, p.fiber_den * base_pow)
+    pr, pi = gaussian_pow(br, bi, p.n)
+    f = p.fiber_den
+    return FnPoint(p.n, 1 - p.chart, from_ints(br * br + bi * bi, bd * br, -bd * bi),
+                   p.fiber_num, from_ints(f.den * bd ** p.n, *_gmul(f.re_num, f.im_num, pr, pi)))
 
 
 def points_equal(p: FnPoint, q: FnPoint) -> bool:
@@ -78,55 +84,95 @@ def points_equal(p: FnPoint, q: FnPoint) -> bool:
             p = fn_transition(p)
         else:
             return False
-    return p.base == q.base and (
-        p.fiber_num * q.fiber_den == q.fiber_num * p.fiber_den
-    )
+    if p.base != q.base:
+        return False
+    # fiber_num_p * fiber_den_q == fiber_num_q * fiber_den_p on the stored
+    # ints: (A/a)(B/b) == (C/c)(D/d) exactly when A B c d == C D a b
+    a, b, c, d = p.fiber_num, q.fiber_den, q.fiber_num, p.fiber_den
+    lr, li = _gmul(a.re_num, a.im_num, b.re_num, b.im_num)
+    rr, ri = _gmul(c.re_num, c.im_num, d.re_num, d.im_num)
+    scale_l, scale_r = c.den * d.den, a.den * b.den
+    return lr * scale_l == rr * scale_r and li * scale_l == ri * scale_r
 
 
 def phi_flow(n: int, t, p: FnPoint) -> FnPoint:
     """Parabolic flow Phi^t; complete, with automatic chart switching.
 
-    Both charts shift the fiber by t S(a, b), with the binomial sum S of
-    _binomial_sum: in chart 0 the shift (x + t)^(n+1) - x^(n+1) is
-    t S(t, x), and in chart 1 sum_{k=1}^{n+1} C(n+1, k) t^k u^(k-1) is
-    t S(t u, 1), over the denominator (1 + t u)^n.
+    Both charts shift the fiber by t H(A, B) over a power of a denominator,
+    with the homogeneous binomial sum H of _binomial_sum.  In chart 0, for
+    t = T/td and x = X/xd, the shift (x + t)^(n+1) - x^(n+1) is
+    t H(T xd, X td) / (td xd)^n.  In chart 1, sum_{k=1}^{n+1} C(n+1, k)
+    t^k u^(k-1) is t H(W, wd) / wd^n for w = t u = W/wd, over the
+    denominator (1 + w)^n.
     """
     t = _gr(t)
     if p.n != n:
         raise BadParams("point does not live on F_n")
+    td, tr, ti = t.den, t.re_num, t.im_num
+    b, f, g = p.base, p.fiber_num, p.fiber_den
+    bd, br, bi = b.den, b.re_num, b.im_num
     if p.chart == 0:
-        x = p.base
-        shift = t * _binomial_sum(n, t, x)
-        return FnPoint(n, 0, x + t, p.fiber_num + shift * p.fiber_den, p.fiber_den)
-    u = p.base
-    w = t * u
-    denom = w + 1
-    if denom.is_zero():
+        # x + t = (X td + T xd) / (xd td)
+        hr, hi = _binomial_sum(n, tr * bd, ti * bd, br * td, bi * td)
+        scale = td * (td * bd) ** n
+        return FnPoint(n, 0, from_ints(bd * td, br * td + tr * bd, bi * td + ti * bd),
+                       _shifted(f, g, scale, *_gmul(tr, ti, hr, hi)), g)
+    # w = t u = W / wd, and 1 + w = E / wd
+    wr, wi = _gmul(tr, ti, br, bi)
+    wd = td * bd
+    er, ei = wd + wr, wi
+    if not (er or ei):
         # lands on the x = 0 axis of chart 0; u != 0 here since t*u = -1
         return phi_flow(n, t, fn_transition(p))
-    num = p.fiber_num + t * _binomial_sum(n, w, 1) * p.fiber_den
-    den = p.fiber_den * denom ** n
-    return FnPoint(n, 1, u / denom, num, den)
+    hr, hi = _binomial_sum(n, wr, wi, wd, 0)
+    wd_n = wd ** n
+    pr, pi = gaussian_pow(er, ei, n)
+    # u / (1 + w) = U td / E = U td conj(E) / |E|^2
+    ur, ui = _gmul(br * td, bi * td, er, -ei)
+    return FnPoint(n, 1, from_ints(er * er + ei * ei, ur, ui),
+                   _shifted(f, g, td * wd_n, *_gmul(tr, ti, hr, hi)),
+                   from_ints(g.den * wd_n, *_gmul(g.re_num, g.im_num, pr, pi)))
 
 
-def _binomial_sum(n: int, a: GR, b) -> GR:
-    """S(a, b) = sum_{k=1}^{n+1} C(n+1, k) a^(k-1) b^(n+1-k), by Horner in a."""
-    total = b_pow = GR(1)       # the k = n+1 term C(n+1, n+1) = 1, and b^0
+def _shifted(f: GR, g: GR, scale: int, sr: int, si: int) -> GR:
+    """f + (sr + si i) / scale * g, built once: over fd * scale * gd, f's
+    numerator times scale * gd and (sr + si i) times g's numerator times fd."""
+    fd, gr, gi = f.den, g.re_num, g.im_num
+    k = scale * g.den
+    return from_ints(fd * k, f.re_num * k + (sr * gr - si * gi) * fd,
+                     f.im_num * k + (sr * gi + si * gr) * fd)
+
+
+def _binomial_sum(n: int, ar: int, ai: int, br: int, bi: int) -> tuple:
+    """H(A, B) = sum_{k=1}^{n+1} C(n+1, k) A^(k-1) B^(n+1-k) for the Gaussian
+    integers A = ar + ai i and B = br + bi i, by Horner in A."""
+    hr, hi = pr, pi = 1, 0      # the k = n+1 term C(n+1, n+1) = 1, and B^0
     for k in range(n, 0, -1):
-        b_pow = b_pow * b
-        total = total * a + comb(n + 1, k) * b_pow
-    return total
+        pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        c = comb(n + 1, k)
+        hr, hi = hr * ar - hi * ai + c * pr, hr * ai + hi * ar + c * pi
+    return hr, hi
+
+
+def _gmul(ar: int, ai: int, br: int, bi: int) -> tuple:
+    """(ar + ai i)(br + bi i) as a pair of ints."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def psi_flow(n: int, s, p: FnPoint) -> FnPoint:
-    """Fiber-translation flow Psi^s (complete)."""
+    """Fiber-translation flow Psi^s (complete): the fiber moves by s in
+    chart 0 and by s u^n in chart 1."""
     s = _gr(s)
     if p.n != n:
         raise BadParams("point does not live on F_n")
+    b = p.base
     if p.chart == 0:
-        return FnPoint(n, 0, p.base, p.fiber_num + s * p.fiber_den, p.fiber_den)
-    shift = s * p.base ** n
-    return FnPoint(n, 1, p.base, p.fiber_num + shift * p.fiber_den, p.fiber_den)
+        scale, sr, si = s.den, s.re_num, s.im_num
+    else:
+        scale = s.den * b.den ** n
+        sr, si = _gmul(s.re_num, s.im_num, *gaussian_pow(b.re_num, b.im_num, n))
+    return FnPoint(n, p.chart, b, _shifted(p.fiber_num, p.fiber_den, scale, sr, si),
+                   p.fiber_den)
 
 
 def fixed_point(n: int) -> FnPoint:

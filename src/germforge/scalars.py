@@ -106,13 +106,11 @@ class GaussianRational:
         return GaussianRational.from_value(other) / self
 
     def __pow__(self, e: int):
-        """Integer power by repeated multiplication; e < 0 inverts self^(-e)."""
+        """Integer power by squaring and multiplying on the stored ints,
+        reduced once (the value of e products); e < 0 inverts self^(-e)."""
         if e < 0:
             return GaussianRational(1) / self ** -e
-        out = GaussianRational(1)
-        for _ in range(e):
-            out = out * self
-        return out
+        return from_ints(self.den ** e, *gaussian_pow(self.re_num, self.im_num, e))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,6 +156,19 @@ class GaussianRational:
 
 
 _new = object.__new__
+
+
+def gaussian_pow(re_num: int, im_num: int, e: int):
+    """(re_num + im_num*i)^e for ints and e >= 0, as a pair of ints, by
+    squaring and multiplying (Knuth, TAOCP vol. 2, 4.6.3)."""
+    r, s = 1, 0
+    while e:
+        if e & 1:
+            r, s = r * re_num - s * im_num, r * im_num + s * re_num
+        e >>= 1
+        if e:
+            re_num, im_num = re_num * re_num - im_num * im_num, 2 * re_num * im_num
+    return r, s
 
 
 def from_ints(den: int, re_num: int, im_num: int) -> GaussianRational:

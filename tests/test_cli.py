@@ -154,6 +154,13 @@ def test_hirzebruch_n_is_refused_above_its_bound(capsys):
     assert capsys.readouterr().out == "error: --n 1000 is above the bound 256\n"
 
 
+def test_a_float_power_beyond_the_degree_takes_no_products(capsys):
+    # the float denominator 2 was raised by 10^9 products (minutes)
+    start = time.perf_counter()
+    assert cli.main(["--mode", "float", "bracket", "[(x/2)^1000000000, y]", "[x, y]"]) == OK
+    assert time.perf_counter() - start < 5
+
+
 def test_error_positions_are_offsets_into_the_argument(capsys):
     # the position used to count from the start of the component (3)
     assert cli.main(["bracket", "[x, y+$]", "[x, y]"]) == ERROR
@@ -203,6 +210,12 @@ JSON_ROWS = [
     # the singular points a blow-up puts on its exceptional divisor
     (["blowup", "[x + y^2, 2*y + x^3]", "--singularities"], OK,
      "6b18fe623d4a70fda3fe4b73c20fcedea391153aa27bb5116048d1d61e8ab9a0"),
+    # the flow checks on F_n and the generators at the fixed point, pinned
+    # before the flows ran on Gaussian-integer numerators
+    (["hirzebruch", "--n", "3"], OK,
+     "2b10a67922fa96eb7a561807ce575dd8728d68a16a64400e7088b311b0031acd"),
+    (["hirzebruch", "--n", "16"], OK,
+     "89dc4999630fc3921e2a520837756ddc3040c48a8e9d6bd03840d6e3e3064854"),
 ]
 
 

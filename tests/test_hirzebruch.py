@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from germforge.errors import BadParams, OnExceptionalLocus
@@ -240,3 +242,68 @@ def test_random_flow_failures_needs_a_sample(samples):
     # no sample checks nothing, so it must not read as "all pass"
     with pytest.raises(BadParams, match="samples must be at least 1"):
         random_flow_failures(1, random.Random(0), samples)
+
+
+# Fraction-pair parts: zero, small and of up to 24 bits
+_B24 = 2 ** 24
+_PARTS = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                   st.builds(Fraction, st.integers(-_B24, _B24), st.integers(1, _B24)))
+_VALUES = st.tuples(_PARTS, _PARTS)
+_ZERO = (Fraction(0), Fraction(0))
+
+
+@st.composite
+def _flow_cases(draw):
+    """n in 0..24, either chart, a base that may be 0, a fiber that may be
+    the point at infinity (den 0), and in chart 1 a time that may be the
+    chart switch t = -1/u."""
+    n, chart = draw(st.integers(0, 24)), draw(st.integers(0, 1))
+    base = draw(st.one_of(st.just(_ZERO), _VALUES))
+    num, den = draw(_VALUES), draw(st.one_of(st.just(_ZERO), _VALUES))
+    assume(num != _ZERO or den != _ZERO)
+    t = draw(_VALUES)
+    if chart == 1 and base != _ZERO and draw(st.booleans()):
+        t = oracles.gr_neg(oracles.gr_inv(base))
+    return n, chart, t, draw(_VALUES), base, num, den
+
+
+def _fields(p):
+    return p.n, p.chart, p.base, p.fiber_num, p.fiber_den
+
+
+def _expected(n, chart, base, num, den):
+    return n, chart, GR(*base), GR(*num), GR(*den)
+
+
+def _h_phi_flow(n, chart, t, base, num, den):
+    """Phi^t by the oracles: chart 1 switches to chart 0 where 1 + t u = 0."""
+    if chart == 1:
+        if oracles.gr_add(oracles.gr(1), oracles.gr_mul(t, base)) != _ZERO:
+            return 1, oracles.h_phi_flow_chart1(n, t, base, num, den)
+        base, num, den = oracles.h_transition(n, base, num, den)
+    return 0, oracles.h_phi_flow_chart0(n, t, base, num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_flow_cases())
+def test_flows_match_the_fraction_pair_oracles(case):
+    """Every field of the points phi_flow, psi_flow and fn_transition return,
+    the projective representative (fiber_num : fiber_den) included, is the
+    oracles' value as a GaussianRational."""
+    n, chart, t, s, base, num, den = case
+    p = FnPoint(n, chart, GR(*base), GR(*num), GR(*den))
+    out_chart, expected = _h_phi_flow(n, chart, t, base, num, den)
+    assert _fields(phi_flow(n, GR(*t), p)) == _expected(n, out_chart, *expected)
+    assert _fields(psi_flow(n, GR(*s), p)) == \
+        _expected(n, chart, *oracles.h_psi_flow(n, chart, s, base, num, den))
+    if base == _ZERO:
+        with pytest.raises(OnExceptionalLocus):
+            fn_transition(p)
+    else:
+        assert _fields(fn_transition(p)) == \
+            _expected(n, 1 - chart, *oracles.h_transition(n, base, num, den))
+    # the second oracle: the Horner sum on GaussianRationals, fiber shift t S
+    if out_chart == chart:
+        a, b = (GR(*t), p.base) if chart == 0 else (GR(*t) * p.base, 1)
+        assert phi_flow(n, GR(*t), p).fiber_num == \
+            p.fiber_num + GR(*t) * oracles.gr_binomial_sum(n, a, b) * p.fiber_den

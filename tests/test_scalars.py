@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from germforge import scalars
 from germforge.errors import GermforgeError, ModeMismatch, NumberTooLong
 from germforge.scalars import GaussianRational
+import oracles
 from oracles import FractionPairGR, _is_zero_scalar, fp_format_exact, fp_parse_exact
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "germbench"))
@@ -68,6 +69,26 @@ def test_binary_operations_match_the_oracle(a, b):
                lambda p, q: p / q, lambda p, q: p == q):
         assert _outcome(lambda: op(new, new_b)) == _outcome(lambda: op(old, old_b))
         assert _outcome(lambda: op(new_b, new)) == _outcome(lambda: op(old_b, old))
+
+
+_B24 = 2 ** 24
+_parts24 = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                     st.builds(Fraction, st.integers(-_B24, _B24), st.integers(1, _B24)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.tuples(_parts24, _parts24), e=st.integers(-40, 300))
+def test_powers_match_the_product_loop_oracle(a, e):
+    """__pow__ squares and multiplies; oracles.gr_pow takes |e| products of
+    Fraction pairs and inverts for e < 0 (a zero base then raises)."""
+    value = GaussianRational(*a)
+    try:
+        expected = oracles.gr_pow(a, e)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            value ** e
+        return
+    assert value ** e == GaussianRational(*expected)
 
 
 @settings(max_examples=300, deadline=None)
