@@ -1,12 +1,15 @@
-"""Per-call times of the graded solvers, the exact Lie bracket and the parser.
+"""Per-call times of the graded solvers, the exact Lie bracket, the parser and
+the Hirzebruch flows.
 
 Times germ.CoordinateChange.inverse, series.series_ode_solve,
 mr.linearize and series.jet_reciprocal (the degree-by-degree series
 inverse) on every call that the exact-normalize jobs of the benchmark
-(germbench/jobs.py) make in sweeps 0-1, and germ.lie_bracket and
-parser.parse_vector_field on every call that the exact-algebra jobs make
-in sweeps 0-1, once with the germforge of a parent checkout and once with
-this checkout's, and writes both, their ratio and whether the outputs
+(germbench/jobs.py) make in sweeps 0-1, and germ.lie_bracket,
+parser.parse_vector_field and the two Hirzebruch flows
+(hirzebruch.phi_flow and psi_flow, the kernel hirzebruch_flow, a row per
+flow) on every call that the exact-algebra jobs make in sweeps 0-1, once
+with the germforge of a parent checkout and once with this checkout's,
+and writes both, their ratio and whether the outputs
 agree as JSON.  The parse_vector_field kernel also times the fixed
 user-shaped fields of USER_FIELDS, in a row per mode that lists each
 text's time too.
@@ -19,6 +22,8 @@ Usage, from the root of a checkout:
         --kernels lie_bracket
     python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_parse.json \
         --kernels parse_vector_field
+    python3 tools/bench_graded_solves.py --parent PATH --seeds 11 5 --out BENCH_hirzebruch.json \
+        --kernels hirzebruch_flow
 
 PATH is the root of a checkout of the parent commit.  Each tree is timed
 in a process of its own (the same script with --time SRC): it runs every
@@ -29,7 +34,8 @@ the machine.  The trees take turns
 ROUNDS times per seed, and each call keeps its least time over the
 rounds too.  A solver's time is the sum over its calls.  The outputs of
 every call are compared through a digest of their stored numerators,
-sorted by exponent, valid_through and obstruction; a call that raises a
+sorted by exponent, valid_through and obstruction (a point of F_n through
+its chart and the stored ints of its three coordinates); a call that raises a
 GermforgeError is compared by the error's type and message.
 """
 
@@ -50,7 +56,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # each kernel with the workload whose calls it is timed on
 KERNELS = {"inverse": "exact-normalize", "series_ode_solve": "exact-normalize",
            "linearize": "exact-normalize", "jet_reciprocal": "exact-normalize",
-           "lie_bracket": "exact-algebra", "parse_vector_field": "exact-algebra"}
+           "lie_bracket": "exact-algebra", "parse_vector_field": "exact-algebra",
+           "hirzebruch_flow": "exact-algebra"}
+# the functions a kernel times, where it is not the one of its own name
+FUNCTIONS = {"hirzebruch_flow": ("phi_flow", "psi_flow")}
 SWEEPS, REPEAT, ROUNDS = 2, 5, 4
 # a user-shaped parse takes 5-50 microseconds, so its least time needs more calls
 USER_REPEAT = 200
@@ -76,6 +85,9 @@ def _jet(jet):
 
 
 def _canonical(name, out):
+    if name in FUNCTIONS["hirzebruch_flow"]:
+        return out.n, out.chart, [(g.den, g.re_num, g.im_num)
+                                  for g in (out.base, out.fiber_num, out.fiber_den)]
     if name == "inverse":
         return _jet(out.comp1), _jet(out.comp2)
     if name == "linearize":
@@ -93,30 +105,32 @@ def time_tree(src: str, seed: int, kernels) -> dict:
     sys.path.insert(0, src)
     sys.path.insert(0, str(ROOT / "germbench"))
     import jobs
-    from germforge import germ, mr, parser, series
+    from germforge import germ, hirzebruch, mr, parser, series
     from germforge.errors import GermforgeError
 
     owners = {"inverse": germ.CoordinateChange, "series_ode_solve": series, "linearize": mr,
-              "jet_reciprocal": series, "lie_bracket": germ, "parse_vector_field": parser}
+              "jet_reciprocal": series, "lie_bracket": germ, "parse_vector_field": parser,
+              "hirzebruch_flow": hirzebruch}
     calls = []
     undo = []
-    for name in kernels:
-        owner = owners[name]
-        original = getattr(owner, name)
+    for kernel in kernels:
+        owner = owners[kernel]
+        for name in FUNCTIONS.get(kernel, (kernel,)):
+            original = getattr(owner, name)
 
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, _original, args, kwargs))
-            return _original(*args, **kwargs)
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, _original, args, kwargs))
+                return _original(*args, **kwargs)
 
-        # rebind it wherever germforge holds it, as germbench/tracer.py does
-        holders = [owner] if isinstance(owner, type) else [
-            module for key, module in sorted(sys.modules.items())
-            if module is not None and (key == "germforge" or key.startswith("germforge."))]
-        for holder in holders:
-            for key, value in list(vars(holder).items()):
-                if value is original:
-                    undo.append((holder, key, value))
-                    setattr(holder, key, wrapper)
+            # rebind it wherever germforge holds it, as germbench/tracer.py does
+            holders = [owner] if isinstance(owner, type) else [
+                module for key, module in sorted(sys.modules.items())
+                if module is not None and (key == "germforge" or key.startswith("germforge."))]
+            for holder in holders:
+                for key, value in list(vars(holder).items()):
+                    if value is original:
+                        undo.append((holder, key, value))
+                        setattr(holder, key, wrapper)
     for name in sorted({KERNELS[k] for k in kernels}):
         workload = jobs.WORKLOADS[name](seed)
         for sweep in range(SWEEPS):
