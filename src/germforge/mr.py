@@ -36,8 +36,10 @@ class MRFormalForm:
     lam: object  # GaussianRational in exact mode, complex in float mode
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.p < 1:
-            raise BadParams("Martinet-Ramis data requires m, n, p >= 1")
+        # bounded as catalog parameters are: a float power of a single term
+        # takes e products (n = 10^7 took 3.5 s)
+        if not all(1 <= k <= series.MAX_DEGREE for k in (self.m, self.n, self.p)):
+            raise BadParams(f"Martinet-Ramis data requires 1 <= m, n, p <= {series.MAX_DEGREE}")
         if isinstance(self.lam, (float, complex)) and not cmath.isfinite(self.lam):
             raise BadParams(f"Martinet-Ramis lambda must be finite, not {self.lam}")
 

@@ -21,6 +21,7 @@ from .errors import AxisNotInvariant, BadParams, PrecisionExhausted
 from .germ import VectorFieldGerm
 from .series import (
     INF,
+    MAX_DEGREE,
     Jet1,
     Jet2,
     jet_compose1,
@@ -95,6 +96,8 @@ def invariant_axes(x: VectorFieldGerm) -> Tuple[str, ...]:
 
 def straightening_theta(g2: Jet1, n: int, degree: int) -> Jet2:
     """Theta = -y^(n+1) g2(xy^n) / (1 + n x y^n g2(xy^n)) to the given degree."""
+    if n > MAX_DEGREE:   # a float power y^n takes n products: n = 10^6 took 1.7 s
+        raise BadParams(f"straightening needs n <= {MAX_DEGREE}")
     mode = g2.mode
     x = Jet2.variable("x", mode, INF)
     y = Jet2.variable("y", mode, INF)
@@ -114,8 +117,8 @@ def straighten_regular(g1: Jet1, g2: Jet1, n: int, degree: int
     u solves du/dx = Theta(x, u), u(0, y) = y; beta is defined through
     1 + beta = g1[x u^n] (u/y)^n.
     """
-    if n < 0:
-        raise BadParams("straightening needs n >= 0")
+    if not 0 <= n <= MAX_DEGREE:
+        raise BadParams(f"straightening needs 0 <= n <= {MAX_DEGREE}")
     if g1.coeff(0) - scalars.one(g1.mode):
         raise BadParams("straighten_regular requires g1(0) = 1")
     theta = straightening_theta(g2, n, degree)

@@ -24,26 +24,35 @@ the text the caller passed, inside a field literal too.
 Values are the stored numerators of germforge.series (integer or complex
 numerators over one denominator, as a Jet2 keeps them), and one Jet2 is
 built per returned numerator and denominator.  Products use the product
-rule of series._mul_valid.  In exact mode a sum is one n-ary sum over the
-lcm of its terms' denominators, and while the denominator is a constant C
-(from literals such as 3/4 or a division by a constant) the value is kept
-folded, with C beside it (a sum keeps its terms' factors of C apart, and
-they are multiplied only if C is read); once a nonconstant denominator
-enters, C is multiplied back into numerator and denominator, so a RationalFn is
-normalised as multiplying through by every denominator gives it: (51/300)/y
-is 51/(300 y).  A float value always carries its denominator and takes the
-cross-multiplications of the numerator/denominator pair, so float results
+rule of series._mul_valid.  In exact mode, while a value's denominator is a
+constant, the value is folded into its numerator (see the value layout
+below), and a sum is one n-ary sum over the lcm of its terms' denominators;
+once a nonconstant denominator enters, the value is a numerator/denominator
+pair, and a folded value enters it over 1.  A float value is always a pair
+and takes the cross-multiplications of the per-node jets, so float results
 round as they did when every node was a Jet2.
+
+Reading again by node: the per-node jets keep every constant divisor in
+both parts of a RationalFn, as multiplying through by every denominator
+gives it: (51/300)/y is 51/(300 y).  The fold's pair is that pair divided
+in both parts by one nonzero constant K, made of the constants the fold
+divided by.  A jet stores its value canonically, and a constant factor
+changes neither order nor valid_through, so every Jet2 and every error
+comes out the same; only the parts of a RationalFn show K.  So when the
+fold returns a RationalFn and divided by a constant (a '/' of the text did
+not cross-multiply a pair), parse_to_jet2 reads the text again by node, as
+float mode reads it: no runs and no leaves, and every number, variable and
+i a pair over 1.  parse_to_jet1 and parse_vector_field refuse a
+RationalFn with a message that does not depend on K.
 
 Single-term rule: in exact mode a value with at most one monomial, such as
 3, i, x^2 or (3+3*i)*x^2*y, is held as its key and Gaussian-integer
 coefficient over an integer denominator.  Products, quotients by a nonzero
-constant and powers of such terms go straight to the key and the
-coefficient, with valid_through from series._mul_valid; a power whose term
-lies beyond the degree (e * ord > degree) is zero at once, and c^e is taken
-by squaring and multiplying.  A sum of single terms is one numerator over
-the lcm of their denominators, and a single term again when at most one
-key is left.  The results are those of the general path.
+constant and powers (by scalars.gaussian_pow) of such terms go straight to
+the key and the coefficient, with valid_through from series._mul_valid.  A
+sum of single terms is one numerator over the lcm of their denominators,
+and a single term again when at most one key is left.  The results are
+those of the general path.
 
 Run tokens: in exact mode in x and y, the scan takes a whole monomial term
 such as (3+3*i)*x^2*y^1, x^2*y/3 or (2+i)*x as one token, a run: atoms
@@ -58,8 +67,8 @@ _literal sums the parts of a literal that has a divisor with _single_sum.
 A run holds no space and no division by 0, and a product of x, y and i
 alone (x*y) is none, since the descent reads its leaves as fast; such text
 is read token by token as before.  Error positions and zero-denominator
-spans come from the same scan, and float mode and parse_to_jet1 scan the
-plain tokens.
+spans come from the same scan, and a reading by node and parse_to_jet1
+scan the plain tokens.
 """
 
 from __future__ import annotations
@@ -142,42 +151,36 @@ def _is_number(tok: str) -> bool:
 
 # -- values --------------------------------------------------------------------
 #
-# A value is a triple (num, den, c):
-# - num is (d, re, im, valid): numerators over one denominator d, known
-#   through valid;
-# - while an exact denominator is a constant, den is None, num is the
-#   folded numerator (the value itself) and c is that constant as
-#   (cd, cr, ci), meaning (cr + ci*i) / cd, or None for 1, or a list:
-#   a product of constants not taken yet, taken only where it is read,
-#   by _pair and _cpow (see _taken);
-# - otherwise (a nonconstant denominator has entered, or the mode is
-#   float) num and den are the numerator and the denominator, both
-#   (d, re, im, valid), and c is None.
-# An exact single term with den None is held as the 6-tuple
-# (key, d, r, s, valid, c): (r + s*i) / d * x^key[0] * y^key[1], reduced,
-# with r = s = 0 and key (0, 0) for zero and no term of degree > valid.
+# A value takes one of three forms, told apart by its length:
+# - an exact single term (key, d, r, s, valid) is (r + s*i) / d * x^key[0] *
+#   y^key[1], reduced, with r = s = 0 and key (0, 0) for zero and no term of
+#   degree > valid;
+# - an exact folded value (d, re, im, valid) is numerators over one
+#   denominator d, known through valid, while the value's denominator is a
+#   constant;
+# - a pair (num, den) of such numerators, over 1 for a folded value (_pair).
 
 _ORIGIN = {(0, 0)}
 
 
-def _single(key, d: int, r: int, s: int, valid, c) -> tuple:
+def _single(key, d: int, r: int, s: int, valid) -> tuple:
     """The single term (r + s*i) / d * x^key, reduced, cut at valid."""
     if r or s:
         if key[0] + key[1] > valid:
-            return (0, 0), 1, 0, 0, valid, c
+            return (0, 0), 1, 0, 0, valid
         g = math.gcd(d, r, s)
         if g != 1:
             d, r, s = d // g, r // g, s // g
-        return key, d, r, s, valid, c
-    return (0, 0), 1, 0, 0, valid, c
+        return key, d, r, s, valid
+    return (0, 0), 1, 0, 0, valid
 
 
-def _general(val: tuple) -> tuple:
-    """*val* as a (num, den, c) triple."""
-    if len(val) == 3:
+def _num(val: tuple) -> tuple:
+    """The numerator (d, re, im, valid) of a single term or folded value."""
+    if len(val) == 4:
         return val
-    key, d, r, s, valid, c = val
-    return (d, {key: r} if r else {}, {key: s} if s else {}, valid), None, c
+    key, d, r, s, valid = val
+    return d, {key: r} if r else {}, {key: s} if s else {}, valid
 
 
 def _single_mul(a: tuple, *rest: tuple) -> tuple:
@@ -185,39 +188,36 @@ def _single_mul(a: tuple, *rest: tuple) -> tuple:
     of series._mul_valid and reduced once (a product of terms known through
     their orders is never cut, so reducing between the steps changes
     nothing)."""
-    (i, j), d, r, s, valid, c = a
+    (i, j), d, r, s, valid = a
     order = i + j if r or s else INF
-    for (bi, bj), db, rb, sb, vb, cb in rest:
+    for (bi, bj), db, rb, sb, vb in rest:
         ob = bi + bj if rb or sb else INF
         valid, order = _mul_valid(valid, order, vb, ob), order + ob
         i, j, d = i + bi, j + bj, d * db
         r, s = r * rb - s * sb, r * sb + s * rb
-        c = _cmul(c, cb)
-    return _single((i, j), d, r, s, valid, c)
+    return _single((i, j), d, r, s, valid)
 
 
 def _single_div(a: tuple, b: tuple) -> tuple:
     """a divided by the nonzero constant single b: a times d (r - s i) / (r^2 + s^2)
     for b = (r + s i) / d, as the general constant division."""
-    key, da, ra, sa, va, ca = a
-    _, d, r, s, _, cb = b
+    key, da, ra, sa, va = a
+    _, d, r, s, _ = b
     cr, ci = d * r, -d * s
-    return _single(key, da * (r * r + s * s), ra * cr - sa * ci, sa * cr + ra * ci, va,
-                   _cmul(_cmul(ca, cb), (d, r, s)))
+    return _single(key, da * (r * r + s * s), ra * cr - sa * ci, sa * cr + ra * ci, va)
 
 
 def _single_pow(a: tuple, e: int, degree) -> tuple:
     """a^e cut at the degree, as _power gives it.  Every value here is known
     through the degree at least, so a^e is known through the degree: a term
-    beyond it (e * ord > degree) is zero without any product, its constants
-    c raised neither, and the coefficient and denominator are raised by
-    squaring and multiplying."""
-    key, d, r, s, _, c = a
+    beyond it (e * ord > degree) is zero without any product, and the
+    coefficient and denominator are raised by squaring and multiplying."""
+    key, d, r, s, _ = a
     if not e:
-        return _single((0, 0), 1, 1, 0, degree, None)
+        return _single((0, 0), 1, 1, 0, degree)
     if e * (key[0] + key[1]) > degree:
-        return _single((0, 0), 1, 0, 0, degree, None)
-    return _single((key[0] * e, key[1] * e), *_cpow((d, r, s), e), degree, _cpow(c, e))
+        return _single((0, 0), 1, 0, 0, degree)
+    return _single((key[0] * e, key[1] * e), d ** e, *scalars.gaussian_pow(r, s, e), degree)
 
 
 def _single_sum(terms: list) -> tuple:
@@ -225,21 +225,20 @@ def _single_sum(terms: list) -> tuple:
     it: every numerator over the lcm of the denominators, cut at the least
     valid_through.  A sum with at most one key left is a single term."""
     if len(terms) == 1:         # -a: expr() returns a lone +a as it is
-        key, d, r, s, valid, c = terms[0][1]
-        return key, d, -r, -s, valid, c
+        key, d, r, s, valid = terms[0][1]
+        return key, d, -r, -s, valid
     valid = min(t[4] for _, t in terms)
     den = math.lcm(*(t[1] for _, t in terms))
-    c = [t[5] for _, t in terms if t[5] is not None] or None
     key = terms[0][1][0]
     if all(t[0] == key for _, t in terms):
         r = s = 0
-        for sign, (_, d, tr, ts, _, _) in terms:
+        for sign, (_, d, tr, ts, _) in terms:
             f = den // d * sign
             r, s = r + tr * f, s + ts * f
-        return _single(key, den, r, s, valid, c)
+        return _single(key, den, r, s, valid)
     re_: dict = {}
     im: dict = {}
-    for sign, (key, d, r, s, _, _) in terms:
+    for sign, (key, d, r, s, _) in terms:
         if key[0] + key[1] <= valid:
             f = den // d * sign
             if r:
@@ -248,15 +247,15 @@ def _single_sum(terms: list) -> tuple:
                 im[key] = im.get(key, 0) + s * f
     re_, im = _nonzero(re_), _nonzero(im)
     if len(re_) + len(im) > 1 and len(re_.keys() | im.keys()) > 1:
-        return (*_reduced(den, re_, im), valid), None, c
+        return *_reduced(den, re_, im), valid
     key = next(iter(re_ or im), (0, 0))
-    return _single(key, den, re_.get(key, 0), im.get(key, 0), valid, c)
+    return _single(key, den, re_.get(key, 0), im.get(key, 0), valid)
 
 
 def _number(tok: str, degree) -> tuple:
     """The exact single term of a number token."""
     value = Fraction(tok) if "." in tok else int(tok)
-    return _single((0, 0), value.denominator, value.numerator, 0, degree, None)
+    return _single((0, 0), value.denominator, value.numerator, 0, degree)
 
 
 def _literal(lit: str, degree) -> tuple:
@@ -274,13 +273,13 @@ def _literal(lit: str, degree) -> tuple:
                 s += p
             else:
                 r += p
-        return _single((0, 0), 1, r, s, degree, None)
+        return _single((0, 0), 1, r, s, degree)
     terms = []
     for sign, p, star_i, bare_i, q, tail_i in parts:
         p = int(p or 1)
         # the single term p or p*i, reduced as it stands
-        val = ((0, 0), 1, 0, p, degree, None) if star_i or bare_i or tail_i \
-            else ((0, 0), 1, p, 0, degree, None)
+        val = ((0, 0), 1, 0, p, degree) if star_i or bare_i or tail_i \
+            else ((0, 0), 1, p, 0, degree)
         if q:
             val = _single_div(val, _number(q, degree))
         terms.append((-1 if sign == "-" else 1, val))
@@ -299,7 +298,7 @@ def _run_value(run: str, degree, leaves: dict) -> tuple:
             divisors.append(atom)
         elif e and (atom == "x" or atom == "y"):
             e = int(e)
-            atoms.append(_single((e, 0) if atom == "x" else (0, e), 1, 1, 0, degree, None))
+            atoms.append(_single((e, 0) if atom == "x" else (0, e), 1, 1, 0, degree))
         else:
             b = leaves.get(atom) or (
                 _literal(atom, degree) if atom[0] == "(" else _number(atom, degree))
@@ -310,13 +309,11 @@ def _run_value(run: str, degree, leaves: dict) -> tuple:
     return val
 
 
-def _leaf_den(mode: str):
-    """The denominator of a constant or variable: none in exact mode; in
-    float mode the constant 1, so that every float value carries its
-    denominator and takes the products and sums of the per-node jets (a
-    float product by 1 + 0j can change the sign of a zero part, and a
-    constant divided out early loses what later cancellation would keep)."""
-    return None if mode == EXACT else (*_unit(mode), INF)
+def _leaf_den(mode: str) -> tuple:
+    """The denominator 1 of a number, variable or i read by node, so that its
+    products and sums are those of the per-node jets (a float product by
+    1 + 0j can change the sign of a zero part)."""
+    return (*_unit(mode), INF)
 
 
 def _negated(num: tuple) -> tuple:
@@ -371,56 +368,9 @@ def _lin_sum(terms: list) -> tuple:
     return *_reduced(den, _nonzero(re_), _nonzero(im)), valid
 
 
-def _cmul(a, b):
-    """The product of two constants (cd, cr, ci), None standing for 1; with
-    a deferred product (a list) it is deferred too."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if type(a) is list or type(b) is list:
-        return [a, b]
-    return a[0] * b[0], a[1] * b[1] - a[2] * b[2], a[1] * b[2] + a[2] * b[1]
-
-
-def _taken(c):
-    """The constant c with its deferred products taken.  A sum's constant is
-    read only if a nonconstant denominator enters later or the sum is
-    raised to a power, so the sum keeps its terms' constants in a list
-    until then; the ints of their _cmul products do not depend on the
-    order they are taken in."""
-    if type(c) is not list:
-        return c
-    out = None
-    for f in c:
-        out = _cmul(out, _taken(f))
-    return out
-
-
-def _cpow(c, e: int):
-    """c^e of a constant (cd, cr, ci), None standing for 1: the ints of e
-    _cmul products, by squaring and multiplying."""
-    c, out = _taken(c), None
-    while e:
-        if e & 1:
-            out = _cmul(out, c)
-        e >>= 1
-        if e:
-            c = _cmul(c, c)
-    return out
-
-
 def _pair(val: tuple) -> tuple:
-    """The numerator and denominator of a value: (num * c, c) for a folded
-    (exact) one."""
-    num, den, c = val
-    if den is not None:
-        return num, den
-    if c is None:
-        return num, (*_unit(EXACT), INF)
-    cd, cr, ci = _taken(c)
-    return ((num[0] * cd, *_zscaled(num[1], num[2], cr, ci), num[3]),
-            (cd, {(0, 0): cr} if cr else {}, {(0, 0): ci} if ci else {}, INF))
+    """The numerator and denominator of a value (over 1 for a folded one)."""
+    return val if len(val) == 2 else (_num(val), _leaf_den(EXACT))
 
 
 # -- the descent ---------------------------------------------------------------
@@ -429,28 +379,33 @@ def _pair(val: tuple) -> tuple:
 def _exact_leaves(degree, variables) -> dict:
     """The exact single terms of the allowed variables and of i, built once
     per degree (the descents only read them)."""
-    leaves = {name: _single((0, 1) if name == "y" else (1, 0), 1, 1, 0, degree, None)
+    leaves = {name: _single((0, 1) if name == "y" else (1, 0), 1, 1, 0, degree)
               for name in variables}
-    leaves["i"] = _single((0, 0), 1, 0, 1, degree, None)
+    leaves["i"] = _single((0, 0), 1, 0, 1, degree)
     return leaves
 
 
 class _Descent:
     """One left-to-right pass over the tokens of *text*, evaluating as it
     reads.  The tokens are kept reversed, so that the next one is toks[-1];
-    "" stands for the end of the input."""
+    "" stands for the end of the input.  A reading by node (float mode, and
+    the second reading of parse_to_jet2) has no runs and no leaves: every
+    value is a pair, as the per-node jets give it."""
 
-    __slots__ = ("text", "toks", "n", "mode", "degree", "variables", "leaves", "tokens")
+    __slots__ = ("text", "toks", "n", "mode", "degree", "variables", "leaves", "tokens",
+                 "by_node", "crossed")
 
-    def __init__(self, text: str, mode: str, degree, variables):
-        # runs only in exact mode in x and y: float values keep every node
-        self.tokens = _RUN_TOKEN if mode == EXACT and variables == ("x", "y") else _TOKEN
+    def __init__(self, text: str, mode: str, degree, variables, by_node: bool = False):
+        self.by_node = by_node = by_node or mode != EXACT
+        # runs only in exact mode in x and y, read by fold
+        self.tokens = _TOKEN if by_node or variables != ("x", "y") else _RUN_TOKEN
         toks = self.tokens.findall(text)
         toks.reverse()
         self.toks = [""] + toks
         self.text, self.n = text, len(self.toks)
         self.mode, self.degree, self.variables = mode, degree, variables
-        self.leaves = _exact_leaves(degree, variables) if mode == EXACT else {}
+        self.leaves = {} if by_node else _exact_leaves(degree, variables)
+        self.crossed = 0    # the '/' that cross-multiply a pair, not a fold
 
     # -- positions and errors, computed only when an error is raised --
 
@@ -517,7 +472,7 @@ class _Descent:
             if op == "*":
                 toks.pop()
                 b = self.factor()
-                val = _single_mul(val, b) if len(val) == 6 and len(b) == 6 else self._mul(val, b)
+                val = _single_mul(val, b) if len(val) == 5 and len(b) == 5 else self._mul(val, b)
             elif op == "/":
                 toks.pop()
                 val = self._div(val, self.factor(), left)
@@ -548,39 +503,39 @@ class _Descent:
         if "." in tok:
             self._fail("exponent must be a non-negative integer")
         toks.pop()
-        if len(val) == 6:
+        if len(val) == 5:
             return _single_pow(val, int(tok), self.degree)
         return self._pow(val, int(tok), left)
 
     def base(self) -> tuple:
-        """A run, a number, a float variable or i, or the error the next token
-        makes (exact variables and i are the leaves factor() reads)."""
+        """A run, a number, a variable or i read by node, or the error the
+        next token makes (a fold reads exact variables and i as the leaves of
+        factor())."""
         toks = self.toks
         tok = toks[-1]
         mode, degree = self.mode, self.degree
         if len(tok) > 1 and (tok[0] == "(" or "*" in tok or "/" in tok or "^" in tok):
             toks.pop()
             return _run_value(tok, degree, self.leaves)
-        if tok == "x" or tok == "y" or tok == "z":
-            if tok not in self.variables:
+        if tok == "x" or tok == "y" or tok == "z" or tok == "i":
+            if tok != "i" and tok not in self.variables:
                 raise UnknownVariable(
                     f"variable {tok!r} not allowed here (expected one of {self.variables})"
                     f" (at position {self._position()})")
             toks.pop()
-            key = (0, 1) if tok == "y" else (1, 0)
-            return (1, {key: 1 + 0j} if degree >= 1 else {}, {}, degree), \
-                _leaf_den(mode), None
-        if tok == "i":
-            toks.pop()
-            return (1, {(0, 0): 1j * float(1)} if degree >= 0 else {}, {}, degree), \
-                _leaf_den(mode), None
+            if mode == EXACT:
+                return _pair(_exact_leaves(degree, self.variables)[tok])
+            key = (0, 0) if tok == "i" else (0, 1) if tok == "y" else (1, 0)
+            v = 1j if tok == "i" else 1 + 0j
+            return (1, {key: v} if key[0] + key[1] <= degree else {}, {}, degree), \
+                _leaf_den(mode)
         if _is_number(tok):
             toks.pop()
             if mode == EXACT:
-                return _number(tok, degree)
+                val = _number(tok, degree)
+                return _pair(val) if self.by_node else val
             v = complex(float(Fraction(tok) if "." in tok else Fraction(int(tok))))
-            return (1, {(0, 0): v} if v and degree >= 0 else {}, {}, degree), \
-                _leaf_den(mode), None
+            return (1, {(0, 0): v} if v and degree >= 0 else {}, {}, degree), _leaf_den(mode)
         if tok[:1].isalpha():
             raise UnknownVariable(f"unknown variable {tok!r} (at position {self._position()})")
         self._fail(f"expected a number, variable or '(', found {tok or 'end of input'!r}")
@@ -588,15 +543,13 @@ class _Descent:
     # -- operations, each as the per-node evaluation of its node --
 
     def _sum(self, terms: list) -> tuple:
-        if all(len(val) == 6 for _, val in terms):
+        if all(len(val) == 5 for _, val in terms):
             return _single_sum(terms)
-        vals = [(sign, _general(val)) for sign, val in terms]
-        if all(val[1] is None for _, val in vals):
-            return _lin_sum([(sign, val[0]) for sign, val in vals]), None, \
-                [val[2] for _, val in vals if val[2] is not None] or None
+        if all(len(val) != 2 for _, val in terms):
+            return _lin_sum([(sign, _num(val)) for sign, val in terms])
         # num1/den1 + num2/den2 is (num1 den2 + num2 den1) / (den1 den2), term by term
         total = None
-        for sign, val in vals:
+        for sign, val in terms:
             num, den = _pair(val)
             if sign < 0:
                 num = _negated(num)
@@ -606,60 +559,54 @@ class _Descent:
                 num, den = (*_reduced(*_zsum(*n1[:3], *n2[:3], valid)), valid), \
                     _times(total[1], den)
             total = num, den
-        return (*total, None)
+        return total
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
-        a, b = _general(a), _general(b)
-        if a[1] is None and b[1] is None:
-            return _times(a[0], b[0]), None, _cmul(a[2], b[2])
+        if len(a) != 2 and len(b) != 2:
+            return _times(_num(a), _num(b))
         (n1, d1), (n2, d2) = _pair(a), _pair(b)
-        return _times(n1, n2), _times(d1, d2), None
+        return _times(n1, n2), _times(d1, d2)
 
     def _div(self, top: tuple, bottom: tuple, left: int) -> tuple:
-        if len(top) == 6 and len(bottom) == 6 and bottom[0] == (0, 0) \
+        if len(top) == 5 and len(bottom) == 5 and bottom[0] == (0, 0) \
                 and (bottom[2] or bottom[3]):
             return _single_div(top, bottom)
-        top, bottom = _general(top), _general(bottom)
-        b = bottom[0]
+        b = bottom[0] if len(bottom) == 2 else _num(bottom)
         if not b[1] and not b[2]:
             self._zero(left)
-        if top[1] is None and bottom[1] is None and b[1].keys() <= _ORIGIN \
+        if len(top) != 2 and len(bottom) != 2 and b[1].keys() <= _ORIGIN \
                 and b[2].keys() <= _ORIGIN:
             # divide the folded numerator by the constant (r + s i) / d:
             # multiply by d (r - s i) / (r^2 + s^2)
             d, r, s = b[0], b[1].get((0, 0), 0), b[2].get((0, 0), 0)
-            a = top[0]
-            num = *_reduced(a[0] * (r * r + s * s), *_zscaled(a[1], a[2], d * r, -d * s)), a[3]
-            return num, None, _cmul(_cmul(top[2], bottom[2]), (d, r, s))
+            a = _num(top)
+            return *_reduced(a[0] * (r * r + s * s), *_zscaled(a[1], a[2], d * r, -d * s)), a[3]
+        self.crossed += 1
         (n1, d1), (n2, d2) = _pair(top), _pair(bottom)
-        return _times(n1, d2), _times(d1, n2), None
+        return _times(n1, d2), _times(d1, n2)
 
     def _pow(self, val: tuple, e: int, left: int) -> tuple:
         mode, degree = self.mode, self.degree
-        num, den, c = val
+        if len(val) != 2:
+            return _power(mode, val, e, degree)
+        num, den = val
         order = _zorder(num[1], num[2])
-        if 1 <= order < INF and e * order > degree and (
-                den is None or _zorder(den[1], den[2]) == 0):
+        if 1 <= order < INF and e * order > degree and _zorder(den[1], den[2]) == 0:
             # over a unit, (num / den)^e has order e * ord(num) beyond the
-            # degree: zero through the degree in both modes, over no power
-            # of den or of the constants c
-            return _power(mode, num, e, degree), _leaf_den(mode), None
-        if den is not None:
-            den = _power(mode, den, e, degree)
-            if not den[1] and not den[2]:
-                self._zero(left)
-        else:
-            c = _cpow(c, e)
-        return _power(mode, num, e, degree), den, c
+            # degree: zero through the degree in both modes, over no power of den
+            return _power(mode, num, e, degree), _leaf_den(mode)
+        den = _power(mode, den, e, degree)
+        if not den[1] and not den[2]:
+            self._zero(left)
+        return _power(mode, num, e, degree), den
 
     def finish(self, val: tuple):
         """The value as a Jet2 (Jet1 for variables ("z",)) or RationalFn."""
         mode, variables = self.mode, self.variables
-        num, den, _ = _general(val)
-        if den is None:
-            out = _jet(mode, *num)
+        if len(val) != 2:
+            out = _jet(mode, *_num(val))
         else:
-            num, den = _jet(mode, *num), _jet(mode, *den)
+            num, den = _jet(mode, *val[0]), _jet(mode, *val[1])
             if den.degree_bound() != 0:
                 status, quot = exact_divide(num, den)
                 if status == DIVISIBLE and quot is not None and variables == ("x", "y"):
@@ -672,21 +619,29 @@ class _Descent:
         return out if variables == ("x", "y") else out.restrict_y0()
 
 
-def _parse(text: str, mode, degree, variables):
-    descent = _Descent(text, mode, degree, variables)
+def _parse(text: str, mode, degree, variables, by_node: bool = False):
+    descent = _Descent(text, mode, degree, variables, by_node)
     val = descent.expr()
     descent.end()
-    return descent.finish(val)
+    return descent.finish(val), descent
 
 
 def parse_to_jet2(text: str, mode=EXACT, degree: int = 16):
-    """Expression -> Jet2 or RationalFn in (x, y)."""
-    return _parse(text, mode, degree, ("x", "y"))
+    """Expression -> Jet2 or RationalFn in (x, y).
+
+    A RationalFn whose fold divided by a constant is read again by node: the
+    fold paired it over 1 where the per-node jets pair it over the product
+    of the constants it divided by (see the module docstring).
+    """
+    out, descent = _parse(text, mode, degree, ("x", "y"))
+    if isinstance(out, RationalFn) and text.count("/") > descent.crossed:
+        out, _ = _parse(text, mode, degree, ("x", "y"), by_node=True)
+    return out
 
 
 def parse_to_jet1(text: str, mode=EXACT, degree: int = 16) -> Jet1:
     """Expression in z -> Jet1."""
-    return _parse(text, mode, degree, ("z",))
+    return _parse(text, mode, degree, ("z",))[0]
 
 
 def parse_vector_field(text: str, mode=EXACT, degree: int = 16) -> VectorFieldGerm:

@@ -76,8 +76,8 @@ from germforge.errors import (BadParams, DegenerateFrame, GermforgeError, ModeMi
 from germforge.germ import CoordinateChange, RationalFn, VectorFieldGerm, linear_part, pullback
 from germforge.numflow import (_DP_A, _DP_B4, _DP_B5, TimePath, _lower_field,
                                eval_poly, periodic_trapezoid)
-from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _cmul, _cpow, _leaf_den,
-                              _lin_sum, _negated, _pair, _power, _times)
+from germforge.parser import (_ORIGIN, ExprSyntaxError, UnknownVariable, _lin_sum, _negated,
+                              _power, _times)
 from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import (DEFAULT_DEGREE, DIVISIBLE, Jet1, Jet2, _glex_key, _gmul_into, _jet,
                               _nonzero, _reduced, _zcut, _zderive, _zmul_into, _zscaled, _zsum,
@@ -930,8 +930,10 @@ def residue_probe_1d(h: Jet1, radius: float, tol: float = 1e-12,
 # germforge.parser as it was before it became one pass: a tokenizer that
 # builds one _Token per token, a parser that builds the AST, and eval_node,
 # the evaluator on stored numerators that walks it (with the value helpers
-# that germforge.parser still uses).  pretty prints an AST as text that
-# parses back to it.
+# that germforge.parser still uses, and the constant slot c that the parser's
+# exact fold carried until it read a RationalFn by node instead: _leaf_den,
+# _cmul, _taken, _cpow and the constant-multiplying _pair).  pretty prints
+# an AST as text that parses back to it.
 
 # -- AST ---------------------------------------------------------------------
 
@@ -1155,8 +1157,74 @@ def _p_restrict(jet: Jet2, variables):
     return jet.restrict_y0()
 
 
+def _leaf_den(mode: str):
+    """The denominator of a constant or variable: none in exact mode; in
+    float mode the constant 1, so that every float value carries its
+    denominator and takes the products and sums of the per-node jets (a
+    float product by 1 + 0j can change the sign of a zero part, and a
+    constant divided out early loses what later cancellation would keep)."""
+    return None if mode == EXACT else (*series._unit(mode), INF)
+
+
+def _cmul(a, b):
+    """The product of two constants (cd, cr, ci), None standing for 1; with
+    a deferred product (a list) it is deferred too."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if type(a) is list or type(b) is list:
+        return [a, b]
+    return a[0] * b[0], a[1] * b[1] - a[2] * b[2], a[1] * b[2] + a[2] * b[1]
+
+
+def _taken(c):
+    """The constant c with its deferred products taken.  A sum's constant is
+    read only if a nonconstant denominator enters later or the sum is
+    raised to a power, so the sum keeps its terms' constants in a list
+    until then; the ints of their _cmul products do not depend on the
+    order they are taken in."""
+    if type(c) is not list:
+        return c
+    out = None
+    for f in c:
+        out = _cmul(out, _taken(f))
+    return out
+
+
+def _cpow(c, e: int):
+    """c^e of a constant (cd, cr, ci), None standing for 1: the ints of e
+    _cmul products, by squaring and multiplying."""
+    c, out = _taken(c), None
+    while e:
+        if e & 1:
+            out = _cmul(out, c)
+        e >>= 1
+        if e:
+            c = _cmul(c, c)
+    return out
+
+
+def _pair(val: tuple) -> tuple:
+    """The numerator and denominator of a value: (num * c, c) for a folded
+    (exact) one."""
+    num, den, c = val
+    if den is not None:
+        return num, den
+    if c is None:
+        return num, (*series._unit(EXACT), INF)
+    cd, cr, ci = _taken(c)
+    return ((num[0] * cd, *_zscaled(num[1], num[2], cr, ci), num[3]),
+            (cd, {(0, 0): cr} if cr else {}, {(0, 0): ci} if ci else {}, INF))
+
+
 def _n_eval(node: Node, mode: str, degree: int, variables) -> tuple:
-    """The value of *node* as (num, den, c), see above.
+    """The value of *node* as (num, den, c): the reference for the old exact
+    fold, which kept the product c of the constants a value divided by
+    beside it.  num is (d, re, im, valid); den is None while an exact
+    denominator is a constant, and c is then that constant as (cd, cr, ci),
+    meaning (cr + ci*i) / cd, None for 1, or a list of products not taken
+    yet (see _taken); otherwise den is the denominator and c is None.
 
     Every operation gives what the numerator/denominator pair of jets would
     give, with the product rule of series._mul_valid, in as few steps:

@@ -72,6 +72,18 @@ def test_formal_vf_refuses_a_lambda_that_overflows_in_float(lam):
         mr_formal_vf(MRFormalForm(1, 1, 1, lam), FLOAT, 8)
 
 
+@pytest.mark.parametrize("m, n, p", [(65, 1, 1), (1, 65, 1), (1, 1, 65), (1, 10**9, 1)])
+def test_form_refuses_integers_above_the_degree_bound(m, n, p):
+    # a float power of a single term takes e products: n = 10^7 took 3.5 s
+    with pytest.raises(BadParams, match="<= 64"):
+        MRFormalForm(m, n, p, 0.0)
+
+
+def test_form_at_the_degree_bound_builds():
+    vf = mr_formal_vf(MRFormalForm(64, 64, 64, 0.0), FLOAT, 16)
+    assert vf.a.coeff(1, 0) == 64
+
+
 def test_formal_vf_exponent_convention():
     # (m, n) = (2, 1): the invariant is x^n y^m = x y^2
     vf = mr_formal_vf(MRFormalForm(2, 1, 2, GR(1)), EXACT, 12)

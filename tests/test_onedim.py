@@ -18,8 +18,9 @@ from germforge.onedim import (
     restrict_to_axis,
     siegel_regular_test,
     straighten_regular,
+    straightening_theta,
 )
-from germforge.scalars import EXACT, GaussianRational
+from germforge.scalars import EXACT, FLOAT, GaussianRational
 from germforge.series import INF, Jet1, Jet2, jet_mul, laurent_residue
 from oracles import residue_probe_1d
 
@@ -137,3 +138,20 @@ def test_residue_agrees_with_numerical_probe():
 def test_straighten_rejects_g1_not_one_at_zero():
     with pytest.raises(BadParams):
         straighten_regular(Jet1.const(2, EXACT), Jet1.variable(EXACT), 1, 6)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [65, 10**9])
+def test_straightening_refuses_n_above_the_degree_bound(n, mode):
+    # a float power y^n takes n products: n = 10^6 took 1.7 s
+    one, z = Jet1.const(1, mode), Jet1.variable(mode)
+    with pytest.raises(BadParams, match="n <= 64"):
+        straightening_theta(z, n, 8)
+    with pytest.raises(BadParams, match="n <= 64"):
+        straighten_regular(one, z, n, 8)
+
+
+def test_straightening_at_the_degree_bound_runs():
+    one, z = Jet1.const(1, FLOAT), Jet1.variable(FLOAT)
+    u, beta = straighten_regular(one, z, 64, 8)
+    assert u.coeff(0, 1) == 1 and beta.is_zero()

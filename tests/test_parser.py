@@ -354,6 +354,60 @@ def test_bench_shaped_sums_match_the_per_node_evaluators(a, b, degree):
                       lambda mode: _p_vector_field((a, b), mode, degree))
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=_bench_sums(), shape=st.sampled_from(["({})/(1-x)", "({})/y", "x/({})"]),
+       degree=st.sampled_from([0, 1, 2, 3, 4, 6, 8, math.inf]))
+def test_bench_shaped_quotients_match_the_per_node_evaluator(a, shape, degree):
+    # a divisible quotient, a RationalFn whose sum may have divided by
+    # constants, which is read again by node, and a quotient by the sum
+    text = shape.format(a)
+    node = parse_expression(text)
+    _check_both_modes(lambda mode: parse_to_jet2(text, mode, degree),
+                      lambda mode: oracles.p_eval(node, mode, degree))
+
+
+@pytest.mark.parametrize("text, mode, readings", [
+    ("x^2/3+(1/2+i)*y", EXACT, 1),          # a polynomial
+    ("x/(1+y)+y/3", EXACT, 1),              # a divisible quotient: a series
+    ("(3/4)*x/y+y^2/5", FLOAT, 1),          # a float text is read by node
+    ("y^2/(y-x^2)", EXACT, 1),              # no constant divided
+    ("1/x+1/y", EXACT, 1),
+    ("(x/y)/3", EXACT, 1),                  # 3 divides the pair, as by node
+    ("(3/4)*x/y+y^2/5", EXACT, 2),          # folds that divided by constants
+    ("(51/300)/(y)+(y)", EXACT, 2),
+    ("x^2*y/3/y", EXACT, 1),                # divisible again: no RationalFn
+])
+def test_only_a_rational_function_whose_fold_divided_by_a_constant_is_read_twice(
+        text, mode, readings, descents):
+    out = parse_to_jet2(text, mode, 8)
+    assert len(descents) == readings
+    _assert_same(out, oracles.p_eval(parse_expression(text), mode, 8))
+
+
+@pytest.mark.parametrize("fn, text", [(parse_vector_field, "[(3/4)*x/y, y]"),
+                                      (parse_to_jet1, "(3/4)*z/z^2")])
+def test_entry_points_that_refuse_a_rational_function_read_once(fn, text, descents):
+    with pytest.raises(GermforgeError):
+        fn(text, EXACT, 8)
+    assert len(descents) == 1
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The readings of the parser, one entry per _Descent made."""
+    made = []
+
+    class Counted(parser._Descent):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(parser, "_Descent", Counted)
+    return made
+
+
 # bases of order >= 1: single terms, sums and quotients, with constant and
 # nonconstant denominators
 POWER_BASES = ["x", "y", "2*x", "i*y/3", "0.5*x*y", "x+y", "x-2*i*y^2", "x^2*y/7+y^3",

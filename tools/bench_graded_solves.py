@@ -12,7 +12,8 @@ with the germforge of a parent checkout and once with this checkout's,
 and writes both, their ratio and whether the outputs
 agree as JSON.  The parse_vector_field kernel also times the fixed
 user-shaped fields of USER_FIELDS, in a row per mode that lists each
-text's time too.
+text's time too, and the exact parse_to_jet2 of the rational functions of
+USER_RATIONALS, in a row of its own.
 
 Usage, from the root of a checkout:
 
@@ -65,8 +66,8 @@ SWEEPS, REPEAT, ROUNDS = 2, 5, 4
 USER_REPEAT = 200
 # Field texts as users write them: those of tests/test_parser.py,
 # tests/test_cli.py and the console step of .github/workflows/tier1.yml,
-# parsed at the CLI's default degree in both modes.  The last three are
-# malformed or have a zero denominator.
+# parsed at the CLI's default degree in both modes, and two divisible
+# quotients.  The last three are malformed or have a zero denominator.
 USER_FIELDS = [
     "[x, y]", "[x, -y]", "[x,-y]", "[y, x]", "[y, 0]", "[x*y, 0]", "[x*y, x*y]", "[x^2, y]",
     "[x^3, y]", "[x^3, 0]", "[x^2, 0]", "[x^2, y^2]", "[x^2, x*y]", "[x*y, y^2]", "[x^2, -x*y]",
@@ -76,8 +77,12 @@ USER_FIELDS = [
     "[(1/2+3/4*i)*x^2*y, (2)*x*y^2]", "[3/4*x^2+(2-i)*y, y^3/5-x*y]",
     "[x*y/7, (1+2*i)/3*x^2-i*y]", "[(1/2+i/3)*x^3-y^2/9, 0.25*x*y]", "[x^2/6, (5/2)*y^4]",
     "[x + x^2*y + x^3 + y^2, -y + x*y^2 + x^2 + 3*x*y]",
+    "[x/(1+y), y]", "[((2) + (-3)*x^1 + (3+3*i)*x^2*y^1 + (1/2-3/4*i)*x^3)/(1-x), y]",
     "[x, y+$]", "[(2)*x^2 + $, y]", "[x, (1 + y) / (x - x)]",
 ]
+# Rational functions as the first-integral command reads them, parsed
+# exactly: the first two divide by constants, so the parser reads them twice.
+USER_RATIONALS = ["(3/4)*x/y+y^2/5", "(51/300)/(y)+(y)", "y^2/(y-x^2)", "x/y"]
 
 
 def _jet(jet):
@@ -85,6 +90,8 @@ def _jet(jet):
 
 
 def _canonical(name, out):
+    if isinstance(out, Exception):
+        return type(out).__name__, str(out)
     if name in FUNCTIONS["hirzebruch_flow"]:
         return out.n, out.chart, [(g.den, g.re_num, g.im_num)
                                   for g in (out.base, out.fiber_num, out.fiber_den)]
@@ -94,9 +101,9 @@ def _canonical(name, out):
         return (_jet(out.change.comp1), _jet(out.change.comp2), _jet(out.linearized.a),
                 _jet(out.linearized.b), out.obstruction)
     if name == "lie_bracket" or name.startswith("parse_vector_field"):
-        if isinstance(out, Exception):
-            return type(out).__name__, str(out)
         return _jet(out.a), _jet(out.b)
+    if name.startswith("parse_to_jet2"):
+        return _jet(out.num), _jet(out.den)
     return _jet(out)
 
 
@@ -142,6 +149,8 @@ def time_tree(src: str, seed: int, kernels) -> dict:
         calls += [(f"parse_vector_field (user-shaped, {mode})", parser.parse_vector_field,
                    (text, mode, series.DEFAULT_DEGREE), {})
                   for mode in ("exact", "float") for text in USER_FIELDS]
+        calls += [("parse_to_jet2 (user-shaped RationalFn, exact)", parser.parse_to_jet2,
+                   (text, "exact", series.DEFAULT_DEGREE), {}) for text in USER_RATIONALS]
     times, digests = [], []
     for name, fn, args, kwargs in calls:
         best = float("inf")
@@ -219,9 +228,10 @@ def compare(args) -> dict:
             }
             if "user-shaped" in name:
                 # each text's least time in microseconds, parent then change
+                texts = USER_RATIONALS if name.startswith("parse_to_jet2") else USER_FIELDS
                 rows[name]["per_call_us"] = {
                     text: [round(1e6 * p, 2), round(1e6 * c, 2)]
-                    for text, p, c in zip(USER_FIELDS, sides["parent"], sides["change"])}
+                    for text, p, c in zip(texts, sides["parent"], sides["change"])}
         report["seeds"][str(seed)] = rows
     return report
 
